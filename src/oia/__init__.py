@@ -8,76 +8,4 @@ channel. The experiments module sweeps antenna counts and SNR and writes
 deterministic Monte Carlo averages as CSV.
 """
 
-from .channel import ChannelSet, TrialSeed, derive_stream, draw_channel, draw_channel_set
-from .errors import (
-    DegenerateChannelError,
-    IllConditionedChannelError,
-    InternalInvariantError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    OiaError,
-    UnsupportedGeometryError,
-)
-from .experiments import (
-    CSV_HEADER,
-    ExperimentGrid,
-    ResultRow,
-    TrialRecord,
-    run_grid,
-    run_trial,
-    snr_to_power,
-    write_csv,
-)
-from .kernels import SvdFactors, herm, hermitian_inv_sqrt, log2_det_id_plus, pinv_tall, svd
-from .primary import PrimaryDesign, design_primary, primary_rate
-from .secondary import (
-    SecondaryDesign,
-    build_precoder,
-    interference_covariance,
-    optimal_secondary,
-    residual_interference,
-    uniform_secondary,
-)
-from .waterfill import PowerAllocation, waterfill
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelSet",
-    "CSV_HEADER",
-    "DegenerateChannelError",
-    "ExperimentGrid",
-    "IllConditionedChannelError",
-    "InternalInvariantError",
-    "InvalidInputError",
-    "NotPositiveDefiniteError",
-    "OiaError",
-    "PowerAllocation",
-    "PrimaryDesign",
-    "ResultRow",
-    "SecondaryDesign",
-    "SvdFactors",
-    "TrialRecord",
-    "TrialSeed",
-    "UnsupportedGeometryError",
-    "build_precoder",
-    "derive_stream",
-    "design_primary",
-    "draw_channel",
-    "draw_channel_set",
-    "herm",
-    "hermitian_inv_sqrt",
-    "interference_covariance",
-    "log2_det_id_plus",
-    "optimal_secondary",
-    "pinv_tall",
-    "primary_rate",
-    "residual_interference",
-    "run_grid",
-    "run_trial",
-    "snr_to_power",
-    "svd",
-    "uniform_secondary",
-    "waterfill",
-    "write_csv",
-]

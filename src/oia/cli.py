@@ -30,14 +30,21 @@ def _snr_list(lo: float, hi: float, step: float) -> tuple:
     return tuple(lo + k * step for k in range(count))
 
 
+def _env_workers() -> int:
+    text = os.environ.get("OIA_WORKERS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(f"OIA_WORKERS must be an integer, got {text!r}") from None
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help="Monte Carlo trials per grid cell")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--sigma2", type=float, default=1.0, help="noise variance")
     parser.add_argument("--out", default=default_out, help="output CSV path")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("OIA_WORKERS", "1")),
+    parser.add_argument("--workers", type=int, default=None,
                         help="parallel worker processes (default: OIA_WORKERS or 1)")
     parser.add_argument("--snr-db-min", type=float, default=DEFAULT_SNR_MIN)
     parser.add_argument("--snr-db-max", type=float, default=DEFAULT_SNR_MAX)
@@ -79,19 +86,20 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        workers = _env_workers() if args.workers is None else args.workers
         snr = _snr_list(args.snr_db_min, args.snr_db_max, args.snr_db_step)
         if args.command == "run":
             grid = ExperimentGrid(nt=args.nt, nr=args.nr, snr_db_list=snr,
                                   trials=args.trials, sigma2=args.sigma2,
                                   master_seed=args.seed)
-            rows = run_grid(grid, workers=args.workers)
+            rows = run_grid(grid, workers=workers)
         else:
             rows = []
             for index, count in enumerate(args.antennas):
                 grid = ExperimentGrid(nt=count, nr=count, snr_db_list=snr,
                                       trials=args.trials, sigma2=args.sigma2,
                                       master_seed=args.seed)
-                rows.extend(run_grid(grid, workers=args.workers,
+                rows.extend(run_grid(grid, workers=workers,
                                      grid_offset=index * len(snr)))
         write_csv(rows, args.out)
     except InvalidInputError as exc:

@@ -13,12 +13,20 @@ class NotPositiveDefiniteError(OiaError):
     """A matrix required to be positive definite has an eigenvalue below the floor."""
 
 
-class IllConditionedChannelError(OiaError):
-    """A channel matrix failed the rank guard; the trial should be redrawn."""
+class RedrawError(OiaError):
+    """A trial's channel draw was rejected; the trial should be discarded and redrawn.
 
+    ``reason`` names the rejected matrix: ``"direct"`` for a rank-deficient
+    primary direct channel, ``"cross"`` for a cross channel that fails the
+    precoder's rank guard.
+    """
 
-class DegenerateChannelError(OiaError):
-    """A direct channel is (numerically) rank deficient; the trial should be redrawn."""
+    def __init__(self, reason: str, detail: str):
+        super().__init__(reason, detail)
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.reason} channel rejected: {self.args[1]}"
 
 
 class UnsupportedGeometryError(OiaError):

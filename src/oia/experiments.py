@@ -9,13 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, TrialSeed, derive_stream, draw_channel_set
-from .errors import DegenerateChannelError, IllConditionedChannelError, InvalidInputError
+from .errors import InvalidInputError, RedrawError
 from .primary import design_primary, primary_rate
 from .secondary import (
     build_precoder,
     interference_covariance,
     optimal_secondary,
     uniform_secondary,
+    whitener,
 )
 
 # Replacement draws for discarded trials take indices at or above this base so
@@ -64,6 +65,8 @@ class ExperimentGrid:
             raise InvalidInputError("snr_db_list must be strictly increasing")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise InvalidInputError("sigma2 must be positive and finite")
+        for snr_db in self.snr_db_list:
+            snr_to_power(snr_db, self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,18 @@ class ResultRow:
 
 
 def snr_to_power(snr_db: float, sigma2: float) -> float:
-    """Transmit budget corresponding to an SNR point."""
-    return sigma2 * 10.0 ** (snr_db / 10.0)
+    """Transmit budget corresponding to an SNR point.
+
+    Raises InvalidInputError when the budget is not a positive finite float.
+    """
+    try:
+        p_max = sigma2 * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        p_max = math.inf
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise InvalidInputError(
+            f"SNR {snr_db:g} dB gives transmit budget {p_max:g}, not a positive finite power")
+    return p_max
 
 
 def run_trial(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_index: int,
@@ -126,11 +139,13 @@ def run_trial(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_index:
             v2_raw, active = build_precoder(chans.h12, primary.svd.u, primary.p1_bar)
             q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers,
                                         grid.sigma2)
-            uni = uniform_secondary(v2_raw, active, q, chans.h22, p_max, grid.sigma2)
-            opt = optimal_secondary(v2_raw, active, q, chans.h22, p_max, grid.sigma2)
-        except (DegenerateChannelError, IllConditionedChannelError):
+            f2 = whitener(q, grid.sigma2)
+            uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
+            opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
+        except RedrawError as exc:
             if channels is not None:
                 raise
+            rejection = exc
             discards += 1
             continue
         return TrialRecord(unused_modes=primary.unused_count,
@@ -138,8 +153,8 @@ def run_trial(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_index:
                            rate_secondary_uniform=uni.rate,
                            rate_secondary_optimal=opt.rate,
                            discards=discards)
-    raise IllConditionedChannelError(
-        f"trial {trial_index} rejected {_MAX_ATTEMPTS} times in a row")
+    raise RedrawError(rejection.reason,
+                      f"trial {trial_index} rejected {_MAX_ATTEMPTS} times in a row")
 
 
 def _run_trial_packed(args) -> TrialRecord:
@@ -163,6 +178,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1, grid_offset: int = 0) -> li
     runs in trial-index order, so the output is identical for any worker
     count.
     """
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
     tasks = [(grid, grid_offset + cell, snr_db, trial)
              for cell, snr_db in enumerate(grid.snr_db_list)
              for trial in range(grid.trials)]

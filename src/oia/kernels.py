@@ -1,9 +1,9 @@
 """Complex-matrix numerical primitives with explicit accuracy contracts.
 
 Everything downstream (precoder construction, whitening, rate evaluation)
-is built on the four operations in this module, so their tolerances are
-pinned here: SVD reconstruction to 1e-10 relative, inverse square root
-round trip to 1e-9 per dimension, pseudo-inverse identity to 1e-9.
+is built on the three operations in this module, so their tolerances are
+pinned here: SVD reconstruction to 1e-10 relative and inverse square root
+round trip to 1e-9 per dimension.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedChannelError, InvalidInputError, NotPositiveDefiniteError
-
-# Smallest/largest singular-value ratio below which a matrix is treated as
-# rank deficient. Below this, inverting would amplify noise past the point
-# where the zero-interference guarantee is numerically meaningful.
-RANK_GUARD = 1e-10
+from .errors import InvalidInputError, NotPositiveDefiniteError
 
 
 def herm(a: np.ndarray) -> np.ndarray:
@@ -115,34 +110,6 @@ def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
             f"eigenvalue {w[0]:.6e} below floor {floor:.6e}")
     root = (vecs * (1.0 / np.sqrt(w))) @ herm(vecs)
     return 0.5 * (root + herm(root))
-
-
-def pinv_tall(a) -> np.ndarray:
-    """Left pseudo-inverse (a^H a)^{-1} a^H of a full-column-rank tall matrix.
-
-    Requires rows >= cols and smallest singular value >= RANK_GUARD times the
-    largest. Rank-deficient inputs are rejected rather than regularized, so a
-    caller can discard the trial and redraw; regularizing would silently
-    break the alignment identity the precoder relies on.
-
-    Raises
-    ------
-    IllConditionedChannelError
-        If rows < cols or the rank guard fails.
-    InvalidInputError
-        For non-finite input.
-    """
-    a = _as_finite_matrix(a, "a")
-    rows, cols = a.shape
-    if rows < cols:
-        raise IllConditionedChannelError(
-            f"pseudo-inverse needs rows >= cols, got {rows}x{cols}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < RANK_GUARD * s[0]:
-        ratio = 0.0 if s[0] == 0.0 else s[-1] / s[0]
-        raise IllConditionedChannelError(
-            f"rank-deficient matrix (singular-value ratio {ratio:.3e})")
-    return np.linalg.solve(herm(a) @ a, herm(a))
 
 
 def log2_det_id_plus(m) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, InvalidInputError
+from .errors import InvalidInputError, RedrawError
 from .kernels import SvdFactors, svd
 from .waterfill import PowerAllocation, waterfill
 
@@ -54,10 +54,11 @@ def design_primary(h11, p_max: float, sigma2: float) -> PrimaryDesign:
 
     Raises
     ------
-    DegenerateChannelError
-        If any allocatable singular value is exactly zero. The complementary
-        allocation divides by lambda_n^2, so an exactly rank-deficient
-        channel has no finite design; callers discard the trial and redraw.
+    RedrawError
+        With reason ``"direct"`` if any allocatable singular value is exactly
+        zero. The complementary allocation divides by lambda_n^2, so an
+        exactly rank-deficient channel has no finite design; callers discard
+        the trial and redraw.
     InvalidInputError
         If p_max or sigma2 is not strictly positive.
     """
@@ -68,8 +69,7 @@ def design_primary(h11, p_max: float, sigma2: float) -> PrimaryDesign:
     factors = svd(h11)
     lam = factors.sigma
     if lam[-1] == 0.0:
-        raise DegenerateChannelError(
-            "channel is rank deficient, complementary allocation undefined")
+        raise RedrawError("direct", "rank deficient, complementary allocation undefined")
     inverse_gains = sigma2 / lam**2
     p1 = waterfill(inverse_gains, p_max)
     p1_bar = np.maximum(0.0, inverse_gains - p1.water_level)

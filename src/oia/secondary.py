@@ -1,16 +1,21 @@
 """Secondary-link design: zero-interference precoder, whitening, power allocation.
 
 The opportunistic transmitter aims its signal at the spatial modes the
-primary left unused. With square channels the unscaled precoder is
-``inv(h12) @ u1 @ diag(p1_bar)``: after the primary's receive filter, its
-transmission lands exactly on the unused-mode diagonal and the active modes
-see nothing. With more receive than transmit antennas the inverse is
-replaced by the left pseudo-inverse. Column n is exactly zero whenever
-``p1_bar[n]`` is zero, so the precoder spans only the free dimensions.
+primary left unused. The unscaled precoder is
+``pinv(h12) @ u1[:, :nt] @ diag(p1_bar)``, with the pseudo-inverse taken from
+one SVD of the cross channel. With square channels the pseudo-inverse is the
+inverse: after the primary's receive filter, the secondary's transmission
+lands exactly on the unused-mode diagonal and the active modes see nothing.
+With more receive than transmit antennas the same expression uses the left
+pseudo-inverse, which does not in general clear the active modes, since
+``u1[:, :nt]^H @ h12 @ pinv(h12) @ u1[:, :nt]`` is then a projection, not the
+identity. Column n is exactly zero whenever ``p1_bar[n]`` is zero, so the
+precoder spans only the free dimensions.
 
 The secondary receiver whitens the primary's interference (covariance q)
-with ``q^{-1/2}`` and then either splits power uniformly or water-fills an
-equivalent whitened channel restricted to the active columns.
+with ``q^{-1/2}``, computed once per trial by ``whitener``, and then either
+splits power uniformly or water-fills an equivalent whitened channel
+restricted to the active columns.
 """
 
 from __future__ import annotations
@@ -20,13 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    IllConditionedChannelError,
     InternalInvariantError,
     InvalidInputError,
+    RedrawError,
     UnsupportedGeometryError,
 )
-from .kernels import RANK_GUARD, herm, hermitian_inv_sqrt, log2_det_id_plus, pinv_tall
+from .kernels import herm, hermitian_inv_sqrt, log2_det_id_plus, svd
 from .waterfill import waterfill
+
+# Smallest/largest singular-value ratio of the cross channel below which it is
+# treated as rank deficient. Below this, inverting would amplify noise past
+# the point where the zero-interference guarantee is numerically meaningful.
+RANK_GUARD = 1e-10
 
 # The interference-plus-noise covariance dominates sigma2 * I by
 # construction; this slack absorbs eigenvalue rounding when whitening.
@@ -37,32 +47,15 @@ NOISE_FLOOR_SLACK = 1e-10
 class SecondaryDesign:
     """One power-allocation scheme's full outcome for a trial.
 
-    ``v2_raw`` is the unscaled precoder (columns outside ``active_columns``
-    exactly zero); the transmitted precoder is ``alpha * v2_raw``. ``p2`` is
-    the final Hermitian PSD input covariance, full size, and
+    ``v2`` is the transmitted precoder, zero outside the active columns.
+    ``p2`` is the final Hermitian PSD input covariance, full size, and
     ``trace(v2 @ p2 @ v2^H)`` meets the power budget with equality whenever
     any column is active.
     """
 
-    v2_raw: np.ndarray
-    active_columns: np.ndarray
-    q: np.ndarray
-    f2: np.ndarray
-    alpha: float
+    v2: np.ndarray
     p2: np.ndarray
     rate: float
-
-    @property
-    def v2(self) -> np.ndarray:
-        """Final (scaled) precoder."""
-        return self.alpha * self.v2_raw
-
-
-def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b with one step of iterative refinement."""
-    x = np.linalg.solve(a, b)
-    residual = b - a @ x
-    return x + np.linalg.solve(a, residual)
 
 
 def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -82,15 +75,16 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     (v2_raw, active_columns)
-        nt x nt precoder with scale deferred (alpha applied later), and the
+        nt x nt precoder with scale deferred to the power scheme, and the
         indices of its nonzero columns (the primary's unused modes).
 
     Raises
     ------
     UnsupportedGeometryError
         If nr < nt; no precoder construction exists for that shape.
-    IllConditionedChannelError
-        If h12 fails the rank guard; the trial should be redrawn.
+    RedrawError
+        With reason ``"cross"`` if h12 fails the rank guard; the trial
+        should be redrawn.
     """
     h12 = np.asarray(h12, dtype=np.complex128)
     u1 = np.asarray(u1, dtype=np.complex128)
@@ -101,15 +95,12 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     p1_bar = np.asarray(p1_bar, dtype=float)
     if p1_bar.shape != (nt,):
         raise InvalidInputError(f"p1_bar must have {nt} entries, got shape {p1_bar.shape}")
-    if nr == nt:
-        s = np.linalg.svd(h12, compute_uv=False)
-        if s[0] == 0.0 or s[-1] < RANK_GUARD * s[0]:
-            ratio = 0.0 if s[0] == 0.0 else s[-1] / s[0]
-            raise IllConditionedChannelError(
-                f"cross channel fails rank guard (singular-value ratio {ratio:.3e})")
-        steered = _solve_refined(h12, u1)
-    else:
-        steered = pinv_tall(h12) @ u1[:, :nt]
+    f = svd(h12)
+    s = f.sigma
+    if s[0] == 0.0 or s[-1] < RANK_GUARD * s[0]:
+        ratio = 0.0 if s[0] == 0.0 else s[-1] / s[0]
+        raise RedrawError("cross", f"rank guard failed (singular-value ratio {ratio:.3e})")
+    steered = (f.v / s[None, :]) @ (herm(f.u[:, :nt]) @ u1[:, :nt])
     v2_raw = steered * p1_bar[None, :]
     active_columns = np.flatnonzero(p1_bar > 0.0)
     return v2_raw, active_columns
@@ -134,48 +125,53 @@ def interference_covariance(h21, v1, p1, sigma2: float) -> np.ndarray:
     return 0.5 * (q + herm(q))
 
 
-def uniform_secondary(v2_raw, active_columns, q, h22, p_max: float,
-                      sigma2: float) -> SecondaryDesign:
+def whitener(q, sigma2: float) -> np.ndarray:
+    """Whitening filter ``q^{-1/2}`` of an interference-plus-noise covariance.
+
+    ``q`` must dominate ``sigma2 * I``, as ``interference_covariance``
+    guarantees; both power schemes of a trial share the one filter.
+    """
+    return hermitian_inv_sqrt(q, floor=sigma2 * (1.0 - NOISE_FLOOR_SLACK))
+
+
+def uniform_secondary(v2_raw, active_columns, f2, h22, p_max: float) -> SecondaryDesign:
     """Uniform power scheme: identity input covariance, scale tuned to the budget.
 
-    alpha is chosen so that ``trace(v2 @ v2^H) = p_max`` exactly. With no
-    active column there is nothing to transmit on: alpha is 0 and the rate 0.
+    ``f2`` is the trial's whitening filter. The precoder is scaled so that
+    ``trace(v2 @ v2^H) = p_max`` exactly. With no active column there is
+    nothing to transmit on: the precoder is zero and the rate 0.
     """
     if not (np.isfinite(p_max) and p_max > 0):
         raise InvalidInputError("p_max must be positive and finite")
     v2_raw = np.asarray(v2_raw, dtype=np.complex128)
     h22 = np.asarray(h22, dtype=np.complex128)
-    active = np.asarray(active_columns, dtype=int)
     nt = v2_raw.shape[1]
-    f2 = hermitian_inv_sqrt(q, floor=sigma2 * (1.0 - NOISE_FLOOR_SLACK))
     p2 = np.eye(nt)
-    if active.size == 0:
-        return SecondaryDesign(v2_raw=v2_raw, active_columns=active, q=np.asarray(q),
-                               f2=f2, alpha=0.0, p2=p2, rate=0.0)
+    if len(active_columns) == 0:
+        return SecondaryDesign(v2=np.zeros_like(v2_raw), p2=p2, rate=0.0)
     total = float(np.sum(np.abs(v2_raw) ** 2))
-    alpha = float(np.sqrt(p_max / total))
-    whitened = f2 @ h22 @ (alpha * v2_raw)
+    v2 = float(np.sqrt(p_max / total)) * v2_raw
+    whitened = f2 @ h22 @ v2
     rate = log2_det_id_plus(whitened @ herm(whitened))
-    return SecondaryDesign(v2_raw=v2_raw, active_columns=active, q=np.asarray(q),
-                           f2=f2, alpha=alpha, p2=p2, rate=rate)
+    return SecondaryDesign(v2=v2, p2=p2, rate=rate)
 
 
-def optimal_secondary(v2_raw, active_columns, q, h22, p_max: float,
-                      sigma2: float) -> SecondaryDesign:
+def optimal_secondary(v2_raw, active_columns, f2, h22, p_max: float) -> SecondaryDesign:
     """Rate-maximizing power scheme via water-filling on an equivalent channel.
 
     The full-size precoder gram matrix is singular whenever some columns are
     zero, so the transform runs on the active columns only. With
     ``vt = v2_raw[:, active]`` and ``m = (vt^H vt)^{1/2}``, the equivalent
-    whitened channel is ``g = q^{-1/2} @ h22 @ vt @ m^{-1}``; water-filling
-    its squared singular values under the budget gives the diagonal
-    allocation, which is conjugated back through the right singular vectors
-    and ``m^{-1}`` and embedded at the active rows and columns. The budget is
-    then met with equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``.
+    whitened channel is ``g = f2 @ h22 @ vt @ m^{-1}``, where ``f2`` is the
+    trial's whitening filter ``q^{-1/2}``; water-filling its squared singular
+    values under the budget gives the diagonal allocation, which is
+    conjugated back through the right singular vectors and ``m^{-1}`` and
+    embedded at the active rows and columns. The budget is then met with
+    equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``.
 
-    The scale alpha stays 1: the transformed trace constraint already
-    absorbs all scaling, and any nonzero alpha yields the same transmitted
-    covariance.
+    The precoder is ``v2_raw`` unscaled: the transformed trace constraint
+    already absorbs all scaling, and any nonzero scale yields the same
+    transmitted covariance.
     """
     if not (np.isfinite(p_max) and p_max > 0):
         raise InvalidInputError("p_max must be positive and finite")
@@ -183,10 +179,8 @@ def optimal_secondary(v2_raw, active_columns, q, h22, p_max: float,
     h22 = np.asarray(h22, dtype=np.complex128)
     active = np.asarray(active_columns, dtype=int)
     nt = v2_raw.shape[1]
-    f2 = hermitian_inv_sqrt(q, floor=sigma2 * (1.0 - NOISE_FLOOR_SLACK))
     if active.size == 0:
-        return SecondaryDesign(v2_raw=v2_raw, active_columns=active, q=np.asarray(q),
-                               f2=f2, alpha=1.0, p2=np.zeros((nt, nt)), rate=0.0)
+        return SecondaryDesign(v2=v2_raw, p2=np.zeros((nt, nt)), rate=0.0)
     vt = v2_raw[:, active]
     # Column equilibration: complementary-allocation entries can differ by
     # many orders of magnitude, which would wreck the gram eigendecomposition
@@ -215,8 +209,7 @@ def optimal_secondary(v2_raw, active_columns, q, h22, p_max: float,
     p2 = np.zeros((nt, nt), dtype=np.complex128)
     p2[np.ix_(active, active)] = p_reduced
     rate = float(np.sum(np.log1p(eta**2 * alloc.powers)) / np.log(2.0))
-    return SecondaryDesign(v2_raw=v2_raw, active_columns=active, q=np.asarray(q),
-                           f2=f2, alpha=1.0, p2=p2, rate=rate)
+    return SecondaryDesign(v2=v2_raw, p2=p2, rate=rate)
 
 
 def residual_interference(u1, h12, v2, p2, active_primary_modes) -> float:

@@ -13,7 +13,7 @@ import pytest
 
 from oia.channel import TrialSeed, derive_stream, draw_channel_set
 from oia.cli import cli_main
-from oia.errors import DegenerateChannelError, IllConditionedChannelError
+from oia.errors import RedrawError
 from oia.experiments import REPLACEMENT_BASE, ExperimentGrid, run_grid
 from oia.kernels import herm
 from oia.primary import design_primary
@@ -23,6 +23,7 @@ from oia.secondary import (
     optimal_secondary,
     residual_interference,
     uniform_secondary,
+    whitener,
 )
 from oia.waterfill import waterfill
 
@@ -48,9 +49,10 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
             primary = design_primary(chans.h11, p_max, SIGMA2)
             v2_raw, active = build_precoder(chans.h12, primary.svd.u, primary.p1_bar)
             q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers, SIGMA2)
-            uni = uniform_secondary(v2_raw, active, q, chans.h22, p_max, SIGMA2)
-            opt = optimal_secondary(v2_raw, active, q, chans.h22, p_max, SIGMA2)
-        except (DegenerateChannelError, IllConditionedChannelError):
+            f2 = whitener(q, SIGMA2)
+            uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
+            opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
+        except RedrawError:
             continue
         return dict(nt=nt, p_max=p_max, chans=chans, primary=primary,
                     v2_raw=v2_raw, active=active, q=q, uni=uni, opt=opt)
@@ -135,9 +137,9 @@ def test_c03_analytic_walkthrough():
     if primary.unused_count != 1:
         problems.append(f"unused count {primary.unused_count}")
     v2_raw, active = build_precoder(eye, primary.svd.u, primary.p1_bar)
-    q = interference_covariance(eye, primary.svd.v, primary.p1.powers, 1.0)
-    uni = uniform_secondary(v2_raw, active, q, eye, 0.5, 1.0)
-    opt = optimal_secondary(v2_raw, active, q, eye, 0.5, 1.0)
+    f2 = whitener(interference_covariance(eye, primary.svd.v, primary.p1.powers, 1.0), 1.0)
+    uni = uniform_secondary(v2_raw, active, f2, eye, 0.5)
+    opt = optimal_secondary(v2_raw, active, f2, eye, 0.5)
     expected = math.log2(1.5)
     if abs(uni.rate - expected) > 1e-9:
         problems.append(f"uniform rate {uni.rate}")

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo sweep machinery, CSV output, and CLI."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -164,6 +165,12 @@ class TestWriteCsv:
             write_csv(run_grid(small_grid(snr_db_list=(0.0,), trials=1)), target)
 
 
+def assert_one_line_usage_error(capsys, mentions):
+    err = capsys.readouterr().err
+    assert err.startswith("oia: ") and err.count("\n") == 1, err
+    assert mentions in err
+
+
 class TestCli:
     def test_run_single_cell(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -207,7 +214,44 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 3  # header + antennas x snr cells
 
+    def test_non_integer_env_workers_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OIA_WORKERS", "abc")
+        code = cli_main(["run", "--trials", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert_one_line_usage_error(capsys, "OIA_WORKERS")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "x.csv"
+        code = cli_main(["run", "--trials", "1", "--workers", workers, "--out", str(out)])
+        assert code == 2
+        assert_one_line_usage_error(capsys, "workers")
+        assert not out.exists()
+
+    def test_overflowing_snr_exits_2(self, tmp_path, capsys):
+        code = cli_main(["run", "--snr-db-min", "4000", "--snr-db-max", "4000",
+                         "--trials", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert_one_line_usage_error(capsys, "4000 dB")
+
     def test_snr_to_power(self):
         assert abs(snr_to_power(0.0, 1.0) - 1.0) < 1e-15
         assert abs(snr_to_power(10.0, 1.0) - 10.0) < 1e-12
         assert abs(snr_to_power(-3.0103, 2.0) - 1.0) < 1e-4
+
+
+class TestGoldenCsv:
+    """SHA-256 of small sweeps, pinned so refactors keep the CSV bytes."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["run", "--nt", "3", "--nr", "5", "--trials", "20", "--seed", "5",
+          "--snr-db-min", "-10", "--snr-db-max", "20", "--snr-db-step", "5"],
+         "dd9aeb73f2f6134f6bed3093ae2bd5afdbff644a0389634909b10137b21bd99d"),
+        (["fig-compare", "--trials", "8", "--seed", "2",
+          "--snr-db-min", "-10", "--snr-db-max", "30", "--snr-db-step", "10"],
+         "e009b520f0f9c24e7e01bbabf53092e6ee88d75d6e4530c99ce19c2623e5ca5d"),
+    ], ids=["run-3x5", "fig-compare"])
+    def test_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "golden.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

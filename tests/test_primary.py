@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oia.channel import draw_channel
-from oia.errors import DegenerateChannelError, InvalidInputError
+from oia.errors import InvalidInputError, RedrawError
 from oia.kernels import herm, log2_det_id_plus
 from oia.primary import design_primary, primary_rate
 
@@ -79,12 +79,14 @@ class TestDesignPrimary:
         assert 0 <= d.unused_count <= 2
 
     def test_zero_channel_rejected(self):
-        with pytest.raises(DegenerateChannelError):
+        with pytest.raises(RedrawError) as info:
             design_primary(np.zeros((2, 2)), 1.0, 1.0)
+        assert info.value.reason == "direct"
 
     def test_rank_deficient_channel_rejected(self):
-        with pytest.raises(DegenerateChannelError):
+        with pytest.raises(RedrawError) as info:
             design_primary(np.diag([2.0, 0.0]), 1.0, 1.0)
+        assert info.value.reason == "direct"
 
     @pytest.mark.parametrize("p_max,sigma2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (np.inf, 1.0)])
     def test_bad_parameters_rejected(self, p_max, sigma2):
