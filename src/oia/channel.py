@@ -35,7 +35,8 @@ class ChannelSet:
     """The four complex channel matrices of one trial, all nr x nt.
 
     hij is the channel from transmitter j to receiver i; link 1 is the
-    primary pair, link 2 the opportunistic one.
+    primary pair, link 2 the opportunistic one. A set drawn for several
+    trials holds stacks ``(trials, nr, nt)``, one matrix per trial.
     """
 
     h11: np.ndarray
@@ -50,6 +51,11 @@ def derive_stream(seed: TrialSeed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _complex_gaussian(normals: np.ndarray) -> np.ndarray:
+    """Pairs of standard normals (last axis) as unit-variance complex entries."""
+    return normals.view(np.complex128)[..., 0] / np.sqrt(2.0)
+
+
 def draw_channel(nr: int, nt: int, stream: np.random.Generator) -> np.ndarray:
     """One nr x nt matrix of i.i.d. circularly symmetric complex Gaussians.
 
@@ -59,14 +65,32 @@ def draw_channel(nr: int, nt: int, stream: np.random.Generator) -> np.ndarray:
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")
-    z = stream.standard_normal((nr, nt, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return _complex_gaussian(stream.standard_normal((nr, nt, 2)))
 
 
 def draw_channel_set(nr: int, nt: int, stream: np.random.Generator) -> ChannelSet:
-    """Four independent channel draws in the fixed order h11, h12, h21, h22."""
-    h11 = draw_channel(nr, nt, stream)
-    h12 = draw_channel(nr, nt, stream)
-    h21 = draw_channel(nr, nt, stream)
-    h22 = draw_channel(nr, nt, stream)
-    return ChannelSet(h11=h11, h12=h12, h21=h21, h22=h22)
+    """Four independent channel draws in the fixed order h11, h12, h21, h22.
+
+    One ``standard_normal((4, nr, nt, 2))`` call: the same numbers, in the
+    same order, as four ``draw_channel`` calls.
+    """
+    if nr < 1 or nt < 1:
+        raise InvalidInputError("antenna counts must be >= 1")
+    return ChannelSet(*_complex_gaussian(stream.standard_normal((4, nr, nt, 2))))
+
+
+def draw_trials(nr: int, nt: int, master_seed: int, grid_index: int,
+                trial_indices) -> ChannelSet:
+    """Channel sets of several trials stacked along a leading axis.
+
+    Trial k's four matrices (``h11[k]``, ...) are exactly what
+    ``draw_channel_set`` draws from the stream of
+    ``TrialSeed(master_seed, grid_index, trial_indices[k])``, so a trial's
+    channels do not depend on the other trials of the stack.
+    """
+    if nr < 1 or nt < 1:
+        raise InvalidInputError("antenna counts must be >= 1")
+    normals = np.empty((len(trial_indices), 4, nr, nt, 2))
+    for row, trial in zip(normals, trial_indices):
+        derive_stream(TrialSeed(master_seed, grid_index, int(trial))).standard_normal(out=row)
+    return ChannelSet(*np.moveaxis(_complex_gaussian(normals), 1, 0))

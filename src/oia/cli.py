@@ -18,6 +18,25 @@ FIG_UNUSED_ANTENNAS = tuple(range(2, 11))
 FIG_RATE_ANTENNAS = tuple(range(2, 11))
 FIG_COMPARE_ANTENNAS = (3, 20)
 
+# Largest sweep the CLI accepts. Every cell costs a row and a pool task per
+# pass, and a cell keeps its per-trial records until it is aggregated: about
+# 100 bytes per trial at peak, measured on one n=2 cell of 2*10^5 trials, so
+# the per-cell trial cap bounds that memory at about 1 GB.
+MAX_CELLS = 100_000
+MAX_TRIALS_PER_CELL = 10**7
+
+
+def _check_sweep_size(cells, trials_per_cell=1) -> None:
+    """Reject an oversized sweep from its counts, before anything of its size is built.
+
+    The counts may be floats, even infinite, as an SNR range gives them.
+    """
+    if not cells <= MAX_CELLS:
+        raise InvalidInputError(f"sweep of {cells:.6g} cells exceeds the limit of {MAX_CELLS}")
+    if not trials_per_cell <= MAX_TRIALS_PER_CELL:
+        raise InvalidInputError(f"{trials_per_cell:.6g} trials per cell exceeds the limit "
+                                f"of {MAX_TRIALS_PER_CELL}")
+
 
 def _snr_list(lo: float, hi: float, step: float) -> tuple:
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
@@ -26,7 +45,9 @@ def _snr_list(lo: float, hi: float, step: float) -> tuple:
         raise InvalidInputError("SNR step must be positive")
     if hi < lo:
         raise InvalidInputError(f"empty SNR range: min {lo} dB > max {hi} dB")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    _check_sweep_size(span + 1)
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(lo + k * step for k in range(count))
 
 
@@ -88,19 +109,15 @@ def cli_main(argv=None) -> int:
     try:
         workers = _env_workers() if args.workers is None else args.workers
         snr = _snr_list(args.snr_db_min, args.snr_db_max, args.snr_db_step)
-        if args.command == "run":
-            grid = ExperimentGrid(nt=args.nt, nr=args.nr, snr_db_list=snr,
-                                  trials=args.trials, sigma2=args.sigma2,
-                                  master_seed=args.seed)
-            rows = run_grid(grid, workers=workers)
-        else:
-            rows = []
-            for index, count in enumerate(args.antennas):
-                grid = ExperimentGrid(nt=count, nr=count, snr_db_list=snr,
-                                      trials=args.trials, sigma2=args.sigma2,
-                                      master_seed=args.seed)
-                rows.extend(run_grid(grid, workers=workers,
-                                     grid_offset=index * len(snr)))
+        geometries = ([(args.nt, args.nr)] if args.command == "run"
+                      else [(count, count) for count in args.antennas])
+        _check_sweep_size(len(geometries) * len(snr), args.trials)
+        grids = [ExperimentGrid(nt=nt, nr=nr, snr_db_list=snr, trials=args.trials,
+                                sigma2=args.sigma2, master_seed=args.seed)
+                 for nt, nr in geometries]
+        # One task list, and one pool, for all geometries; geometry g's cell
+        # c keeps grid index g * len(snr) + c.
+        rows = run_grid(grids, workers=workers)
         write_csv(rows, args.out)
     except InvalidInputError as exc:
         print(f"oia: {exc}", file=sys.stderr)

@@ -18,12 +18,14 @@ class RedrawError(OiaError):
 
     ``reason`` names the rejected matrix: ``"direct"`` for a rank-deficient
     primary direct channel, ``"cross"`` for a cross channel that fails the
-    precoder's rank guard.
+    precoder's rank guard. For a stack of trials, ``rejected`` is a boolean
+    array over the stack marking the trials to redraw; the others passed.
     """
 
-    def __init__(self, reason: str, detail: str):
-        super().__init__(reason, detail)
+    def __init__(self, reason: str, detail: str, rejected=None):
+        super().__init__(reason, detail, rejected)
         self.reason = reason
+        self.rejected = rejected
 
     def __str__(self) -> str:
         return f"{self.reason} channel rejected: {self.args[1]}"

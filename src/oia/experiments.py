@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelSet, TrialSeed, derive_stream, draw_channel_set
+from .channel import ChannelSet, draw_trials
 from .errors import InvalidInputError, RedrawError
 from .primary import design_primary, primary_rate
 from .secondary import (
@@ -23,6 +27,12 @@ from .secondary import (
 # they can never collide with regular trial indices.
 REPLACEMENT_BASE = 2**31
 _MAX_ATTEMPTS = 100
+
+# A cell's trials run in stacked passes; a pass holds at most this many bytes
+# in any one (trials, nr, nr) complex matrix stack. That keeps a whole cell in
+# one pass at n=3 (455 trials) and the working set of a pass small at n=20
+# (10 trials), where LAPACK time dominates and batching gains little.
+PASS_BYTES = 64 * 1024
 
 CSV_HEADER = (
     "nt,nr,snr_db,trials_used,discarded_trials,"
@@ -65,19 +75,21 @@ class ExperimentGrid:
             raise InvalidInputError("snr_db_list must be strictly increasing")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise InvalidInputError("sigma2 must be positive and finite")
+        if not 0 <= self.master_seed < 2**64:
+            raise InvalidInputError(f"master seed must be in [0, 2^64), got {self.master_seed}")
         for snr_db in self.snr_db_list:
             snr_to_power(snr_db, self.sigma2)
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of a single Monte Carlo trial."""
+class TrialRecords:
+    """Outcomes of a stack of Monte Carlo trials, one entry per trial in each field."""
 
-    unused_modes: int
-    rate_primary: float
-    rate_secondary_uniform: float
-    rate_secondary_optimal: float
-    discards: int
+    unused_modes: np.ndarray
+    rate_primary: np.ndarray
+    rate_secondary_uniform: np.ndarray
+    rate_secondary_optimal: np.ndarray
+    discards: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,52 +126,61 @@ def snr_to_power(snr_db: float, sigma2: float) -> float:
     return p_max
 
 
-def run_trial(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_index: int,
-              channels: ChannelSet | None = None) -> TrialRecord:
-    """One seeded trial: draw channels, design both links, record S and rates.
+def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_indices,
+               channels: ChannelSet | None = None) -> TrialRecords:
+    """Seeded trials as one stacked pass: draw channels, design both links, record S and rates.
 
     Trials whose channels fail a rank guard are discarded, counted, and
     replaced by a redraw at ``trial_index + attempt * REPLACEMENT_BASE``, so
     replacements are deterministic and never collide with regular indices.
+    Only the rejected trials are redrawn; every trial's record depends on
+    its own stream alone, not on the other trials of the stack.
 
-    ``channels`` is a test seam bypassing the seeded draw; with injected
-    channels, rejection errors propagate instead of triggering a redraw.
+    ``channels`` is a test seam bypassing the seeded draw: a ChannelSet
+    stacked over the trials. With injected channels, rejection errors
+    propagate instead of triggering a redraw.
     """
     p_max = snr_to_power(snr_db, grid.sigma2)
-    discards = 0
-    for attempt in range(_MAX_ATTEMPTS):
-        if channels is None:
-            idx = trial_index if attempt == 0 else trial_index + attempt * REPLACEMENT_BASE
-            stream = derive_stream(TrialSeed(grid.master_seed, grid_index, idx))
-            chans = draw_channel_set(grid.nr, grid.nt, stream)
-        else:
-            chans = channels
+    trials = np.asarray(trial_indices, dtype=np.int64)
+    discards = np.zeros(trials.size, dtype=np.int64)
+    if channels is None:
+        chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trials)
+    else:
+        chans = channels
+    while True:
         try:
             primary = design_primary(chans.h11, p_max, grid.sigma2)
             v2_raw, active = build_precoder(chans.h12, primary.svd.u, primary.p1_bar)
-            q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers,
-                                        grid.sigma2)
-            f2 = whitener(q, grid.sigma2)
-            uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
-            opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
         except RedrawError as exc:
             if channels is not None:
                 raise
-            rejection = exc
-            discards += 1
+            redo = np.flatnonzero(exc.rejected)
+            discards[redo] += 1
+            if discards[redo].max() == _MAX_ATTEMPTS:
+                worst = trials[redo[np.argmax(discards[redo])]]
+                raise RedrawError(exc.reason, f"trial {worst} rejected "
+                                  f"{_MAX_ATTEMPTS} times in a row") from None
+            fresh = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index,
+                                trials[redo] + discards[redo] * REPLACEMENT_BASE)
+            chans = ChannelSet(*(_replace_rows(getattr(chans, f.name), redo,
+                                               getattr(fresh, f.name))
+                                 for f in fields(ChannelSet)))
             continue
-        return TrialRecord(unused_modes=primary.unused_count,
-                           rate_primary=primary_rate(primary),
-                           rate_secondary_uniform=uni.rate,
-                           rate_secondary_optimal=opt.rate,
-                           discards=discards)
-    raise RedrawError(rejection.reason,
-                      f"trial {trial_index} rejected {_MAX_ATTEMPTS} times in a row")
+        q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers, grid.sigma2)
+        f2 = whitener(q, grid.sigma2)
+        uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
+        opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
+        return TrialRecords(unused_modes=primary.unused_count,
+                            rate_primary=primary_rate(primary),
+                            rate_secondary_uniform=uni.rate,
+                            rate_secondary_optimal=opt.rate,
+                            discards=discards)
 
 
-def _run_trial_packed(args) -> TrialRecord:
-    grid, grid_index, snr_db, trial_index = args
-    return run_trial(grid, grid_index, snr_db, trial_index)
+def _replace_rows(stack: np.ndarray, rows: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    merged = stack.copy()
+    merged[rows] = fresh
+    return merged
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -169,39 +190,68 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
-    """All cells of the grid, one ResultRow per SNR point.
+def _pass_size(grid: ExperimentGrid) -> int:
+    return max(1, PASS_BYTES // (16 * grid.nr * grid.nr))
 
-    Cell c uses grid_index = grid_offset + c; pass distinct offsets when
-    sweeping several geometries under one master seed. Every trial's stream
-    depends only on (master_seed, grid_index, trial_index) and aggregation
-    runs in trial-index order, so the output is identical for any worker
-    count.
+
+def _passes(cells):
+    """Each cell's trials cut into passes of at most ``PASS_BYTES`` per stacked matrix."""
+    for grid, grid_index, snr_db in cells:
+        size = _pass_size(grid)
+        for start in range(0, grid.trials, size):
+            yield grid, grid_index, snr_db, start, min(start + size, grid.trials)
+
+
+def _run_pass(task) -> TrialRecords:
+    grid, grid_index, snr_db, start, stop = task
+    return run_trials(grid, grid_index, snr_db, range(start, stop))
+
+
+def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
+    """Results of ``tasks`` run by ``pool``, in task order, with at most ``window`` in flight."""
+    pending = collections.deque()
+    for task in tasks:
+        pending.append(pool.submit(_run_pass, task))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _cell_row(grid: ExperimentGrid, snr_db: float, passes) -> ResultRow:
+    unused, r1, r2u, r2o, discards = (np.concatenate([getattr(p, f.name) for p in passes])
+                                      for f in fields(TrialRecords))
+    return ResultRow(grid.nt, grid.nr, snr_db, grid.trials, int(discards.sum()),
+                     *_mean_stderr(unused.astype(float)), *_mean_stderr(r1),
+                     *_mean_stderr(r2u), *_mean_stderr(r2o))
+
+
+def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
+    """All cells of a sequence of grids, one ResultRow per SNR point, in order.
+
+    Cells are numbered consecutively across the grids, starting at
+    ``grid_offset``, and a cell's number is its grid_index. A cell's trials
+    run in passes (see ``PASS_BYTES``); with ``workers > 1`` one process
+    pool runs the passes of all cells. Every trial's stream depends only on
+    (master_seed, grid_index, trial_index) and each cell aggregates its
+    trials in index order, so the output is identical for any worker count.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    tasks = [(grid, grid_offset + cell, snr_db, trial)
-             for cell, snr_db in enumerate(grid.snr_db_list)
-             for trial in range(grid.trials)]
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial_packed, tasks, chunksize=chunk))
-    else:
-        records = [_run_trial_packed(task) for task in tasks]
-
-    rows = []
-    for cell, snr_db in enumerate(grid.snr_db_list):
-        block = records[cell * grid.trials:(cell + 1) * grid.trials]
-        unused = np.array([r.unused_modes for r in block], dtype=float)
-        r1 = np.array([r.rate_primary for r in block])
-        r2u = np.array([r.rate_secondary_uniform for r in block])
-        r2o = np.array([r.rate_secondary_optimal for r in block])
-        rows.append(ResultRow(grid.nt, grid.nr, snr_db, len(block),
-                              sum(r.discards for r in block),
-                              *_mean_stderr(unused), *_mean_stderr(r1),
-                              *_mean_stderr(r2u), *_mean_stderr(r2o)))
-    return rows
+    cells = [(grid, snr_db) for grid in grids for snr_db in grid.snr_db_list]
+    tasks = _passes((grid, grid_offset + number, snr_db)
+                    for number, (grid, snr_db) in enumerate(cells))
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            records = _in_order(pool, tasks, window=4 * workers)
+        else:
+            records = map(_run_pass, tasks)
+        rows = []
+        for grid, snr_db in cells:
+            count = len(range(0, grid.trials, _pass_size(grid)))
+            rows.append(_cell_row(grid, snr_db, [next(records) for _ in range(count)]))
+        return rows
 
 
 def _fmt(value: float) -> str:
@@ -209,7 +259,14 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(rows, destination) -> None:
-    """Write result rows as CSV with a fixed header and 9-significant-digit reals."""
+    """Write result rows as CSV with a fixed header and 9-significant-digit reals.
+
+    Where ``destination`` is absent or a regular file, the CSV is written to
+    a temporary file beside it (through any symlink) and renamed over it
+    with the old file's permission bits, so it appears whole or not at all.
+    Anything else (a device, a pipe, a hard-linked or foreign-owned file, a
+    directory that takes no new file) is written in place.
+    """
     if not rows:
         raise InvalidInputError("no result rows to write")
     lines = [CSV_HEADER]
@@ -224,7 +281,40 @@ def write_csv(rows, destination) -> None:
         ]))
     text = "\n".join(lines) + "\n"
     try:
-        with open(destination, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        if not _write_replacing(destination, text):
+            with open(destination, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write result CSV to {destination}: {exc}") from exc
+
+
+def _write_replacing(destination, text: str) -> bool:
+    """Write ``text`` by renaming a temporary file over ``destination``.
+
+    Returns False, having written nothing, where a rename cannot stand in
+    for an in-place write.
+    """
+    try:
+        old = os.stat(destination)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+                                and old.st_uid == os.geteuid()):
+        return False
+    target = os.path.realpath(destination)
+    partial = f"{target}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return False
+    try:
+        with open(fd, "w", encoding="ascii", newline="") as fh:
+            if old is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+            fh.write(text)
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+        raise
+    return True

@@ -4,6 +4,11 @@ Everything downstream (precoder construction, whitening, rate evaluation)
 is built on the three operations in this module, so their tolerances are
 pinned here: SVD reconstruction to 1e-10 relative and inverse square root
 round trip to 1e-9 per dimension.
+
+Every operation takes one matrix ``(m, n)`` or a stack ``(..., m, n)`` of
+them and treats each matrix of a stack on its own: LAPACK runs once per
+matrix, on the same numbers, so a stacked result equals the one-at-a-time
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -16,30 +21,42 @@ from .errors import InvalidInputError, NotPositiveDefiniteError
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def _as_finite_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidInputError(f"{name} must be a 2-D matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise InvalidInputError(f"{name} must be a matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
 
 
+def _as_finite_square(a, name: str) -> np.ndarray:
+    a = _as_finite_matrix(a, name)
+    if a.shape[-2] != a.shape[-1]:
+        raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     """Check Hermitian symmetry to 1e-10 relative and strip rounding asymmetry."""
-    asym = np.linalg.norm(m - herm(m))
-    if asym > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise InvalidInputError(f"{name} is not Hermitian (asymmetry {asym:.3e})")
+    asym = _frobenius(m - herm(m))
+    bad = asym > 1e-10 * np.maximum(1.0, _frobenius(m))
+    if bad.any():
+        raise InvalidInputError(f"{name} is not Hermitian (asymmetry {asym[bad].max():.3e})")
     return 0.5 * (m + herm(m))
 
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Factorization a = u @ diag(sigma) @ v^H.
+    """Factorization a = u @ diag(sigma) @ v^H, per matrix of a stack.
 
     u and v are square unitary matrices; sigma holds the min(rows, cols)
     singular values sorted descending.
@@ -51,19 +68,19 @@ class SvdFactors:
 
 
 def svd(a) -> SvdFactors:
-    """Full singular value decomposition of a complex matrix.
+    """Full singular value decomposition of a complex matrix or stack.
 
     Parameters
     ----------
     a : array_like
-        Finite complex matrix, any shape.
+        Finite complex matrix of any shape, or a stack ``(..., m, n)``.
 
     Returns
     -------
     SvdFactors
         Factors satisfying ``a = u @ diag(sigma) @ v^H`` with Frobenius
         residual at most 1e-10 * max(1, ||a||_F), sigma descending, and
-        u, v unitary to 1e-10 per dimension.
+        u, v unitary to 1e-10 per dimension, for every matrix.
 
     Raises
     ------
@@ -81,7 +98,8 @@ def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
     Parameters
     ----------
     m : array_like
-        Hermitian matrix (to 1e-10 relative) with all eigenvalues >= floor.
+        Hermitian matrix (to 1e-10 relative) with all eigenvalues >= floor,
+        or a stack of them.
     floor : float
         Positive lower bound the spectrum must respect. Callers whitening an
         interference-plus-noise covariance pass (almost exactly) the noise
@@ -90,43 +108,40 @@ def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Hermitian W with ``W @ m @ W = I`` to 1e-9 per dimension.
+        Hermitian W with ``W @ m @ W = I`` to 1e-9 per dimension, per matrix.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If any eigenvalue falls below ``floor``.
+        If any eigenvalue of any matrix falls below ``floor``.
     InvalidInputError
         For non-Hermitian, non-square, or non-finite input, or floor <= 0.
     """
-    m = _as_finite_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"m must be square, got shape {m.shape}")
+    m = _as_finite_square(m, "m")
     if not floor > 0:
         raise InvalidInputError("floor must be positive")
     w, vecs = np.linalg.eigh(_symmetrized(m, "m"))
-    if w[0] < floor:
-        raise NotPositiveDefiniteError(
-            f"eigenvalue {w[0]:.6e} below floor {floor:.6e}")
-    root = (vecs * (1.0 / np.sqrt(w))) @ herm(vecs)
+    lowest = w[..., 0].min()
+    if lowest < floor:
+        raise NotPositiveDefiniteError(f"eigenvalue {lowest:.6e} below floor {floor:.6e}")
+    root = (vecs * (1.0 / np.sqrt(w))[..., None, :]) @ herm(vecs)
     return 0.5 * (root + herm(root))
 
 
-def log2_det_id_plus(m) -> float:
+def log2_det_id_plus(m):
     """log2 determinant of (I + m) for a Hermitian positive semidefinite m.
 
     Evaluated as a sum of log1p over eigenvalues, which is stable for both
     tiny and huge spectra. Eigenvalues in [-1e-9 * ||m||_F, 0) are rounding
     artifacts and are clamped to zero; anything more negative means the
-    caller's matrix is not PSD and is rejected.
+    caller's matrix is not PSD and is rejected. A stack ``(..., n, n)``
+    gives one value per matrix, shape ``(...)``.
     """
-    m = _as_finite_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"m must be square, got shape {m.shape}")
+    m = _as_finite_square(m, "m")
     mu = np.linalg.eigvalsh(_symmetrized(m, "m"))
-    scale = np.linalg.norm(m)
-    if mu[0] < -1e-9 * scale:
+    negative = mu[..., 0] < -1e-9 * _frobenius(m)
+    if negative.any():
         raise InvalidInputError(
-            f"m is not positive semidefinite (eigenvalue {mu[0]:.6e})")
+            f"m is not positive semidefinite (eigenvalue {mu[..., 0][negative].min():.6e})")
     mu = np.maximum(mu, 0.0)
-    return float(np.sum(np.log1p(mu)) / np.log(2.0))
+    return (np.sum(np.log1p(mu), axis=-1) / np.log(2.0))[()]

@@ -20,34 +20,36 @@ from .waterfill import PowerAllocation, waterfill
 
 @dataclass(frozen=True)
 class PrimaryDesign:
-    """Everything the primary link commits to for one channel realization.
+    """Everything the primary link commits to for one channel realization or a stack.
 
     The precoder is ``svd.v``; the receive filter is ``svd.u`` conjugate
     transposed. ``p1.powers`` and ``p1_bar`` have disjoint supports by
     construction (they share the same water level), so their elementwise
     product is exactly zero. ``unused_count`` is the number of allocatable
     modes carrying zero power, i.e. the dimensions left free for the
-    opportunistic link.
+    opportunistic link. For a stack of channels every field gains the
+    stack's leading axes.
     """
 
     svd: SvdFactors
     p1: PowerAllocation
     p1_bar: np.ndarray
-    unused_count: int
+    unused_count: int | np.ndarray
     sigma2: float
     p_max: float
 
     @property
     def active_modes(self) -> np.ndarray:
-        """Indices of modes with strictly positive primary power."""
+        """Indices of modes with strictly positive primary power (one channel)."""
         return np.flatnonzero(self.p1.powers > 0.0)
 
 
 def design_primary(h11, p_max: float, sigma2: float) -> PrimaryDesign:
     """Water-filled single-user design over the direct channel's singular modes.
 
-    Inverse gain of mode n is sigma2 / lambda_n^2 over the min(nr, nt)
-    allocatable modes; the complementary allocation is
+    ``h11`` is one nr x nt channel or a stack ``(..., nr, nt)``, designed
+    matrix by matrix. Inverse gain of mode n is sigma2 / lambda_n^2 over the
+    min(nr, nt) allocatable modes; the complementary allocation is
     ``max(0, inverse_gain - water_level)`` per mode. When nt > nr the surplus
     transmit dimensions are nullspace directions, not water-filling
     decisions: they carry no power and are not counted as unused modes.
@@ -56,9 +58,10 @@ def design_primary(h11, p_max: float, sigma2: float) -> PrimaryDesign:
     ------
     RedrawError
         With reason ``"direct"`` if any allocatable singular value is exactly
-        zero. The complementary allocation divides by lambda_n^2, so an
-        exactly rank-deficient channel has no finite design; callers discard
-        the trial and redraw.
+        zero; ``rejected`` marks the affected matrices of the stack. The
+        complementary allocation divides by lambda_n^2, so an exactly
+        rank-deficient channel has no finite design; callers discard the
+        trial and redraw.
     InvalidInputError
         If p_max or sigma2 is not strictly positive.
     """
@@ -68,18 +71,23 @@ def design_primary(h11, p_max: float, sigma2: float) -> PrimaryDesign:
         raise InvalidInputError("sigma2 must be positive and finite")
     factors = svd(h11)
     lam = factors.sigma
-    if lam[-1] == 0.0:
-        raise RedrawError("direct", "rank deficient, complementary allocation undefined")
+    rejected = lam[..., -1] == 0.0
+    if rejected.any():
+        raise RedrawError("direct", "rank deficient, complementary allocation undefined",
+                          rejected)
     inverse_gains = sigma2 / lam**2
     p1 = waterfill(inverse_gains, p_max)
-    p1_bar = np.maximum(0.0, inverse_gains - p1.water_level)
-    unused = int(np.count_nonzero(p1.powers == 0.0))
+    p1_bar = np.maximum(0.0, inverse_gains - np.expand_dims(p1.water_level, -1))
+    unused = np.count_nonzero(p1.powers == 0.0, axis=-1)
     return PrimaryDesign(svd=factors, p1=p1, p1_bar=p1_bar, unused_count=unused,
                          sigma2=float(sigma2), p_max=float(p_max))
 
 
-def primary_rate(design: PrimaryDesign) -> float:
-    """Achieved primary rate in bits/s/Hz, summed over the diagonalized modes."""
+def primary_rate(design: PrimaryDesign):
+    """Achieved primary rate in bits/s/Hz, summed over the diagonalized modes.
+
+    One value per channel: a float, or an array of the stack's shape.
+    """
     lam = design.svd.sigma
     mode_snr = lam**2 * design.p1.powers / design.sigma2
-    return float(np.sum(np.log1p(mode_snr)) / np.log(2.0))
+    return (np.sum(np.log1p(mode_snr), axis=-1) / np.log(2.0))[()]

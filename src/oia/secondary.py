@@ -16,6 +16,10 @@ The secondary receiver whitens the primary's interference (covariance q)
 with ``q^{-1/2}``, computed once per trial by ``whitener``, and then either
 splits power uniformly or water-fills an equivalent whitened channel
 restricted to the active columns.
+
+Every design function takes one trial's matrices or stacks of them with the
+same leading axes, one trial per entry, and gives each trial of a stack the
+result it would get on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ class SecondaryDesign:
 
 
 def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled zero-interference precoder and its active column indices.
+    """Unscaled zero-interference precoder and its active columns.
+
+    Every argument may carry leading stack axes, one trial per entry.
 
     Parameters
     ----------
@@ -74,54 +80,56 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    (v2_raw, active_columns)
+    (v2_raw, active)
         nt x nt precoder with scale deferred to the power scheme, and the
-        indices of its nonzero columns (the primary's unused modes).
+        boolean mask of its nonzero columns (the primary's unused modes).
 
     Raises
     ------
     UnsupportedGeometryError
         If nr < nt; no precoder construction exists for that shape.
     RedrawError
-        With reason ``"cross"`` if h12 fails the rank guard; the trial
-        should be redrawn.
+        With reason ``"cross"`` if h12 fails the rank guard; ``rejected``
+        marks the trials that should be redrawn.
     """
     h12 = np.asarray(h12, dtype=np.complex128)
     u1 = np.asarray(u1, dtype=np.complex128)
-    nr, nt = h12.shape
+    nr, nt = h12.shape[-2:]
     if nr < nt:
         raise UnsupportedGeometryError(
             f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
     p1_bar = np.asarray(p1_bar, dtype=float)
-    if p1_bar.shape != (nt,):
-        raise InvalidInputError(f"p1_bar must have {nt} entries, got shape {p1_bar.shape}")
+    if p1_bar.shape != h12.shape[:-2] + (nt,):
+        raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
+                                f"got shape {p1_bar.shape}")
     f = svd(h12)
     s = f.sigma
-    if s[0] == 0.0 or s[-1] < RANK_GUARD * s[0]:
-        ratio = 0.0 if s[0] == 0.0 else s[-1] / s[0]
-        raise RedrawError("cross", f"rank guard failed (singular-value ratio {ratio:.3e})")
-    steered = (f.v / s[None, :]) @ (herm(f.u[:, :nt]) @ u1[:, :nt])
-    v2_raw = steered * p1_bar[None, :]
-    active_columns = np.flatnonzero(p1_bar > 0.0)
-    return v2_raw, active_columns
+    top, bottom = s[..., 0], s[..., -1]
+    rejected = (top == 0.0) | (bottom < RANK_GUARD * top)
+    if rejected.any():
+        ratio = np.divide(bottom, top, out=np.zeros_like(top), where=top > 0.0)
+        raise RedrawError("cross", "rank guard failed "
+                          f"(singular-value ratio {ratio[rejected].min():.3e})", rejected)
+    steered = (f.v / s[..., None, :]) @ (herm(f.u[..., :nt]) @ u1[..., :nt])
+    v2_raw = steered * p1_bar[..., None, :]
+    return v2_raw, p1_bar > 0.0
 
 
 def interference_covariance(h21, v1, p1, sigma2: float) -> np.ndarray:
     """Covariance of the primary's interference plus noise at the secondary receiver.
 
-    ``h21 @ v1 @ diag(p1) @ v1^H @ h21^H + sigma2 * I``, symmetrized. The
-    result is Hermitian with spectrum at or above sigma2. ``p1`` may be
-    shorter than nt (min(nr, nt) allocatable modes); the surplus transmit
-    dimensions carry zero power.
+    ``h21 @ v1 @ diag(p1) @ v1^H @ h21^H + sigma2 * I``, symmetrized, per
+    trial of a stack. The result is Hermitian with spectrum at or above
+    sigma2. ``p1`` may be shorter than nt (min(nr, nt) allocatable modes);
+    the surplus transmit dimensions carry zero power.
     """
     h21 = np.asarray(h21, dtype=np.complex128)
     v1 = np.asarray(v1, dtype=np.complex128)
     p = np.asarray(p1, dtype=float)
-    nt = v1.shape[0]
-    diag = np.zeros(nt)
-    diag[:p.size] = p
-    cov = h21 @ ((v1 * diag[None, :]) @ herm(v1)) @ herm(h21)
-    q = cov + sigma2 * np.eye(h21.shape[0])
+    diag = np.zeros(p.shape[:-1] + v1.shape[-1:])
+    diag[..., :p.shape[-1]] = p
+    cov = h21 @ ((v1 * diag[..., None, :]) @ herm(v1)) @ herm(h21)
+    q = cov + sigma2 * np.eye(h21.shape[-2])
     return 0.5 * (q + herm(q))
 
 
@@ -134,29 +142,30 @@ def whitener(q, sigma2: float) -> np.ndarray:
     return hermitian_inv_sqrt(q, floor=sigma2 * (1.0 - NOISE_FLOOR_SLACK))
 
 
-def uniform_secondary(v2_raw, active_columns, f2, h22, p_max: float) -> SecondaryDesign:
+def uniform_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
     """Uniform power scheme: identity input covariance, scale tuned to the budget.
 
-    ``f2`` is the trial's whitening filter. The precoder is scaled so that
-    ``trace(v2 @ v2^H) = p_max`` exactly. With no active column there is
-    nothing to transmit on: the precoder is zero and the rate 0.
+    ``active`` is the boolean column mask from ``build_precoder`` and ``f2``
+    the trial's whitening filter; all arguments but ``p_max`` may carry
+    leading stack axes. The precoder is scaled so that
+    ``trace(v2 @ v2^H) = p_max`` exactly. A trial with no active column has
+    nothing to transmit on: its precoder is zero and its rate 0.
     """
     if not (np.isfinite(p_max) and p_max > 0):
         raise InvalidInputError("p_max must be positive and finite")
     v2_raw = np.asarray(v2_raw, dtype=np.complex128)
     h22 = np.asarray(h22, dtype=np.complex128)
-    nt = v2_raw.shape[1]
-    p2 = np.eye(nt)
-    if len(active_columns) == 0:
-        return SecondaryDesign(v2=np.zeros_like(v2_raw), p2=p2, rate=0.0)
-    total = float(np.sum(np.abs(v2_raw) ** 2))
-    v2 = float(np.sqrt(p_max / total)) * v2_raw
+    transmits = np.asarray(active, dtype=bool).any(axis=-1)
+    total = np.sum(np.abs(v2_raw) ** 2, axis=(-2, -1))
+    scale = np.where(transmits, np.sqrt(p_max / np.where(transmits, total, 1.0)), 0.0)
+    v2 = scale[..., None, None] * v2_raw
     whitened = f2 @ h22 @ v2
-    rate = log2_det_id_plus(whitened @ herm(whitened))
-    return SecondaryDesign(v2=v2, p2=p2, rate=rate)
+    rate = np.where(transmits, log2_det_id_plus(whitened @ herm(whitened)), 0.0)
+    p2 = np.broadcast_to(np.eye(v2.shape[-1]), v2.shape)
+    return SecondaryDesign(v2=v2, p2=p2, rate=rate[()])
 
 
-def optimal_secondary(v2_raw, active_columns, f2, h22, p_max: float) -> SecondaryDesign:
+def optimal_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
     """Rate-maximizing power scheme via water-filling on an equivalent channel.
 
     The full-size precoder gram matrix is singular whenever some columns are
@@ -169,47 +178,63 @@ def optimal_secondary(v2_raw, active_columns, f2, h22, p_max: float) -> Secondar
     embedded at the active rows and columns. The budget is then met with
     equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``.
 
+    All arguments but ``p_max`` may carry leading stack axes. The trials of
+    a stack are grouped by their active-column mask, and each group is
+    solved as one stack; a trial without active columns gets rate 0 and a
+    zero covariance.
+
     The precoder is ``v2_raw`` unscaled: the transformed trace constraint
     already absorbs all scaling, and any nonzero scale yields the same
     transmitted covariance.
     """
     if not (np.isfinite(p_max) and p_max > 0):
         raise InvalidInputError("p_max must be positive and finite")
-    v2_raw = np.asarray(v2_raw, dtype=np.complex128)
-    h22 = np.asarray(h22, dtype=np.complex128)
-    active = np.asarray(active_columns, dtype=int)
-    nt = v2_raw.shape[1]
-    if active.size == 0:
-        return SecondaryDesign(v2=v2_raw, p2=np.zeros((nt, nt)), rate=0.0)
-    vt = v2_raw[:, active]
+    v2_raw, f2, h22 = (np.asarray(a, dtype=np.complex128) for a in (v2_raw, f2, h22))
+    active = np.asarray(active, dtype=bool)
+    batch, nt = active.shape[:-1], active.shape[-1]
+    flat_v2, flat_f2, flat_h22 = (a.reshape(-1, *a.shape[-2:]) for a in (v2_raw, f2, h22))
+    p2 = np.zeros((flat_v2.shape[0], nt, nt), dtype=np.complex128)
+    rate = np.zeros(flat_v2.shape[0])
+    patterns, group = np.unique(active.reshape(-1, nt), axis=0, return_inverse=True)
+    for number, pattern in enumerate(patterns):
+        cols = np.flatnonzero(pattern)
+        if cols.size == 0:
+            continue
+        trials = np.flatnonzero(group.ravel() == number)
+        p2[np.ix_(trials, cols, cols)], rate[trials] = _optimal_allocation(
+            flat_v2[trials][..., cols], flat_f2[trials], flat_h22[trials], p_max)
+    return SecondaryDesign(v2=v2_raw, p2=p2.reshape(batch + (nt, nt)),
+                           rate=rate.reshape(batch)[()])
+
+
+def _optimal_allocation(vt, f2, h22, p_max: float):
+    """Reduced covariance and rate of a stack of trials sharing their active columns."""
     # Column equilibration: complementary-allocation entries can differ by
     # many orders of magnitude, which would wreck the gram eigendecomposition
     # (small eigenvalues only carry absolute accuracy). The optimum depends
     # only on the precoder's column space, so solve in normalized columns and
     # undo the rescale on the output covariance.
-    norms = np.linalg.norm(vt, axis=0)
+    norms = np.linalg.norm(vt, axis=-2)
     if norms.min() == 0.0:
         raise InternalInvariantError("an active precoder column is exactly zero")
-    vn = vt / norms[None, :]
+    vn = vt / norms[..., None, :]
     gram = herm(vn) @ vn
     w, basis = np.linalg.eigh(0.5 * (gram + herm(gram)))
-    if w[0] <= 0.0 or w[0] < 1e-12 * w[-1]:
+    if ((w[..., 0] <= 0.0) | (w[..., 0] < 1e-12 * w[..., -1])).any():
         raise InternalInvariantError(
             "active precoder columns are numerically dependent; "
             "this cannot happen for a full-rank cross channel")
-    m_inv = (basis * (1.0 / np.sqrt(w))) @ herm(basis)
+    m_inv = (basis * (1.0 / np.sqrt(w))[..., None, :]) @ herm(basis)
     g = f2 @ h22 @ vn @ m_inv
     _, eta, zh = np.linalg.svd(g, full_matrices=False)
     z = herm(zh)
     with np.errstate(divide="ignore"):
         alloc = waterfill(1.0 / eta**2, p_max)
-    p_reduced = m_inv @ ((z * alloc.powers[None, :]) @ herm(z)) @ m_inv
-    p_reduced = (p_reduced / norms[:, None]) / norms[None, :]
+    p_reduced = m_inv @ ((z * alloc.powers[..., None, :]) @ herm(z)) @ m_inv
+    p_reduced = (p_reduced / norms[..., :, None]) / norms[..., None, :]
     p_reduced = 0.5 * (p_reduced + herm(p_reduced))
-    p2 = np.zeros((nt, nt), dtype=np.complex128)
-    p2[np.ix_(active, active)] = p_reduced
-    rate = float(np.sum(np.log1p(eta**2 * alloc.powers)) / np.log(2.0))
-    return SecondaryDesign(v2=v2_raw, p2=p2, rate=rate)
+    rate = np.sum(np.log1p(eta**2 * alloc.powers), axis=-1) / np.log(2.0)
+    return p_reduced, rate
 
 
 def residual_interference(u1, h12, v2, p2, active_primary_modes) -> float:

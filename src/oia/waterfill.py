@@ -16,62 +16,64 @@ class PowerAllocation:
     ``powers`` is in the same mode order as the inverse gains it was computed
     from; excluded modes hold exact zeros, so counting unused modes needs no
     epsilon. ``active_count`` is the number of strictly positive entries.
+    For a stack of gain vectors ``(..., n)``, ``water_level`` and
+    ``active_count`` have the stack's shape ``(...)``.
     """
 
     powers: np.ndarray
-    water_level: float
-    active_count: int
+    water_level: float | np.ndarray
+    active_count: int | np.ndarray
 
 
 def waterfill(inverse_gains, budget: float) -> PowerAllocation:
     """Maximize sum_n log2(1 + powers[n] / inverse_gains[n]) under a power budget.
 
     Closed-form active-set solution of the KKT conditions: sort inverse gains
-    ascending, include modes greedily with
-    ``level = (budget + sum of included inverse gains) / count``,
-    and stop as soon as the next candidate's inverse gain is at or above the
-    level. Included modes get ``level - inverse_gain``; everything else gets
-    an exact zero. The sum of powers equals the budget to rounding.
+    ascending and let ``level_k = (budget + sum of the k smallest) / k``.
+    Modes are included greedily in that order; the active count is the first
+    k at which the next candidate's inverse gain is at or above ``level_k``
+    (or all finite gains). Included modes get ``level - inverse_gain``;
+    everything else gets an exact zero. The sum of powers equals the budget
+    to rounding. The running sums are sequential, so every level is the one
+    a mode-by-mode loop computes, bit for bit.
 
     Parameters
     ----------
     inverse_gains : array_like
         Positive per-mode costs (e.g. noise variance over squared channel
-        gain). ``+inf`` marks a mode that can never be used.
+        gain), shape ``(n,)`` or a stack ``(..., n)`` solved row by row.
+        ``+inf`` marks a mode that can never be used.
     budget : float
-        Total power to distribute, > 0.
+        Total power to distribute in each row, > 0.
 
     Raises
     ------
     InvalidInputError
-        Empty gain list, nonpositive budget, nonpositive or NaN gains, or no
-        finite gain at all.
+        Empty gain list, nonpositive budget, nonpositive or NaN gains, or a
+        row without any finite gain.
     """
     ig = np.asarray(inverse_gains, dtype=float)
-    if ig.ndim != 1 or ig.size == 0:
-        raise InvalidInputError("inverse_gains must be a nonempty 1-D sequence")
+    if ig.ndim == 0 or ig.size == 0:
+        raise InvalidInputError("inverse_gains must be a nonempty sequence or stack of them")
     if np.isnan(ig).any() or (ig <= 0).any():
         raise InvalidInputError("inverse gains must be positive (or +inf)")
     if not (np.isfinite(budget) and budget > 0):
         raise InvalidInputError("budget must be positive and finite")
-    finite = np.isfinite(ig)
-    if not finite.any():
+    if not np.isfinite(ig).any(axis=-1).all():
         raise InvalidInputError("need at least one finite inverse gain")
 
-    order = np.argsort(ig, kind="stable")
-    sorted_ig = ig[order]
-    n_finite = int(finite.sum())
-
-    active = 1
-    included = sorted_ig[0]
-    level = budget + included
-    while active < n_finite and sorted_ig[active] < level:
-        included += sorted_ig[active]
-        active += 1
-        level = (budget + included) / active
-
-    powers_sorted = np.zeros(ig.size)
-    powers_sorted[:active] = level - sorted_ig[:active]
-    powers = np.zeros(ig.size)
-    powers[order] = powers_sorted
-    return PowerAllocation(powers=powers, water_level=float(level), active_count=active)
+    order = np.argsort(ig, axis=-1, kind="stable")
+    sorted_ig = np.take_along_axis(ig, order, axis=-1)
+    count = np.arange(1, ig.shape[-1] + 1)
+    level = (budget + np.cumsum(sorted_ig, axis=-1)) / count
+    # Candidate k joins while it sits below the level of the k modes before
+    # it; an infinite gain never does, so only finite modes can be active.
+    joins = sorted_ig[..., 1:] < level[..., :-1]
+    stops = np.concatenate([joins, np.zeros(joins.shape[:-1] + (1,), dtype=bool)], axis=-1)
+    active = np.argmin(stops, axis=-1) + 1
+    water_level = np.take_along_axis(level, active[..., None] - 1, axis=-1)
+    powers_sorted = np.where(count <= active[..., None], water_level - sorted_ig, 0.0)
+    powers = np.empty_like(powers_sorted)
+    np.put_along_axis(powers, order, powers_sorted, axis=-1)
+    return PowerAllocation(powers=powers, water_level=water_level[..., 0][()],
+                           active_count=active[()])

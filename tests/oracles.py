@@ -1,7 +1,9 @@
-"""Brute-force reference maximizers the fast closed forms are checked against.
+"""Reference implementations the fast closed forms are checked against.
 
-These stay independent of the production solver paths: they enumerate
-feasible power allocations on a grid and evaluate the objectives directly.
+These stay independent of the production solver paths: brute-force
+maximizers enumerate feasible power allocations on a grid and evaluate the
+objectives directly, and ``loop_waterfill`` is the mode-by-mode loop the
+vectorized water-filling must reproduce bit for bit.
 """
 
 import itertools
@@ -16,6 +18,31 @@ def allocation_rate(powers, inverse_gains):
     powers = np.asarray(powers, dtype=float)
     ig = np.asarray(inverse_gains, dtype=float)
     return float(np.sum(np.log1p(powers / ig)) / np.log(2.0))
+
+
+def loop_waterfill(inverse_gains, budget):
+    """Water-filling of one gain vector by including modes one at a time.
+
+    Sort inverse gains ascending and include modes while the next one sits
+    below the current level ``(budget + included sum) / count``. Returns
+    ``(powers, water_level, active_count)`` in the input's mode order.
+    """
+    ig = np.asarray(inverse_gains, dtype=float)
+    order = np.argsort(ig, kind="stable")
+    sorted_ig = ig[order]
+    n_finite = int(np.isfinite(ig).sum())
+    active = 1
+    included = sorted_ig[0]
+    level = budget + included
+    while active < n_finite and sorted_ig[active] < level:
+        included += sorted_ig[active]
+        active += 1
+        level = (budget + included) / active
+    powers_sorted = np.zeros(ig.size)
+    powers_sorted[:active] = level - sorted_ig[:active]
+    powers = np.zeros(ig.size)
+    powers[order] = powers_sorted
+    return powers, float(level), active
 
 
 def _axis_grid(limit, step):
@@ -101,7 +128,7 @@ def grid_search_rate(inverse_gains, budget, step_frac=1e-3):
     return allocation_rate(point, ig)
 
 
-def secondary_split_oracle(v2_raw, active_columns, q, h22, p_max, sigma2, steps=1000):
+def secondary_split_oracle(v2_raw, active, q, h22, p_max, sigma2, steps=1000):
     """Best direct-objective rate over two-mode power splits for the secondary.
 
     Candidates are diagonal allocations diag(t, p_max - t) in the whitened
@@ -109,7 +136,7 @@ def secondary_split_oracle(v2_raw, active_columns, q, h22, p_max, sigma2, steps=
     active-column gram root and evaluated against the raw whitened log-det
     objective. Exactly budget-feasible by construction.
     """
-    active = np.asarray(active_columns, dtype=int)
+    active = np.flatnonzero(np.asarray(active, dtype=bool))
     assert active.size == 2, "split oracle is for two active columns"
     vt = np.asarray(v2_raw, dtype=complex)[:, active]
     # normalized columns span the same space and keep the gram well scaled

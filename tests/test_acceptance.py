@@ -79,7 +79,7 @@ def fig_rate_rows():
     """nt = nr = 3 sweep over -20..40 dB (step 2), 1000 trials per cell."""
     grid = ExperimentGrid(nt=3, nr=3, snr_db_list=tuple(range(-20, 41, 2)),
                           trials=1000, sigma2=SIGMA2, master_seed=MASTER_SEED)
-    return run_grid(grid)
+    return run_grid([grid])
 
 
 def test_c01_zero_interference_guarantee(design_pool):
@@ -184,7 +184,7 @@ def test_c06_unused_mode_trend():
     snr_grid = (-20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
     grid = ExperimentGrid(nt=4, nr=4, snr_db_list=snr_grid, trials=2000,
                           sigma2=SIGMA2, master_seed=MASTER_SEED)
-    rows = run_grid(grid, grid_offset=600)
+    rows = run_grid([grid], grid_offset=600)
     problems = []
     for a, b in zip(rows, rows[1:]):
         pooled = math.hypot(a.stderr_unused_modes, b.stderr_unused_modes)
@@ -219,7 +219,7 @@ def test_c07_secondary_rate_trend(fig_rate_rows):
     for index, nt in enumerate((2, 4, 6)):
         grid = ExperimentGrid(nt=nt, nr=nt, snr_db_list=(peak_snr,), trials=1000,
                               sigma2=SIGMA2, master_seed=MASTER_SEED)
-        by_antennas[nt] = run_grid(grid, grid_offset=700 + index)[0].avg_rate_secondary_optimal
+        by_antennas[nt] = run_grid([grid], grid_offset=700 + index)[0].avg_rate_secondary_optimal
     if not (by_antennas[2] < by_antennas[4] < by_antennas[6]):
         problems.append(f"rates not increasing with antennas: {by_antennas}")
     report("criterion 7 (secondary rate peaks at mid SNR, grows with antennas)", problems)
@@ -229,7 +229,7 @@ def test_c08_uniform_vs_optimal_gap(fig_rate_rows):
     snr_grid = tuple(range(-20, 41, 2))
     grid20 = ExperimentGrid(nt=20, nr=20, snr_db_list=snr_grid, trials=1000,
                             sigma2=SIGMA2, master_seed=MASTER_SEED)
-    rows20 = run_grid(grid20, grid_offset=800)
+    rows20 = run_grid([grid20], grid_offset=800)
     rows3 = fig_rate_rows
     problems = []
     for rows, label in ((rows3, "nt=3"), (rows20, "nt=20")):

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oia.channel import TrialSeed, derive_stream, draw_channel, draw_channel_set
+from oia.channel import TrialSeed, derive_stream, draw_channel, draw_channel_set, draw_trials
 from oia.errors import InvalidInputError
 
 
@@ -96,6 +96,20 @@ class TestDrawChannelSet:
         b = channel_for(77, 2, 5)
         assert all(np.array_equal(getattr(a, n), getattr(b, n))
                    for n in ("h11", "h12", "h21", "h22"))
+
+    def test_trial_stack_matches_per_trial_draws(self):
+        trials = [0, 5, 3, 7 + 2**31]
+        stack = draw_trials(3, 2, 42, 6, trials)
+        for k, trial in enumerate(trials):
+            alone = channel_for(42, 6, trial, nr=3, nt=2)
+            for name in ("h11", "h12", "h21", "h22"):
+                assert np.array_equal(getattr(stack, name)[k], getattr(alone, name))
+
+    def test_one_call_matches_four_matrix_draws(self):
+        one_call = channel_for(8, 1, 2, nr=3, nt=2)
+        stream = derive_stream(TrialSeed(8, 1, 2))
+        for name in ("h11", "h12", "h21", "h22"):
+            assert np.array_equal(getattr(one_call, name), draw_channel(3, 2, stream))
 
     def test_cross_channel_independence(self):
         rng_pairs = []

@@ -2,30 +2,42 @@
 
 import hashlib
 import math
+import os
+import stat
+import subprocess
+import sys
+import threading
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oia
+import oia.cli as cli
 import oia.experiments as experiments
 from oia.channel import ChannelSet
 from oia.cli import cli_main
-from oia.errors import InvalidInputError
+from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import (
     CSV_HEADER,
     REPLACEMENT_BASE,
     ExperimentGrid,
+    TrialRecords,
     run_grid,
-    run_trial,
+    run_trials,
     snr_to_power,
     write_csv,
 )
 
 WALKTHROUGH_SNR_DB = 10.0 * math.log10(0.5)  # p_max = 0.5 at sigma2 = 1
+RECORD_FIELDS = [f.name for f in fields(TrialRecords)]
 
 
 def walkthrough_channels():
-    eye = np.eye(2, dtype=complex)
-    return ChannelSet(h11=np.diag([2.0, 1.0]).astype(complex), h12=eye, h21=eye, h22=eye)
+    """The analytic walkthrough's channels as a stack of one trial."""
+    eye = np.eye(2, dtype=complex)[None]
+    return ChannelSet(h11=np.diag([2.0, 1.0]).astype(complex)[None], h12=eye, h21=eye, h22=eye)
 
 
 def small_grid(**overrides):
@@ -55,76 +67,128 @@ class TestGridValidation:
 class TestRunTrial:
     def test_injected_walkthrough(self):
         grid = small_grid(snr_db_list=(WALKTHROUGH_SNR_DB,))
-        record = run_trial(grid, 0, WALKTHROUGH_SNR_DB, 0, channels=walkthrough_channels())
-        assert record.unused_modes == 1
-        assert abs(record.rate_secondary_uniform - math.log2(1.5)) < 1e-9
-        assert abs(record.rate_secondary_optimal - math.log2(1.5)) < 1e-9
-        assert abs(record.rate_primary - math.log2(3.0)) < 1e-9
-        assert record.discards == 0
+        record = run_trials(grid, 0, WALKTHROUGH_SNR_DB, [0], channels=walkthrough_channels())
+        assert record.unused_modes[0] == 1
+        assert abs(record.rate_secondary_uniform[0] - math.log2(1.5)) < 1e-9
+        assert abs(record.rate_secondary_optimal[0] - math.log2(1.5)) < 1e-9
+        assert abs(record.rate_primary[0] - math.log2(3.0)) < 1e-9
+        assert record.discards[0] == 0
 
     def test_deterministic_record(self):
         grid = small_grid()
-        a = run_trial(grid, 1, 6.0, 17)
-        b = run_trial(grid, 1, 6.0, 17)
-        assert a == b
+        a = run_trials(grid, 1, 6.0, [17, 3])
+        b = run_trials(grid, 1, 6.0, [17, 3])
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_effectively_zero_power(self):
         grid = small_grid(nt=3, nr=3, snr_db_list=(-60.0,))
-        for trial in range(5):
-            record = run_trial(grid, 0, -60.0, trial)
-            assert record.unused_modes == 2
-            assert record.rate_secondary_optimal < 0.05
+        record = run_trials(grid, 0, -60.0, range(5))
+        assert np.all(record.unused_modes == 2)
+        assert np.all(record.rate_secondary_optimal < 0.05)
 
     def test_discarded_trial_redrawn_from_reserved_range(self, monkeypatch):
-        grid = small_grid(snr_db_list=(0.0,), trials=1)
-        real_draw = experiments.draw_channel_set
-        seen_indices = []
+        grid = small_grid(snr_db_list=(0.0,), trials=6)
+        real_draw = experiments.draw_trials
+        requested = []
 
-        def rigged_draw(nr, nt, stream):
-            chans = real_draw(nr, nt, stream)
-            # first attempt gets a singular cross channel and must be discarded
-            if len(seen_indices) == 0:
-                seen_indices.append("rigged")
-                return ChannelSet(h11=chans.h11, h12=np.ones((nr, nt), dtype=complex),
-                                  h21=chans.h21, h22=chans.h22)
-            return chans
+        def rigged_draw(nr, nt, master_seed, grid_index, trial_indices):
+            requested.append([int(t) for t in trial_indices])
+            chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
+            if len(requested) > 1:
+                return chans
+            # the first draw gives trial 4 of the stack a singular cross channel
+            h12 = chans.h12.copy()
+            h12[4] = 1.0
+            return ChannelSet(h11=chans.h11, h12=h12, h21=chans.h21, h22=chans.h22)
 
-        monkeypatch.setattr(experiments, "draw_channel_set", rigged_draw)
-        record = run_trial(grid, 0, 0.0, 7)
-        assert record.discards == 1
+        monkeypatch.setattr(experiments, "draw_trials", rigged_draw)
+        rigged = run_trials(grid, 0, 0.0, range(6))
         monkeypatch.undo()
-        # the replacement is the deterministic reserved-range redraw
-        replacement = run_trial(grid, 0, 0.0, 7 + REPLACEMENT_BASE)
-        assert record.unused_modes == replacement.unused_modes
-        assert record.rate_primary == replacement.rate_primary
-        assert record.rate_secondary_optimal == replacement.rate_secondary_optimal
+        # only the rejected trial is redrawn, from the reserved range
+        assert requested == [list(range(6)), [4 + REPLACEMENT_BASE]]
+        assert list(rigged.discards) == [0, 0, 0, 0, 1, 0]
+        clean = run_trials(grid, 0, 0.0, range(6))
+        replacement = run_trials(grid, 0, 0.0, [4 + REPLACEMENT_BASE])
+        for name in RECORD_FIELDS[:-1]:
+            expected = getattr(clean, name).copy()
+            expected[4] = getattr(replacement, name)[0]
+            assert np.array_equal(getattr(rigged, name), expected), name
+
+    def test_trial_rejected_every_time_gives_up(self, monkeypatch):
+        real_draw = experiments.draw_trials
+
+        def singular_cross(nr, nt, master_seed, grid_index, trial_indices):
+            chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
+            h12 = np.ones_like(chans.h12)
+            return ChannelSet(h11=chans.h11, h12=h12, h21=chans.h21, h22=chans.h22)
+
+        monkeypatch.setattr(experiments, "draw_trials", singular_cross)
+        with pytest.raises(RedrawError, match="rejected 100 times in a row") as info:
+            run_trials(small_grid(), 0, 0.0, range(3))
+        assert info.value.reason == "cross"
+
+    @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
+    def test_stacked_records_equal_one_at_a_time(self, nt, nr):
+        """Each trial's record is bitwise the same alone or in a stack: the CSV bytes rest on it."""
+        trials = 12 if nr < 20 else 4
+        grid = small_grid(nt=nt, nr=nr, snr_db_list=(-10.0, 5.0, 20.0), trials=trials)
+        for cell, snr_db in enumerate(grid.snr_db_list):
+            stacked = run_trials(grid, cell, snr_db, range(trials))
+            for trial in range(trials):
+                alone = run_trials(grid, cell, snr_db, [trial])
+                for name in RECORD_FIELDS:
+                    assert getattr(stacked, name)[trial] == getattr(alone, name)[0], name
 
 
 class TestRunGrid:
     def test_single_trial_row(self):
         grid = small_grid(snr_db_list=(3.0,), trials=1)
-        row = run_grid(grid)[0]
-        record = run_trial(grid, 0, 3.0, 0)
+        row = run_grid([grid])[0]
+        record = run_trials(grid, 0, 3.0, [0])
         assert row.trials_used == 1
-        assert row.avg_rate_primary == record.rate_primary
-        assert row.avg_unused_modes == float(record.unused_modes)
+        assert row.avg_rate_primary == record.rate_primary[0]
+        assert row.avg_unused_modes == float(record.unused_modes[0])
         assert row.stderr_rate_primary == 0.0
         assert row.stderr_unused_modes == 0.0
 
     def test_worker_count_does_not_change_results(self):
         grid = small_grid(trials=40)
-        assert run_grid(grid, workers=1) == run_grid(grid, workers=8)
+        assert run_grid([grid], workers=1) == run_grid([grid], workers=8)
 
     def test_grid_offset_changes_streams(self):
         grid = small_grid(trials=10)
-        assert run_grid(grid, grid_offset=0) != run_grid(grid, grid_offset=100)
+        assert run_grid([grid], grid_offset=0) != run_grid([grid], grid_offset=100)
+
+    def test_grid_sequence_numbers_cells_consecutively(self):
+        first, second = small_grid(trials=5), small_grid(nt=3, nr=4, trials=5)
+        separate = run_grid([first], grid_offset=7) + run_grid([second], grid_offset=9)
+        assert run_grid([first, second], grid_offset=7) == separate
+        assert run_grid([first, second], workers=2, grid_offset=7) == separate
+
+    def test_one_cell_split_over_workers_matches_serial(self, monkeypatch):
+        """A pool task is one pass, so a single cell still spreads over the workers."""
+        submitted = []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def submit(self, fn, /, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(experiments, "PASS_BYTES", 16 * 3 * 3 * 4)
+        grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=30)
+        with_pool = run_grid([grid], workers=2)
+        assert len(submitted) == 8  # passes of 4 trials
+        monkeypatch.setattr(experiments, "PASS_BYTES", 64 * 1024)
+        assert with_pool == run_grid([grid])
 
     def test_no_discards_on_gaussian_channels(self):
-        rows = run_grid(small_grid(nt=3, nr=3, trials=300))
+        rows = run_grid([small_grid(nt=3, nr=3, trials=300)])
         assert all(row.discarded_trials == 0 for row in rows)
 
     def test_rows_keep_scheme_ordering(self):
-        rows = run_grid(small_grid(nt=3, nr=3, trials=150, snr_db_list=(-5.0, 5.0, 15.0)))
+        rows = run_grid([small_grid(nt=3, nr=3, trials=150, snr_db_list=(-5.0, 5.0, 15.0))])
         for row in rows:
             assert row.avg_rate_secondary_optimal >= row.avg_rate_secondary_uniform - 1e-9
             assert 0.0 <= row.avg_unused_modes <= 3.0
@@ -133,7 +197,7 @@ class TestRunGrid:
 class TestWriteCsv:
     def test_header_and_shape(self, tmp_path):
         out = tmp_path / "rows.csv"
-        rows = run_grid(small_grid(snr_db_list=(0.0,), trials=2))
+        rows = run_grid([small_grid(snr_db_list=(0.0,), trials=2)])
         write_csv(rows, out)
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
@@ -151,8 +215,8 @@ class TestWriteCsv:
     def test_repeat_runs_byte_identical(self, tmp_path):
         grid = small_grid(trials=15)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(run_grid(grid), a)
-        write_csv(run_grid(grid), b)
+        write_csv(run_grid([grid]), a)
+        write_csv(run_grid([grid]), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_rows_rejected(self, tmp_path):
@@ -162,7 +226,66 @@ class TestWriteCsv:
     def test_unwritable_destination(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
-            write_csv(run_grid(small_grid(snr_db_list=(0.0,), trials=1)), target)
+            write_csv(run_grid([small_grid(snr_db_list=(0.0,), trials=1)]), target)
+
+    def test_symlinked_destination_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        write_csv(run_grid([small_grid(snr_db_list=(0.0,), trials=1)]), link)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text().startswith(CSV_HEADER)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_fifo_destination_not_replaced(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_csv(run_grid([small_grid(snr_db_list=(0.0,), trials=1)]), fifo)
+        reader.join(timeout=30)
+        assert received and received[0].startswith(CSV_HEADER)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+    def test_existing_file_keeps_permission_bits(self, tmp_path):
+        out = tmp_path / "r.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        write_csv(run_grid([small_grid(snr_db_list=(0.0,), trials=1)]), out)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text().startswith(CSV_HEADER)
+
+    def test_file_named_like_the_temporary_is_left_alone(self, tmp_path):
+        out = tmp_path / "r.csv"
+        squatter = tmp_path / f"r.csv.{os.getpid()}.tmp"
+        squatter.write_text("not ours\n")
+        write_csv(run_grid([small_grid(snr_db_list=(0.0,), trials=1)]), out)
+        assert squatter.read_text() == "not ours\n"
+        assert out.read_text().startswith(CSV_HEADER)
+
+    @pytest.mark.parametrize("previous", [None, "previous contents\n"])
+    def test_write_failing_midway_leaves_no_partial_file(self, tmp_path, previous):
+        """A write cut short by the file-size limit keeps the old file (or none) and exits 1."""
+        out = tmp_path / "r.csv"
+        if previous is not None:
+            out.write_text(previous)
+        script = ("import resource, signal, sys\n"
+                  "from oia.cli import cli_main\n"
+                  "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                  "resource.setrlimit(resource.RLIMIT_FSIZE, (300, 300))\n"
+                  "sys.exit(cli_main(sys.argv[1:]))\n")
+        src = str(Path(oia.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", script, "run", "--trials", "1", "--snr-db-min", "0",
+             "--snr-db-max", "20", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src})
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("oia: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["r.csv"])
+        if previous is not None:
+            assert out.read_text() == previous
 
 
 def assert_one_line_usage_error(capsys, mentions):
@@ -233,6 +356,35 @@ class TestCli:
                          "--trials", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert_one_line_usage_error(capsys, "4000 dB")
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.csv"
+        code = cli_main(["run", "--trials", "1", "--seed", seed, "--out", str(out)])
+        assert code == 2
+        assert_one_line_usage_error(capsys, "seed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--snr-db-max", "1e9", "--snr-db-step", "1e-9"],
+        ["run", "--snr-db-min=-1e308", "--snr-db-max", "1e308", "--snr-db-step", "1e-300"],
+        ["run", "--trials", "1000000000000"],
+    ], ids=["snr-points", "snr-span-overflow", "trials"])
+    def test_oversized_sweep_exits_2(self, tmp_path, capsys, argv):
+        """The sweep size is checked from its arithmetic, before anything is built."""
+        out = tmp_path / "x.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert_one_line_usage_error(capsys, "exceeds the limit")
+        assert not out.exists()
+
+    def test_many_trials_over_many_cells_accepted(self, tmp_path, monkeypatch):
+        """Only cells and trials per cell are capped, not their product."""
+        swept = []
+        row = experiments.ResultRow(2, 2, 0.0, 1, 0, *[0.0] * 8)
+        monkeypatch.setattr(cli, "run_grid", lambda grids, workers: swept.extend(grids) or [row])
+        out = tmp_path / "x.csv"
+        assert cli_main(["fig-unused", "--trials", "50000", "--out", str(out)]) == 0
+        assert len(swept) == 9 and all(grid.trials == 50000 for grid in swept)
 
     def test_snr_to_power(self):
         assert abs(snr_to_power(0.0, 1.0) - 1.0) < 1e-15

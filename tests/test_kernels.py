@@ -141,6 +141,34 @@ class TestPinvTall:
             self.tall_pinv(np.zeros((3, 2)))
 
 
+class TestStacks:
+    """A stack is factored matrix by matrix: each result equals the one-at-a-time result bitwise."""
+
+    @pytest.mark.parametrize("nr,nt", [(1, 1), (2, 2), (3, 3), (8, 8), (20, 20), (5, 3)])
+    def test_stack_equals_one_at_a_time(self, nr, nt):
+        rng = np.random.default_rng(nr * 31 + nt)
+        stack = np.stack([draw_channel(nr, nt, rng) for _ in range(5)])
+        gram = stack @ herm(stack) + np.eye(nr)
+        f = svd(stack)
+        roots = hermitian_inv_sqrt(gram, floor=0.5)
+        rates = log2_det_id_plus(gram)
+        assert rates.shape == (5,)
+        for k in range(5):
+            one = svd(stack[k])
+            assert f.u[k].tobytes() == one.u.tobytes()
+            assert f.sigma[k].tobytes() == one.sigma.tobytes()
+            assert f.v[k].tobytes() == one.v.tobytes()
+            assert roots[k].tobytes() == hermitian_inv_sqrt(gram[k], floor=0.5).tobytes()
+            assert rates[k] == log2_det_id_plus(gram[k])
+
+    def test_one_bad_matrix_rejects_the_stack(self):
+        stack = np.stack([np.eye(2), np.diag([0.3, 1.0])])
+        with pytest.raises(NotPositiveDefiniteError):
+            hermitian_inv_sqrt(stack, floor=0.5)
+        with pytest.raises(InvalidInputError):
+            log2_det_id_plus(np.stack([np.eye(2), np.diag([-0.5, 1.0])]))
+
+
 class TestLog2DetIdPlus:
     def test_zero_matrix(self):
         assert log2_det_id_plus(np.zeros((3, 3))) == 0.0

@@ -88,6 +88,13 @@ class TestDesignPrimary:
             design_primary(np.diag([2.0, 0.0]), 1.0, 1.0)
         assert info.value.reason == "direct"
 
+    def test_rank_deficient_trial_of_a_stack_marked(self):
+        stack = np.stack([np.eye(2), np.diag([2.0, 0.0]), np.diag([1.0, 3.0])])
+        with pytest.raises(RedrawError) as info:
+            design_primary(stack, 1.0, 1.0)
+        assert info.value.reason == "direct"
+        assert list(info.value.rejected) == [False, True, False]
+
     @pytest.mark.parametrize("p_max,sigma2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (np.inf, 1.0)])
     def test_bad_parameters_rejected(self, p_max, sigma2):
         with pytest.raises(InvalidInputError):

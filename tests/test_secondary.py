@@ -54,12 +54,12 @@ class TestBuildPrecoder:
         v2_raw, active = build_precoder(EYE2, EYE2, [0.0, 0.25])
         assert np.allclose(v2_raw, np.diag([0.0, 0.25]), atol=1e-15)
         assert np.all(v2_raw[:, 0] == 0.0)
-        assert list(active) == [1]
+        assert list(active) == [False, True]
 
     def test_all_modes_used_gives_zero_precoder(self):
         v2_raw, active = build_precoder(EYE2, EYE2, [0.0, 0.0])
         assert np.all(v2_raw == 0.0)
-        assert active.size == 0
+        assert not active.any()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_alignment_identity_square(self, seed):
@@ -78,7 +78,7 @@ class TestBuildPrecoder:
         trial = random_trial(seed, n=4, p_max=1.5)
         nonzero_columns = int(np.count_nonzero(np.abs(trial["v2_raw"]).sum(axis=0) > 0))
         assert nonzero_columns == trial["primary"].unused_count
-        assert nonzero_columns == len(trial["active"])
+        assert nonzero_columns == int(np.count_nonzero(trial["active"]))
 
     def test_tall_geometry_uses_pseudo_inverse(self):
         rng = np.random.default_rng(0)
@@ -87,7 +87,7 @@ class TestBuildPrecoder:
         v2_raw, active = build_precoder(h12, u1, [0.0, 0.3])
         assert v2_raw.shape == (2, 2)
         assert np.all(v2_raw[:, 0] == 0.0)
-        assert list(active) == [1]
+        assert list(active) == [False, True]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tall_steer_matches_pseudo_inverse(self, seed):
@@ -123,6 +123,14 @@ class TestBuildPrecoder:
             build_precoder(np.ones((2, 2)), EYE2, [0.0, 0.1])
         assert info.value.reason == "cross"
 
+    def test_singular_trial_of_a_stack_marked(self):
+        h12 = np.stack([EYE2, np.ones((2, 2)), EYE2])
+        u1 = np.broadcast_to(EYE2, h12.shape)
+        with pytest.raises(RedrawError) as info:
+            build_precoder(h12, u1, np.full((3, 2), 0.1))
+        assert info.value.reason == "cross"
+        assert list(info.value.rejected) == [False, True, False]
+
     def test_wrong_complement_length_rejected(self):
         with pytest.raises(InvalidInputError):
             build_precoder(EYE2, EYE2, [0.1])
@@ -157,13 +165,13 @@ class TestUniformScheme:
     def test_walkthrough(self):
         v2_raw = np.diag([0.0, 0.25]).astype(complex)
         f2 = whitener(np.diag([1.5, 1.0]), 1.0)
-        design = uniform_secondary(v2_raw, [1], f2, EYE2, p_max=0.5)
+        design = uniform_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert np.allclose(design.v2, math.sqrt(8.0) * v2_raw, rtol=1e-12, atol=0.0)
         assert abs(design.v2[1, 1] - math.sqrt(0.5)) < 1e-12
         assert abs(design.rate - math.log2(1.5)) < 1e-12
 
     def test_no_active_columns(self):
-        design = uniform_secondary(np.zeros((2, 2)), [], np.eye(2), EYE2, 1.0)
+        design = uniform_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
         assert np.all(design.v2 == 0.0)
         assert design.rate == 0.0
 
@@ -171,7 +179,7 @@ class TestUniformScheme:
     def test_power_constraint_met_with_equality(self, seed):
         trial = random_trial(seed, n=3, p_max=0.7)
         design = trial["uni"]
-        if len(trial["active"]) == 0:
+        if not trial["active"].any():
             return
         spent = np.trace(design.v2 @ design.p2 @ herm(design.v2)).real
         assert abs(spent - trial["p_max"]) <= 1e-9 * trial["p_max"]
@@ -187,15 +195,15 @@ class TestOptimalScheme:
     def test_single_active_column_walkthrough(self):
         v2_raw = np.diag([0.0, 0.25]).astype(complex)
         f2 = whitener(np.diag([1.5, 1.0]), 1.0)
-        design = optimal_secondary(v2_raw, [1], f2, EYE2, p_max=0.5)
+        design = optimal_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert abs(design.rate - math.log2(1.5)) < 1e-12
-        uniform = uniform_secondary(v2_raw, [1], f2, EYE2, p_max=0.5)
+        uniform = uniform_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert abs(design.rate - uniform.rate) < 1e-12
         spent = np.trace(design.v2 @ design.p2 @ herm(design.v2)).real
         assert abs(spent - 0.5) <= 1e-12
 
     def test_no_active_columns(self):
-        design = optimal_secondary(np.zeros((2, 2)), [], np.eye(2), EYE2, 1.0)
+        design = optimal_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
         assert design.rate == 0.0
         assert np.all(design.p2 == 0.0)
 
@@ -203,7 +211,7 @@ class TestOptimalScheme:
     def test_power_constraint_and_psd(self, seed):
         trial = random_trial(seed, n=4, p_max=1.5)
         design = trial["opt"]
-        if len(trial["active"]) == 0:
+        if not trial["active"].any():
             return
         spent = np.trace(design.v2 @ design.p2 @ herm(design.v2)).real
         assert abs(spent - trial["p_max"]) <= 1e-9 * trial["p_max"]

@@ -1,12 +1,39 @@
 """Tests for the closed-form water-filling solver."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oia.errors import InvalidInputError
 from oia.waterfill import waterfill
 
-from oracles import allocation_rate, grid_search_rate
+from oracles import allocation_rate, grid_search_rate, loop_waterfill
+
+# Inverse gains over twelve decades, plus a few exact values so that ties
+# and never-usable (+inf) modes come up often.
+GAIN = st.one_of(st.floats(1e-6, 1e6), st.sampled_from([0.25, 0.5, 1.0, 2.0, math.inf]))
+BUDGET = st.one_of(st.floats(1e-6, 1e6), st.sampled_from([0.5, 1.0, 3.0]))
+
+
+def usable(gains):
+    return any(math.isfinite(g) for g in gains)
+
+
+@st.composite
+def gain_stacks(draw):
+    n = draw(st.integers(1, 8))
+    row = st.lists(GAIN, min_size=n, max_size=n).filter(usable)
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)))
+
+
+def assert_matches_loop(alloc, gains, budget):
+    powers, level, active = loop_waterfill(gains, budget)
+    assert alloc.powers.tobytes() == powers.tobytes()
+    assert np.float64(alloc.water_level).tobytes() == np.float64(level).tobytes()
+    assert alloc.active_count == active
 
 
 def random_problem(rng):
@@ -46,6 +73,24 @@ class TestAnalyticCases:
         assert np.allclose(alloc.powers, [0.125, 0.875], atol=1e-15)
 
 
+class TestClosedFormMatchesLoop:
+    """The closed form computes the loop's own levels and stopping rule, bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(GAIN, min_size=1, max_size=8).filter(usable), BUDGET)
+    def test_one_vector(self, gains, budget):
+        assert_matches_loop(waterfill(gains, budget), gains, budget)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gain_stacks(), BUDGET)
+    def test_stack(self, stack, budget):
+        alloc = waterfill(stack, budget)
+        assert alloc.powers.shape == stack.shape
+        for row, gains in enumerate(stack):
+            one = type(alloc)(alloc.powers[row], alloc.water_level[row], alloc.active_count[row])
+            assert_matches_loop(one, gains, budget)
+
+
 class TestValidation:
     def test_empty_gains(self):
         with pytest.raises(InvalidInputError):
@@ -59,6 +104,8 @@ class TestValidation:
     def test_all_infinite_gains(self):
         with pytest.raises(InvalidInputError):
             waterfill([np.inf, np.inf], 1.0)
+        with pytest.raises(InvalidInputError):
+            waterfill([[1.0, np.inf], [np.inf, np.inf]], 1.0)
 
     @pytest.mark.parametrize("gains", [[0.0, 1.0], [-1.0], [np.nan]])
     def test_bad_gains(self, gains):
