@@ -1,4 +1,4 @@
-"""Seeded generation of the four channel matrices of one interference-channel trial.
+"""Seeded generation of the four channel matrices of interference-channel trials.
 
 Stream derivation: the triple (master_seed, grid_index, trial_index) is fed as
 the entropy list of a ``numpy.random.SeedSequence``, which mixes it
@@ -18,19 +18,6 @@ _MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
-class TrialSeed:
-    """Identifies one Monte Carlo trial's random stream."""
-
-    master_seed: int
-    grid_index: int
-    trial_index: int
-
-    def __post_init__(self):
-        if self.grid_index < 0 or self.trial_index < 0:
-            raise InvalidInputError("grid_index and trial_index must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ChannelSet:
     """The four complex channel matrices of one trial, all nr x nt.
 
@@ -45,9 +32,9 @@ class ChannelSet:
     h22: np.ndarray
 
 
-def derive_stream(seed: TrialSeed) -> np.random.Generator:
+def derive_stream(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
     """Deterministic, independent random stream for one trial."""
-    entropy = (seed.master_seed & _MASK64, seed.grid_index, seed.trial_index)
+    entropy = (master_seed & _MASK64, grid_index, trial_index)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -68,29 +55,22 @@ def draw_channel(nr: int, nt: int, stream: np.random.Generator) -> np.ndarray:
     return _complex_gaussian(stream.standard_normal((nr, nt, 2)))
 
 
-def draw_channel_set(nr: int, nt: int, stream: np.random.Generator) -> ChannelSet:
-    """Four independent channel draws in the fixed order h11, h12, h21, h22.
-
-    One ``standard_normal((4, nr, nt, 2))`` call: the same numbers, in the
-    same order, as four ``draw_channel`` calls.
-    """
-    if nr < 1 or nt < 1:
-        raise InvalidInputError("antenna counts must be >= 1")
-    return ChannelSet(*_complex_gaussian(stream.standard_normal((4, nr, nt, 2))))
-
-
 def draw_trials(nr: int, nt: int, master_seed: int, grid_index: int,
                 trial_indices) -> ChannelSet:
     """Channel sets of several trials stacked along a leading axis.
 
-    Trial k's four matrices (``h11[k]``, ...) are exactly what
-    ``draw_channel_set`` draws from the stream of
-    ``TrialSeed(master_seed, grid_index, trial_indices[k])``, so a trial's
-    channels do not depend on the other trials of the stack.
+    Trial k draws its four matrices in the fixed order h11, h12, h21, h22
+    from the stream ``derive_stream(master_seed, grid_index,
+    trial_indices[k])``, with one ``standard_normal((4, nr, nt, 2))`` call:
+    the same numbers, in the same order, as four ``draw_channel`` calls. A
+    trial's channels therefore do not depend on the other trials of the stack.
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")
-    normals = np.empty((len(trial_indices), 4, nr, nt, 2))
-    for row, trial in zip(normals, trial_indices):
-        derive_stream(TrialSeed(master_seed, grid_index, int(trial))).standard_normal(out=row)
+    trials = np.asarray(trial_indices, dtype=np.int64)
+    if grid_index < 0 or (trials.size and trials.min() < 0):
+        raise InvalidInputError("grid_index and trial indices must be nonnegative")
+    normals = np.empty((trials.size, 4, nr, nt, 2))
+    for row, trial in zip(normals, trials.tolist()):
+        derive_stream(master_seed, grid_index, trial).standard_normal(out=row)
     return ChannelSet(*np.moveaxis(_complex_gaussian(normals), 1, 0))

@@ -63,7 +63,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, default_out: str) -> None
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help="Monte Carlo trials per grid cell")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--sigma2", type=float, default=1.0, help="noise variance")
     parser.add_argument("--out", default=default_out, help="output CSV path")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel worker processes (default: OIA_WORKERS or 1)")
@@ -113,7 +112,7 @@ def cli_main(argv=None) -> int:
                       else [(count, count) for count in args.antennas])
         _check_sweep_size(len(geometries) * len(snr), args.trials)
         grids = [ExperimentGrid(nt=nt, nr=nr, snr_db_list=snr, trials=args.trials,
-                                sigma2=args.sigma2, master_seed=args.seed)
+                                master_seed=args.seed)
                  for nt, nr in geometries]
         # One task list, and one pool, for all geometries; geometry g's cell
         # c keeps grid index g * len(snr) + c.

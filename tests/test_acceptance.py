@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oia.channel import TrialSeed, derive_stream, draw_channel_set
+from oia.channel import ChannelSet, derive_stream, draw_channel
 from oia.cli import cli_main
 from oia.errors import RedrawError
 from oia.experiments import REPLACEMENT_BASE, ExperimentGrid, run_grid
@@ -21,16 +21,19 @@ from oia.secondary import (
     build_precoder,
     interference_covariance,
     optimal_secondary,
-    residual_interference,
     uniform_secondary,
     whitener,
 )
 from oia.waterfill import waterfill
 
-from oracles import allocation_rate, grid_search_rate, secondary_split_oracle
+from oracles import (
+    allocation_rate,
+    grid_search_rate,
+    residual_interference,
+    secondary_split_oracle,
+)
 
 MASTER_SEED = 20260811
-SIGMA2 = 1.0
 
 
 def report(criterion: str, problems: list):
@@ -43,13 +46,13 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
     """Design chain for one seeded square trial, redrawing on rank rejections."""
     for attempt in range(100):
         idx = trial_index if attempt == 0 else trial_index + attempt * REPLACEMENT_BASE
-        stream = derive_stream(TrialSeed(master_seed, grid_index, idx))
-        chans = draw_channel_set(nt, nt, stream)
+        stream = derive_stream(master_seed, grid_index, idx)
+        chans = ChannelSet(*(draw_channel(nt, nt, stream) for _ in range(4)))
         try:
-            primary = design_primary(chans.h11, p_max, SIGMA2)
+            primary = design_primary(chans.h11, p_max)
             v2_raw, active = build_precoder(chans.h12, primary.svd.u, primary.p1_bar)
-            q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers, SIGMA2)
-            f2 = whitener(q, SIGMA2)
+            q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers)
+            f2 = whitener(q)
             uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
             opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
         except RedrawError:
@@ -67,7 +70,7 @@ def design_pool():
     cell = 0
     for nt in (2, 3, 4, 5, 6):
         for snr_db in (-10.0, 0.0, 10.0, 20.0):
-            p_max = SIGMA2 * 10.0 ** (snr_db / 10.0)
+            p_max = 10.0 ** (snr_db / 10.0)
             for trial in range(500):
                 records.append(full_design(nt, cell, trial, p_max))
             cell += 1
@@ -78,7 +81,7 @@ def design_pool():
 def fig_rate_rows():
     """nt = nr = 3 sweep over -20..40 dB (step 2), 1000 trials per cell."""
     grid = ExperimentGrid(nt=3, nr=3, snr_db_list=tuple(range(-20, 41, 2)),
-                          trials=1000, sigma2=SIGMA2, master_seed=MASTER_SEED)
+                          trials=1000, master_seed=MASTER_SEED)
     return run_grid([grid])
 
 
@@ -91,7 +94,7 @@ def test_c01_zero_interference_guarantee(design_pool):
         for scheme in ("uni", "opt"):
             design = rec[scheme]
             metric = residual_interference(primary.svd.u, rec["chans"].h12,
-                                           design.v2, design.p2, primary.active_modes)
+                                           design.v2, design.p2, primary.p1.powers > 0.0)
             if metric > bound:
                 problems.append(f"trial {k} {scheme}: residual {metric:.3e} > {bound:.3e}")
     elapsed = design_pool["build_seconds"] + (time.perf_counter() - start)
@@ -127,7 +130,7 @@ def test_c02_waterfill_kkt_suite():
 def test_c03_analytic_walkthrough():
     problems = []
     eye = np.eye(2, dtype=complex)
-    primary = design_primary(np.diag([2.0, 1.0]), p_max=0.5, sigma2=1.0)
+    primary = design_primary(np.diag([2.0, 1.0]), p_max=0.5)
     if not np.array_equal(primary.p1.powers, [0.5, 0.0]):
         problems.append(f"primary powers {primary.p1.powers}")
     if primary.p1.water_level != 0.75:
@@ -137,7 +140,7 @@ def test_c03_analytic_walkthrough():
     if primary.unused_count != 1:
         problems.append(f"unused count {primary.unused_count}")
     v2_raw, active = build_precoder(eye, primary.svd.u, primary.p1_bar)
-    f2 = whitener(interference_covariance(eye, primary.svd.v, primary.p1.powers, 1.0), 1.0)
+    f2 = whitener(interference_covariance(eye, primary.svd.v, primary.p1.powers))
     uni = uniform_secondary(v2_raw, active, f2, eye, 0.5)
     opt = optimal_secondary(v2_raw, active, f2, eye, 0.5)
     expected = math.log2(1.5)
@@ -171,7 +174,7 @@ def test_c05_transformed_domain_oracle():
             continue
         found += 1
         reference = secondary_split_oracle(rec["v2_raw"], rec["active"], rec["q"],
-                                           rec["chans"].h22, p_max, SIGMA2, steps=1000)
+                                           rec["chans"].h22, p_max, steps=1000)
         if abs(rec["opt"].rate - reference) > 1e-3:
             problems.append(
                 f"trial {trial}: closed {rec['opt'].rate:.6f} vs oracle {reference:.6f}")
@@ -183,7 +186,7 @@ def test_c05_transformed_domain_oracle():
 def test_c06_unused_mode_trend():
     snr_grid = (-20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
     grid = ExperimentGrid(nt=4, nr=4, snr_db_list=snr_grid, trials=2000,
-                          sigma2=SIGMA2, master_seed=MASTER_SEED)
+                          master_seed=MASTER_SEED)
     rows = run_grid([grid], grid_offset=600)
     problems = []
     for a, b in zip(rows, rows[1:]):
@@ -200,8 +203,10 @@ def test_c06_unused_mode_trend():
     rng = np.random.default_rng(MASTER_SEED)
     budgets = np.logspace(-2, 4, 13)
     for k in range(100):
-        h11 = draw_channel_set(4, 4, rng).h11
-        counts = [design_primary(h11, b, SIGMA2).unused_count for b in budgets]
+        h11 = draw_channel(4, 4, rng)
+        for _ in range(3):  # h12, h21, h22 of the same draw
+            draw_channel(4, 4, rng)
+        counts = [design_primary(h11, b).unused_count for b in budgets]
         if any(x < y for x, y in zip(counts, counts[1:])):
             problems.append(f"channel {k}: unused count increased with budget")
     report("criterion 6 (unused-mode trend and exact monotonicity)", problems)
@@ -218,7 +223,7 @@ def test_c07_secondary_rate_trend(fig_rate_rows):
     by_antennas = {}
     for index, nt in enumerate((2, 4, 6)):
         grid = ExperimentGrid(nt=nt, nr=nt, snr_db_list=(peak_snr,), trials=1000,
-                              sigma2=SIGMA2, master_seed=MASTER_SEED)
+                              master_seed=MASTER_SEED)
         by_antennas[nt] = run_grid([grid], grid_offset=700 + index)[0].avg_rate_secondary_optimal
     if not (by_antennas[2] < by_antennas[4] < by_antennas[6]):
         problems.append(f"rates not increasing with antennas: {by_antennas}")
@@ -228,7 +233,7 @@ def test_c07_secondary_rate_trend(fig_rate_rows):
 def test_c08_uniform_vs_optimal_gap(fig_rate_rows):
     snr_grid = tuple(range(-20, 41, 2))
     grid20 = ExperimentGrid(nt=20, nr=20, snr_db_list=snr_grid, trials=1000,
-                            sigma2=SIGMA2, master_seed=MASTER_SEED)
+                            master_seed=MASTER_SEED)
     rows20 = run_grid([grid20], grid_offset=800)
     rows3 = fig_rate_rows
     problems = []
@@ -272,10 +277,10 @@ def test_c10_primary_rate_invariance(design_pool):
             design = rec[scheme]
             filtered = herm(primary.svd.u) @ rec["chans"].h12 @ design.v2
             extra = (filtered @ design.p2 @ herm(filtered)).real
-            for mode in primary.active_modes:
-                silent = lam[mode] ** 2 * primary.p1.powers[mode] / SIGMA2
+            for mode in np.flatnonzero(primary.p1.powers > 0.0):
+                silent = lam[mode] ** 2 * primary.p1.powers[mode]
                 loaded = lam[mode] ** 2 * primary.p1.powers[mode] / (
-                    SIGMA2 + max(extra[mode, mode], 0.0))
+                    1.0 + max(extra[mode, mode], 0.0))
                 if abs(silent - loaded) > 1e-9 * silent:
                     problems.append(f"trial {k} {scheme} mode {mode}")
     report("criterion 10 (per-mode primary SINR unchanged by the secondary)", problems)

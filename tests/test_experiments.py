@@ -30,7 +30,7 @@ from oia.experiments import (
     write_csv,
 )
 
-WALKTHROUGH_SNR_DB = 10.0 * math.log10(0.5)  # p_max = 0.5 at sigma2 = 1
+WALKTHROUGH_SNR_DB = 10.0 * math.log10(0.5)  # p_max = 0.5
 RECORD_FIELDS = [f.name for f in fields(TrialRecords)]
 
 
@@ -65,9 +65,10 @@ class TestGridValidation:
 
 
 class TestRunTrial:
-    def test_injected_walkthrough(self):
+    def test_injected_walkthrough(self, monkeypatch):
+        monkeypatch.setattr(experiments, "draw_trials", lambda *_: walkthrough_channels())
         grid = small_grid(snr_db_list=(WALKTHROUGH_SNR_DB,))
-        record = run_trials(grid, 0, WALKTHROUGH_SNR_DB, [0], channels=walkthrough_channels())
+        record = run_trials(grid, 0, WALKTHROUGH_SNR_DB, [0])
         assert record.unused_modes[0] == 1
         assert abs(record.rate_secondary_uniform[0] - math.log2(1.5)) < 1e-9
         assert abs(record.rate_secondary_optimal[0] - math.log2(1.5)) < 1e-9
@@ -387,9 +388,25 @@ class TestCli:
         assert len(swept) == 9 and all(grid.trials == 50000 for grid in swept)
 
     def test_snr_to_power(self):
-        assert abs(snr_to_power(0.0, 1.0) - 1.0) < 1e-15
-        assert abs(snr_to_power(10.0, 1.0) - 10.0) < 1e-12
-        assert abs(snr_to_power(-3.0103, 2.0) - 1.0) < 1e-4
+        assert abs(snr_to_power(0.0) - 1.0) < 1e-15
+        assert abs(snr_to_power(10.0) - 10.0) < 1e-12
+        assert abs(snr_to_power(-3.0103) - 0.5) < 5e-5
+
+    def test_noise_variance_is_not_an_option(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli_main(["run", "--sigma2", "1", "--trials", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--sigma2" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr_db", ["50", "300"])
+    def test_tall_geometry_at_high_snr(self, tmp_path, snr_db):
+        """Rounding puts q's noise-only eigenvalues below the floor here; the whitener absorbs it."""
+        out = tmp_path / "tall.csv"
+        assert cli_main(["run", "--nt", "3", "--nr", "5", "--snr-db-min", snr_db,
+                         "--snr-db-max", snr_db, "--trials", "60", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith(f"3,5,{snr_db},60,")
 
 
 class TestGoldenCsv:

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from oia.channel import draw_channel
-from oia.errors import (
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    RedrawError,
-    UnsupportedGeometryError,
-)
-from oia.kernels import herm, hermitian_inv_sqrt, log2_det_id_plus, svd
+from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
+from oia.kernels import EIGENVALUE_SLACK, herm, hermitian_inv_sqrt, log2_det_id_plus, svd
 from oia.secondary import build_precoder
 
 
@@ -97,6 +92,28 @@ class TestHermitianInvSqrt:
         with pytest.raises(NotPositiveDefiniteError):
             hermitian_inv_sqrt(np.diag([0.3, 1.0]), floor=0.5)
 
+    def test_floor_eigenvalue_within_rounding_clamped(self):
+        """An eigenvalue below the floor by less than the eigensolver's error counts as on it."""
+        top, floor = 1e12, 1.0 - 1e-10
+        tolerance = EIGENVALUE_SLACK * 3 * np.finfo(float).eps * top
+        low = floor - 0.5 * tolerance
+        assert low < floor
+        u = random_unitary(3, np.random.default_rng(4))
+        w = hermitian_inv_sqrt(np.diag([low, 2.0, top]), floor=floor)
+        assert np.allclose(np.diag(w), 1.0 / np.sqrt([floor, 2.0, top]), rtol=1e-14, atol=0.0)
+        rotated = hermitian_inv_sqrt((u * [low, low, top]) @ herm(u), floor=floor)
+        assert np.all(np.isfinite(rotated))
+        assert np.linalg.norm(rotated - herm(rotated)) <= 1e-12
+        assert np.linalg.eigvalsh(rotated)[-1] <= 1.0 / np.sqrt(floor) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("low", [-1.0, 0.5])
+    def test_eigenvalue_beyond_rounding_rejected(self, low):
+        """A large spectrum widens the tolerance by n * eps * lambda_max only."""
+        u = random_unitary(3, np.random.default_rng(5))
+        m = (u * [low, 3.0, 1e12]) @ herm(u)
+        with pytest.raises(NotPositiveDefiniteError):
+            hermitian_inv_sqrt(m, floor=1.0)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
             hermitian_inv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]), floor=0.1)
@@ -131,7 +148,7 @@ class TestPinvTall:
         assert np.allclose(p, [[0.5, 0.5]], atol=1e-14)
 
     def test_rejects_wide(self):
-        with pytest.raises(UnsupportedGeometryError):
+        with pytest.raises(InvalidInputError, match="nr=1 < nt=2"):
             self.tall_pinv(np.ones((1, 2)))
 
     def test_rejects_rank_deficient(self):

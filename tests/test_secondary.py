@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oia.channel import draw_channel
-from oia.errors import InvalidInputError, RedrawError, UnsupportedGeometryError
+from oia.errors import InvalidInputError, RedrawError
 from oia.kernels import herm, log2_det_id_plus
 from oia.primary import design_primary
 from oia.secondary import (
@@ -15,30 +15,29 @@ from oia.secondary import (
     build_precoder,
     interference_covariance,
     optimal_secondary,
-    residual_interference,
     uniform_secondary,
     whitener,
 )
 
-from oracles import secondary_split_oracle
+from oracles import residual_interference, secondary_split_oracle
 
 EYE2 = np.eye(2, dtype=complex)
 
 
-def random_trial(seed, n=3, p_max=1.0, sigma2=1.0, nr=None):
+def random_trial(seed, n=3, p_max=1.0, nr=None):
     """Full design chain on one random channel realization, n x n or nr x n."""
     rng = np.random.default_rng(seed)
     chans = [draw_channel(nr or n, n, rng) for _ in range(4)]
     h11, h12, h21, h22 = chans
-    primary = design_primary(h11, p_max, sigma2)
+    primary = design_primary(h11, p_max)
     v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-    q = interference_covariance(h21, primary.svd.v, primary.p1.powers, sigma2)
-    f2 = whitener(q, sigma2)
+    q = interference_covariance(h21, primary.svd.v, primary.p1.powers)
+    f2 = whitener(q)
     uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
     opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
     return dict(h11=h11, h12=h12, h21=h21, h22=h22, primary=primary,
                 v2_raw=v2_raw, active=active, q=q, f2=f2, uni=uni, opt=opt,
-                p_max=p_max, sigma2=sigma2)
+                p_max=p_max)
 
 
 def conditioned_channel(nr, nt, ratio, rng):
@@ -70,7 +69,7 @@ class TestBuildPrecoder:
         scale = max(np.linalg.norm(primary.p1_bar), 1e-30)
         assert np.linalg.norm(aligned - target) <= 1e-9 * scale
         # rows of modes the primary actually uses are clean
-        for n_active in primary.active_modes:
+        for n_active in np.flatnonzero(primary.p1.powers > 0.0):
             assert np.linalg.norm(aligned[n_active]) <= 1e-9 * scale
 
     @pytest.mark.parametrize("seed", range(5))
@@ -115,7 +114,7 @@ class TestBuildPrecoder:
 
     def test_more_transmit_than_receive_rejected(self):
         rng = np.random.default_rng(1)
-        with pytest.raises(UnsupportedGeometryError):
+        with pytest.raises(InvalidInputError, match="nr=2 < nt=3"):
             build_precoder(draw_channel(2, 3, rng), np.eye(2), [0.1, 0.1, 0.1])
 
     def test_singular_cross_channel_rejected(self):
@@ -138,33 +137,33 @@ class TestBuildPrecoder:
 
 class TestInterferenceCovariance:
     def test_silent_primary(self):
-        q = interference_covariance(EYE2, EYE2, [0.0, 0.0], sigma2=1.0)
+        q = interference_covariance(EYE2, EYE2, [0.0, 0.0])
         assert np.allclose(q, np.eye(2), atol=1e-15)
 
     def test_diagonal_analytic(self):
-        q = interference_covariance(EYE2, EYE2, [0.5, 0.0], sigma2=1.0)
+        q = interference_covariance(EYE2, EYE2, [0.5, 0.0])
         assert np.allclose(q, np.diag([1.5, 1.0]), atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_spectrum_floor(self, seed):
         trial = random_trial(seed, n=3, p_max=2.0)
         eigenvalues = np.linalg.eigvalsh(trial["q"])
-        assert eigenvalues[0] >= trial["sigma2"] * (1.0 - 1e-10)
+        assert eigenvalues[0] >= 1.0 - 1e-10
         assert np.linalg.norm(trial["q"] - herm(trial["q"])) <= 1e-12
 
     def test_short_power_vector_embedded(self):
         rng = np.random.default_rng(5)
         h21 = draw_channel(2, 3, rng)
         v1 = np.linalg.qr(draw_channel(3, 3, rng))[0]
-        q = interference_covariance(h21, v1, [0.7, 0.3], sigma2=0.5)
+        q = interference_covariance(h21, v1, [0.7, 0.3])
         assert q.shape == (2, 2)
-        assert np.linalg.eigvalsh(q)[0] >= 0.5 * (1.0 - 1e-10)
+        assert np.linalg.eigvalsh(q)[0] >= 1.0 - 1e-10
 
 
 class TestUniformScheme:
     def test_walkthrough(self):
         v2_raw = np.diag([0.0, 0.25]).astype(complex)
-        f2 = whitener(np.diag([1.5, 1.0]), 1.0)
+        f2 = whitener(np.diag([1.5, 1.0]))
         design = uniform_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert np.allclose(design.v2, math.sqrt(8.0) * v2_raw, rtol=1e-12, atol=0.0)
         assert abs(design.v2[1, 1] - math.sqrt(0.5)) < 1e-12
@@ -194,7 +193,7 @@ class TestUniformScheme:
 class TestOptimalScheme:
     def test_single_active_column_walkthrough(self):
         v2_raw = np.diag([0.0, 0.25]).astype(complex)
-        f2 = whitener(np.diag([1.5, 1.0]), 1.0)
+        f2 = whitener(np.diag([1.5, 1.0]))
         design = optimal_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert abs(design.rate - math.log2(1.5)) < 1e-12
         uniform = uniform_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
@@ -244,21 +243,22 @@ class TestOptimalScheme:
             found += 1
             reference = secondary_split_oracle(trial["v2_raw"], trial["active"],
                                                trial["q"], trial["h22"],
-                                               trial["p_max"], trial["sigma2"])
+                                               trial["p_max"])
             assert abs(trial["opt"].rate - reference) <= 1e-3
 
 
 class TestResidualInterference:
     def test_zero_precoder(self):
-        assert residual_interference(EYE2, EYE2, np.zeros((2, 2)), np.eye(2), [0]) == 0.0
+        assert residual_interference(EYE2, EYE2, np.zeros((2, 2)), np.eye(2),
+                                     [True, False]) == 0.0
 
     def test_walkthrough_is_interference_free(self):
-        primary = design_primary(np.diag([2.0, 1.0]), 0.5, 1.0)
+        primary = design_primary(np.diag([2.0, 1.0]), 0.5)
         v2_raw, active = build_precoder(EYE2, primary.svd.u, primary.p1_bar)
-        q = interference_covariance(EYE2, primary.svd.v, primary.p1.powers, 1.0)
-        design = uniform_secondary(v2_raw, active, whitener(q, 1.0), EYE2, 0.5)
+        q = interference_covariance(EYE2, primary.svd.v, primary.p1.powers)
+        design = uniform_secondary(v2_raw, active, whitener(q), EYE2, 0.5)
         metric = residual_interference(primary.svd.u, EYE2, design.v2, design.p2,
-                                       primary.active_modes)
+                                       primary.p1.powers > 0.0)
         assert metric == 0.0
 
     @pytest.mark.parametrize("seed", range(20))
@@ -269,7 +269,7 @@ class TestResidualInterference:
         for design in (trial["uni"], trial["opt"]):
             metric = residual_interference(primary.svd.u, trial["h12"],
                                            design.v2, design.p2,
-                                           primary.active_modes)
+                                           primary.p1.powers > 0.0)
             assert metric <= 1e-9 * math.sqrt(p_max)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -284,7 +284,7 @@ class TestResidualInterference:
             for design in (trial["uni"], trial["opt"]):
                 metric = residual_interference(primary.svd.u, trial["h12"],
                                                design.v2, design.p2,
-                                               primary.active_modes)
+                                               primary.p1.powers > 0.0)
                 assert metric <= 1e-9 * math.sqrt(p_max)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -295,8 +295,7 @@ class TestResidualInterference:
         filtered = herm(primary.svd.u) @ trial["h12"] @ design.v2
         extra = filtered @ design.p2 @ herm(filtered)
         lam = primary.svd.sigma
-        for mode in primary.active_modes:
-            clean = lam[mode] ** 2 * primary.p1.powers[mode] / trial["sigma2"]
-            bled = lam[mode] ** 2 * primary.p1.powers[mode] / (
-                trial["sigma2"] + extra[mode, mode].real)
+        for mode in np.flatnonzero(primary.p1.powers > 0.0):
+            clean = lam[mode] ** 2 * primary.p1.powers[mode]
+            bled = lam[mode] ** 2 * primary.p1.powers[mode] / (1.0 + extra[mode, mode].real)
             assert abs(clean - bled) <= 1e-9 * clean
