@@ -18,11 +18,11 @@ class RedrawError(OiaError):
 
     ``reason`` names the rejected matrix: ``"direct"`` for a rank-deficient
     primary direct channel, ``"cross"`` for a cross channel that fails the
-    precoder's rank guard. For a stack of trials, ``rejected`` is a boolean
-    array over the stack marking the trials to redraw; the others passed.
+    precoder's rank guard. ``rejected`` is a boolean array over the stack of
+    trials marking the trials to redraw; the others passed.
     """
 
-    def __init__(self, reason: str, detail: str, rejected=None):
+    def __init__(self, reason: str, detail: str, rejected):
         super().__init__(reason, detail, rejected)
         self.reason = reason
         self.rejected = rejected

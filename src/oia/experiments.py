@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelSet, draw_trials
+from .channel import draw_trials
 from .errors import InvalidInputError, RedrawError
 from .primary import design_primary, primary_rate
 from .secondary import (
@@ -132,37 +132,29 @@ def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float,
     discards = np.zeros(trials.size, dtype=np.int64)
     chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trials)
     while True:
+        h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
         try:
-            primary = design_primary(chans.h11, p_max)
-            v2_raw, active = build_precoder(chans.h12, primary.svd.u, primary.p1_bar)
+            primary = design_primary(h11, p_max)
+            v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
         except RedrawError as exc:
             redo = np.flatnonzero(exc.rejected)
             discards[redo] += 1
             if discards[redo].max() == _MAX_ATTEMPTS:
                 worst = trials[redo[np.argmax(discards[redo])]]
                 raise RedrawError(exc.reason, f"trial {worst} rejected "
-                                  f"{_MAX_ATTEMPTS} times in a row") from None
-            fresh = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index,
-                                trials[redo] + discards[redo] * REPLACEMENT_BASE)
-            chans = ChannelSet(*(_replace_rows(getattr(chans, f.name), redo,
-                                               getattr(fresh, f.name))
-                                 for f in fields(ChannelSet)))
+                                  f"{_MAX_ATTEMPTS} times in a row", exc.rejected) from None
+            chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index,
+                                      trials[redo] + discards[redo] * REPLACEMENT_BASE)
             continue
-        q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers)
+        q = interference_covariance(h21, primary.svd.v, primary.p1.powers)
         f2 = whitener(q)
-        uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
-        opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
+        uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
+        opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
         return TrialRecords(unused_modes=primary.unused_count,
                             rate_primary=primary_rate(primary),
                             rate_secondary_uniform=uni.rate,
                             rate_secondary_optimal=opt.rate,
                             discards=discards)
-
-
-def _replace_rows(stack: np.ndarray, rows: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    merged = stack.copy()
-    merged[rows] = fresh
-    return merged
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

@@ -47,14 +47,14 @@ def _as_finite_square(a, name: str) -> np.ndarray:
     return a
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(m, axis=(-2, -1))
-
-
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    """Check Hermitian symmetry to 1e-10 relative and strip rounding asymmetry."""
-    asym = _frobenius(m - herm(m))
-    bad = asym > 1e-10 * np.maximum(1.0, _frobenius(m))
+    """Check Hermitian symmetry to 1e-10 relative and strip rounding asymmetry.
+
+    Both sides compare largest entry magnitudes, which neither over- nor
+    underflow where the entries themselves do not.
+    """
+    asym = np.abs(m - herm(m)).max(axis=(-2, -1))
+    bad = asym > 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     if bad.any():
         raise InvalidInputError(f"{name} is not Hermitian (asymmetry {asym[bad].max():.3e})")
     return 0.5 * (m + herm(m))
@@ -143,14 +143,15 @@ def log2_det_id_plus(m):
     """log2 determinant of (I + m) for a Hermitian positive semidefinite m.
 
     Evaluated as a sum of log1p over eigenvalues, which is stable for both
-    tiny and huge spectra. Eigenvalues in [-1e-9 * ||m||_F, 0) are rounding
-    artifacts and are clamped to zero; anything more negative means the
-    caller's matrix is not PSD and is rejected. A stack ``(..., n, n)``
-    gives one value per matrix, shape ``(...)``.
+    tiny and huge spectra. Eigenvalues in [-1e-9 * max|mu|, 0), over the
+    computed eigenvalues mu, are rounding artifacts and are clamped to zero;
+    anything more negative means the caller's matrix is not PSD and is
+    rejected. A stack ``(..., n, n)`` gives one value per matrix, shape
+    ``(...)``.
     """
     m = _as_finite_square(m, "m")
     mu = np.linalg.eigvalsh(_symmetrized(m, "m"))
-    negative = mu[..., 0] < -1e-9 * _frobenius(m)
+    negative = mu[..., 0] < -1e-9 * np.abs(mu).max(axis=-1)
     if negative.any():
         raise InvalidInputError(
             f"m is not positive semidefinite (eigenvalue {mu[..., 0][negative].min():.6e})")

@@ -32,10 +32,12 @@ def waterfill(inverse_gains, budget: float) -> PowerAllocation:
     ascending and let ``level_k = (budget + sum of the k smallest) / k``.
     Modes are included greedily in that order; the active count is the first
     k at which the next candidate's inverse gain is at or above ``level_k``
-    (or all finite gains). Included modes get ``level - inverse_gain``;
-    everything else gets an exact zero. The sum of powers equals the budget
-    to rounding. The running sums are sequential, so every level is the one
-    a mode-by-mode loop computes, bit for bit.
+    (or all finite gains). With S_k the sum of the k included inverse gains,
+    included mode j gets ``(budget - (k * inverse_gain_j - S_k)) / k``, which
+    is ``level - inverse_gain_j`` without losing a budget far below the
+    level to its rounding; everything else gets an exact zero. The sum of
+    powers equals the budget to rounding. The running sums are sequential,
+    so every level is the one a mode-by-mode loop computes, bit for bit.
 
     Parameters
     ----------
@@ -65,14 +67,17 @@ def waterfill(inverse_gains, budget: float) -> PowerAllocation:
     order = np.argsort(ig, axis=-1, kind="stable")
     sorted_ig = np.take_along_axis(ig, order, axis=-1)
     count = np.arange(1, ig.shape[-1] + 1)
-    level = (budget + np.cumsum(sorted_ig, axis=-1)) / count
+    cumsum = np.cumsum(sorted_ig, axis=-1)
+    level = (budget + cumsum) / count
     # Candidate k joins while it sits below the level of the k modes before
     # it; an infinite gain never does, so only finite modes can be active.
     joins = sorted_ig[..., 1:] < level[..., :-1]
     stops = np.concatenate([joins, np.zeros(joins.shape[:-1] + (1,), dtype=bool)], axis=-1)
     active = np.argmin(stops, axis=-1) + 1
-    water_level = np.take_along_axis(level, active[..., None] - 1, axis=-1)
-    powers_sorted = np.where(count <= active[..., None], water_level - sorted_ig, 0.0)
+    k = active[..., None]
+    water_level = np.take_along_axis(level, k - 1, axis=-1)
+    total = np.take_along_axis(cumsum, k - 1, axis=-1)
+    powers_sorted = np.where(count <= k, (budget - (k * sorted_ig - total)) / k, 0.0)
     powers = np.empty_like(powers_sorted)
     np.put_along_axis(powers, order, powers_sorted, axis=-1)
     return PowerAllocation(powers=powers, water_level=water_level[..., 0][()],

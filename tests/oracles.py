@@ -3,8 +3,10 @@
 These stay independent of the production solver paths: brute-force
 maximizers enumerate feasible power allocations on a grid and evaluate the
 objectives directly, ``loop_waterfill`` is the mode-by-mode loop the
-vectorized water-filling must reproduce bit for bit, and
-``residual_interference`` measures the zero-interference guarantee.
+vectorized water-filling must reproduce bit for bit,
+``residual_interference`` measures the zero-interference guarantee, and
+``complex_gaussian`` draws one channel matrix the way each trial's stacked
+draw must.
 """
 
 import itertools
@@ -12,6 +14,14 @@ import itertools
 import numpy as np
 
 from oia.kernels import herm, hermitian_inv_sqrt, log2_det_id_plus
+
+
+def complex_gaussian(nr, nt, stream):
+    """One nr x nt matrix of unit-variance circular complex Gaussians from ``stream``.
+
+    Entries are taken in row-major order, real part then imaginary part.
+    """
+    return stream.standard_normal((nr, nt, 2)).view(np.complex128)[..., 0] / np.sqrt(2.0)
 
 
 def allocation_rate(powers, inverse_gains):
@@ -25,7 +35,10 @@ def loop_waterfill(inverse_gains, budget):
     """Water-filling of one gain vector by including modes one at a time.
 
     Sort inverse gains ascending and include modes while the next one sits
-    below the current level ``(budget + included sum) / count``. Returns
+    below the current level ``(budget + included sum) / count``. Each
+    included mode gets ``level - inverse_gain`` in the form
+    ``(budget - (count * inverse_gain - included sum)) / count``, which keeps
+    a budget below the level's rounding error. Returns
     ``(powers, water_level, active_count)`` in the input's mode order.
     """
     ig = np.asarray(inverse_gains, dtype=float)
@@ -40,7 +53,7 @@ def loop_waterfill(inverse_gains, budget):
         active += 1
         level = (budget + included) / active
     powers_sorted = np.zeros(ig.size)
-    powers_sorted[:active] = level - sorted_ig[:active]
+    powers_sorted[:active] = (budget - (active * sorted_ig[:active] - included)) / active
     powers = np.zeros(ig.size)
     powers[order] = powers_sorted
     return powers, float(level), active

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oia.channel import ChannelSet, derive_stream, draw_channel
+from oia.channel import derive_stream
 from oia.cli import cli_main
 from oia.errors import RedrawError
 from oia.experiments import REPLACEMENT_BASE, ExperimentGrid, run_grid
@@ -28,6 +28,7 @@ from oia.waterfill import waterfill
 
 from oracles import (
     allocation_rate,
+    complex_gaussian,
     grid_search_rate,
     residual_interference,
     secondary_split_oracle,
@@ -47,17 +48,17 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
     for attempt in range(100):
         idx = trial_index if attempt == 0 else trial_index + attempt * REPLACEMENT_BASE
         stream = derive_stream(master_seed, grid_index, idx)
-        chans = ChannelSet(*(draw_channel(nt, nt, stream) for _ in range(4)))
+        h11, h12, h21, h22 = (complex_gaussian(nt, nt, stream) for _ in range(4))
         try:
-            primary = design_primary(chans.h11, p_max)
-            v2_raw, active = build_precoder(chans.h12, primary.svd.u, primary.p1_bar)
-            q = interference_covariance(chans.h21, primary.svd.v, primary.p1.powers)
+            primary = design_primary(h11, p_max)
+            v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
+            q = interference_covariance(h21, primary.svd.v, primary.p1.powers)
             f2 = whitener(q)
-            uni = uniform_secondary(v2_raw, active, f2, chans.h22, p_max)
-            opt = optimal_secondary(v2_raw, active, f2, chans.h22, p_max)
+            uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
+            opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
         except RedrawError:
             continue
-        return dict(nt=nt, p_max=p_max, chans=chans, primary=primary,
+        return dict(nt=nt, p_max=p_max, h12=h12, h22=h22, primary=primary,
                     v2_raw=v2_raw, active=active, q=q, uni=uni, opt=opt)
     raise RuntimeError("trial rejected repeatedly")
 
@@ -93,7 +94,7 @@ def test_c01_zero_interference_guarantee(design_pool):
         primary = rec["primary"]
         for scheme in ("uni", "opt"):
             design = rec[scheme]
-            metric = residual_interference(primary.svd.u, rec["chans"].h12,
+            metric = residual_interference(primary.svd.u, rec["h12"],
                                            design.v2, design.p2, primary.p1.powers > 0.0)
             if metric > bound:
                 problems.append(f"trial {k} {scheme}: residual {metric:.3e} > {bound:.3e}")
@@ -174,7 +175,7 @@ def test_c05_transformed_domain_oracle():
             continue
         found += 1
         reference = secondary_split_oracle(rec["v2_raw"], rec["active"], rec["q"],
-                                           rec["chans"].h22, p_max, steps=1000)
+                                           rec["h22"], p_max, steps=1000)
         if abs(rec["opt"].rate - reference) > 1e-3:
             problems.append(
                 f"trial {trial}: closed {rec['opt'].rate:.6f} vs oracle {reference:.6f}")
@@ -203,9 +204,9 @@ def test_c06_unused_mode_trend():
     rng = np.random.default_rng(MASTER_SEED)
     budgets = np.logspace(-2, 4, 13)
     for k in range(100):
-        h11 = draw_channel(4, 4, rng)
+        h11 = complex_gaussian(4, 4, rng)
         for _ in range(3):  # h12, h21, h22 of the same draw
-            draw_channel(4, 4, rng)
+            complex_gaussian(4, 4, rng)
         counts = [design_primary(h11, b).unused_count for b in budgets]
         if any(x < y for x, y in zip(counts, counts[1:])):
             problems.append(f"channel {k}: unused count increased with budget")
@@ -275,7 +276,7 @@ def test_c10_primary_rate_invariance(design_pool):
         lam = primary.svd.sigma
         for scheme in ("uni", "opt"):
             design = rec[scheme]
-            filtered = herm(primary.svd.u) @ rec["chans"].h12 @ design.v2
+            filtered = herm(primary.svd.u) @ rec["h12"] @ design.v2
             extra = (filtered @ design.p2 @ herm(filtered)).real
             for mode in np.flatnonzero(primary.p1.powers > 0.0):
                 silent = lam[mode] ** 2 * primary.p1.powers[mode]

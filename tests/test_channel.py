@@ -5,16 +5,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oia.channel import derive_stream, draw_channel, draw_trials
+from oia.channel import derive_stream, draw_trials
 from oia.errors import InvalidInputError
+
+from oracles import complex_gaussian
 
 NAMES = ("h11", "h12", "h21", "h22")
 
 
 def channel_for(master, grid, trial, nr=2, nt=2):
     """One trial's four channels, drawn as a stack of one and unstacked."""
-    stack = draw_trials(nr, nt, master, grid, [trial])
-    return {name: getattr(stack, name)[0] for name in NAMES}
+    return dict(zip(NAMES, draw_trials(nr, nt, master, grid, [trial])[0]))
 
 
 class TestStreamDerivation:
@@ -32,10 +33,12 @@ class TestStreamDerivation:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_negative_master_seed_accepted(self):
-        a = derive_stream(-5, 0, 0).standard_normal(3)
-        b = derive_stream(-5, 0, 0).standard_normal(3)
-        assert np.array_equal(a, b)
+    def test_negative_master_seed_rejected(self):
+        # SeedSequence takes nonnegative entropy only; the CLI rejects such seeds first
+        with pytest.raises(ValueError):
+            derive_stream(-5, 0, 0)
+        with pytest.raises(ValueError):
+            draw_trials(2, 2, -5, 0, [0])
 
     def test_negative_indices_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -59,20 +62,24 @@ class TestStreamDerivation:
 
 
 class TestDrawChannel:
+    """Entry order and distribution of one trial's draw."""
+
     def test_deterministic_repeat(self):
-        a = draw_channel(3, 2, derive_stream(1, 0, 0))
-        b = draw_channel(3, 2, derive_stream(1, 0, 0))
+        a = draw_trials(3, 2, 1, 0, [0])
+        b = draw_trials(3, 2, 1, 0, [0])
+        assert a.shape == (1, 4, 3, 2)
         assert np.array_equal(a, b)
 
     def test_row_major_prefix_consumption(self):
         # a smaller draw from an identical fresh stream is a prefix of a larger one
-        small = draw_channel(1, 1, derive_stream(9, 0, 0))
-        large = draw_channel(1, 2, derive_stream(9, 0, 0))
-        assert large[0, 0] == small[0, 0]
+        small = draw_trials(1, 1, 9, 0, [0])
+        large = draw_trials(1, 2, 9, 0, [0])
+        # the 1x1 h11 and h12 are the two row-major entries of the 1x2 h11
+        assert np.array_equal(large[0, 0, 0], small[0, :2, 0, 0])
 
     def test_moments(self):
         # 1e5 entries; bounds are ~5 sigma for unit-variance entries
-        h = draw_channel(500, 200, derive_stream(123, 0, 0)).ravel()
+        h = draw_trials(500, 200, 123, 0, [0])[0, 0].ravel()
         assert abs(h.mean()) < 0.02
         assert 0.98 <= np.mean(np.abs(h) ** 2) <= 1.02
         # circular symmetry: the unconjugated second moment vanishes
@@ -83,7 +90,9 @@ class TestDrawChannel:
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidInputError):
-            draw_channel(0, 2, derive_stream(0, 0, 0))
+            draw_trials(0, 2, 0, 0, [0])
+        with pytest.raises(InvalidInputError):
+            draw_trials(2, 0, 0, 0, [0])
 
 
 class TestDrawChannelSet:
@@ -103,19 +112,20 @@ class TestDrawChannelSet:
     def test_trial_stack_matches_per_trial_draws(self):
         trials = [0, 5, 3, 7 + 2**31]
         stack = draw_trials(3, 2, 42, 6, trials)
+        assert stack.shape == (len(trials), 4, 3, 2)
         for k, trial in enumerate(trials):
             stream = derive_stream(42, 6, trial)
-            for name in NAMES:
-                assert np.array_equal(getattr(stack, name)[k], draw_channel(3, 2, stream))
+            for matrix in stack[k]:
+                assert np.array_equal(matrix, complex_gaussian(3, 2, stream))
 
     def test_one_call_matches_four_matrix_draws(self):
         one_call = channel_for(8, 1, 2, nr=3, nt=2)
         stream = derive_stream(8, 1, 2)
         for name in NAMES:
-            assert np.array_equal(one_call[name], draw_channel(3, 2, stream))
+            assert np.array_equal(one_call[name], complex_gaussian(3, 2, stream))
 
     def test_cross_channel_independence(self):
         cs = draw_trials(2, 2, 5, 0, range(10_000))
-        a, b = cs.h11.ravel(), cs.h12.ravel()
+        a, b = cs[:, 0].ravel(), cs[:, 1].ravel()
         rho = abs(np.vdot(a, b)) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
         assert rho < 0.05

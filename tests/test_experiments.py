@@ -16,7 +16,6 @@ import pytest
 import oia
 import oia.cli as cli
 import oia.experiments as experiments
-from oia.channel import ChannelSet
 from oia.cli import cli_main
 from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import (
@@ -35,9 +34,9 @@ RECORD_FIELDS = [f.name for f in fields(TrialRecords)]
 
 
 def walkthrough_channels():
-    """The analytic walkthrough's channels as a stack of one trial."""
-    eye = np.eye(2, dtype=complex)[None]
-    return ChannelSet(h11=np.diag([2.0, 1.0]).astype(complex)[None], h12=eye, h21=eye, h22=eye)
+    """The analytic walkthrough's channels h11, h12, h21, h22 as a stack of one trial."""
+    eye = np.eye(2, dtype=complex)
+    return np.stack([np.diag([2.0, 1.0]).astype(complex), eye, eye, eye])[None]
 
 
 def small_grid(**overrides):
@@ -98,10 +97,9 @@ class TestRunTrial:
             chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
             if len(requested) > 1:
                 return chans
-            # the first draw gives trial 4 of the stack a singular cross channel
-            h12 = chans.h12.copy()
-            h12[4] = 1.0
-            return ChannelSet(h11=chans.h11, h12=h12, h21=chans.h21, h22=chans.h22)
+            # the first draw gives trial 4 of the stack a singular cross channel h12
+            chans[4, 1] = 1.0
+            return chans
 
         monkeypatch.setattr(experiments, "draw_trials", rigged_draw)
         rigged = run_trials(grid, 0, 0.0, range(6))
@@ -121,13 +119,14 @@ class TestRunTrial:
 
         def singular_cross(nr, nt, master_seed, grid_index, trial_indices):
             chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
-            h12 = np.ones_like(chans.h12)
-            return ChannelSet(h11=chans.h11, h12=h12, h21=chans.h21, h22=chans.h22)
+            chans[:, 1] = 1.0
+            return chans
 
         monkeypatch.setattr(experiments, "draw_trials", singular_cross)
         with pytest.raises(RedrawError, match="rejected 100 times in a row") as info:
             run_trials(small_grid(), 0, 0.0, range(3))
         assert info.value.reason == "cross"
+        assert info.value.rejected.tolist() == [True, True, True]
 
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
     def test_stacked_records_equal_one_at_a_time(self, nt, nr):
@@ -407,6 +406,22 @@ class TestCli:
                          "--snr-db-max", snr_db, "--trials", "60", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith(f"3,5,{snr_db},60,")
+
+    @pytest.mark.parametrize("nt,nr,snr_db", [
+        (3, 3, "-3000"), (3, 5, "-3000"), (3, 3, "-2000"), (3, 5, "-2000"),
+        (3, 3, "-200"), (3, 5, "-200"), (3, 3, "3000"),
+    ])
+    def test_extreme_snr_writes_csv(self, tmp_path, capsys, nt, nr, snr_db):
+        """Far outside the default grid a run writes its CSV, silently, at the paper's limits."""
+        out = tmp_path / "x.csv"
+        assert cli_main(["run", "--nt", str(nt), "--nr", str(nr), "--snr-db-min", snr_db,
+                         "--snr-db-max", snr_db, "--trials", "20", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        row = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
+        # the primary fills all nt modes at high SNR and only its strongest at low SNR
+        assert float(row["avg_unused_modes"]) == (nt - 1 if float(snr_db) < 0 else 0)
 
 
 class TestGoldenCsv:

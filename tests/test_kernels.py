@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oia.channel import draw_channel
 from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
 from oia.kernels import EIGENVALUE_SLACK, herm, hermitian_inv_sqrt, log2_det_id_plus, svd
 from oia.secondary import build_precoder
 
+from oracles import complex_gaussian
+
 
 def random_unitary(n, rng):
-    return svd(draw_channel(n, n, rng)).u
+    return svd(complex_gaussian(n, n, rng)).u
 
 
 class TestSvd:
@@ -31,7 +32,7 @@ class TestSvd:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_reconstruction_and_unitarity(self, seed):
         rng = np.random.default_rng(seed)
-        a = draw_channel(4, 4, rng)
+        a = complex_gaussian(4, 4, rng)
         f = svd(a)
         norm = np.linalg.norm(a)
         rebuilt = f.u @ np.diag(f.sigma) @ herm(f.v)
@@ -43,7 +44,7 @@ class TestSvd:
 
     def test_rectangular_shapes(self):
         rng = np.random.default_rng(0)
-        a = draw_channel(5, 3, rng)
+        a = complex_gaussian(5, 3, rng)
         f = svd(a)
         assert f.u.shape == (5, 5)
         assert f.v.shape == (3, 3)
@@ -54,7 +55,7 @@ class TestSvd:
 
     def test_deterministic_for_fixed_input(self):
         rng = np.random.default_rng(11)
-        a = draw_channel(4, 4, rng)
+        a = complex_gaussian(4, 4, rng)
         f1, f2 = svd(a), svd(a)
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.sigma, f2.sigma)
@@ -164,7 +165,7 @@ class TestStacks:
     @pytest.mark.parametrize("nr,nt", [(1, 1), (2, 2), (3, 3), (8, 8), (20, 20), (5, 3)])
     def test_stack_equals_one_at_a_time(self, nr, nt):
         rng = np.random.default_rng(nr * 31 + nt)
-        stack = np.stack([draw_channel(nr, nt, rng) for _ in range(5)])
+        stack = np.stack([complex_gaussian(nr, nt, rng) for _ in range(5)])
         gram = stack @ herm(stack) + np.eye(nr)
         f = svd(stack)
         roots = hermitian_inv_sqrt(gram, floor=0.5)
@@ -203,8 +204,8 @@ class TestLog2DetIdPlus:
         rng = np.random.default_rng(42)
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            x = draw_channel(n, n, rng)
-            y = draw_channel(n, n, rng)
+            x = complex_gaussian(n, n, rng)
+            y = complex_gaussian(n, n, rng)
             a = x @ herm(x)
             b = y @ herm(y)
             assert log2_det_id_plus(a + b) >= log2_det_id_plus(a) - 1e-9

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from oia.channel import draw_channel
 from oia.errors import InvalidInputError, RedrawError
 from oia.kernels import herm, log2_det_id_plus
 from oia.primary import design_primary, primary_rate
 
+from oracles import complex_gaussian
+
 
 def random_design(seed, n=3, p_max=1.0):
     rng = np.random.default_rng(seed)
-    h11 = draw_channel(n, n, rng)
+    h11 = complex_gaussian(n, n, rng)
     return h11, design_primary(h11, p_max)
 
 
@@ -57,7 +58,7 @@ class TestDesignPrimary:
     @pytest.mark.parametrize("seed", range(5))
     def test_unused_count_monotone_in_budget(self, seed):
         rng = np.random.default_rng(seed)
-        h11 = draw_channel(4, 4, rng)
+        h11 = complex_gaussian(4, 4, rng)
         counts = [design_primary(h11, b).unused_count
                   for b in np.logspace(-2, 4, 20)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -72,7 +73,7 @@ class TestDesignPrimary:
 
     def test_wide_channel_allocates_min_modes(self):
         rng = np.random.default_rng(3)
-        h11 = draw_channel(2, 3, rng)
+        h11 = complex_gaussian(2, 3, rng)
         d = design_primary(h11, 1.0)
         assert d.p1.powers.shape == (2,)
         assert d.p1_bar.shape == (2,)

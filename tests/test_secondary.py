@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from oia.channel import draw_channel
 from oia.errors import InvalidInputError, RedrawError
 from oia.kernels import herm, log2_det_id_plus
 from oia.primary import design_primary
@@ -19,7 +18,7 @@ from oia.secondary import (
     whitener,
 )
 
-from oracles import residual_interference, secondary_split_oracle
+from oracles import complex_gaussian, residual_interference, secondary_split_oracle
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -27,7 +26,7 @@ EYE2 = np.eye(2, dtype=complex)
 def random_trial(seed, n=3, p_max=1.0, nr=None):
     """Full design chain on one random channel realization, n x n or nr x n."""
     rng = np.random.default_rng(seed)
-    chans = [draw_channel(nr or n, n, rng) for _ in range(4)]
+    chans = [complex_gaussian(nr or n, n, rng) for _ in range(4)]
     h11, h12, h21, h22 = chans
     primary = design_primary(h11, p_max)
     v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
@@ -42,8 +41,8 @@ def random_trial(seed, n=3, p_max=1.0, nr=None):
 
 def conditioned_channel(nr, nt, ratio, rng):
     """Random nr x nt channel whose singular values span [ratio, 1] log-evenly."""
-    left = np.linalg.qr(draw_channel(nr, nr, rng))[0][:, :nt]
-    right = np.linalg.qr(draw_channel(nt, nt, rng))[0]
+    left = np.linalg.qr(complex_gaussian(nr, nr, rng))[0][:, :nt]
+    right = np.linalg.qr(complex_gaussian(nt, nt, rng))[0]
     sigma = np.logspace(0.0, np.log10(ratio), nt)
     return (left * sigma[None, :]) @ herm(right)
 
@@ -81,8 +80,8 @@ class TestBuildPrecoder:
 
     def test_tall_geometry_uses_pseudo_inverse(self):
         rng = np.random.default_rng(0)
-        h12 = draw_channel(4, 2, rng)
-        u1 = np.linalg.qr(draw_channel(4, 4, rng))[0]
+        h12 = complex_gaussian(4, 2, rng)
+        u1 = np.linalg.qr(complex_gaussian(4, 4, rng))[0]
         v2_raw, active = build_precoder(h12, u1, [0.0, 0.3])
         assert v2_raw.shape == (2, 2)
         assert np.all(v2_raw[:, 0] == 0.0)
@@ -92,8 +91,8 @@ class TestBuildPrecoder:
     def test_tall_steer_matches_pseudo_inverse(self, seed):
         rng = np.random.default_rng(seed)
         nt = 2 + seed % 3
-        h12 = draw_channel(nt + 1 + seed % 2, nt, rng)
-        u1 = np.linalg.qr(draw_channel(h12.shape[0], h12.shape[0], rng))[0]
+        h12 = complex_gaussian(nt + 1 + seed % 2, nt, rng)
+        u1 = np.linalg.qr(complex_gaussian(h12.shape[0], h12.shape[0], rng))[0]
         p1_bar = rng.uniform(0.0, 1.0, nt)
         v2_raw, _ = build_precoder(h12, u1, p1_bar)
         reference = np.linalg.pinv(h12) @ u1[:, :nt] * p1_bar[None, :]
@@ -103,7 +102,7 @@ class TestBuildPrecoder:
     def test_near_guard_cross_channel(self, nr, nt):
         """Just above the rank guard the precoder is finite or the trial is redrawn."""
         rng = np.random.default_rng(nr * 100 + nt)
-        u1 = np.linalg.qr(draw_channel(nr, nr, rng))[0]
+        u1 = np.linalg.qr(complex_gaussian(nr, nr, rng))[0]
         for _ in range(200):
             h12 = conditioned_channel(nr, nt, 10.0 * RANK_GUARD, rng)
             try:
@@ -115,7 +114,7 @@ class TestBuildPrecoder:
     def test_more_transmit_than_receive_rejected(self):
         rng = np.random.default_rng(1)
         with pytest.raises(InvalidInputError, match="nr=2 < nt=3"):
-            build_precoder(draw_channel(2, 3, rng), np.eye(2), [0.1, 0.1, 0.1])
+            build_precoder(complex_gaussian(2, 3, rng), np.eye(2), [0.1, 0.1, 0.1])
 
     def test_singular_cross_channel_rejected(self):
         with pytest.raises(RedrawError) as info:
@@ -153,8 +152,8 @@ class TestInterferenceCovariance:
 
     def test_short_power_vector_embedded(self):
         rng = np.random.default_rng(5)
-        h21 = draw_channel(2, 3, rng)
-        v1 = np.linalg.qr(draw_channel(3, 3, rng))[0]
+        h21 = complex_gaussian(2, 3, rng)
+        v1 = np.linalg.qr(complex_gaussian(3, 3, rng))[0]
         q = interference_covariance(h21, v1, [0.7, 0.3])
         assert q.shape == (2, 2)
         assert np.linalg.eigvalsh(q)[0] >= 1.0 - 1e-10

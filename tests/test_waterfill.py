@@ -72,6 +72,13 @@ class TestAnalyticCases:
         alloc = waterfill([1.0, 0.25], 1.0)
         assert np.allclose(alloc.powers, [0.125, 0.875], atol=1e-15)
 
+    @pytest.mark.parametrize("budget", [1e-300, 1e-200, 1e-100, 1e-16, 1e-15, 1e-12])
+    def test_budget_far_below_level_met_exactly(self, budget):
+        """The level 1 + budget rounds to 1, yet the strongest mode gets the whole budget."""
+        alloc = waterfill([1.0, 2.0], budget)
+        assert alloc.powers.sum() == budget
+        assert alloc.active_count == 1 == np.count_nonzero(alloc.powers)
+
 
 class TestClosedFormMatchesLoop:
     """The closed form computes the loop's own levels and stopping rule, bit for bit."""
