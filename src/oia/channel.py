@@ -2,20 +2,122 @@
 
 Stream derivation: the triple (master_seed, grid_index, trial_index) is fed as
 the entropy list of a ``numpy.random.SeedSequence``, which mixes it
-collision-resistantly into a PCG64 generator state. A trial's draws therefore
-depend only on the triple, never on execution order or worker count.
+collision-resistantly into the state of a ``numpy.random.PCG64`` generator,
+the one ``numpy.random.default_rng`` builds from it. A trial's draws therefore
+depend only on the triple, never on execution order or worker count. Both
+algorithms are fixed by numpy's stream-compatibility policy for seeded bit
+generators. ``draw_trials`` computes that seeding for a whole stack of trials
+at once, in numpy's uint32 arithmetic, rather than building one SeedSequence
+and one generator per trial.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
 from .errors import InvalidInputError
 
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
 
-def derive_stream(master_seed: int, grid_index: int, trial_index: int) -> np.random.Generator:
-    """Deterministic, independent random stream for one trial (ValueError on a negative input)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, grid_index, trial_index)))
+# numpy.random.SeedSequence: pool size and the constants of its hashes.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
+
+# Row indices of the pool words other than word k, for each k.
+_OTHERS = [np.delete(np.arange(_POOL), k) for k in range(_POOL)]
+
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+
+
+def _entropy_words(value: int) -> list[int]:
+    """SeedSequence's entropy words of an int: its little-endian 32-bit words, ``[0]`` for 0."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed entropy must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """Multiplier states of SeedSequence's hash before and after each call, as a uint32 column."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Successive calls of SeedSequence's hash, one per result row, between ``consts``' states."""
+    hashed = (values ^ consts[:-1]) * consts[1:]
+    hashed ^= hashed >> 16
+    return hashed
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of two uint32 arrays, elementwise."""
+    mixed = x * _MIX_L - y * _MIX_R
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy[:, k]).generate_state(4, uint64)`` for every column k.
+
+    ``entropy`` is uint32 ``(words, trials)``; the result is uint64 ``(4, trials)``.
+    """
+    extra = max(0, entropy.shape[0] - _POOL)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:entropy.shape[0]] = entropy[:_POOL]
+    pool = _hash(pool, consts[:_POOL + 1])
+    call = _POOL
+    # Each pool word in turn is hashed once for every other pool word, in
+    # their order, and mixed into it; then so is each entropy word past the pool.
+    for src, others in enumerate(_OTHERS):
+        pool[others] = _mix(pool[others], _hash(pool[src], consts[call:call + _POOL]))
+        call += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hash(word, consts[call:call + _POOL + 1]))
+        call += _POOL
+    state = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    state = state.astype(np.uint64)
+    return state[0::2] | (state[1::2] << np.uint64(32))
+
+
+def _pcg64_states(master_seed: int, grid_index: int, trials: np.ndarray) -> list:
+    """``(state, inc)`` of ``PCG64(SeedSequence((master_seed, grid_index, t)))`` per trial t."""
+    prefix = _entropy_words(master_seed) + _entropy_words(grid_index)
+    index = trials.astype(np.uint64)
+    entropy = np.empty((len(prefix) + 2, trials.size), dtype=np.uint32)
+    entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-2] = index & np.uint64(_MASK32)
+    entropy[-1] = index >> np.uint64(32)
+    # SeedSequence's hash depends on the entropy's word count, which the trial
+    # index sets: one word below 2^32, two from there on.
+    wide = entropy[-1] > 0
+    states = [None] * trials.size
+    for group, words in ((~wide, len(prefix) + 1), (wide, len(prefix) + 2)):
+        if not group.any():
+            continue
+        g0, g1, g2, g3 = _seed_words(entropy[:words, group]).tolist()
+        for k, a, b, c, d in zip(np.flatnonzero(group).tolist(), g0, g1, g2, g3):
+            # PCG64's set_seed: initstate a:b, increment (c:d << 1) | 1, two LCG steps from 0.
+            initstate = a << 64 | b
+            inc = ((c << 64 | d) << 1 | 1) & _MASK128
+            states[k] = (((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc)
+    return states
 
 
 def draw_trials(nr: int, nt: int, master_seed: int, grid_index: int,
@@ -27,10 +129,12 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index: int,
     opportunistic one. Entries are i.i.d. circularly symmetric complex
     Gaussians of zero mean and unit variance (real and imaginary parts each
     carry variance 1/2). Trial k takes all of them from the stream
-    ``derive_stream(master_seed, grid_index, trial_indices[k])`` with one
-    ``standard_normal((4, nr, nt, 2))`` call: matrix by matrix in that
-    order, each in row-major entry order, real part then imaginary part. A
-    trial's channels therefore do not depend on the other trials of the stack.
+    ``PCG64(SeedSequence((master_seed, grid_index, trial_indices[k])))``
+    with one ``standard_normal((4, nr, nt, 2))`` call: matrix by matrix in
+    that order, each in row-major entry order, real part then imaginary
+    part. A trial's channels therefore do not depend on the other trials of
+    the stack. A negative ``master_seed`` raises ``ValueError``, as
+    SeedSequence does.
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")
@@ -38,6 +142,11 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index: int,
     if grid_index < 0 or (trials.size and trials.min() < 0):
         raise InvalidInputError("grid_index and trial indices must be nonnegative")
     normals = np.empty((trials.size, 4, nr, nt, 2))
-    for row, trial in zip(normals, trials.tolist()):
-        derive_stream(master_seed, grid_index, trial).standard_normal(out=row)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    for row, (value, inc) in zip(normals, _pcg64_states(master_seed, grid_index, trials)):
+        state["state"] = {"state": value, "inc": inc}
+        bits.state = state
+        gen.standard_normal(out=row)
     return normals.view(np.complex128)[..., 0] / np.sqrt(2.0)

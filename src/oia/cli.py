@@ -7,7 +7,7 @@ import math
 import os
 import sys
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, OiaError
 from .experiments import ExperimentGrid, run_grid, write_csv
 
 DEFAULT_SNR_MIN = -20.0
@@ -124,6 +124,11 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"oia: {exc}", file=sys.stderr)
         return 1
+    except OiaError as exc:
+        # A numerical failure inside the sweep: a redraw that kept failing, or
+        # a guarantee that should hold by construction did not.
+        print(f"oia: numerical failure: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -105,15 +105,17 @@ CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 def snr_to_power(snr_db: float) -> float:
     """Transmit budget ``10^(snr_db / 10)`` of an SNR point, in units of the noise variance.
 
-    Raises InvalidInputError when the budget is not a positive finite float.
+    Raises InvalidInputError when the budget is not a finite float at or
+    above the smallest normal one (about -3076.5 dB); subnormal budgets lose
+    the relative precision every tolerance downstream is scaled by.
     """
     try:
         p_max = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         p_max = math.inf
-    if not (math.isfinite(p_max) and p_max > 0):
-        raise InvalidInputError(
-            f"SNR {snr_db:g} dB gives transmit budget {p_max:g}, not a positive finite power")
+    if not (math.isfinite(p_max) and p_max >= np.finfo(float).tiny):
+        raise InvalidInputError(f"SNR {snr_db:g} dB gives transmit budget {p_max:g}, "
+                                "not a normal positive finite power")
     return p_max
 
 
@@ -125,7 +127,9 @@ def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float,
     replaced by a redraw at ``trial_index + attempt * REPLACEMENT_BASE``, so
     replacements are deterministic and never collide with regular indices.
     Only the rejected trials are redrawn; every trial's record depends on
-    its own stream alone, not on the other trials of the stack.
+    its own stream alone, not on the other trials of the stack. Trials
+    without a free mode have nothing to transmit and skip the secondary
+    stages, whitening included, with secondary rates 0.
     """
     p_max = snr_to_power(snr_db)
     trials = np.asarray(trial_indices, dtype=np.int64)
@@ -146,14 +150,20 @@ def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float,
             chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index,
                                       trials[redo] + discards[redo] * REPLACEMENT_BASE)
             continue
-        q = interference_covariance(h21, primary.svd.v, primary.p1.powers)
-        f2 = whitener(q)
-        uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
-        opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
+        # Only trials with a free mode transmit; both schemes give the others rate 0.
+        sends = np.flatnonzero(active.any(axis=-1))
+        rate_uniform, rate_optimal = np.zeros(trials.size), np.zeros(trials.size)
+        if sends.size:
+            v2_raw, active, h22 = v2_raw[sends], active[sends], h22[sends]
+            q = interference_covariance(h21[sends], primary.svd.v[sends],
+                                        primary.p1.powers[sends])
+            f2 = whitener(q)
+            rate_uniform[sends] = uniform_secondary(v2_raw, active, f2, h22, p_max).rate
+            rate_optimal[sends] = optimal_secondary(v2_raw, active, f2, h22, p_max).rate
         return TrialRecords(unused_modes=primary.unused_count,
                             rate_primary=primary_rate(primary),
-                            rate_secondary_uniform=uni.rate,
-                            rate_secondary_optimal=opt.rate,
+                            rate_secondary_uniform=rate_uniform,
+                            rate_secondary_optimal=rate_optimal,
                             discards=discards)
 
 
@@ -161,7 +171,11 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     # single-trial cells report stderr 0 by convention
     if values.size < 2:
         return float(values.mean()), 0.0
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+    # std squares deviations, which underflow for values far below 1 (rates
+    # below about -1600 dB). Scaling by a power of two first is exact.
+    _, exponent = np.frexp(np.abs(values).max())
+    std = np.ldexp(np.ldexp(values, -exponent).std(ddof=1), exponent)
+    return float(values.mean()), float(std / math.sqrt(values.size))
 
 
 def _pass_size(grid: ExperimentGrid) -> int:

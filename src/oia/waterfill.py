@@ -15,14 +15,12 @@ class PowerAllocation:
 
     ``powers`` is in the same mode order as the inverse gains it was computed
     from; excluded modes hold exact zeros, so counting unused modes needs no
-    epsilon. ``active_count`` is the number of strictly positive entries.
-    For a stack of gain vectors ``(..., n)``, ``water_level`` and
-    ``active_count`` have the stack's shape ``(...)``.
+    epsilon. For a stack of gain vectors ``(..., n)``, ``water_level`` has
+    the stack's shape ``(...)``.
     """
 
     powers: np.ndarray
     water_level: float | np.ndarray
-    active_count: int | np.ndarray
 
 
 def waterfill(inverse_gains, budget: float) -> PowerAllocation:
@@ -73,12 +71,10 @@ def waterfill(inverse_gains, budget: float) -> PowerAllocation:
     # it; an infinite gain never does, so only finite modes can be active.
     joins = sorted_ig[..., 1:] < level[..., :-1]
     stops = np.concatenate([joins, np.zeros(joins.shape[:-1] + (1,), dtype=bool)], axis=-1)
-    active = np.argmin(stops, axis=-1) + 1
-    k = active[..., None]
+    k = np.argmin(stops, axis=-1, keepdims=True) + 1
     water_level = np.take_along_axis(level, k - 1, axis=-1)
     total = np.take_along_axis(cumsum, k - 1, axis=-1)
     powers_sorted = np.where(count <= k, (budget - (k * sorted_ig - total)) / k, 0.0)
     powers = np.empty_like(powers_sorted)
     np.put_along_axis(powers, order, powers_sorted, axis=-1)
-    return PowerAllocation(powers=powers, water_level=water_level[..., 0][()],
-                           active_count=active[()])
+    return PowerAllocation(powers=powers, water_level=water_level[..., 0][()])

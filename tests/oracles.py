@@ -4,9 +4,10 @@ These stay independent of the production solver paths: brute-force
 maximizers enumerate feasible power allocations on a grid and evaluate the
 objectives directly, ``loop_waterfill`` is the mode-by-mode loop the
 vectorized water-filling must reproduce bit for bit,
-``residual_interference`` measures the zero-interference guarantee, and
-``complex_gaussian`` draws one channel matrix the way each trial's stacked
-draw must.
+``residual_interference`` measures the zero-interference guarantee,
+``derive_stream`` builds a trial's stream the documented way, one numpy
+``SeedSequence`` and generator per trial, and ``complex_gaussian`` draws one
+channel matrix from it the way each trial's stacked draw must.
 """
 
 import itertools
@@ -14,6 +15,15 @@ import itertools
 import numpy as np
 
 from oia.kernels import herm, hermitian_inv_sqrt, log2_det_id_plus
+
+
+def derive_stream(master_seed, grid_index, trial_index):
+    """A trial's stream: ``default_rng(SeedSequence((master_seed, grid_index, trial_index)))``.
+
+    numpy builds that generator as ``PCG64`` on the SeedSequence; a negative
+    entry raises ``ValueError``.
+    """
+    return np.random.default_rng(np.random.SeedSequence((master_seed, grid_index, trial_index)))
 
 
 def complex_gaussian(nr, nt, stream):
@@ -39,7 +49,8 @@ def loop_waterfill(inverse_gains, budget):
     included mode gets ``level - inverse_gain`` in the form
     ``(budget - (count * inverse_gain - included sum)) / count``, which keeps
     a budget below the level's rounding error. Returns
-    ``(powers, water_level, active_count)`` in the input's mode order.
+    ``(powers, water_level, active_count)`` in the input's mode order, where
+    ``active_count`` is the production ``np.count_nonzero(powers > 0)``.
     """
     ig = np.asarray(inverse_gains, dtype=float)
     order = np.argsort(ig, kind="stable")

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from oia.channel import derive_stream
 from oia.cli import cli_main
 from oia.errors import RedrawError
 from oia.experiments import REPLACEMENT_BASE, ExperimentGrid, run_grid
@@ -29,6 +28,7 @@ from oia.waterfill import waterfill
 from oracles import (
     allocation_rate,
     complex_gaussian,
+    derive_stream,
     grid_search_rate,
     residual_interference,
     secondary_split_oracle,

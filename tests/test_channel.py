@@ -4,13 +4,21 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oia.channel import derive_stream, draw_trials
+from oia.channel import draw_trials
 from oia.errors import InvalidInputError
+from oia.experiments import REPLACEMENT_BASE
 
-from oracles import complex_gaussian
+from oracles import complex_gaussian, derive_stream
 
 NAMES = ("h11", "h12", "h21", "h22")
+# One- and two-word entropy edges of SeedSequence, and redraw indices (some
+# past 2^32, where a trial index takes two words).
+EDGES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**33, 2**64 - 1])
+REPLACEMENTS = st.builds(lambda t, k: t + k * REPLACEMENT_BASE,
+                         st.integers(0, 2**20), st.integers(1, 100))
 
 
 def channel_for(master, grid, trial, nr=2, nt=2):
@@ -32,6 +40,21 @@ class TestStreamDerivation:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(master=st.one_of(EDGES, st.integers(0, 2**64 - 1)),
+           grid=st.one_of(EDGES, st.integers(0, 2**40)),
+           trials=st.lists(st.one_of(EDGES.filter(lambda t: t < 2**63), REPLACEMENTS,
+                                     st.integers(0, 2**33)), min_size=1, max_size=5),
+           shape=st.sampled_from([(1, 1), (2, 3), (3, 3)]))
+    def test_stack_matches_seedsequence_streams(self, master, grid, trials, shape):
+        """The whole-stack seeding gives each trial numpy's own SeedSequence/PCG64 stream."""
+        nr, nt = shape
+        expected = np.empty((len(trials), 4, nr, nt, 2))
+        for row, trial in zip(expected, trials):
+            derive_stream(master, grid, trial).standard_normal(out=row)
+        expected = expected.view(np.complex128)[..., 0] / np.sqrt(2.0)
+        assert np.array_equal(draw_trials(nr, nt, master, grid, trials), expected)
 
     def test_negative_master_seed_rejected(self):
         # SeedSequence takes nonnegative entropy only; the CLI rejects such seeds first

@@ -17,7 +17,12 @@ import oia
 import oia.cli as cli
 import oia.experiments as experiments
 from oia.cli import cli_main
-from oia.errors import InvalidInputError, RedrawError
+from oia.errors import (
+    InternalInvariantError,
+    InvalidInputError,
+    NotPositiveDefiniteError,
+    RedrawError,
+)
 from oia.experiments import (
     CSV_HEADER,
     REPLACEMENT_BASE,
@@ -128,6 +133,24 @@ class TestRunTrial:
         assert info.value.reason == "cross"
         assert info.value.rejected.tolist() == [True, True, True]
 
+    def test_trials_without_free_mode_skip_secondary_stages(self, monkeypatch):
+        """Only trials with a free mode reach the whitener; the others keep secondary rate 0."""
+        whitened = []
+        real_whitener = experiments.whitener
+        monkeypatch.setattr(experiments, "whitener",
+                            lambda q: whitened.append(len(q)) or real_whitener(q))
+        grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=40)
+        record = run_trials(grid, 0, 10.0, range(40))
+        sends = record.unused_modes > 0
+        assert 0 < np.count_nonzero(sends) < 40
+        assert whitened == [np.count_nonzero(sends)]
+        assert np.all(record.rate_secondary_uniform[~sends] == 0.0)
+        assert np.all(record.rate_secondary_optimal[~sends] == 0.0)
+        assert np.all(record.rate_secondary_optimal[sends] > 0.0)
+        whitened.clear()
+        run_trials(grid, 0, 60.0, range(40))
+        assert whitened == []
+
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
     def test_stacked_records_equal_one_at_a_time(self, nt, nr):
         """Each trial's record is bitwise the same alone or in a stack: the CSV bytes rest on it."""
@@ -182,6 +205,16 @@ class TestRunGrid:
         assert len(submitted) == 8  # passes of 4 trials
         monkeypatch.setattr(experiments, "PASS_BYTES", 64 * 1024)
         assert with_pool == run_grid([grid])
+
+    def test_stderr_scales_with_budget_at_very_low_snr(self):
+        """Far below 0 dB rates scale with the budget; their standard errors must not underflow."""
+        low, high = (run_grid([small_grid(nt=3, nr=3, snr_db_list=(snr_db,), trials=50)])[0]
+                     for snr_db in (-1700.0, -1500.0))
+        for name in ("stderr_rate_primary", "stderr_rate_secondary_uniform",
+                     "stderr_rate_secondary_optimal"):
+            assert getattr(low, name) > 0.0, name
+            assert math.isclose(getattr(low, name), getattr(high, name) * 1e-20,
+                                rel_tol=1e-9), name
 
     def test_no_discards_on_gaussian_channels(self):
         rows = run_grid([small_grid(nt=3, nr=3, trials=300)])
@@ -356,6 +389,32 @@ class TestCli:
                          "--trials", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert_one_line_usage_error(capsys, "4000 dB")
+
+    def test_subnormal_budget_exits_2(self, tmp_path, capsys):
+        """A budget below the smallest normal float would lose the precision tolerances scale by."""
+        out = tmp_path / "x.csv"
+        code = cli_main(["run", "--snr-db-min", "-3150", "--snr-db-max", "-3150",
+                         "--trials", "1", "--out", str(out)])
+        assert code == 2
+        assert_one_line_usage_error(capsys, "-3150 dB gives transmit budget")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [
+        NotPositiveDefiniteError("eigenvalue 5.0e-01 below floor 1.0e+00"),
+        InternalInvariantError("an active precoder column is exactly zero"),
+        RedrawError("cross", "trial 7 rejected 100 times in a row", np.ones(3, dtype=bool)),
+    ], ids=["not-positive-definite", "internal-invariant", "redraw-give-up"])
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch, error):
+        def failing_run_grid(grids, workers):
+            raise error
+
+        monkeypatch.setattr(cli, "run_grid", failing_run_grid)
+        out = tmp_path / "x.csv"
+        assert cli_main(["run", "--trials", "1", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"oia: numerical failure: {error}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
