@@ -49,8 +49,9 @@ def loop_waterfill(inverse_gains, budget):
     included mode gets ``level - inverse_gain`` in the form
     ``(budget - (count * inverse_gain - included sum)) / count``, which keeps
     a budget below the level's rounding error. Returns
-    ``(powers, water_level, active_count)`` in the input's mode order, where
-    ``active_count`` is the production ``np.count_nonzero(powers > 0)``.
+    ``(powers, water_level, active_count)`` in the input's mode order;
+    tests compare ``active_count``, the number of included modes, with the
+    closed form's ``np.count_nonzero(powers > 0)``.
     """
     ig = np.asarray(inverse_gains, dtype=float)
     order = np.argsort(ig, kind="stable")
