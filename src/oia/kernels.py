@@ -1,9 +1,18 @@
 """Complex-matrix numerical primitives with explicit accuracy contracts.
 
-Everything downstream (precoder construction, whitening, rate evaluation)
-is built on the three operations in this module, so their tolerances are
-pinned here: SVD reconstruction to 1e-10 relative and inverse square root
-round trip to 1e-9 per dimension.
+The module has two operations, and their tolerances are pinned here:
+
+- ``svd``: reconstruction to 1e-10 relative. It diagonalizes the primary
+  channel and inverts the cross channel for the precoder.
+- ``hermitian_inv_sqrt``: round trip to 1e-9 per dimension, with a computed
+  eigenvalue allowed below the caller's floor by
+  ``EIGENVALUE_SLACK * n * eps * lambda_max``. It whitens the interference
+  and takes the optimal scheme's precoder gram root, and it holds the
+  package's only eigendecomposition.
+
+Rates need neither: each is a sum of ``log2(1 + g * p)`` over squared
+singular values (``waterfill.sum_rate``), which are nonnegative, so no
+positive-semidefinite check or clamp is needed.
 
 Every operation takes one matrix ``(m, n)`` or a stack ``(..., m, n)`` of
 them and treats each matrix of a stack on its own: LAPACK runs once per
@@ -38,26 +47,6 @@ def _as_finite_matrix(a, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
-
-
-def _as_finite_square(a, name: str) -> np.ndarray:
-    a = _as_finite_matrix(a, name)
-    if a.shape[-2] != a.shape[-1]:
-        raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    """Check Hermitian symmetry to 1e-10 relative and strip rounding asymmetry.
-
-    Both sides compare largest entry magnitudes, which neither over- nor
-    underflow where the entries themselves do not.
-    """
-    asym = np.abs(m - herm(m)).max(axis=(-2, -1))
-    bad = asym > 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if bad.any():
-        raise InvalidInputError(f"{name} is not Hermitian (asymmetry {asym[bad].max():.3e})")
-    return 0.5 * (m + herm(m))
 
 
 @dataclass(frozen=True)
@@ -126,10 +115,18 @@ def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
     InvalidInputError
         For non-Hermitian, non-square, or non-finite input, or floor <= 0.
     """
-    m = _as_finite_square(m, "m")
+    m = _as_finite_matrix(m, "m")
+    if m.shape[-2] != m.shape[-1]:
+        raise InvalidInputError(f"m must be square, got shape {m.shape}")
     if not floor > 0:
         raise InvalidInputError("floor must be positive")
-    w, vecs = np.linalg.eigh(_symmetrized(m, "m"))
+    # Both sides of the symmetry check compare largest entry magnitudes,
+    # which neither over- nor underflow where the entries themselves do not.
+    asym = np.abs(m - herm(m)).max(axis=(-2, -1))
+    bad = asym > 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if bad.any():
+        raise InvalidInputError(f"m is not Hermitian (asymmetry {asym[bad].max():.3e})")
+    w, vecs = np.linalg.eigh(0.5 * (m + herm(m)))
     tolerance = EIGENVALUE_SLACK * w.shape[-1] * np.finfo(float).eps * w[..., -1]
     below = w[..., 0] < floor - tolerance
     if below.any():
@@ -138,22 +135,3 @@ def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
     root = (vecs * (1.0 / np.sqrt(np.maximum(w, floor)))[..., None, :]) @ herm(vecs)
     return 0.5 * (root + herm(root))
 
-
-def log2_det_id_plus(m):
-    """log2 determinant of (I + m) for a Hermitian positive semidefinite m.
-
-    Evaluated as a sum of log1p over eigenvalues, which is stable for both
-    tiny and huge spectra. Eigenvalues in [-1e-9 * max|mu|, 0), over the
-    computed eigenvalues mu, are rounding artifacts and are clamped to zero;
-    anything more negative means the caller's matrix is not PSD and is
-    rejected. A stack ``(..., n, n)`` gives one value per matrix, shape
-    ``(...)``.
-    """
-    m = _as_finite_square(m, "m")
-    mu = np.linalg.eigvalsh(_symmetrized(m, "m"))
-    negative = mu[..., 0] < -1e-9 * np.abs(mu).max(axis=-1)
-    if negative.any():
-        raise InvalidInputError(
-            f"m is not positive semidefinite (eigenvalue {mu[..., 0][negative].min():.6e})")
-    mu = np.maximum(mu, 0.0)
-    return (np.sum(np.log1p(mu), axis=-1) / np.log(2.0))[()]

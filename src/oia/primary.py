@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, RedrawError
 from .kernels import SvdFactors, svd
-from .waterfill import PowerAllocation, waterfill
+from .waterfill import PowerAllocation, sum_rate, waterfill
 
 
 @dataclass(frozen=True)
@@ -78,5 +78,4 @@ def primary_rate(design: PrimaryDesign):
 
     One value per channel: a float, or an array of the stack's shape.
     """
-    lam = design.svd.sigma
-    return (np.sum(np.log1p(lam**2 * design.p1.powers), axis=-1) / np.log(2.0))[()]
+    return sum_rate(design.svd.sigma**2, design.p1.powers)

@@ -15,7 +15,15 @@ precoder spans only the free dimensions.
 The secondary receiver whitens the primary's interference (covariance q)
 with ``q^{-1/2}``, computed once per trial by ``whitener``, and then either
 splits power uniformly or water-fills an equivalent whitened channel
-restricted to the active columns.
+restricted to the active columns. Both power schemes take only trials with
+at least one active column; a trial without one has nothing to transmit.
+
+Both rates come from singular values through ``waterfill.sum_rate``: the
+uniform rate ``log2 det(I + W W^H)`` of the whitened channel ``W`` is the
+sum over its squared singular values at unit power, and the optimal rate the
+sum over the equivalent channel's at the water-filled powers. The two
+inverse square roots, ``q^{-1/2}`` and the precoder gram root, both come
+from ``kernels.hermitian_inv_sqrt``.
 
 Every design function takes one trial's matrices or stacks of them with the
 same leading axes, one trial per entry, and gives each trial of a stack the
@@ -29,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError, RedrawError
-from .kernels import herm, hermitian_inv_sqrt, log2_det_id_plus, svd
-from .waterfill import waterfill
+from .kernels import herm, hermitian_inv_sqrt, svd
+from .waterfill import sum_rate, waterfill
 
 # Smallest/largest singular-value ratio of the cross channel below which it is
 # treated as rank deficient. Below this, inverting would amplify noise past
@@ -41,6 +49,12 @@ RANK_GUARD = 1e-10
 # I by construction; this slack absorbs eigenvalue rounding when whitening.
 NOISE_FLOOR_SLACK = 1e-10
 
+# Floor on the eigenvalues of the optimal scheme's precoder gram matrix. Its
+# columns are normalized to unit norm, so its largest eigenvalue lies in
+# [1, k] for k active columns; below this floor the columns are numerically
+# dependent and the gram root does not exist.
+GRAM_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SecondaryDesign:
@@ -48,8 +62,7 @@ class SecondaryDesign:
 
     ``v2`` is the transmitted precoder, zero outside the active columns.
     ``p2`` is the final Hermitian PSD input covariance, full size, and
-    ``trace(v2 @ p2 @ v2^H)`` meets the power budget with equality whenever
-    any column is active.
+    ``trace(v2 @ p2 @ v2^H)`` meets the power budget with equality.
     """
 
     v2: np.ndarray
@@ -137,27 +150,31 @@ def whitener(q) -> np.ndarray:
     return hermitian_inv_sqrt(q, floor=1.0 - NOISE_FLOOR_SLACK)
 
 
+def _check_scheme_inputs(active, p_max: float) -> None:
+    if not (np.isfinite(p_max) and p_max > 0):
+        raise InvalidInputError("p_max must be positive and finite")
+    if not np.asarray(active, dtype=bool).any(axis=-1).all():
+        raise InvalidInputError("every trial needs at least one active column")
+
+
 def uniform_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
     """Uniform power scheme: identity input covariance, scale tuned to the budget.
 
-    ``active`` is the boolean column mask from ``build_precoder`` and ``f2``
-    the trial's whitening filter; all arguments but ``p_max`` may carry
-    leading stack axes. The precoder is scaled so that
-    ``trace(v2 @ v2^H) = p_max`` exactly. A trial with no active column has
-    nothing to transmit on: its precoder is zero and its rate 0.
+    ``active`` is the boolean column mask from ``build_precoder``, with at
+    least one active column per trial, and ``f2`` the trial's whitening
+    filter; all arguments but ``p_max`` may carry leading stack axes. The
+    precoder is scaled so that ``trace(v2 @ v2^H) = p_max`` exactly. The
+    rate is ``log2 det(I + W W^H)`` of the whitened channel
+    ``W = f2 @ h22 @ v2``, summed over its squared singular values.
     """
-    if not (np.isfinite(p_max) and p_max > 0):
-        raise InvalidInputError("p_max must be positive and finite")
+    _check_scheme_inputs(active, p_max)
     v2_raw = np.asarray(v2_raw, dtype=np.complex128)
     h22 = np.asarray(h22, dtype=np.complex128)
-    transmits = np.asarray(active, dtype=bool).any(axis=-1)
     total = np.sum(np.abs(v2_raw) ** 2, axis=(-2, -1))
-    scale = np.where(transmits, np.sqrt(p_max / np.where(transmits, total, 1.0)), 0.0)
-    v2 = scale[..., None, None] * v2_raw
-    whitened = f2 @ h22 @ v2
-    rate = np.where(transmits, log2_det_id_plus(whitened @ herm(whitened)), 0.0)
+    v2 = np.sqrt(p_max / total)[..., None, None] * v2_raw
+    sigma = np.linalg.svd(f2 @ h22 @ v2, compute_uv=False)
     p2 = np.broadcast_to(np.eye(v2.shape[-1]), v2.shape)
-    return SecondaryDesign(v2=v2, p2=p2, rate=rate[()])
+    return SecondaryDesign(v2=v2, p2=p2, rate=sum_rate(sigma**2, 1.0))
 
 
 def optimal_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
@@ -173,28 +190,25 @@ def optimal_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
     embedded at the active rows and columns. The budget is then met with
     equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``.
 
-    All arguments but ``p_max`` may carry leading stack axes. The trials of
-    a stack are grouped by their active-column mask, and each group is
-    solved as one stack; a trial without active columns gets rate 0 and a
-    zero covariance.
+    All arguments but ``p_max`` may carry leading stack axes, and every
+    trial needs at least one active column. The trials of a stack are
+    grouped by their active-column mask, and each group is solved as one
+    stack.
 
     The precoder is ``v2_raw`` unscaled: the transformed trace constraint
     already absorbs all scaling, and any nonzero scale yields the same
     transmitted covariance.
     """
-    if not (np.isfinite(p_max) and p_max > 0):
-        raise InvalidInputError("p_max must be positive and finite")
+    _check_scheme_inputs(active, p_max)
     v2_raw, f2, h22 = (np.asarray(a, dtype=np.complex128) for a in (v2_raw, f2, h22))
     active = np.asarray(active, dtype=bool)
     batch, nt = active.shape[:-1], active.shape[-1]
     flat_v2, flat_f2, flat_h22 = (a.reshape(-1, *a.shape[-2:]) for a in (v2_raw, f2, h22))
     p2 = np.zeros((flat_v2.shape[0], nt, nt), dtype=np.complex128)
-    rate = np.zeros(flat_v2.shape[0])
+    rate = np.empty(flat_v2.shape[0])
     patterns, group = np.unique(active.reshape(-1, nt), axis=0, return_inverse=True)
     for number, pattern in enumerate(patterns):
         cols = np.flatnonzero(pattern)
-        if cols.size == 0:
-            continue
         trials = np.flatnonzero(group.ravel() == number)
         p2[np.ix_(trials, cols, cols)], rate[trials] = _optimal_allocation(
             flat_v2[trials][..., cols], flat_f2[trials], flat_h22[trials], p_max)
@@ -213,13 +227,7 @@ def _optimal_allocation(vt, f2, h22, p_max: float):
     if norms.min() == 0.0:
         raise InternalInvariantError("an active precoder column is exactly zero")
     vn = vt / norms[..., None, :]
-    gram = herm(vn) @ vn
-    w, basis = np.linalg.eigh(0.5 * (gram + herm(gram)))
-    if ((w[..., 0] <= 0.0) | (w[..., 0] < 1e-12 * w[..., -1])).any():
-        raise InternalInvariantError(
-            "active precoder columns are numerically dependent; "
-            "this cannot happen for a full-rank cross channel")
-    m_inv = (basis * (1.0 / np.sqrt(w))[..., None, :]) @ herm(basis)
+    m_inv = hermitian_inv_sqrt(herm(vn) @ vn, floor=GRAM_FLOOR)
     g = f2 @ h22 @ vn @ m_inv
     _, eta, zh = np.linalg.svd(g, full_matrices=False)
     z = herm(zh)
@@ -228,5 +236,4 @@ def _optimal_allocation(vt, f2, h22, p_max: float):
     p_reduced = m_inv @ ((z * alloc.powers[..., None, :]) @ herm(z)) @ m_inv
     p_reduced = (p_reduced / norms[..., :, None]) / norms[..., None, :]
     p_reduced = 0.5 * (p_reduced + herm(p_reduced))
-    rate = np.sum(np.log1p(eta**2 * alloc.powers), axis=-1) / np.log(2.0)
-    return p_reduced, rate
+    return p_reduced, sum_rate(eta**2, alloc.powers)

@@ -78,3 +78,14 @@ def waterfill(inverse_gains, budget: float) -> PowerAllocation:
     powers = np.empty_like(powers_sorted)
     np.put_along_axis(powers, order, powers_sorted, axis=-1)
     return PowerAllocation(powers=powers, water_level=water_level[..., 0][()])
+
+
+def sum_rate(gains, powers):
+    """Rate ``sum_n log2(1 + gains[n] * powers[n])`` over the last axis, in bits/s/Hz.
+
+    The objective ``waterfill`` maximizes, with gains the reciprocals of its
+    inverse gains. Every rate of the package is this sum over the squared
+    singular values of a diagonalized channel. A stack ``(..., n)`` gives one
+    value per row, shape ``(...)``.
+    """
+    return (np.sum(np.log1p(gains * powers), axis=-1) / np.log(2.0))[()]

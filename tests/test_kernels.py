@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
-from oia.kernels import EIGENVALUE_SLACK, herm, hermitian_inv_sqrt, log2_det_id_plus, svd
+from oia.kernels import EIGENVALUE_SLACK, herm, hermitian_inv_sqrt, svd
 from oia.secondary import build_precoder
 
 from oracles import complex_gaussian
@@ -169,54 +169,15 @@ class TestStacks:
         gram = stack @ herm(stack) + np.eye(nr)
         f = svd(stack)
         roots = hermitian_inv_sqrt(gram, floor=0.5)
-        rates = log2_det_id_plus(gram)
-        assert rates.shape == (5,)
         for k in range(5):
             one = svd(stack[k])
             assert f.u[k].tobytes() == one.u.tobytes()
             assert f.sigma[k].tobytes() == one.sigma.tobytes()
             assert f.v[k].tobytes() == one.v.tobytes()
             assert roots[k].tobytes() == hermitian_inv_sqrt(gram[k], floor=0.5).tobytes()
-            assert rates[k] == log2_det_id_plus(gram[k])
 
     def test_one_bad_matrix_rejects_the_stack(self):
         stack = np.stack([np.eye(2), np.diag([0.3, 1.0])])
         with pytest.raises(NotPositiveDefiniteError):
             hermitian_inv_sqrt(stack, floor=0.5)
-        with pytest.raises(InvalidInputError):
-            log2_det_id_plus(np.stack([np.eye(2), np.diag([-0.5, 1.0])]))
 
-
-class TestLog2DetIdPlus:
-    def test_zero_matrix(self):
-        assert log2_det_id_plus(np.zeros((3, 3))) == 0.0
-
-    def test_diagonal_analytic(self):
-        got = log2_det_id_plus(np.diag([3.5, 0.125]))
-        assert abs(got - (math.log2(4.5) + math.log2(1.125))) < 1e-12
-        assert abs(got - 2.33985) < 1e-5
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_identity(self, n):
-        assert abs(log2_det_id_plus(np.eye(n)) - n) < 1e-12
-
-    def test_monotone_under_psd_addition(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            x = complex_gaussian(n, n, rng)
-            y = complex_gaussian(n, n, rng)
-            a = x @ herm(x)
-            b = y @ herm(y)
-            assert log2_det_id_plus(a + b) >= log2_det_id_plus(a) - 1e-9
-
-    def test_small_negative_eigenvalue_clamped(self):
-        assert abs(log2_det_id_plus(np.diag([1.0, -1e-12])) - 1.0) < 1e-12
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(InvalidInputError):
-            log2_det_id_plus(np.diag([-0.5, 1.0]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidInputError):
-            log2_det_id_plus(np.array([[1.0, 1.0], [0.0, 1.0]]))

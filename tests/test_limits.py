@@ -4,17 +4,21 @@ At very high SNR the primary water-fills every mode, so the secondary has no
 free dimension and no rate. At very low SNR the primary puts its whole
 budget on its strongest mode, leaving n - 1 modes to the secondary, where
 water-filling does at least as well as the uniform split. At both extremes
-the secondary adds no interference on the primary's active modes.
+the secondary adds no interference on the primary's active modes, and the
+uniform rate, a sum over squared singular values, matches an independent
+log-det oracle across the whole SNR range.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oia.channel import draw_trials
 from oia.experiments import ExperimentGrid, run_trials, snr_to_power
+from oia.kernels import herm
 from oia.primary import design_primary
 from oia.secondary import (
     build_precoder,
@@ -24,7 +28,7 @@ from oia.secondary import (
     whitener,
 )
 
-from oracles import residual_interference
+from oracles import log2_det_id_plus, residual_interference
 
 TRIALS = 8
 ANTENNAS = st.integers(2, 6)
@@ -64,10 +68,42 @@ def test_extreme_snr_keeps_zero_interference(n, seed, snr_db):
     h11, h12, h21, h22 = np.moveaxis(draw_trials(n, n, seed, 0, range(TRIALS)), 1, 0)
     primary = design_primary(h11, p_max)
     v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-    f2 = whitener(interference_covariance(h21, primary.svd.v, primary.p1.powers))
+    # As in a sweep, only trials with an active column run the schemes: all
+    # of them at -300 dB, none at +300 dB.
+    sends = np.flatnonzero(active.any(axis=-1))
+    assert sends.size == (TRIALS if snr_db < 0 else 0)
+    if not sends.size:
+        return
+    f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
+                                          primary.p1.powers[sends]))
     bound = 1e-9 * math.sqrt(p_max)  # the bound of acceptance criterion C01
     for scheme in (uniform_secondary, optimal_secondary):
-        design = scheme(v2_raw, active, f2, h22, p_max)
-        for k in range(TRIALS):
-            assert residual_interference(primary.svd.u[k], h12[k], design.v2[k], design.p2[k],
+        design = scheme(v2_raw[sends], active[sends], f2, h22[sends], p_max)
+        for j, k in enumerate(sends):
+            assert residual_interference(primary.svd.u[k], h12[k], design.v2[j], design.p2[j],
                                          primary.p1.powers[k] > 0.0) <= bound
+
+
+@pytest.mark.parametrize("snr_db", [-300.0, -150.0, -60.0, -20.0, 0.0, 10.0, 20.0, 30.0, 300.0])
+@settings(LIMITS, max_examples=10)
+@given(ANTENNAS, st.integers(0, 3), SEED)
+def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
+    """The uniform rate is log2 det(I + W W^H) of the whitened channel W, square or tall.
+
+    The oracle takes ``W^H W``, whose log-det is the same (Sylvester's
+    determinant identity) and which has full rank nt.
+    """
+    p_max = snr_to_power(snr_db)
+    nr = nt + extra_rows
+    h11, h12, h21, h22 = np.moveaxis(draw_trials(nr, nt, seed, 0, range(TRIALS)), 1, 0)
+    primary = design_primary(h11, p_max)
+    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
+    sends = np.flatnonzero(active.any(axis=-1))
+    if not sends.size:
+        return
+    f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
+                                          primary.p1.powers[sends]))
+    design = uniform_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max)
+    whitened = f2 @ h22[sends] @ design.v2
+    reference = log2_det_id_plus(herm(whitened) @ whitened)
+    assert np.all(np.abs(design.rate - reference) <= 1e-9 * reference)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from oia.errors import InvalidInputError, RedrawError
-from oia.kernels import herm, log2_det_id_plus
+from oia.kernels import herm
 from oia.primary import design_primary, primary_rate
 
-from oracles import complex_gaussian
+from oracles import complex_gaussian, log2_det_id_plus
 
 
 def random_design(seed, n=3, p_max=1.0):

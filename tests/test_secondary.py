@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oia.errors import InvalidInputError, RedrawError
-from oia.kernels import herm, log2_det_id_plus
+from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
+from oia.kernels import herm
 from oia.primary import design_primary
 from oia.secondary import (
     RANK_GUARD,
@@ -18,13 +18,22 @@ from oia.secondary import (
     whitener,
 )
 
-from oracles import complex_gaussian, residual_interference, secondary_split_oracle
+from oracles import (
+    complex_gaussian,
+    log2_det_id_plus,
+    residual_interference,
+    secondary_split_oracle,
+)
 
 EYE2 = np.eye(2, dtype=complex)
 
 
 def random_trial(seed, n=3, p_max=1.0, nr=None):
-    """Full design chain on one random channel realization, n x n or nr x n."""
+    """Full design chain on one random channel realization, n x n or nr x n.
+
+    As in a sweep, only a trial with an active column runs the power
+    schemes; without one, ``uni`` and ``opt`` are None.
+    """
     rng = np.random.default_rng(seed)
     chans = [complex_gaussian(nr or n, n, rng) for _ in range(4)]
     h11, h12, h21, h22 = chans
@@ -32,8 +41,10 @@ def random_trial(seed, n=3, p_max=1.0, nr=None):
     v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
     q = interference_covariance(h21, primary.svd.v, primary.p1.powers)
     f2 = whitener(q)
-    uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
-    opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
+    uni = opt = None
+    if active.any():
+        uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
+        opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
     return dict(h11=h11, h12=h12, h21=h21, h22=h22, primary=primary,
                 v2_raw=v2_raw, active=active, q=q, f2=f2, uni=uni, opt=opt,
                 p_max=p_max)
@@ -169,9 +180,12 @@ class TestUniformScheme:
         assert abs(design.rate - math.log2(1.5)) < 1e-12
 
     def test_no_active_columns(self):
-        design = uniform_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
-        assert np.all(design.v2 == 0.0)
-        assert design.rate == 0.0
+        with pytest.raises(InvalidInputError, match="active column"):
+            uniform_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
+        stack = np.stack([np.diag([0.0, 0.25]), np.zeros((2, 2))])
+        with pytest.raises(InvalidInputError, match="active column"):
+            uniform_secondary(stack, [[False, True], [False, False]],
+                              np.broadcast_to(np.eye(2), stack.shape), stack, 1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_power_constraint_met_with_equality(self, seed):
@@ -201,9 +215,18 @@ class TestOptimalScheme:
         assert abs(spent - 0.5) <= 1e-12
 
     def test_no_active_columns(self):
-        design = optimal_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
-        assert design.rate == 0.0
-        assert np.all(design.p2 == 0.0)
+        with pytest.raises(InvalidInputError, match="active column"):
+            optimal_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
+        stack = np.stack([np.diag([0.0, 0.25]), np.zeros((2, 2))])
+        with pytest.raises(InvalidInputError, match="active column"):
+            optimal_secondary(stack, [[False, True], [False, False]],
+                              np.broadcast_to(np.eye(2), stack.shape), stack, 1.0)
+
+    def test_parallel_active_columns_rejected(self):
+        """Numerically dependent active columns have no gram root."""
+        v2_raw = np.array([[1.0, 1.0], [0.0, 1e-9]], dtype=complex)
+        with pytest.raises(NotPositiveDefiniteError):
+            optimal_secondary(v2_raw, [True, True], np.eye(2), EYE2, 1.0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_power_constraint_and_psd(self, seed):
@@ -220,6 +243,8 @@ class TestOptimalScheme:
     def test_closed_form_matches_direct_objective(self, seed):
         trial = random_trial(seed, n=4, p_max=1.5)
         design = trial["opt"]
+        if design is None:
+            return
         whitened = trial["f2"] @ trial["h22"] @ design.v2
         direct = log2_det_id_plus(whitened @ design.p2 @ herm(whitened))
         assert abs(direct - design.rate) <= 1e-8
@@ -227,6 +252,8 @@ class TestOptimalScheme:
     @pytest.mark.parametrize("seed", range(12))
     def test_dominates_uniform(self, seed):
         trial = random_trial(seed, n=4, p_max=1.5)
+        if trial["opt"] is None:
+            return
         assert trial["opt"].rate >= trial["uni"].rate - 1e-9
         if trial["primary"].unused_count == 1:
             assert abs(trial["opt"].rate - trial["uni"].rate) <= 1e-6
@@ -265,7 +292,7 @@ class TestResidualInterference:
         p_max = float(10.0 ** ((seed % 5) - 2))
         trial = random_trial(seed, n=2 + seed % 4, p_max=p_max)
         primary = trial["primary"]
-        for design in (trial["uni"], trial["opt"]):
+        for design in filter(None, (trial["uni"], trial["opt"])):
             metric = residual_interference(primary.svd.u, trial["h12"],
                                            design.v2, design.p2,
                                            primary.p1.powers > 0.0)
@@ -280,7 +307,7 @@ class TestResidualInterference:
             p_max = 10.0 ** (snr_db / 10.0)
             trial = random_trial(seed, n=nt, nr=nr, p_max=p_max)
             primary = trial["primary"]
-            for design in (trial["uni"], trial["opt"]):
+            for design in filter(None, (trial["uni"], trial["opt"])):
                 metric = residual_interference(primary.svd.u, trial["h12"],
                                                design.v2, design.p2,
                                                primary.p1.powers > 0.0)
@@ -291,6 +318,8 @@ class TestResidualInterference:
         trial = random_trial(seed, n=3, p_max=2.0)
         primary = trial["primary"]
         design = trial["opt"]
+        if design is None:
+            return
         filtered = herm(primary.svd.u) @ trial["h12"] @ design.v2
         extra = filtered @ design.p2 @ herm(filtered)
         lam = primary.svd.sigma

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oia.errors import InvalidInputError
-from oia.waterfill import waterfill
+from oia.waterfill import sum_rate, waterfill
 
 from oracles import allocation_rate, grid_search_rate, loop_waterfill
 
@@ -78,6 +78,35 @@ class TestAnalyticCases:
         alloc = waterfill([1.0, 2.0], budget)
         assert alloc.powers.sum() == budget
         assert np.count_nonzero(alloc.powers > 0) == 1
+
+
+class TestSumRate:
+    """``sum_rate``, the log-det rate of a diagonalized channel."""
+
+    def test_zero_gains(self):
+        assert sum_rate(np.zeros(3), 1.0) == 0.0
+
+    def test_diagonal_analytic(self):
+        got = sum_rate(np.array([3.5, 0.125]), 1.0)
+        assert abs(got - (math.log2(4.5) + math.log2(1.125))) < 1e-12
+        assert abs(got - 2.33985) < 1e-5
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_identity(self, n):
+        assert abs(sum_rate(np.ones(n), 1.0) - n) < 1e-12
+
+    def test_monotone_in_gains(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            gains, extra, powers = rng.exponential(size=(3, n))
+            assert sum_rate(gains + extra, powers) >= sum_rate(gains, powers)
+
+    def test_stack_gives_one_rate_per_row(self):
+        gains = np.array([[3.5, 0.125], [1.0, 1.0]])
+        rates = sum_rate(gains, 2.0)
+        assert rates.shape == (2,)
+        assert abs(rates[1] - 2.0 * math.log2(3.0)) < 1e-12
 
 
 class TestClosedFormMatchesLoop:
