@@ -96,22 +96,40 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state[0::2] | (state[1::2] << np.uint64(32))
 
 
-def _pcg64_states(master_seed: int, grid_index: int, trials: np.ndarray) -> list:
-    """``(state, inc)`` of ``PCG64(SeedSequence((master_seed, grid_index, t)))`` per trial t."""
-    prefix = _entropy_words(master_seed) + _entropy_words(grid_index)
-    index = trials.astype(np.uint64)
-    entropy = np.empty((len(prefix) + 2, trials.size), dtype=np.uint32)
-    entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[-2] = index & np.uint64(_MASK32)
-    entropy[-1] = index >> np.uint64(32)
-    # SeedSequence's hash depends on the entropy's word count, which the trial
-    # index sets: one word below 2^32, two from there on.
-    wide = entropy[-1] > 0
+def _indices(values) -> np.ndarray:
+    """Integer indices in [0, 2^64) as uint64; Python ints past 2^63 stay exact on the way."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=object)
+    if values.dtype.kind not in "iuO":
+        raise InvalidInputError(f"indices must be integers, got dtype {values.dtype}")
+    if values.size and not (values.min() >= 0 and values.max() < 2**64):
+        raise InvalidInputError("grid and trial indices must lie in [0, 2^64)")
+    return values.astype(np.uint64)
+
+
+def _pcg64_states(master_seed: int, grids: np.ndarray, trials: np.ndarray) -> list:
+    """``(state, inc)`` of ``PCG64(SeedSequence((master_seed, g, t)))`` per pair (g, t)."""
+    prefix = _entropy_words(master_seed)
+    words = len(prefix)
+    # Each trial's entropy: the master seed's words, then its grid index's and
+    # its trial index's, one word below 2^32 and two from there on. Rows past a
+    # trial's word count stay zero.
+    entropy = np.zeros((words + 4, trials.size), dtype=np.uint32)
+    entropy[:words] = np.array(prefix, dtype=np.uint32)[:, None]
+    grid_wide, trial_wide = grids > _MASK32, trials > _MASK32
+    columns = np.arange(trials.size)
+    entropy[words] = grids & np.uint64(_MASK32)
+    entropy[words + 1] = grids >> np.uint64(32)
+    at = words + 1 + grid_wide
+    entropy[at, columns] = trials & np.uint64(_MASK32)
+    entropy[at + 1, columns] = trials >> np.uint64(32)
+    # SeedSequence's hash depends on the entropy's word count only past the
+    # pool size: shorter entropy is hashed as if padded with zero words.
+    counts = np.maximum(words + 2 + grid_wide + trial_wide, _POOL)
     states = [None] * trials.size
-    for group, words in ((~wide, len(prefix) + 1), (wide, len(prefix) + 2)):
-        if not group.any():
-            continue
-        g0, g1, g2, g3 = _seed_words(entropy[:words, group]).tolist()
+    for count in sorted(set(counts.tolist())):
+        group = counts == count
+        g0, g1, g2, g3 = _seed_words(entropy[:count, group]).tolist()
         for k, a, b, c, d in zip(np.flatnonzero(group).tolist(), g0, g1, g2, g3):
             # PCG64's set_seed: initstate a:b, increment (c:d << 1) | 1, two LCG steps from 0.
             initstate = a << 64 | b
@@ -120,7 +138,7 @@ def _pcg64_states(master_seed: int, grid_index: int, trials: np.ndarray) -> list
     return states
 
 
-def draw_trials(nr: int, nt: int, master_seed: int, grid_index: int,
+def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
                 trial_indices) -> np.ndarray:
     """The four nr x nt channel matrices of several trials, shape ``(trials, 4, nr, nt)``.
 
@@ -129,23 +147,23 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index: int,
     opportunistic one. Entries are i.i.d. circularly symmetric complex
     Gaussians of zero mean and unit variance (real and imaginary parts each
     carry variance 1/2). Trial k takes all of them from the stream
-    ``PCG64(SeedSequence((master_seed, grid_index, trial_indices[k])))``
+    ``PCG64(SeedSequence((master_seed, grid_index[k], trial_indices[k])))``
     with one ``standard_normal((4, nr, nt, 2))`` call: matrix by matrix in
     that order, each in row-major entry order, real part then imaginary
-    part. A trial's channels therefore do not depend on the other trials of
-    the stack. A negative ``master_seed`` raises ``ValueError``, as
-    SeedSequence does.
+    part. ``grid_index`` is one index for the whole stack or one per trial;
+    grid and trial indices lie in [0, 2^64). A trial's channels therefore
+    do not depend on the other trials of the stack. A negative
+    ``master_seed`` raises ``ValueError``, as SeedSequence does.
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")
-    trials = np.asarray(trial_indices, dtype=np.int64)
-    if grid_index < 0 or (trials.size and trials.min() < 0):
-        raise InvalidInputError("grid_index and trial indices must be nonnegative")
+    trials = _indices(trial_indices).ravel()
+    grids = np.broadcast_to(_indices(grid_index), trials.shape)
     normals = np.empty((trials.size, 4, nr, nt, 2))
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
     state = bits.state
-    for row, (value, inc) in zip(normals, _pcg64_states(master_seed, grid_index, trials)):
+    for row, (value, inc) in zip(normals, _pcg64_states(master_seed, grids, trials)):
         state["state"] = {"state": value, "inc": inc}
         bits.state = state
         gen.standard_normal(out=row)

@@ -21,21 +21,27 @@ FIG_COMPARE_ANTENNAS = (3, 20)
 # Largest sweep the CLI accepts. Every cell costs a row and a pool task per
 # pass, and a cell keeps its per-trial records until it is aggregated: about
 # 100 bytes per trial at peak, measured on one n=2 cell of 2*10^5 trials, so
-# the per-cell trial cap bounds that memory at about 1 GB.
+# the per-cell trial cap bounds that memory at about 1 GB. A trial holds about
+# 30 n x n complex matrices at once (measured at n=400), so the antenna cap
+# bounds one trial's working set at about 0.5 GB per process.
 MAX_CELLS = 100_000
 MAX_TRIALS_PER_CELL = 10**7
+MAX_ANTENNAS = 1000
 
 
-def _check_sweep_size(cells, trials_per_cell=1) -> None:
+def _check_sweep_size(cells, trials_per_cell=1, antennas=1) -> None:
     """Reject an oversized sweep from its counts, before anything of its size is built.
 
-    The counts may be floats, even infinite, as an SNR range gives them.
+    The counts may be floats, even infinite, as an SNR range gives them;
+    ``antennas`` is the largest antenna count of any geometry.
     """
     if not cells <= MAX_CELLS:
         raise InvalidInputError(f"sweep of {cells:.6g} cells exceeds the limit of {MAX_CELLS}")
     if not trials_per_cell <= MAX_TRIALS_PER_CELL:
         raise InvalidInputError(f"{trials_per_cell:.6g} trials per cell exceeds the limit "
                                 f"of {MAX_TRIALS_PER_CELL}")
+    if not antennas <= MAX_ANTENNAS:
+        raise InvalidInputError(f"{antennas} antennas exceeds the limit of {MAX_ANTENNAS}")
 
 
 def _snr_list(lo: float, hi: float, step: float) -> tuple:
@@ -110,7 +116,7 @@ def cli_main(argv=None) -> int:
         snr = _snr_list(args.snr_db_min, args.snr_db_max, args.snr_db_step)
         geometries = ([(args.nt, args.nr)] if args.command == "run"
                       else [(count, count) for count in args.antennas])
-        _check_sweep_size(len(geometries) * len(snr), args.trials)
+        _check_sweep_size(len(geometries) * len(snr), args.trials, max(map(max, geometries)))
         grids = [ExperimentGrid(nt=nt, nr=nr, snr_db_list=snr, trials=args.trials,
                                 master_seed=args.seed)
                  for nt, nr in geometries]

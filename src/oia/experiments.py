@@ -28,10 +28,12 @@ from .secondary import (
 REPLACEMENT_BASE = 2**31
 _MAX_ATTEMPTS = 100
 
-# A cell's trials run in stacked passes; a pass holds at most this many bytes
-# in any one (trials, nr, nr) complex matrix stack. That keeps a whole cell in
-# one pass at n=3 (455 trials) and the working set of a pass small at n=20
-# (10 trials), where LAPACK time dominates and batching gains little.
+# A geometry's trials run cell after cell in stacked passes; a pass holds at
+# most this many bytes in any one (trials, nr, nr) complex matrix stack, and
+# may span several cells. That gives 455 trials per pass at n=3, whatever the
+# cell size, where each pass's fixed call overhead is what batching saves, and
+# keeps the working set of a pass small at n=20 (10 trials), where LAPACK time
+# dominates and batching gains little.
 PASS_BYTES = 64 * 1024
 
 
@@ -119,20 +121,23 @@ def snr_to_power(snr_db: float) -> float:
     return p_max
 
 
-def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float,
-               trial_indices) -> TrialRecords:
+def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> TrialRecords:
     """Seeded trials as one stacked pass: draw channels, design both links, record S and rates.
 
-    Trials whose channels fail a rank guard are discarded, counted, and
-    replaced by a redraw at ``trial_index + attempt * REPLACEMENT_BASE``, so
-    replacements are deterministic and never collide with regular indices.
-    Only the rejected trials are redrawn; every trial's record depends on
-    its own stream alone, not on the other trials of the stack. Trials
-    without a free mode have nothing to transmit and skip the secondary
-    stages, whitening included, with secondary rates 0.
+    ``grid_index`` and ``snr_db`` are one value for the whole stack or one
+    per trial, so a pass may span several cells of a grid. Trials whose
+    channels fail a rank guard are discarded, counted, and replaced by a
+    redraw at ``trial_index + attempt * REPLACEMENT_BASE`` of the same cell,
+    so replacements are deterministic and never collide with regular
+    indices. Only the rejected trials are redrawn; every trial's record
+    depends on its own stream and SNR alone, not on the other trials of the
+    stack. Trials without a free mode have nothing to transmit and skip the
+    secondary stages, whitening included, with secondary rates 0.
     """
-    p_max = snr_to_power(snr_db)
     trials = np.asarray(trial_indices, dtype=np.int64)
+    grid_index = np.broadcast_to(grid_index, trials.shape)
+    levels, level_of = np.unique(np.broadcast_to(snr_db, trials.shape), return_inverse=True)
+    p_max = np.array([snr_to_power(level) for level in levels.tolist()])[level_of]
     discards = np.zeros(trials.size, dtype=np.int64)
     chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trials)
     while True:
@@ -144,10 +149,11 @@ def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float,
             redo = np.flatnonzero(exc.rejected)
             discards[redo] += 1
             if discards[redo].max() == _MAX_ATTEMPTS:
-                worst = trials[redo[np.argmax(discards[redo])]]
-                raise RedrawError(exc.reason, f"trial {worst} rejected "
-                                  f"{_MAX_ATTEMPTS} times in a row", exc.rejected) from None
-            chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index,
+                worst = redo[np.argmax(discards[redo])]
+                raise RedrawError(exc.reason, f"trial {trials[worst]} of cell {grid_index[worst]} "
+                                  f"rejected {_MAX_ATTEMPTS} times in a row",
+                                  exc.rejected) from None
+            chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index[redo],
                                       trials[redo] + discards[redo] * REPLACEMENT_BASE)
             continue
         # Only trials with a free mode transmit; both schemes give the others rate 0.
@@ -158,8 +164,8 @@ def run_trials(grid: ExperimentGrid, grid_index: int, snr_db: float,
             q = interference_covariance(h21[sends], primary.svd.v[sends],
                                         primary.p1.powers[sends])
             f2 = whitener(q)
-            rate_uniform[sends] = uniform_secondary(v2_raw, active, f2, h22, p_max).rate
-            rate_optimal[sends] = optimal_secondary(v2_raw, active, f2, h22, p_max).rate
+            rate_uniform[sends] = uniform_secondary(v2_raw, active, f2, h22, p_max[sends]).rate
+            rate_optimal[sends] = optimal_secondary(v2_raw, active, f2, h22, p_max[sends]).rate
         return TrialRecords(unused_modes=primary.unused_count,
                             rate_primary=primary_rate(primary),
                             rate_secondary_uniform=rate_uniform,
@@ -182,17 +188,25 @@ def _pass_size(grid: ExperimentGrid) -> int:
     return max(1, PASS_BYTES // (16 * grid.nr * grid.nr))
 
 
-def _passes(cells):
-    """Each cell's trials cut into passes of at most ``PASS_BYTES`` per stacked matrix."""
-    for grid, grid_index, snr_db in cells:
-        size = _pass_size(grid)
-        for start in range(0, grid.trials, size):
-            yield grid, grid_index, snr_db, start, min(start + size, grid.trials)
+def _passes(grids, grid_offset: int):
+    """Each geometry's trials, cell after cell, cut into passes of ``_pass_size``.
+
+    A task is ``(grid, first, start, stop)``: positions ``start..stop`` of
+    the grid's trials in cell-major order, where position ``c * trials + t``
+    is trial t of cell c, whose grid index is ``first + c``.
+    """
+    first = grid_offset
+    for grid in grids:
+        size, total = _pass_size(grid), grid.trials * len(grid.snr_db_list)
+        for start in range(0, total, size):
+            yield grid, first, start, min(start + size, total)
+        first += len(grid.snr_db_list)
 
 
 def _run_pass(task) -> TrialRecords:
-    grid, grid_index, snr_db, start, stop = task
-    return run_trials(grid, grid_index, snr_db, range(start, stop))
+    grid, first, start, stop = task
+    cell, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), np.uint64(grid.trials))
+    return run_trials(grid, np.uint64(first) + cell, np.asarray(grid.snr_db_list)[cell], trial)
 
 
 def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
@@ -206,9 +220,11 @@ def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
         yield pending.popleft().result()
 
 
-def _cell_row(grid: ExperimentGrid, snr_db: float, passes) -> ResultRow:
-    unused, r1, r2u, r2o, discards = (np.concatenate([getattr(p, f.name) for p in passes])
-                                      for f in fields(TrialRecords))
+def _cell_row(grid: ExperimentGrid, snr_db: float, pieces) -> ResultRow:
+    """A cell's row from ``(records, lo, hi)`` pieces, whose slices hold its trials in order."""
+    unused, r1, r2u, r2o, discards = (
+        np.concatenate([getattr(records, f.name)[lo:hi] for records, lo, hi in pieces])
+        for f in fields(TrialRecords))
     return ResultRow(grid.nt, grid.nr, snr_db, grid.trials, int(discards.sum()),
                      *_mean_stderr(unused.astype(float)), *_mean_stderr(r1),
                      *_mean_stderr(r2u), *_mean_stderr(r2o))
@@ -218,27 +234,40 @@ def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
     """All cells of a sequence of grids, one ResultRow per SNR point, in order.
 
     Cells are numbered consecutively across the grids, starting at
-    ``grid_offset``, and a cell's number is its grid_index. A cell's trials
-    run in passes (see ``PASS_BYTES``); with ``workers > 1`` one process
-    pool runs the passes of all cells. Every trial's stream depends only on
-    (master_seed, grid_index, trial_index) and each cell aggregates its
-    trials in index order, so the output is identical for any worker count.
+    ``grid_offset``, and a cell's number is its grid_index. A geometry's
+    trials run cell after cell in passes (see ``PASS_BYTES``), and a pass
+    may span several cells; with ``workers > 1`` one process pool runs the
+    passes of all geometries. A cell is aggregated as soon as its last
+    trial arrives, so at most one cell's records are held besides the passes
+    in flight. Every trial's stream depends only on (master_seed,
+    grid_index, trial_index) and each cell aggregates its trials in index
+    order, so the output is identical for any worker count.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    cells = [(grid, snr_db) for grid in grids for snr_db in grid.snr_db_list]
-    tasks = _passes((grid, grid_offset + number, snr_db)
-                    for number, (grid, snr_db) in enumerate(cells))
+    grids = list(grids)
+    cells = sum(len(grid.snr_db_list) for grid in grids)
+    if not 0 <= grid_offset <= 2**64 - cells:
+        raise InvalidInputError(f"grid indices from {grid_offset} for {cells} cells "
+                                "must lie in [0, 2^64)")
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            records = _in_order(pool, tasks, window=4 * workers)
+            results = _in_order(pool, _passes(grids, grid_offset), window=4 * workers)
         else:
-            records = map(_run_pass, tasks)
-        rows = []
-        for grid, snr_db in cells:
-            count = len(range(0, grid.trials, _pass_size(grid)))
-            rows.append(_cell_row(grid, snr_db, [next(records) for _ in range(count)]))
+            results = map(_run_pass, _passes(grids, grid_offset))
+        rows, pieces = [], []
+        for (grid, _, start, stop), records in zip(_passes(grids, grid_offset), results):
+            # Cut the pass at cell boundaries; a cell's row is due at its last trial.
+            at = start
+            while at < stop:
+                cell = at // grid.trials
+                end = min(stop, (cell + 1) * grid.trials)
+                pieces.append((records, at - start, end - start))
+                if end == (cell + 1) * grid.trials:
+                    rows.append(_cell_row(grid, grid.snr_db_list[cell], pieces))
+                    pieces = []
+                at = end
         return rows
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, RedrawError
+from .errors import RedrawError
 from .kernels import SvdFactors, svd
-from .waterfill import PowerAllocation, sum_rate, waterfill
+from .waterfill import PowerAllocation, positive_budget, sum_rate, waterfill
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,13 @@ class PrimaryDesign:
     unused_count: int | np.ndarray
 
 
-def design_primary(h11, p_max: float) -> PrimaryDesign:
+def design_primary(h11, p_max) -> PrimaryDesign:
     """Water-filled single-user design over the direct channel's singular modes.
 
     ``h11`` is one nr x nt channel or a stack ``(..., nr, nt)``, designed
-    matrix by matrix. Inverse gain of mode n is 1 / lambda_n^2 over the
+    matrix by matrix. ``p_max`` is the transmit budget, one value for the
+    whole stack or one per matrix, with the stack's shape ``(...)``.
+    Inverse gain of mode n is 1 / lambda_n^2 over the
     min(nr, nt) allocatable modes; the complementary allocation is
     ``max(0, inverse_gain - water_level)`` per mode. When nt > nr the surplus
     transmit dimensions are nullspace directions, not water-filling
@@ -56,10 +58,9 @@ def design_primary(h11, p_max: float) -> PrimaryDesign:
         rank-deficient channel has no finite design; callers discard the
         trial and redraw.
     InvalidInputError
-        If p_max is not positive and finite.
+        If an entry of p_max is not positive and finite.
     """
-    if not (np.isfinite(p_max) and p_max > 0):
-        raise InvalidInputError("p_max must be positive and finite")
+    p_max = positive_budget(p_max, "p_max")
     factors = svd(h11)
     lam = factors.sigma
     rejected = lam[..., -1] == 0.0

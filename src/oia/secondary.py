@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError, RedrawError
 from .kernels import herm, hermitian_inv_sqrt, svd
-from .waterfill import sum_rate, waterfill
+from .waterfill import positive_budget, sum_rate, waterfill
 
 # Smallest/largest singular-value ratio of the cross channel below which it is
 # treated as rank deficient. Below this, inverting would amplify noise past
@@ -150,24 +150,24 @@ def whitener(q) -> np.ndarray:
     return hermitian_inv_sqrt(q, floor=1.0 - NOISE_FLOOR_SLACK)
 
 
-def _check_scheme_inputs(active, p_max: float) -> None:
-    if not (np.isfinite(p_max) and p_max > 0):
-        raise InvalidInputError("p_max must be positive and finite")
+def _check_scheme_inputs(active, p_max) -> np.ndarray:
     if not np.asarray(active, dtype=bool).any(axis=-1).all():
         raise InvalidInputError("every trial needs at least one active column")
+    return positive_budget(p_max, "p_max")
 
 
-def uniform_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
+def uniform_secondary(v2_raw, active, f2, h22, p_max) -> SecondaryDesign:
     """Uniform power scheme: identity input covariance, scale tuned to the budget.
 
     ``active`` is the boolean column mask from ``build_precoder``, with at
     least one active column per trial, and ``f2`` the trial's whitening
-    filter; all arguments but ``p_max`` may carry leading stack axes. The
+    filter; all arguments may carry leading stack axes. ``p_max`` is the
+    budget, one value for the whole stack or one per trial. The
     precoder is scaled so that ``trace(v2 @ v2^H) = p_max`` exactly. The
     rate is ``log2 det(I + W W^H)`` of the whitened channel
     ``W = f2 @ h22 @ v2``, summed over its squared singular values.
     """
-    _check_scheme_inputs(active, p_max)
+    p_max = _check_scheme_inputs(active, p_max)
     v2_raw = np.asarray(v2_raw, dtype=np.complex128)
     h22 = np.asarray(h22, dtype=np.complex128)
     total = np.sum(np.abs(v2_raw) ** 2, axis=(-2, -1))
@@ -177,7 +177,7 @@ def uniform_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
     return SecondaryDesign(v2=v2, p2=p2, rate=sum_rate(sigma**2, 1.0))
 
 
-def optimal_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
+def optimal_secondary(v2_raw, active, f2, h22, p_max) -> SecondaryDesign:
     """Rate-maximizing power scheme via water-filling on an equivalent channel.
 
     The full-size precoder gram matrix is singular whenever some columns are
@@ -190,20 +190,21 @@ def optimal_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
     embedded at the active rows and columns. The budget is then met with
     equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``.
 
-    All arguments but ``p_max`` may carry leading stack axes, and every
-    trial needs at least one active column. The trials of a stack are
-    grouped by their active-column mask, and each group is solved as one
-    stack.
+    All arguments may carry leading stack axes, and every trial needs at
+    least one active column; ``p_max`` is the budget, one value for the
+    whole stack or one per trial. The trials of a stack are grouped by
+    their active-column mask, and each group is solved as one stack.
 
     The precoder is ``v2_raw`` unscaled: the transformed trace constraint
     already absorbs all scaling, and any nonzero scale yields the same
     transmitted covariance.
     """
-    _check_scheme_inputs(active, p_max)
+    p_max = _check_scheme_inputs(active, p_max)
     v2_raw, f2, h22 = (np.asarray(a, dtype=np.complex128) for a in (v2_raw, f2, h22))
     active = np.asarray(active, dtype=bool)
     batch, nt = active.shape[:-1], active.shape[-1]
     flat_v2, flat_f2, flat_h22 = (a.reshape(-1, *a.shape[-2:]) for a in (v2_raw, f2, h22))
+    flat_p = np.broadcast_to(p_max, batch).reshape(-1)
     p2 = np.zeros((flat_v2.shape[0], nt, nt), dtype=np.complex128)
     rate = np.empty(flat_v2.shape[0])
     patterns, group = np.unique(active.reshape(-1, nt), axis=0, return_inverse=True)
@@ -211,12 +212,12 @@ def optimal_secondary(v2_raw, active, f2, h22, p_max: float) -> SecondaryDesign:
         cols = np.flatnonzero(pattern)
         trials = np.flatnonzero(group.ravel() == number)
         p2[np.ix_(trials, cols, cols)], rate[trials] = _optimal_allocation(
-            flat_v2[trials][..., cols], flat_f2[trials], flat_h22[trials], p_max)
+            flat_v2[trials][..., cols], flat_f2[trials], flat_h22[trials], flat_p[trials])
     return SecondaryDesign(v2=v2_raw, p2=p2.reshape(batch + (nt, nt)),
                            rate=rate.reshape(batch)[()])
 
 
-def _optimal_allocation(vt, f2, h22, p_max: float):
+def _optimal_allocation(vt, f2, h22, p_max):
     """Reduced covariance and rate of a stack of trials sharing their active columns."""
     # Column equilibration: complementary-allocation entries can differ by
     # many orders of magnitude, which would wreck the gram eigendecomposition

@@ -23,7 +23,19 @@ class PowerAllocation:
     water_level: float | np.ndarray
 
 
-def waterfill(inverse_gains, budget: float) -> PowerAllocation:
+def positive_budget(budget, name: str = "budget") -> np.ndarray:
+    """A power budget, one value or one per trial, as a float array.
+
+    Raises InvalidInputError, naming the parameter ``name``, unless every
+    entry is positive and finite.
+    """
+    budget = np.asarray(budget, dtype=float)
+    if not (np.isfinite(budget).all() and (budget > 0).all()):
+        raise InvalidInputError(f"{name} must be positive and finite")
+    return budget
+
+
+def waterfill(inverse_gains, budget) -> PowerAllocation:
     """Maximize sum_n log2(1 + powers[n] / inverse_gains[n]) under a power budget.
 
     Closed-form active-set solution of the KKT conditions: sort inverse gains
@@ -43,22 +55,23 @@ def waterfill(inverse_gains, budget: float) -> PowerAllocation:
         Positive per-mode costs (e.g. noise variance over squared channel
         gain), shape ``(n,)`` or a stack ``(..., n)`` solved row by row.
         ``+inf`` marks a mode that can never be used.
-    budget : float
-        Total power to distribute in each row, > 0.
+    budget : float or array_like
+        Total power to distribute in each row, > 0: one value for every row,
+        or one per row with the stack's shape ``(...)``. Each row's result
+        is the same, bit for bit, either way.
 
     Raises
     ------
     InvalidInputError
-        Empty gain list, nonpositive budget, nonpositive or NaN gains, or a
-        row without any finite gain.
+        Empty gain list, a budget entry that is not positive and finite,
+        nonpositive or NaN gains, or a row without any finite gain.
     """
     ig = np.asarray(inverse_gains, dtype=float)
     if ig.ndim == 0 or ig.size == 0:
         raise InvalidInputError("inverse_gains must be a nonempty sequence or stack of them")
     if np.isnan(ig).any() or (ig <= 0).any():
         raise InvalidInputError("inverse gains must be positive (or +inf)")
-    if not (np.isfinite(budget) and budget > 0):
-        raise InvalidInputError("budget must be positive and finite")
+    budget = positive_budget(budget)[..., None]
     if not np.isfinite(ig).any(axis=-1).all():
         raise InvalidInputError("need at least one finite inverse gain")
 

@@ -43,18 +43,27 @@ class TestStreamDerivation:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(master=st.one_of(EDGES, st.integers(0, 2**64 - 1)),
-           grid=st.one_of(EDGES, st.integers(0, 2**40)),
-           trials=st.lists(st.one_of(EDGES.filter(lambda t: t < 2**63), REPLACEMENTS,
-                                     st.integers(0, 2**33)), min_size=1, max_size=5),
+           draws=st.lists(st.tuples(st.one_of(EDGES, st.integers(0, 2**40)),
+                                    st.one_of(EDGES, REPLACEMENTS, st.integers(0, 2**33))),
+                          min_size=1, max_size=5),
+           per_trial=st.booleans(),
            shape=st.sampled_from([(1, 1), (2, 3), (3, 3)]))
-    def test_stack_matches_seedsequence_streams(self, master, grid, trials, shape):
-        """The whole-stack seeding gives each trial numpy's own SeedSequence/PCG64 stream."""
+    def test_stack_matches_seedsequence_streams(self, master, draws, per_trial, shape):
+        """The whole-stack seeding gives each trial numpy's own SeedSequence/PCG64 stream.
+
+        The grid index is one for the stack or one per trial, so one- and
+        two-word grid indices mix with one- and two-word trial indices.
+        """
         nr, nt = shape
+        if not per_trial:
+            draws = [(draws[0][0], trial) for _, trial in draws]
+        grids, trials = (list(column) for column in zip(*draws))
         expected = np.empty((len(trials), 4, nr, nt, 2))
-        for row, trial in zip(expected, trials):
+        for row, grid, trial in zip(expected, grids, trials):
             derive_stream(master, grid, trial).standard_normal(out=row)
         expected = expected.view(np.complex128)[..., 0] / np.sqrt(2.0)
-        assert np.array_equal(draw_trials(nr, nt, master, grid, trials), expected)
+        stacked = draw_trials(nr, nt, master, grids if per_trial else grids[0], trials)
+        assert np.array_equal(stacked, expected)
 
     def test_negative_master_seed_rejected(self):
         # SeedSequence takes nonnegative entropy only; the CLI rejects such seeds first
@@ -68,6 +77,16 @@ class TestStreamDerivation:
             draw_trials(2, 2, 1, -1, [0])
         with pytest.raises(InvalidInputError):
             draw_trials(2, 2, 1, 0, [3, -1, 4])
+        with pytest.raises(InvalidInputError):
+            draw_trials(2, 2, 1, [0, -1], [3, 4])
+
+    def test_indices_past_64_bits_rejected(self):
+        with pytest.raises(InvalidInputError):
+            draw_trials(2, 2, 1, 2**64, [0])
+        with pytest.raises(InvalidInputError):
+            draw_trials(2, 2, 1, [0, 2**64], [3, 4])
+        with pytest.raises(InvalidInputError):
+            draw_trials(2, 2, 1, 0, [2**64 - 1, 2**64])
 
     def test_scheduling_independence(self):
         seeds = [(42, 3, t) for t in range(40)]

@@ -7,7 +7,8 @@ import stat
 import subprocess
 import sys
 import threading
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,18 +121,21 @@ class TestRunTrial:
             assert np.array_equal(getattr(rigged, name), expected), name
 
     def test_trial_rejected_every_time_gives_up(self, monkeypatch):
+        """The give-up names the trial and its cell, since a pass may span cells."""
         real_draw = experiments.draw_trials
 
-        def singular_cross(nr, nt, master_seed, grid_index, trial_indices):
+        def singular_cross_in_cell_5(nr, nt, master_seed, grid_index, trial_indices):
             chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
-            chans[:, 1] = 1.0
+            chans[np.asarray(grid_index) == 5, 1] = 1.0
             return chans
 
-        monkeypatch.setattr(experiments, "draw_trials", singular_cross)
+        monkeypatch.setattr(experiments, "draw_trials", singular_cross_in_cell_5)
         with pytest.raises(RedrawError, match="rejected 100 times in a row") as info:
-            run_trials(small_grid(), 0, 0.0, range(3))
+            run_trials(small_grid(), [4, 5, 5], [0.0, 6.0, 6.0], [2, 0, 1])
         assert info.value.reason == "cross"
-        assert info.value.rejected.tolist() == [True, True, True]
+        assert info.value.rejected.tolist() == [False, True, True]
+        assert str(info.value) == ("cross channel rejected: "
+                                   "trial 0 of cell 5 rejected 100 times in a row")
 
     def test_trials_without_free_mode_skip_secondary_stages(self, monkeypatch):
         """Only trials with a free mode reach the whitener; the others keep secondary rate 0."""
@@ -183,6 +187,16 @@ class TestRunGrid:
         grid = small_grid(trials=10)
         assert run_grid([grid], grid_offset=0) != run_grid([grid], grid_offset=100)
 
+    def test_grid_offset_up_to_64_bits(self):
+        """Grid indices take the 64 bits the seed contract allows, and no more."""
+        grid = small_grid(snr_db_list=(0.0, 6.0), trials=3)
+        row = run_grid([grid], grid_offset=2**64 - 2)[1]
+        record = run_trials(grid, 2**64 - 1, 6.0, range(3))
+        assert row.avg_rate_primary == float(record.rate_primary.mean())
+        for offset in (-1, 2**64 - 1):
+            with pytest.raises(InvalidInputError, match="grid indices"):
+                run_grid([grid], grid_offset=offset)
+
     def test_grid_sequence_numbers_cells_consecutively(self):
         first, second = small_grid(trials=5), small_grid(nt=3, nr=4, trials=5)
         separate = run_grid([first], grid_offset=7) + run_grid([second], grid_offset=9)
@@ -205,6 +219,26 @@ class TestRunGrid:
         assert len(submitted) == 8  # passes of 4 trials
         monkeypatch.setattr(experiments, "PASS_BYTES", 64 * 1024)
         assert with_pool == run_grid([grid])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pass_layout_does_not_change_rows(self, monkeypatch, workers):
+        """Passes run a geometry's trials cell after cell; where they are cut changes no row."""
+        trials = 9
+        grids = [small_grid(nt=3, nr=3, snr_db_list=(-5.0, 5.0, 15.0), trials=trials),
+                 small_grid(nt=2, nr=3, snr_db_list=(0.0, 10.0, 20.0), trials=trials)]
+        cells = [(grid, snr_db) for grid in grids for snr_db in grid.snr_db_list]
+        # Each cell alone, in one pass of its own.
+        reference = [row for number, (grid, snr_db) in enumerate(cells)
+                     for row in run_grid([replace(grid, snr_db_list=(snr_db,))],
+                                         grid_offset=3 + number)]
+        for size in (1, 7, trials - 1, trials, trials + 1, 455):
+            monkeypatch.setattr(experiments, "PASS_BYTES", 16 * 3 * 3 * size)
+            passes = list(experiments._passes(grids, 3))
+            assert max(stop - start for _, _, start, stop in passes) == min(size, 3 * trials)
+            if trials % size:
+                assert any(start // trials != (stop - 1) // trials
+                           for _, _, start, stop in passes), "no pass straddles a cell"
+            assert run_grid(grids, workers=workers, grid_offset=3) == reference, size
 
     def test_stderr_scales_with_budget_at_very_low_snr(self):
         """Far below 0 dB rates scale with the budget; their standard errors must not underflow."""
@@ -428,11 +462,25 @@ class TestCli:
         ["run", "--snr-db-max", "1e9", "--snr-db-step", "1e-9"],
         ["run", "--snr-db-min=-1e308", "--snr-db-max", "1e308", "--snr-db-step", "1e-300"],
         ["run", "--trials", "1000000000000"],
-    ], ids=["snr-points", "snr-span-overflow", "trials"])
-    def test_oversized_sweep_exits_2(self, tmp_path, capsys, argv):
+        ["run", "--nt", "100000", "--nr", "100000", "--trials", "1",
+         "--snr-db-min", "0", "--snr-db-max", "0"],
+        ["fig-unused", "--antennas", "2", "100000", "--trials", "1"],
+    ], ids=["snr-points", "snr-span-overflow", "trials", "antennas-run", "antennas-fig-unused"])
+    def test_oversized_sweep_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         """The sweep size is checked from its arithmetic, before anything is built."""
+        def no_sweep(grids, workers):
+            raise AssertionError("an oversized sweep reached run_grid")
+
+        monkeypatch.setattr(cli, "run_grid", no_sweep)
         out = tmp_path / "x.csv"
-        assert cli_main([*argv, "--out", str(out)]) == 2
+        tracemalloc.start()
+        try:
+            code = cli_main([*argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20, peak
         assert_one_line_usage_error(capsys, "exceeds the limit")
         assert not out.exists()
 

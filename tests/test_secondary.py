@@ -17,6 +17,7 @@ from oia.secondary import (
     uniform_secondary,
     whitener,
 )
+from oia.waterfill import waterfill
 
 from oracles import (
     complex_gaussian,
@@ -327,3 +328,69 @@ class TestResidualInterference:
             clean = lam[mode] ** 2 * primary.p1.powers[mode]
             bled = lam[mode] ** 2 * primary.p1.powers[mode] / (1.0 + extra[mode, mode].real)
             assert abs(clean - bled) <= 1e-9 * clean
+
+
+def budget_stack():
+    """A stack of 3x3 trials designed with one budget per trial, two trials per budget.
+
+    Returns the per-trial budgets, the direct channels, and the inputs both
+    power schemes take for the trials with an active column.
+    """
+    rng = np.random.default_rng(8)
+    budgets = np.repeat([1e-3, 0.3, 2.0, 40.0, 1e3], 2)
+    h11, h12, h21, h22 = (np.stack([complex_gaussian(3, 3, rng) for _ in budgets])
+                          for _ in range(4))
+    primary = design_primary(h11, budgets)
+    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
+    sends = active.any(axis=-1)
+    f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
+                                          primary.p1.powers[sends]))
+    return budgets, h11, (v2_raw[sends], active[sends], f2, h22[sends]), budgets[sends]
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestPerTrialBudget:
+    """A budget per trial gives each trial the result of its budget as a scalar, bit for bit."""
+
+    def test_waterfill_and_primary(self):
+        budgets, h11, _, _ = budget_stack()
+        inverse_gains = 1.0 / np.linalg.svd(h11, compute_uv=False) ** 2
+        per_trial = waterfill(inverse_gains, budgets)
+        design = design_primary(h11, budgets)
+        for budget in np.unique(budgets):
+            rows = budgets == budget
+            alone = waterfill(inverse_gains, budget)
+            assert same_bytes(per_trial.powers[rows], alone.powers[rows])
+            assert same_bytes(per_trial.water_level[rows], alone.water_level[rows])
+            scalar = design_primary(h11, budget)
+            for name in ("p1_bar", "unused_count"):
+                assert same_bytes(getattr(design, name)[rows], getattr(scalar, name)[rows])
+            assert same_bytes(design.p1.powers[rows], scalar.p1.powers[rows])
+
+    @pytest.mark.parametrize("scheme", [uniform_secondary, optimal_secondary])
+    def test_power_schemes(self, scheme):
+        _, _, inputs, budgets = budget_stack()
+        assert len(np.unique(budgets)) >= 3
+        per_trial = scheme(*inputs, budgets)
+        for budget in np.unique(budgets):
+            rows = budgets == budget
+            scalar = scheme(*inputs, budget)
+            for name in ("v2", "p2", "rate"):
+                assert same_bytes(getattr(per_trial, name)[rows], getattr(scalar, name)[rows])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_entry_rejected(self, bad):
+        budgets = np.array([1.0, bad, 2.0])
+        v2_raw = np.broadcast_to(np.diag([0.0, 0.25]).astype(complex), (3, 2, 2))
+        active = np.broadcast_to([False, True], (3, 2))
+        eye = np.broadcast_to(EYE2, (3, 2, 2))
+        with pytest.raises(InvalidInputError):
+            waterfill(np.ones((3, 2)), budgets)
+        with pytest.raises(InvalidInputError):
+            design_primary(eye, budgets)
+        for scheme in (uniform_secondary, optimal_secondary):
+            with pytest.raises(InvalidInputError):
+                scheme(v2_raw, active, eye, eye, budgets)
