@@ -27,6 +27,10 @@ FIG_COMPARE_ANTENNAS = (3, 20)
 MAX_CELLS = 100_000
 MAX_TRIALS_PER_CELL = 10**7
 MAX_ANTENNAS = 1000
+# A process pool starts all its workers at once, each an interpreter with
+# numpy loaded: about 42 MB resident after one n=3 or n=20 pass, so the
+# worker cap bounds a pool at about 2.7 GB before any trial's working set.
+MAX_WORKERS = 64
 
 
 def _check_sweep_size(cells, trials_per_cell=1, antennas=1) -> None:
@@ -113,6 +117,8 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         workers = _env_workers() if args.workers is None else args.workers
+        if workers > MAX_WORKERS:
+            raise InvalidInputError(f"{workers} workers exceeds the limit of {MAX_WORKERS}")
         snr = _snr_list(args.snr_db_min, args.snr_db_max, args.snr_db_step)
         geometries = ([(args.nt, args.nr)] if args.command == "run"
                       else [(count, count) for count in args.antennas])

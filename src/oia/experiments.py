@@ -15,13 +15,7 @@ import numpy as np
 from .channel import draw_trials
 from .errors import InvalidInputError, RedrawError
 from .primary import design_primary, primary_rate
-from .secondary import (
-    build_precoder,
-    interference_covariance,
-    optimal_secondary,
-    uniform_secondary,
-    whitener,
-)
+from .secondary import build_precoder, design_secondary, interference_covariance, whitener
 
 # Replacement draws for discarded trials take indices at or above this base so
 # they can never collide with regular trial indices.
@@ -30,11 +24,13 @@ _MAX_ATTEMPTS = 100
 
 # A geometry's trials run cell after cell in stacked passes; a pass holds at
 # most this many bytes in any one (trials, nr, nr) complex matrix stack, and
-# may span several cells. That gives 455 trials per pass at n=3, whatever the
-# cell size, where each pass's fixed call overhead is what batching saves, and
-# keeps the working set of a pass small at n=20 (10 trials), where LAPACK time
-# dominates and batching gains little.
-PASS_BYTES = 64 * 1024
+# may span several cells. That gives 910 trials per pass at n=3, whatever the
+# cell size, where each pass's fixed call overhead is what batching saves. At
+# n=20 (20 trials) LAPACK time dominates, but each stacked call still has a
+# fixed cost: on a 2-vCPU VM with OpenBLAS, design_primary and build_precoder
+# fell from about 258 and 246 to 203 and 192 us per trial when a pass grew
+# from 10 to 20 trials.
+PASS_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -163,9 +159,8 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
             v2_raw, active, h22 = v2_raw[sends], active[sends], h22[sends]
             q = interference_covariance(h21[sends], primary.svd.v[sends],
                                         primary.p1.powers[sends])
-            f2 = whitener(q)
-            rate_uniform[sends] = uniform_secondary(v2_raw, active, f2, h22, p_max[sends]).rate
-            rate_optimal[sends] = optimal_secondary(v2_raw, active, f2, h22, p_max[sends]).rate
+            uniform, optimal = design_secondary(v2_raw, active, whitener(q), h22, p_max[sends])
+            rate_uniform[sends], rate_optimal[sends] = uniform.rate, optimal.rate
         return TrialRecords(unused_modes=primary.unused_count,
                             rate_primary=primary_rate(primary),
                             rate_secondary_uniform=rate_uniform,
@@ -236,12 +231,13 @@ def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
     Cells are numbered consecutively across the grids, starting at
     ``grid_offset``, and a cell's number is its grid_index. A geometry's
     trials run cell after cell in passes (see ``PASS_BYTES``), and a pass
-    may span several cells; with ``workers > 1`` one process pool runs the
-    passes of all geometries. A cell is aggregated as soon as its last
-    trial arrives, so at most one cell's records are held besides the passes
-    in flight. Every trial's stream depends only on (master_seed,
-    grid_index, trial_index) and each cell aggregates its trials in index
-    order, so the output is identical for any worker count.
+    may span several cells; with ``workers > 1`` one process pool, of at
+    most one process per pass, runs the passes of all geometries. A cell is
+    aggregated as soon as its last trial arrives, so at most one cell's
+    records are held besides the passes in flight. Every trial's stream
+    depends only on (master_seed, grid_index, trial_index) and each cell
+    aggregates its trials in index order, so the output is identical for any
+    worker count.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
@@ -250,6 +246,10 @@ def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
     if not 0 <= grid_offset <= 2**64 - cells:
         raise InvalidInputError(f"grid indices from {grid_offset} for {cells} cells "
                                 "must lie in [0, 2^64)")
+    # A pool starts all its processes at once; more than one per pass would
+    # idle. A geometry has ceil(trials * cells / pass size) passes.
+    workers = min(workers, sum(-(-grid.trials * len(grid.snr_db_list) // _pass_size(grid))
+                               for grid in grids))
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))

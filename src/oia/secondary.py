@@ -13,17 +13,21 @@ identity. Column n is exactly zero whenever ``p1_bar[n]`` is zero, so the
 precoder spans only the free dimensions.
 
 The secondary receiver whitens the primary's interference (covariance q)
-with ``q^{-1/2}``, computed once per trial by ``whitener``, and then either
-splits power uniformly or water-fills an equivalent whitened channel
-restricted to the active columns. Both power schemes take only trials with
-at least one active column; a trial without one has nothing to transmit.
+with ``q^{-1/2}``, computed once per trial by ``whitener``. One stage,
+``design_secondary``, then gives both power schemes of a stack at once: it
+checks its inputs, groups the trials by their active columns and forms each
+trial's whitened active block ``f2 @ h22 @ v2_raw[:, active]`` once. The
+uniform scheme splits power evenly over the precoder, and the optimal scheme
+water-fills an equivalent whitened channel restricted to the active columns.
+Only trials with at least one active column are designed; a trial without
+one has nothing to transmit.
 
 Both rates come from singular values through ``waterfill.sum_rate``: the
 uniform rate ``log2 det(I + W W^H)`` of the whitened channel ``W`` is the
-sum over its squared singular values at unit power, and the optimal rate the
-sum over the equivalent channel's at the water-filled powers. The two
-inverse square roots, ``q^{-1/2}`` and the precoder gram root, both come
-from ``kernels.hermitian_inv_sqrt``.
+sum over the squared singular values of the active block at the uniform
+power, and the optimal rate the sum over the equivalent channel's at the
+water-filled powers. The two inverse square roots, ``q^{-1/2}`` and the
+precoder gram root, both come from ``kernels.hermitian_inv_sqrt``.
 
 Every design function takes one trial's matrices or stacks of them with the
 same leading axes, one trial per entry, and gives each trial of a stack the
@@ -156,46 +160,32 @@ def _check_scheme_inputs(active, p_max) -> np.ndarray:
     return positive_budget(p_max, "p_max")
 
 
-def uniform_secondary(v2_raw, active, f2, h22, p_max) -> SecondaryDesign:
-    """Uniform power scheme: identity input covariance, scale tuned to the budget.
+def design_secondary(v2_raw, active, f2, h22, p_max) -> tuple[SecondaryDesign, SecondaryDesign]:
+    """Both power schemes of a stack of trials: ``(uniform, optimal)``.
 
     ``active`` is the boolean column mask from ``build_precoder``, with at
     least one active column per trial, and ``f2`` the trial's whitening
-    filter; all arguments may carry leading stack axes. ``p_max`` is the
-    budget, one value for the whole stack or one per trial. The
-    precoder is scaled so that ``trace(v2 @ v2^H) = p_max`` exactly. The
-    rate is ``log2 det(I + W W^H)`` of the whitened channel
-    ``W = f2 @ h22 @ v2``, summed over its squared singular values.
-    """
-    p_max = _check_scheme_inputs(active, p_max)
-    v2_raw = np.asarray(v2_raw, dtype=np.complex128)
-    h22 = np.asarray(h22, dtype=np.complex128)
-    total = np.sum(np.abs(v2_raw) ** 2, axis=(-2, -1))
-    v2 = np.sqrt(p_max / total)[..., None, None] * v2_raw
-    sigma = np.linalg.svd(f2 @ h22 @ v2, compute_uv=False)
-    p2 = np.broadcast_to(np.eye(v2.shape[-1]), v2.shape)
-    return SecondaryDesign(v2=v2, p2=p2, rate=sum_rate(sigma**2, 1.0))
+    filter ``q^{-1/2}``; all arguments may carry leading stack axes.
+    ``p_max`` is the budget, one value for the whole stack or one per
+    trial. The trials are grouped by their active-column mask, and each
+    group is solved as one stack. With ``vt = v2_raw[:, active]``, both
+    schemes start from the whitened active block ``a = f2 @ h22 @ vt``.
 
+    Uniform scheme: identity input covariance, with the precoder scaled so
+    that ``trace(v2 @ v2^H) = p_max`` exactly. Its rate is
+    ``log2 det(I + W W^H)`` of the whitened channel ``W = f2 @ h22 @ v2``,
+    whose nonzero columns are ``a`` scaled by ``(p_max / ||vt||_F^2)^{1/2}``:
+    a sum over the squared singular values of ``a`` at that power.
 
-def optimal_secondary(v2_raw, active, f2, h22, p_max) -> SecondaryDesign:
-    """Rate-maximizing power scheme via water-filling on an equivalent channel.
-
-    The full-size precoder gram matrix is singular whenever some columns are
-    zero, so the transform runs on the active columns only. With
-    ``vt = v2_raw[:, active]`` and ``m = (vt^H vt)^{1/2}``, the equivalent
-    whitened channel is ``g = f2 @ h22 @ vt @ m^{-1}``, where ``f2`` is the
-    trial's whitening filter ``q^{-1/2}``; water-filling its squared singular
-    values under the budget gives the diagonal allocation, which is
-    conjugated back through the right singular vectors and ``m^{-1}`` and
-    embedded at the active rows and columns. The budget is then met with
-    equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``.
-
-    All arguments may carry leading stack axes, and every trial needs at
-    least one active column; ``p_max`` is the budget, one value for the
-    whole stack or one per trial. The trials of a stack are grouped by
-    their active-column mask, and each group is solved as one stack.
-
-    The precoder is ``v2_raw`` unscaled: the transformed trace constraint
+    Optimal scheme: water-filling on an equivalent channel. The full-size
+    precoder gram matrix is singular whenever some columns are zero, so the
+    transform runs on the active columns only. With ``m = (vt^H vt)^{1/2}``
+    the equivalent whitened channel is ``g = a @ m^{-1}``; water-filling its
+    squared singular values under the budget gives the diagonal allocation,
+    which is conjugated back through the right singular vectors and
+    ``m^{-1}`` and embedded at the active rows and columns. The budget is
+    then met with equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``. The
+    precoder is ``v2_raw`` unscaled: the transformed trace constraint
     already absorbs all scaling, and any nonzero scale yields the same
     transmitted covariance.
     """
@@ -205,36 +195,40 @@ def optimal_secondary(v2_raw, active, f2, h22, p_max) -> SecondaryDesign:
     batch, nt = active.shape[:-1], active.shape[-1]
     flat_v2, flat_f2, flat_h22 = (a.reshape(-1, *a.shape[-2:]) for a in (v2_raw, f2, h22))
     flat_p = np.broadcast_to(p_max, batch).reshape(-1)
+    # Inactive columns are exactly zero, so this is ||vt||_F^2 of every trial.
+    total = np.sum(np.abs(flat_v2) ** 2, axis=(-2, -1))
     p2 = np.zeros((flat_v2.shape[0], nt, nt), dtype=np.complex128)
-    rate = np.empty(flat_v2.shape[0])
+    rate_uniform, rate_optimal = np.empty(flat_v2.shape[0]), np.empty(flat_v2.shape[0])
     patterns, group = np.unique(active.reshape(-1, nt), axis=0, return_inverse=True)
     for number, pattern in enumerate(patterns):
         cols = np.flatnonzero(pattern)
         trials = np.flatnonzero(group.ravel() == number)
-        p2[np.ix_(trials, cols, cols)], rate[trials] = _optimal_allocation(
-            flat_v2[trials][..., cols], flat_f2[trials], flat_h22[trials], flat_p[trials])
-    return SecondaryDesign(v2=v2_raw, p2=p2.reshape(batch + (nt, nt)),
-                           rate=rate.reshape(batch)[()])
-
-
-def _optimal_allocation(vt, f2, h22, p_max):
-    """Reduced covariance and rate of a stack of trials sharing their active columns."""
-    # Column equilibration: complementary-allocation entries can differ by
-    # many orders of magnitude, which would wreck the gram eigendecomposition
-    # (small eigenvalues only carry absolute accuracy). The optimum depends
-    # only on the precoder's column space, so solve in normalized columns and
-    # undo the rescale on the output covariance.
-    norms = np.linalg.norm(vt, axis=-2)
-    if norms.min() == 0.0:
-        raise InternalInvariantError("an active precoder column is exactly zero")
-    vn = vt / norms[..., None, :]
-    m_inv = hermitian_inv_sqrt(herm(vn) @ vn, floor=GRAM_FLOOR)
-    g = f2 @ h22 @ vn @ m_inv
-    _, eta, zh = np.linalg.svd(g, full_matrices=False)
-    z = herm(zh)
-    with np.errstate(divide="ignore"):
-        alloc = waterfill(1.0 / eta**2, p_max)
-    p_reduced = m_inv @ ((z * alloc.powers[..., None, :]) @ herm(z)) @ m_inv
-    p_reduced = (p_reduced / norms[..., :, None]) / norms[..., None, :]
-    p_reduced = 0.5 * (p_reduced + herm(p_reduced))
-    return p_reduced, sum_rate(eta**2, alloc.powers)
+        vt = flat_v2[trials][..., cols]
+        a = flat_f2[trials] @ (flat_h22[trials] @ vt)
+        sigma = np.linalg.svd(a, compute_uv=False)
+        rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[trials])[:, None])
+        # Column equilibration: complementary-allocation entries can differ by
+        # many orders of magnitude, which would wreck the gram eigendecomposition
+        # (small eigenvalues only carry absolute accuracy). The optimum depends
+        # only on the precoder's column space, so solve in normalized columns
+        # and undo the rescale on the output covariance.
+        norms = np.linalg.norm(vt, axis=-2)
+        if norms.min() == 0.0:
+            raise InternalInvariantError("an active precoder column is exactly zero")
+        vn = vt / norms[..., None, :]
+        m_inv = hermitian_inv_sqrt(herm(vn) @ vn, floor=GRAM_FLOOR)
+        _, eta, zh = np.linalg.svd((a / norms[..., None, :]) @ m_inv, full_matrices=False)
+        z = herm(zh)
+        with np.errstate(divide="ignore"):
+            alloc = waterfill(1.0 / eta**2, flat_p[trials])
+        reduced = m_inv @ ((z * alloc.powers[..., None, :]) @ herm(z)) @ m_inv
+        reduced = (reduced / norms[..., :, None]) / norms[..., None, :]
+        p2[np.ix_(trials, cols, cols)] = 0.5 * (reduced + herm(reduced))
+        rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
+    uniform = SecondaryDesign(
+        v2=np.sqrt(p_max / total.reshape(batch))[..., None, None] * v2_raw,
+        p2=np.broadcast_to(np.eye(nt), v2_raw.shape),
+        rate=rate_uniform.reshape(batch)[()])
+    optimal = SecondaryDesign(v2=v2_raw, p2=p2.reshape(batch + (nt, nt)),
+                              rate=rate_optimal.reshape(batch)[()])
+    return uniform, optimal

@@ -20,9 +20,8 @@ from oia.primary import design_primary
 from oia.secondary import (
     SecondaryDesign,
     build_precoder,
+    design_secondary,
     interference_covariance,
-    optimal_secondary,
-    uniform_secondary,
     whitener,
 )
 from oia.waterfill import waterfill
@@ -64,8 +63,7 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
             continue
         uni = opt = None
         if active.any():
-            uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
-            opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
+            uni, opt = design_secondary(v2_raw, active, f2, h22, p_max)
         return dict(nt=nt, p_max=p_max, h12=h12, h22=h22, primary=primary,
                     v2_raw=v2_raw, active=active, q=q, uni=uni, opt=opt)
     raise RuntimeError("trial rejected repeatedly")
@@ -104,8 +102,8 @@ def cell_designs(nt, grid_index, trials, p_max):
     if sends.size:
         f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
                                               primary.p1.powers[sends]))
-        for name, scheme in (("uni", uniform_secondary), ("opt", optimal_secondary)):
-            design = scheme(v2_raw[sends], active[sends], f2, h22[sends], p_max)
+        designs = design_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max)
+        for name, design in zip(("uni", "opt"), designs):
             for j, k in enumerate(sends):
                 records[k][name] = SecondaryDesign(design.v2[j], design.p2[j], design.rate[j])
     return records
@@ -189,8 +187,7 @@ def test_c03_analytic_walkthrough():
         problems.append(f"unused count {primary.unused_count}")
     v2_raw, active = build_precoder(eye, primary.svd.u, primary.p1_bar)
     f2 = whitener(interference_covariance(eye, primary.svd.v, primary.p1.powers))
-    uni = uniform_secondary(v2_raw, active, f2, eye, 0.5)
-    opt = optimal_secondary(v2_raw, active, f2, eye, 0.5)
+    uni, opt = design_secondary(v2_raw, active, f2, eye, 0.5)
     expected = math.log2(1.5)
     if abs(uni.rate - expected) > 1e-9:
         problems.append(f"uniform rate {uni.rate}")

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo sweep machinery, CSV output, and CLI."""
 
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -179,9 +180,12 @@ class TestRunGrid:
         assert row.stderr_rate_primary == 0.0
         assert row.stderr_unused_modes == 0.0
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         grid = small_grid(trials=40)
-        assert run_grid([grid], workers=1) == run_grid([grid], workers=8)
+        serial = run_grid([grid], workers=1)
+        # 12 passes of 7 trials, so the pool starts all 8 workers.
+        monkeypatch.setattr(experiments, "PASS_BYTES", 16 * 2 * 2 * 7)
+        assert run_grid([grid], workers=8) == serial
 
     def test_grid_offset_changes_streams(self):
         grid = small_grid(trials=10)
@@ -217,8 +221,39 @@ class TestRunGrid:
         grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=30)
         with_pool = run_grid([grid], workers=2)
         assert len(submitted) == 8  # passes of 4 trials
-        monkeypatch.setattr(experiments, "PASS_BYTES", 64 * 1024)
+        monkeypatch.undo()
         assert with_pool == run_grid([grid])
+
+    def test_pool_starts_no_more_processes_than_passes(self, monkeypatch):
+        """A pool starts all its processes at once, so it gets one per pass at most."""
+        started = []
+
+        class RecordingPool:
+            """Runs each task at submit, in this process, and records the pool size."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, /, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=12)
+        serial = run_grid([grid])
+        assert run_grid([grid], workers=8) == serial  # one pass: no pool at all
+        assert started == []
+        monkeypatch.setattr(experiments, "PASS_BYTES", 16 * 3 * 3 * 4)
+        assert run_grid([grid], workers=8) == serial
+        assert run_grid([grid], workers=2) == serial
+        assert started == [3, 2]  # passes of 4 trials
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pass_layout_does_not_change_rows(self, monkeypatch, workers):
@@ -231,7 +266,8 @@ class TestRunGrid:
         reference = [row for number, (grid, snr_db) in enumerate(cells)
                      for row in run_grid([replace(grid, snr_db_list=(snr_db,))],
                                          grid_offset=3 + number)]
-        for size in (1, 7, trials - 1, trials, trials + 1, 455):
+        default = experiments._pass_size(grids[0])
+        for size in (1, 7, trials - 1, trials, trials + 1, default):
             monkeypatch.setattr(experiments, "PASS_BYTES", 16 * 3 * 3 * size)
             passes = list(experiments._passes(grids, 3))
             assert max(stop - start for _, _, start, stop in passes) == min(size, 3 * trials)
@@ -483,6 +519,32 @@ class TestCli:
         assert peak < 2**20, peak
         assert_one_line_usage_error(capsys, "exceeds the limit")
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_too_many_workers_exit_2(self, tmp_path, capsys, monkeypatch, source):
+        """The worker count is capped before anything is built; no process starts."""
+        def no_sweep(grids, workers):
+            raise AssertionError("an oversized pool reached run_grid")
+
+        monkeypatch.setattr(cli, "run_grid", no_sweep)
+        out = tmp_path / "x.csv"
+        argv = ["run", "--trials", "1", "--out", str(out)]
+        if source == "flag":
+            argv += ["--workers", "100000"]
+        else:
+            monkeypatch.setenv("OIA_WORKERS", "100000")
+        assert cli_main(argv) == 2
+        assert_one_line_usage_error(capsys, f"exceeds the limit of {cli.MAX_WORKERS}")
+        assert not out.exists()
+
+    def test_worker_cap_accepted(self, tmp_path, monkeypatch):
+        asked = []
+        row = experiments.ResultRow(3, 3, 0.0, 1, 0, *[0.0] * 8)
+        monkeypatch.setattr(cli, "run_grid", lambda grids, workers: asked.append(workers) or [row])
+        out = tmp_path / "x.csv"
+        argv = ["run", "--trials", "1", "--workers", str(cli.MAX_WORKERS), "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert asked == [cli.MAX_WORKERS]
 
     def test_many_trials_over_many_cells_accepted(self, tmp_path, monkeypatch):
         """Only cells and trials per cell are capped, not their product."""

@@ -22,9 +22,8 @@ from oia.kernels import herm
 from oia.primary import design_primary
 from oia.secondary import (
     build_precoder,
+    design_secondary,
     interference_covariance,
-    optimal_secondary,
-    uniform_secondary,
     whitener,
 )
 
@@ -77,8 +76,7 @@ def test_extreme_snr_keeps_zero_interference(n, seed, snr_db):
     f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
                                           primary.p1.powers[sends]))
     bound = 1e-9 * math.sqrt(p_max)  # the bound of acceptance criterion C01
-    for scheme in (uniform_secondary, optimal_secondary):
-        design = scheme(v2_raw[sends], active[sends], f2, h22[sends], p_max)
+    for design in design_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max):
         for j, k in enumerate(sends):
             assert residual_interference(primary.svd.u[k], h12[k], design.v2[j], design.p2[j],
                                          primary.p1.powers[k] > 0.0) <= bound
@@ -103,7 +101,7 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
         return
     f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
                                           primary.p1.powers[sends]))
-    design = uniform_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max)
+    design, _ = design_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max)
     whitened = f2 @ h22[sends] @ design.v2
     reference = log2_det_id_plus(herm(whitened) @ whitened)
     assert np.all(np.abs(design.rate - reference) <= 1e-9 * reference)

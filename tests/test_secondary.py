@@ -12,9 +12,8 @@ from oia.primary import design_primary
 from oia.secondary import (
     RANK_GUARD,
     build_precoder,
+    design_secondary,
     interference_covariance,
-    optimal_secondary,
-    uniform_secondary,
     whitener,
 )
 from oia.waterfill import waterfill
@@ -44,8 +43,7 @@ def random_trial(seed, n=3, p_max=1.0, nr=None):
     f2 = whitener(q)
     uni = opt = None
     if active.any():
-        uni = uniform_secondary(v2_raw, active, f2, h22, p_max)
-        opt = optimal_secondary(v2_raw, active, f2, h22, p_max)
+        uni, opt = design_secondary(v2_raw, active, f2, h22, p_max)
     return dict(h11=h11, h12=h12, h21=h21, h22=h22, primary=primary,
                 v2_raw=v2_raw, active=active, q=q, f2=f2, uni=uni, opt=opt,
                 p_max=p_max)
@@ -175,18 +173,14 @@ class TestUniformScheme:
     def test_walkthrough(self):
         v2_raw = np.diag([0.0, 0.25]).astype(complex)
         f2 = whitener(np.diag([1.5, 1.0]))
-        design = uniform_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
+        design, _ = design_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert np.allclose(design.v2, math.sqrt(8.0) * v2_raw, rtol=1e-12, atol=0.0)
         assert abs(design.v2[1, 1] - math.sqrt(0.5)) < 1e-12
         assert abs(design.rate - math.log2(1.5)) < 1e-12
 
     def test_no_active_columns(self):
         with pytest.raises(InvalidInputError, match="active column"):
-            uniform_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
-        stack = np.stack([np.diag([0.0, 0.25]), np.zeros((2, 2))])
-        with pytest.raises(InvalidInputError, match="active column"):
-            uniform_secondary(stack, [[False, True], [False, False]],
-                              np.broadcast_to(np.eye(2), stack.shape), stack, 1.0)
+            design_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_power_constraint_met_with_equality(self, seed):
@@ -208,26 +202,24 @@ class TestOptimalScheme:
     def test_single_active_column_walkthrough(self):
         v2_raw = np.diag([0.0, 0.25]).astype(complex)
         f2 = whitener(np.diag([1.5, 1.0]))
-        design = optimal_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
+        uniform, design = design_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert abs(design.rate - math.log2(1.5)) < 1e-12
-        uniform = uniform_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
         assert abs(design.rate - uniform.rate) < 1e-12
         spent = np.trace(design.v2 @ design.p2 @ herm(design.v2)).real
         assert abs(spent - 0.5) <= 1e-12
 
     def test_no_active_columns(self):
-        with pytest.raises(InvalidInputError, match="active column"):
-            optimal_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
+        """One trial without an active column rejects the whole stack."""
         stack = np.stack([np.diag([0.0, 0.25]), np.zeros((2, 2))])
         with pytest.raises(InvalidInputError, match="active column"):
-            optimal_secondary(stack, [[False, True], [False, False]],
-                              np.broadcast_to(np.eye(2), stack.shape), stack, 1.0)
+            design_secondary(stack, [[False, True], [False, False]],
+                             np.broadcast_to(np.eye(2), stack.shape), stack, 1.0)
 
     def test_parallel_active_columns_rejected(self):
         """Numerically dependent active columns have no gram root."""
         v2_raw = np.array([[1.0, 1.0], [0.0, 1e-9]], dtype=complex)
         with pytest.raises(NotPositiveDefiniteError):
-            optimal_secondary(v2_raw, [True, True], np.eye(2), EYE2, 1.0)
+            design_secondary(v2_raw, [True, True], np.eye(2), EYE2, 1.0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_power_constraint_and_psd(self, seed):
@@ -283,7 +275,7 @@ class TestResidualInterference:
         primary = design_primary(np.diag([2.0, 1.0]), 0.5)
         v2_raw, active = build_precoder(EYE2, primary.svd.u, primary.p1_bar)
         q = interference_covariance(EYE2, primary.svd.v, primary.p1.powers)
-        design = uniform_secondary(v2_raw, active, whitener(q), EYE2, 0.5)
+        design, _ = design_secondary(v2_raw, active, whitener(q), EYE2, 0.5)
         metric = residual_interference(primary.svd.u, EYE2, design.v2, design.p2,
                                        primary.p1.powers > 0.0)
         assert metric == 0.0
@@ -330,15 +322,15 @@ class TestResidualInterference:
             assert abs(clean - bled) <= 1e-9 * clean
 
 
-def budget_stack():
-    """A stack of 3x3 trials designed with one budget per trial, two trials per budget.
+def budget_stack(n=3, per_budget=2):
+    """A stack of n x n trials designed with one budget per trial, ``per_budget`` per budget.
 
     Returns the per-trial budgets, the direct channels, and the inputs both
     power schemes take for the trials with an active column.
     """
     rng = np.random.default_rng(8)
-    budgets = np.repeat([1e-3, 0.3, 2.0, 40.0, 1e3], 2)
-    h11, h12, h21, h22 = (np.stack([complex_gaussian(3, 3, rng) for _ in budgets])
+    budgets = np.repeat([1e-3, 0.3, 2.0, 40.0, 1e3], per_budget)
+    h11, h12, h21, h22 = (np.stack([complex_gaussian(n, n, rng) for _ in budgets])
                           for _ in range(4))
     primary = design_primary(h11, budgets)
     v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
@@ -370,16 +362,29 @@ class TestPerTrialBudget:
                 assert same_bytes(getattr(design, name)[rows], getattr(scalar, name)[rows])
             assert same_bytes(design.p1.powers[rows], scalar.p1.powers[rows])
 
-    @pytest.mark.parametrize("scheme", [uniform_secondary, optimal_secondary])
-    def test_power_schemes(self, scheme):
+    def test_power_schemes(self):
         _, _, inputs, budgets = budget_stack()
         assert len(np.unique(budgets)) >= 3
-        per_trial = scheme(*inputs, budgets)
+        per_trial = design_secondary(*inputs, budgets)
         for budget in np.unique(budgets):
             rows = budgets == budget
-            scalar = scheme(*inputs, budget)
-            for name in ("v2", "p2", "rate"):
-                assert same_bytes(getattr(per_trial, name)[rows], getattr(scalar, name)[rows])
+            scalar = design_secondary(*inputs, budget)
+            for scheme, (mixed, single) in enumerate(zip(per_trial, scalar)):
+                for name in ("v2", "p2", "rate"):
+                    assert same_bytes(getattr(mixed, name)[rows],
+                                      getattr(single, name)[rows]), (scheme, name)
+
+    def test_stack_equals_one_at_a_time(self):
+        """Trials of mixed active patterns and budgets each get their own design, bit for bit."""
+        _, _, (v2_raw, active, f2, h22), budgets = budget_stack(n=4, per_budget=6)
+        assert len(np.unique(active, axis=0)) >= 3 and len(np.unique(budgets)) >= 3
+        stacked = design_secondary(v2_raw, active, f2, h22, budgets)
+        for k, budget in enumerate(budgets):
+            alone = design_secondary(v2_raw[k], active[k], f2[k], h22[k], budget)
+            for scheme, (mixed, single) in enumerate(zip(stacked, alone)):
+                for name in ("v2", "p2", "rate"):
+                    assert same_bytes(getattr(mixed, name)[k], getattr(single, name)), \
+                        (k, scheme, name)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_bad_entry_rejected(self, bad):
@@ -391,6 +396,5 @@ class TestPerTrialBudget:
             waterfill(np.ones((3, 2)), budgets)
         with pytest.raises(InvalidInputError):
             design_primary(eye, budgets)
-        for scheme in (uniform_secondary, optimal_secondary):
-            with pytest.raises(InvalidInputError):
-                scheme(v2_raw, active, eye, eye, budgets)
+        with pytest.raises(InvalidInputError):
+            design_secondary(v2_raw, active, eye, eye, budgets)
