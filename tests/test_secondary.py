@@ -362,17 +362,17 @@ class TestPerTrialBudget:
                 assert same_bytes(getattr(design, name)[rows], getattr(scalar, name)[rows])
             assert same_bytes(design.p1.powers[rows], scalar.p1.powers[rows])
 
-    def test_power_schemes(self):
+    @pytest.mark.parametrize("scheme", [0, 1], ids=["uniform_secondary", "optimal_secondary"])
+    def test_power_schemes(self, scheme):
+        """``scheme`` indexes the (uniform, optimal) pair that design_secondary returns."""
         _, _, inputs, budgets = budget_stack()
         assert len(np.unique(budgets)) >= 3
-        per_trial = design_secondary(*inputs, budgets)
+        per_trial = design_secondary(*inputs, budgets)[scheme]
         for budget in np.unique(budgets):
             rows = budgets == budget
-            scalar = design_secondary(*inputs, budget)
-            for scheme, (mixed, single) in enumerate(zip(per_trial, scalar)):
-                for name in ("v2", "p2", "rate"):
-                    assert same_bytes(getattr(mixed, name)[rows],
-                                      getattr(single, name)[rows]), (scheme, name)
+            scalar = design_secondary(*inputs, budget)[scheme]
+            for name in ("v2", "p2", "rate"):
+                assert same_bytes(getattr(per_trial, name)[rows], getattr(scalar, name)[rows])
 
     def test_stack_equals_one_at_a_time(self):
         """Trials of mixed active patterns and budgets each get their own design, bit for bit."""
