@@ -15,7 +15,7 @@ import numpy as np
 from .channel import draw_trials
 from .errors import InvalidInputError, RedrawError
 from .primary import design_primary, primary_rate
-from .secondary import build_precoder, design_secondary, interference_covariance, whitener
+from .secondary import design_secondary
 
 # Replacement draws for discarded trials take indices at or above this base so
 # they can never collide with regular trial indices.
@@ -127,8 +127,9 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
     so replacements are deterministic and never collide with regular
     indices. Only the rejected trials are redrawn; every trial's record
     depends on its own stream and SNR alone, not on the other trials of the
-    stack. Trials without a free mode have nothing to transmit and skip the
-    secondary stages, whitening included, with secondary rates 0.
+    stack. Each trial is designed by ``design_primary`` and
+    ``design_secondary``; a trial without a free mode has nothing to
+    transmit, and ``design_secondary`` gives it secondary rates 0.
     """
     trials = np.asarray(trial_indices, dtype=np.int64)
     grid_index = np.broadcast_to(grid_index, trials.shape)
@@ -140,7 +141,7 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
         h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
         try:
             primary = design_primary(h11, p_max)
-            v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
+            uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
         except RedrawError as exc:
             redo = np.flatnonzero(exc.rejected)
             discards[redo] += 1
@@ -152,19 +153,10 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
             chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index[redo],
                                       trials[redo] + discards[redo] * REPLACEMENT_BASE)
             continue
-        # Only trials with a free mode transmit; both schemes give the others rate 0.
-        sends = np.flatnonzero(active.any(axis=-1))
-        rate_uniform, rate_optimal = np.zeros(trials.size), np.zeros(trials.size)
-        if sends.size:
-            v2_raw, active, h22 = v2_raw[sends], active[sends], h22[sends]
-            q = interference_covariance(h21[sends], primary.svd.v[sends],
-                                        primary.p1.powers[sends])
-            uniform, optimal = design_secondary(v2_raw, active, whitener(q), h22, p_max[sends])
-            rate_uniform[sends], rate_optimal[sends] = uniform.rate, optimal.rate
         return TrialRecords(unused_modes=primary.unused_count,
                             rate_primary=primary_rate(primary),
-                            rate_secondary_uniform=rate_uniform,
-                            rate_secondary_optimal=rate_optimal,
+                            rate_secondary_uniform=uniform.rate,
+                            rate_secondary_optimal=optimal.rate,
                             discards=discards)
 
 

@@ -12,15 +12,15 @@ pseudo-inverse, which does not in general clear the active modes, since
 identity. Column n is exactly zero whenever ``p1_bar[n]`` is zero, so the
 precoder spans only the free dimensions.
 
-The secondary receiver whitens the primary's interference (covariance q)
-with ``q^{-1/2}``, computed once per trial by ``whitener``. One stage,
-``design_secondary``, then gives both power schemes of a stack at once: it
-checks its inputs, groups the trials by their active columns and forms each
-trial's whitened active block ``f2 @ h22 @ v2_raw[:, active]`` once. The
-uniform scheme splits power evenly over the precoder, and the optimal scheme
-water-fills an equivalent whitened channel restricted to the active columns.
-Only trials with at least one active column are designed; a trial without
-one has nothing to transmit.
+One call, ``design_secondary``, designs the whole secondary link of a
+stack of trials: the precoder, the receiver that whitens the primary's
+interference (covariance q) with ``q^{-1/2}``, and both power schemes. Only
+trials with at least one active column transmit; a trial without one has
+nothing to send and gets a zero precoder and rate 0. The sending trials are
+grouped by their active columns, and each trial's whitened active block
+``f2 @ h22 @ v2_raw[:, active]`` is formed once. The uniform scheme splits
+power evenly over the precoder, and the optimal scheme water-fills an
+equivalent whitened channel restricted to the active columns.
 
 Both rates come from singular values through ``waterfill.sum_rate``: the
 uniform rate ``log2 det(I + W W^H)`` of the whitened channel ``W`` is the
@@ -65,8 +65,10 @@ class SecondaryDesign:
     """One power-allocation scheme's full outcome for a trial.
 
     ``v2`` is the transmitted precoder, zero outside the active columns.
-    ``p2`` is the final Hermitian PSD input covariance, full size, and
-    ``trace(v2 @ p2 @ v2^H)`` meets the power budget with equality.
+    ``p2`` is the final Hermitian PSD input covariance, full size. On a
+    trial with an active column ``trace(v2 @ p2 @ v2^H)`` meets the power
+    budget with equality; a trial without one sends nothing, with
+    ``v2 = 0`` and rate 0.
     """
 
     v2: np.ndarray
@@ -132,44 +134,34 @@ def interference_covariance(h21, v1, p1) -> np.ndarray:
 
     ``h21 @ v1 @ diag(p1) @ v1^H @ h21^H + I``, symmetrized, per trial of a
     stack. The result is Hermitian with spectrum at or above the unit noise
-    variance. ``p1`` may be shorter than nt (min(nr, nt) allocatable modes);
-    the surplus transmit dimensions carry zero power.
+    variance.
     """
     h21 = np.asarray(h21, dtype=np.complex128)
     v1 = np.asarray(v1, dtype=np.complex128)
     p = np.asarray(p1, dtype=float)
-    diag = np.zeros(p.shape[:-1] + v1.shape[-1:])
-    diag[..., :p.shape[-1]] = p
-    cov = h21 @ ((v1 * diag[..., None, :]) @ herm(v1)) @ herm(h21)
+    cov = h21 @ ((v1 * p[..., None, :]) @ herm(v1)) @ herm(h21)
     q = cov + np.eye(h21.shape[-2])
     return 0.5 * (q + herm(q))
 
 
-def whitener(q) -> np.ndarray:
-    """Whitening filter ``q^{-1/2}`` of an interference-plus-noise covariance.
+def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, SecondaryDesign]:
+    """The secondary link of a trial or a stack of trials: ``(uniform, optimal)``.
 
-    ``q`` must dominate ``I``, as ``interference_covariance`` guarantees;
-    both power schemes of a trial share the one filter.
-    """
-    return hermitian_inv_sqrt(q, floor=1.0 - NOISE_FLOOR_SLACK)
+    ``primary`` is the trials' ``PrimaryDesign``. ``h12`` is the cross
+    channel to the primary receiver, ``h21`` the primary's channel to the
+    secondary receiver and ``h22`` the secondary's direct channel, each
+    nr x nt with the primary's leading stack axes. ``p_max`` is the budget,
+    one value for the whole stack or one per trial.
 
-
-def _check_scheme_inputs(active, p_max) -> np.ndarray:
-    if not np.asarray(active, dtype=bool).any(axis=-1).all():
-        raise InvalidInputError("every trial needs at least one active column")
-    return positive_budget(p_max, "p_max")
-
-
-def design_secondary(v2_raw, active, f2, h22, p_max) -> tuple[SecondaryDesign, SecondaryDesign]:
-    """Both power schemes of a stack of trials: ``(uniform, optimal)``.
-
-    ``active`` is the boolean column mask from ``build_precoder``, with at
-    least one active column per trial, and ``f2`` the trial's whitening
-    filter ``q^{-1/2}``; all arguments may carry leading stack axes.
-    ``p_max`` is the budget, one value for the whole stack or one per
-    trial. The trials are grouped by their active-column mask, and each
-    group is solved as one stack. With ``vt = v2_raw[:, active]``, both
-    schemes start from the whitened active block ``a = f2 @ h22 @ vt``.
+    The precoder ``v2_raw`` and its active columns come from
+    ``build_precoder``, whose ``"cross"`` ``RedrawError`` passes through.
+    Only trials with an active column transmit; a trial without one gets
+    ``v2 = 0`` and rate 0 in both schemes. A sending trial's receiver
+    whitens the primary's interference with ``f2 = q^{-1/2}``, ``q`` from
+    ``interference_covariance``. The sending trials are grouped by their
+    active-column mask, and each group is solved as one stack. With
+    ``vt = v2_raw[:, active]``, both schemes start from the whitened active
+    block ``a = f2 @ h22 @ vt``.
 
     Uniform scheme: identity input covariance, with the precoder scaled so
     that ``trace(v2 @ v2^H) = p_max`` exactly. Its rate is
@@ -189,46 +181,52 @@ def design_secondary(v2_raw, active, f2, h22, p_max) -> tuple[SecondaryDesign, S
     already absorbs all scaling, and any nonzero scale yields the same
     transmitted covariance.
     """
-    p_max = _check_scheme_inputs(active, p_max)
-    v2_raw, f2, h22 = (np.asarray(a, dtype=np.complex128) for a in (v2_raw, f2, h22))
-    active = np.asarray(active, dtype=bool)
+    p_max = positive_budget(p_max, "p_max")
+    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
     batch, nt = active.shape[:-1], active.shape[-1]
-    flat_v2, flat_f2, flat_h22 = (a.reshape(-1, *a.shape[-2:]) for a in (v2_raw, f2, h22))
+    flat_v2, flat_active = v2_raw.reshape(-1, nt, nt), active.reshape(-1, nt)
     flat_p = np.broadcast_to(p_max, batch).reshape(-1)
     # Inactive columns are exactly zero, so this is ||vt||_F^2 of every trial.
     total = np.sum(np.abs(flat_v2) ** 2, axis=(-2, -1))
-    p2 = np.zeros((flat_v2.shape[0], nt, nt), dtype=np.complex128)
-    rate_uniform, rate_optimal = np.empty(flat_v2.shape[0]), np.empty(flat_v2.shape[0])
-    patterns, group = np.unique(active.reshape(-1, nt), axis=0, return_inverse=True)
-    for number, pattern in enumerate(patterns):
-        cols = np.flatnonzero(pattern)
-        trials = np.flatnonzero(group.ravel() == number)
-        vt = flat_v2[trials][..., cols]
-        a = flat_f2[trials] @ (flat_h22[trials] @ vt)
-        sigma = np.linalg.svd(a, compute_uv=False)
-        rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[trials])[:, None])
-        # Column equilibration: complementary-allocation entries can differ by
-        # many orders of magnitude, which would wreck the gram eigendecomposition
-        # (small eigenvalues only carry absolute accuracy). The optimum depends
-        # only on the precoder's column space, so solve in normalized columns
-        # and undo the rescale on the output covariance.
-        norms = np.linalg.norm(vt, axis=-2)
-        if norms.min() == 0.0:
-            raise InternalInvariantError("an active precoder column is exactly zero")
-        vn = vt / norms[..., None, :]
-        m_inv = hermitian_inv_sqrt(herm(vn) @ vn, floor=GRAM_FLOOR)
-        _, eta, zh = np.linalg.svd((a / norms[..., None, :]) @ m_inv, full_matrices=False)
-        z = herm(zh)
-        with np.errstate(divide="ignore"):
-            alloc = waterfill(1.0 / eta**2, flat_p[trials])
-        reduced = m_inv @ ((z * alloc.powers[..., None, :]) @ herm(z)) @ m_inv
-        reduced = (reduced / norms[..., :, None]) / norms[..., None, :]
-        p2[np.ix_(trials, cols, cols)] = 0.5 * (reduced + herm(reduced))
-        rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
-    uniform = SecondaryDesign(
-        v2=np.sqrt(p_max / total.reshape(batch))[..., None, None] * v2_raw,
-        p2=np.broadcast_to(np.eye(nt), v2_raw.shape),
-        rate=rate_uniform.reshape(batch)[()])
-    optimal = SecondaryDesign(v2=v2_raw, p2=p2.reshape(batch + (nt, nt)),
+    scale, rate_uniform, rate_optimal = (np.zeros(total.size) for _ in range(3))
+    p2 = np.zeros(flat_v2.shape, dtype=np.complex128)
+    sends = np.flatnonzero(flat_active.any(axis=-1))
+    if sends.size:
+        h21, v1, p1, h22 = (x.reshape(total.size, *x.shape[len(batch):])[sends] for x in
+                            map(np.asarray, (h21, primary.svd.v, primary.p1.powers, h22)))
+        f2 = hermitian_inv_sqrt(interference_covariance(h21, v1, p1),
+                                floor=1.0 - NOISE_FLOOR_SLACK)
+        scale[sends] = np.sqrt(flat_p[sends] / total[sends])
+        patterns, group = np.unique(flat_active[sends], axis=0, return_inverse=True)
+        for number, pattern in enumerate(patterns):
+            cols = np.flatnonzero(pattern)
+            members = np.flatnonzero(group.ravel() == number)
+            trials = sends[members]
+            vt = flat_v2[trials][..., cols]
+            a = f2[members] @ (h22[members] @ vt)
+            sigma = np.linalg.svd(a, compute_uv=False)
+            rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[trials])[:, None])
+            # Column equilibration: complementary-allocation entries can differ by
+            # many orders of magnitude, which would wreck the gram eigendecomposition
+            # (small eigenvalues only carry absolute accuracy). The optimum depends
+            # only on the precoder's column space, so solve in normalized columns
+            # and undo the rescale on the output covariance.
+            norms = np.linalg.norm(vt, axis=-2)
+            if norms.min() == 0.0:
+                raise InternalInvariantError("an active precoder column is exactly zero")
+            vn = vt / norms[..., None, :]
+            m_inv = hermitian_inv_sqrt(herm(vn) @ vn, floor=GRAM_FLOOR)
+            _, eta, zh = np.linalg.svd((a / norms[..., None, :]) @ m_inv, full_matrices=False)
+            z = herm(zh)
+            with np.errstate(divide="ignore"):
+                alloc = waterfill(1.0 / eta**2, flat_p[trials])
+            reduced = m_inv @ ((z * alloc.powers[..., None, :]) @ herm(z)) @ m_inv
+            reduced = (reduced / norms[..., :, None]) / norms[..., None, :]
+            p2[np.ix_(trials, cols, cols)] = 0.5 * (reduced + herm(reduced))
+            rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
+    uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,
+                              p2=np.broadcast_to(np.eye(nt), v2_raw.shape),
+                              rate=rate_uniform.reshape(batch)[()])
+    optimal = SecondaryDesign(v2=v2_raw, p2=p2.reshape(v2_raw.shape),
                               rate=rate_optimal.reshape(batch)[()])
     return uniform, optimal

@@ -6,6 +6,7 @@ objectives directly, ``loop_waterfill`` is the mode-by-mode loop the
 vectorized water-filling must reproduce bit for bit,
 ``residual_interference`` measures the zero-interference guarantee,
 ``log2_det_id_plus`` evaluates a log-det rate from determinants alone,
+``whiten`` filters a channel by a Cholesky factor instead of ``q^{-1/2}``,
 ``derive_stream`` builds a trial's stream the documented way, one numpy
 ``SeedSequence`` and generator per trial, and ``complex_gaussian`` draws one
 channel matrix from it the way each trial's stacked draw must.
@@ -50,6 +51,15 @@ def log2_det_id_plus(m):
     minors = sum(np.linalg.det(m[..., list(s), :][..., :, list(s)]).real
                  for size in range(1, n + 1) for s in itertools.combinations(range(n), size))
     return np.log1p(minors) / np.log(2.0)
+
+
+def whiten(q, m):
+    """``L^{-1} @ m`` for the Cholesky factor ``q = L L^H``, per matrix of a stack.
+
+    Any filter F with ``F^H F = q^{-1}`` turns the covariance q into I and
+    gives the same log-det rates; this one needs no eigensolver.
+    """
+    return np.linalg.solve(np.linalg.cholesky(q), m)
 
 
 def allocation_rate(powers, inverse_gains):

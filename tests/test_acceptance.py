@@ -17,13 +17,7 @@ from oia.errors import RedrawError
 from oia.experiments import REPLACEMENT_BASE, ExperimentGrid, run_grid
 from oia.kernels import herm
 from oia.primary import design_primary
-from oia.secondary import (
-    SecondaryDesign,
-    build_precoder,
-    design_secondary,
-    interference_covariance,
-    whitener,
-)
+from oia.secondary import SecondaryDesign, design_secondary, interference_covariance
 from oia.waterfill import waterfill
 
 from oracles import (
@@ -45,10 +39,11 @@ def report(criterion: str, problems: list):
 
 
 def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
-    """Design chain for one seeded square trial, redrawing on rank rejections.
+    """Both links of one seeded square trial, redrawing on rank rejections.
 
-    As in a sweep, only a trial with an active column runs the power
-    schemes; without one, ``uni`` and ``opt`` are None.
+    ``v2_raw`` is the optimal scheme's precoder, which is the unscaled one,
+    ``active`` its nonzero columns, and ``q`` the interference covariance
+    the secondary receiver whitens.
     """
     for attempt in range(100):
         idx = trial_index if attempt == 0 else trial_index + attempt * REPLACEMENT_BASE
@@ -56,16 +51,13 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
         h11, h12, h21, h22 = (complex_gaussian(nt, nt, stream) for _ in range(4))
         try:
             primary = design_primary(h11, p_max)
-            v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-            q = interference_covariance(h21, primary.svd.v, primary.p1.powers)
-            f2 = whitener(q)
+            uni, opt = design_secondary(primary, h12, h21, h22, p_max)
         except RedrawError:
             continue
-        uni = opt = None
-        if active.any():
-            uni, opt = design_secondary(v2_raw, active, f2, h22, p_max)
         return dict(nt=nt, p_max=p_max, h12=h12, h22=h22, primary=primary,
-                    v2_raw=v2_raw, active=active, q=q, uni=uni, opt=opt)
+                    v2_raw=opt.v2, active=primary.p1_bar > 0.0,
+                    q=interference_covariance(h21, primary.svd.v, primary.p1.powers),
+                    uni=uni, opt=opt)
     raise RuntimeError("trial rejected repeatedly")
 
 
@@ -75,8 +67,7 @@ def cell_designs(nt, grid_index, trials, p_max):
     Rejected trials are redrawn at the same replacement indices, and every
     stacked stage gives a trial the numbers it gets on its own, so each
     record holds the per-trial path's numbers. A record keeps the primary's
-    ``u1``, ``lam`` and ``p1`` (its powers) and the schemes' designs, None
-    for a trial without an active column.
+    ``u1``, ``lam`` and ``p1`` (its powers) and the schemes' designs.
     """
     indices = np.arange(trials)
     redraws = np.zeros(trials, dtype=np.int64)
@@ -85,7 +76,7 @@ def cell_designs(nt, grid_index, trials, p_max):
         h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
         try:
             primary = design_primary(h11, p_max)
-            v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
+            designs = design_secondary(primary, h12, h21, h22, p_max)
             break
         except RedrawError as exc:
             redo = np.flatnonzero(exc.rejected)
@@ -94,19 +85,11 @@ def cell_designs(nt, grid_index, trials, p_max):
                 raise RuntimeError("trial rejected repeatedly") from None
             chans[redo] = draw_trials(nt, nt, MASTER_SEED, grid_index,
                                       indices[redo] + redraws[redo] * REPLACEMENT_BASE)
-    records = [dict(p_max=p_max, h12=h12[k], u1=primary.svd.u[k], lam=primary.svd.sigma[k],
-                    p1=primary.p1.powers[k], unused_count=primary.unused_count[k],
-                    uni=None, opt=None)
-               for k in range(trials)]
-    sends = np.flatnonzero(active.any(axis=-1))
-    if sends.size:
-        f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
-                                              primary.p1.powers[sends]))
-        designs = design_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max)
-        for name, design in zip(("uni", "opt"), designs):
-            for j, k in enumerate(sends):
-                records[k][name] = SecondaryDesign(design.v2[j], design.p2[j], design.rate[j])
-    return records
+    return [dict(p_max=p_max, h12=h12[k], u1=primary.svd.u[k], lam=primary.svd.sigma[k],
+                 p1=primary.p1.powers[k], unused_count=primary.unused_count[k],
+                 **{name: SecondaryDesign(design.v2[k], design.p2[k], design.rate[k])
+                    for name, design in zip(("uni", "opt"), designs)})
+            for k in range(trials)]
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +120,6 @@ def test_c01_zero_interference_guarantee(design_pool):
         bound = 1e-9 * math.sqrt(rec["p_max"])
         for scheme in ("uni", "opt"):
             design = rec[scheme]
-            if design is None:  # nothing transmitted, nothing to leak
-                continue
             metric = residual_interference(rec["u1"], rec["h12"],
                                            design.v2, design.p2, rec["p1"] > 0.0)
             if metric > bound:
@@ -185,9 +166,7 @@ def test_c03_analytic_walkthrough():
         problems.append(f"complement {primary.p1_bar}")
     if primary.unused_count != 1:
         problems.append(f"unused count {primary.unused_count}")
-    v2_raw, active = build_precoder(eye, primary.svd.u, primary.p1_bar)
-    f2 = whitener(interference_covariance(eye, primary.svd.v, primary.p1.powers))
-    uni, opt = design_secondary(v2_raw, active, f2, eye, 0.5)
+    uni, opt = design_secondary(primary, eye, eye, eye, 0.5)
     expected = math.log2(1.5)
     if abs(uni.rate - expected) > 1e-9:
         problems.append(f"uniform rate {uni.rate}")
@@ -199,8 +178,6 @@ def test_c03_analytic_walkthrough():
 def test_c04_optimal_dominates_uniform(design_pool):
     problems = []
     for k, rec in enumerate(design_pool["records"]):
-        if rec["opt"] is None:
-            continue
         gap = rec["opt"].rate - rec["uni"].rate
         if gap < -1e-9:
             problems.append(f"trial {k}: optimal below uniform by {-gap:.3e}")
@@ -321,8 +298,6 @@ def test_c10_primary_rate_invariance(design_pool):
         lam, p1 = rec["lam"], rec["p1"]
         for scheme in ("uni", "opt"):
             design = rec[scheme]
-            if design is None:
-                continue
             filtered = herm(rec["u1"]) @ rec["h12"] @ design.v2
             extra = (filtered @ design.p2 @ herm(filtered)).real
             for mode in np.flatnonzero(p1 > 0.0):

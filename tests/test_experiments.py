@@ -18,6 +18,7 @@ import pytest
 import oia
 import oia.cli as cli
 import oia.experiments as experiments
+import oia.secondary as secondary
 from oia.cli import cli_main
 from oia.errors import (
     InternalInvariantError,
@@ -139,22 +140,23 @@ class TestRunTrial:
                                    "trial 0 of cell 5 rejected 100 times in a row")
 
     def test_trials_without_free_mode_skip_secondary_stages(self, monkeypatch):
-        """Only trials with a free mode reach the whitener; the others keep secondary rate 0."""
-        whitened = []
-        real_whitener = experiments.whitener
-        monkeypatch.setattr(experiments, "whitener",
-                            lambda q: whitened.append(len(q)) or real_whitener(q))
+        """Only trials with a free mode reach interference_covariance; the others get rate 0."""
+        covariances = []
+        real_covariance = secondary.interference_covariance
+        monkeypatch.setattr(secondary, "interference_covariance",
+                            lambda h21, *rest: covariances.append(len(h21))
+                            or real_covariance(h21, *rest))
         grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=40)
         record = run_trials(grid, 0, 10.0, range(40))
         sends = record.unused_modes > 0
         assert 0 < np.count_nonzero(sends) < 40
-        assert whitened == [np.count_nonzero(sends)]
+        assert covariances == [np.count_nonzero(sends)]
         assert np.all(record.rate_secondary_uniform[~sends] == 0.0)
         assert np.all(record.rate_secondary_optimal[~sends] == 0.0)
         assert np.all(record.rate_secondary_optimal[sends] > 0.0)
-        whitened.clear()
+        covariances.clear()
         run_trials(grid, 0, 60.0, range(40))
-        assert whitened == []
+        assert covariances == []
 
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
     def test_stacked_records_equal_one_at_a_time(self, nt, nr):

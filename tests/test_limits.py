@@ -20,14 +20,9 @@ from oia.channel import draw_trials
 from oia.experiments import ExperimentGrid, run_trials, snr_to_power
 from oia.kernels import herm
 from oia.primary import design_primary
-from oia.secondary import (
-    build_precoder,
-    design_secondary,
-    interference_covariance,
-    whitener,
-)
+from oia.secondary import design_secondary, interference_covariance
 
-from oracles import log2_det_id_plus, residual_interference
+from oracles import log2_det_id_plus, residual_interference, whiten
 
 TRIALS = 8
 ANTENNAS = st.integers(2, 6)
@@ -66,19 +61,12 @@ def test_extreme_snr_keeps_zero_interference(n, seed, snr_db):
     p_max = snr_to_power(snr_db)
     h11, h12, h21, h22 = np.moveaxis(draw_trials(n, n, seed, 0, range(TRIALS)), 1, 0)
     primary = design_primary(h11, p_max)
-    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-    # As in a sweep, only trials with an active column run the schemes: all
-    # of them at -300 dB, none at +300 dB.
-    sends = np.flatnonzero(active.any(axis=-1))
-    assert sends.size == (TRIALS if snr_db < 0 else 0)
-    if not sends.size:
-        return
-    f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
-                                          primary.p1.powers[sends]))
+    # Every trial has a free mode at -300 dB, none at +300 dB.
+    assert np.count_nonzero(primary.unused_count) == (TRIALS if snr_db < 0 else 0)
     bound = 1e-9 * math.sqrt(p_max)  # the bound of acceptance criterion C01
-    for design in design_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max):
-        for j, k in enumerate(sends):
-            assert residual_interference(primary.svd.u[k], h12[k], design.v2[j], design.p2[j],
+    for design in design_secondary(primary, h12, h21, h22, p_max):
+        for k in range(TRIALS):
+            assert residual_interference(primary.svd.u[k], h12[k], design.v2[k], design.p2[k],
                                          primary.p1.powers[k] > 0.0) <= bound
 
 
@@ -89,19 +77,17 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
     """The uniform rate is log2 det(I + W W^H) of the whitened channel W, square or tall.
 
     The oracle takes ``W^H W``, whose log-det is the same (Sylvester's
-    determinant identity) and which has full rank nt.
+    determinant identity) and which has full rank nt, and whitens with a
+    Cholesky factor of q. Trials without a free mode have rate 0.
     """
     p_max = snr_to_power(snr_db)
     nr = nt + extra_rows
     h11, h12, h21, h22 = np.moveaxis(draw_trials(nr, nt, seed, 0, range(TRIALS)), 1, 0)
     primary = design_primary(h11, p_max)
-    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-    sends = np.flatnonzero(active.any(axis=-1))
-    if not sends.size:
-        return
-    f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
-                                          primary.p1.powers[sends]))
-    design, _ = design_secondary(v2_raw[sends], active[sends], f2, h22[sends], p_max)
-    whitened = f2 @ h22[sends] @ design.v2
+    design, _ = design_secondary(primary, h12, h21, h22, p_max)
+    sends = primary.unused_count > 0
+    assert np.all(design.rate[~sends] == 0.0)
+    q = interference_covariance(h21[sends], primary.svd.v[sends], primary.p1.powers[sends])
+    whitened = whiten(q, h22[sends] @ design.v2[sends])
     reference = log2_det_id_plus(herm(whitened) @ whitened)
-    assert np.all(np.abs(design.rate - reference) <= 1e-9 * reference)
+    assert np.all(np.abs(design.rate[sends] - reference) <= 1e-9 * reference)

@@ -9,13 +9,7 @@ import pytest
 from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
 from oia.kernels import herm
 from oia.primary import design_primary
-from oia.secondary import (
-    RANK_GUARD,
-    build_precoder,
-    design_secondary,
-    interference_covariance,
-    whitener,
-)
+from oia.secondary import RANK_GUARD, build_precoder, design_secondary, interference_covariance
 from oia.waterfill import waterfill
 
 from oracles import (
@@ -23,30 +17,27 @@ from oracles import (
     log2_det_id_plus,
     residual_interference,
     secondary_split_oracle,
+    whiten,
 )
 
 EYE2 = np.eye(2, dtype=complex)
 
 
 def random_trial(seed, n=3, p_max=1.0, nr=None):
-    """Full design chain on one random channel realization, n x n or nr x n.
+    """Both links of one random channel realization, n x n or nr x n.
 
-    As in a sweep, only a trial with an active column runs the power
-    schemes; without one, ``uni`` and ``opt`` are None.
+    ``v2_raw`` is the optimal scheme's precoder, which is the unscaled one,
+    ``active`` its nonzero columns (the primary's unused modes), and ``q``
+    the interference covariance the secondary receiver whitens.
     """
     rng = np.random.default_rng(seed)
-    chans = [complex_gaussian(nr or n, n, rng) for _ in range(4)]
-    h11, h12, h21, h22 = chans
+    h11, h12, h21, h22 = (complex_gaussian(nr or n, n, rng) for _ in range(4))
     primary = design_primary(h11, p_max)
-    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-    q = interference_covariance(h21, primary.svd.v, primary.p1.powers)
-    f2 = whitener(q)
-    uni = opt = None
-    if active.any():
-        uni, opt = design_secondary(v2_raw, active, f2, h22, p_max)
+    uni, opt = design_secondary(primary, h12, h21, h22, p_max)
     return dict(h11=h11, h12=h12, h21=h21, h22=h22, primary=primary,
-                v2_raw=v2_raw, active=active, q=q, f2=f2, uni=uni, opt=opt,
-                p_max=p_max)
+                v2_raw=opt.v2, active=primary.p1_bar > 0.0,
+                q=interference_covariance(h21, primary.svd.v, primary.p1.powers),
+                uni=uni, opt=opt, p_max=p_max)
 
 
 def conditioned_channel(nr, nt, ratio, rng):
@@ -160,27 +151,31 @@ class TestInterferenceCovariance:
         assert eigenvalues[0] >= 1.0 - 1e-10
         assert np.linalg.norm(trial["q"] - herm(trial["q"])) <= 1e-12
 
-    def test_short_power_vector_embedded(self):
-        rng = np.random.default_rng(5)
-        h21 = complex_gaussian(2, 3, rng)
-        v1 = np.linalg.qr(complex_gaussian(3, 3, rng))[0]
-        q = interference_covariance(h21, v1, [0.7, 0.3])
-        assert q.shape == (2, 2)
-        assert np.linalg.eigvalsh(q)[0] >= 1.0 - 1e-10
+
+def walkthrough():
+    """The analytic walkthrough's primary: mode 0 carries 0.5, mode 1 is free with p1_bar 0.25.
+
+    With identity cross, interference and direct channels the precoder is
+    ``diag(0, 0.25)`` and the secondary receiver sees ``q = diag(1.5, 1)``.
+    """
+    return design_primary(np.diag([2.0, 1.0]), 0.5)
 
 
 class TestUniformScheme:
     def test_walkthrough(self):
-        v2_raw = np.diag([0.0, 0.25]).astype(complex)
-        f2 = whitener(np.diag([1.5, 1.0]))
-        design, _ = design_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
+        design, _ = design_secondary(walkthrough(), EYE2, EYE2, EYE2, p_max=0.5)
+        v2_raw = np.diag([0.0, 0.25])
         assert np.allclose(design.v2, math.sqrt(8.0) * v2_raw, rtol=1e-12, atol=0.0)
         assert abs(design.v2[1, 1] - math.sqrt(0.5)) < 1e-12
         assert abs(design.rate - math.log2(1.5)) < 1e-12
 
     def test_no_active_columns(self):
-        with pytest.raises(InvalidInputError, match="active column"):
-            design_secondary(np.zeros((2, 2)), [False, False], np.eye(2), EYE2, 1.0)
+        """With every primary mode in use the trial sends nothing: v2 = 0 and rate 0."""
+        primary = design_primary(EYE2, 1.0)
+        assert not np.any(primary.p1_bar > 0.0)
+        for design in design_secondary(primary, EYE2, EYE2, EYE2, 1.0):
+            assert np.all(design.v2 == 0.0)
+            assert design.rate == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_power_constraint_met_with_equality(self, seed):
@@ -193,33 +188,37 @@ class TestUniformScheme:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_whitening_filter_flattens_covariance(self, seed):
+        """The rate is that of the channel seen through a filter that turns q into I."""
         trial = random_trial(seed, n=4, p_max=3.0)
-        f2, q = trial["f2"], trial["q"]
-        assert np.linalg.norm(f2 @ q @ herm(f2) - np.eye(4)) <= 1e-9 * 4
+        design = trial["uni"]
+        w = whiten(trial["q"], trial["h22"] @ design.v2)
+        assert abs(log2_det_id_plus(herm(w) @ w) - design.rate) <= 1e-9 * max(design.rate, 1.0)
 
 
 class TestOptimalScheme:
     def test_single_active_column_walkthrough(self):
-        v2_raw = np.diag([0.0, 0.25]).astype(complex)
-        f2 = whitener(np.diag([1.5, 1.0]))
-        uniform, design = design_secondary(v2_raw, [False, True], f2, EYE2, p_max=0.5)
+        uniform, design = design_secondary(walkthrough(), EYE2, EYE2, EYE2, p_max=0.5)
         assert abs(design.rate - math.log2(1.5)) < 1e-12
         assert abs(design.rate - uniform.rate) < 1e-12
         spent = np.trace(design.v2 @ design.p2 @ herm(design.v2)).real
         assert abs(spent - 0.5) <= 1e-12
 
     def test_no_active_columns(self):
-        """One trial without an active column rejects the whole stack."""
-        stack = np.stack([np.diag([0.0, 0.25]), np.zeros((2, 2))])
-        with pytest.raises(InvalidInputError, match="active column"):
-            design_secondary(stack, [[False, True], [False, False]],
-                             np.broadcast_to(np.eye(2), stack.shape), stack, 1.0)
+        """A trial of a stack without an active column gets v2 = 0 and rate 0; the other sends."""
+        primary = design_primary(np.stack([np.diag([2.0, 1.0]), EYE2]), 0.5)
+        eye = np.broadcast_to(EYE2, (2, 2, 2))
+        for design in design_secondary(primary, eye, eye, eye, 0.5):
+            assert np.all(design.v2[1] == 0.0)
+            assert design.rate[1] == 0.0
+            assert abs(design.rate[0] - math.log2(1.5)) < 1e-12
 
     def test_parallel_active_columns_rejected(self):
         """Numerically dependent active columns have no gram root."""
-        v2_raw = np.array([[1.0, 1.0], [0.0, 1e-9]], dtype=complex)
+        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)  # modes 1 and 2 free
+        steer = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-7]])
+        h12 = primary.svd.u @ np.linalg.inv(steer)  # so that v2_raw = steer @ diag(p1_bar)
         with pytest.raises(NotPositiveDefiniteError):
-            design_secondary(v2_raw, [True, True], np.eye(2), EYE2, 1.0)
+            design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_power_constraint_and_psd(self, seed):
@@ -236,17 +235,13 @@ class TestOptimalScheme:
     def test_closed_form_matches_direct_objective(self, seed):
         trial = random_trial(seed, n=4, p_max=1.5)
         design = trial["opt"]
-        if design is None:
-            return
-        whitened = trial["f2"] @ trial["h22"] @ design.v2
+        whitened = whiten(trial["q"], trial["h22"] @ design.v2)
         direct = log2_det_id_plus(whitened @ design.p2 @ herm(whitened))
         assert abs(direct - design.rate) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(12))
     def test_dominates_uniform(self, seed):
         trial = random_trial(seed, n=4, p_max=1.5)
-        if trial["opt"] is None:
-            return
         assert trial["opt"].rate >= trial["uni"].rate - 1e-9
         if trial["primary"].unused_count == 1:
             assert abs(trial["opt"].rate - trial["uni"].rate) <= 1e-6
@@ -272,10 +267,8 @@ class TestResidualInterference:
                                      [True, False]) == 0.0
 
     def test_walkthrough_is_interference_free(self):
-        primary = design_primary(np.diag([2.0, 1.0]), 0.5)
-        v2_raw, active = build_precoder(EYE2, primary.svd.u, primary.p1_bar)
-        q = interference_covariance(EYE2, primary.svd.v, primary.p1.powers)
-        design, _ = design_secondary(v2_raw, active, whitener(q), EYE2, 0.5)
+        primary = walkthrough()
+        design, _ = design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
         metric = residual_interference(primary.svd.u, EYE2, design.v2, design.p2,
                                        primary.p1.powers > 0.0)
         assert metric == 0.0
@@ -285,7 +278,7 @@ class TestResidualInterference:
         p_max = float(10.0 ** ((seed % 5) - 2))
         trial = random_trial(seed, n=2 + seed % 4, p_max=p_max)
         primary = trial["primary"]
-        for design in filter(None, (trial["uni"], trial["opt"])):
+        for design in (trial["uni"], trial["opt"]):
             metric = residual_interference(primary.svd.u, trial["h12"],
                                            design.v2, design.p2,
                                            primary.p1.powers > 0.0)
@@ -300,7 +293,7 @@ class TestResidualInterference:
             p_max = 10.0 ** (snr_db / 10.0)
             trial = random_trial(seed, n=nt, nr=nr, p_max=p_max)
             primary = trial["primary"]
-            for design in filter(None, (trial["uni"], trial["opt"])):
+            for design in (trial["uni"], trial["opt"]):
                 metric = residual_interference(primary.svd.u, trial["h12"],
                                                design.v2, design.p2,
                                                primary.p1.powers > 0.0)
@@ -311,8 +304,6 @@ class TestResidualInterference:
         trial = random_trial(seed, n=3, p_max=2.0)
         primary = trial["primary"]
         design = trial["opt"]
-        if design is None:
-            return
         filtered = herm(primary.svd.u) @ trial["h12"] @ design.v2
         extra = filtered @ design.p2 @ herm(filtered)
         lam = primary.svd.sigma
@@ -323,21 +314,21 @@ class TestResidualInterference:
 
 
 def budget_stack(n=3, per_budget=2):
-    """A stack of n x n trials designed with one budget per trial, ``per_budget`` per budget.
+    """``per_budget`` random n x n trials per budget: the budgets and ``(h11, h12, h21, h22)``.
 
-    Returns the per-trial budgets, the direct channels, and the inputs both
-    power schemes take for the trials with an active column.
+    The larger budgets leave some trials without a free mode.
     """
     rng = np.random.default_rng(8)
     budgets = np.repeat([1e-3, 0.3, 2.0, 40.0, 1e3], per_budget)
-    h11, h12, h21, h22 = (np.stack([complex_gaussian(n, n, rng) for _ in budgets])
-                          for _ in range(4))
-    primary = design_primary(h11, budgets)
-    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-    sends = active.any(axis=-1)
-    f2 = whitener(interference_covariance(h21[sends], primary.svd.v[sends],
-                                          primary.p1.powers[sends]))
-    return budgets, h11, (v2_raw[sends], active[sends], f2, h22[sends]), budgets[sends]
+    chans = tuple(np.stack([complex_gaussian(n, n, rng) for _ in budgets]) for _ in range(4))
+    return budgets, chans
+
+
+def design_links(chans, p_max):
+    """The primary design of ``chans`` and the secondary's ``(uniform, optimal)`` pair."""
+    h11, h12, h21, h22 = chans
+    primary = design_primary(h11, p_max)
+    return primary, design_secondary(primary, h12, h21, h22, p_max)
 
 
 def same_bytes(a, b):
@@ -348,7 +339,7 @@ class TestPerTrialBudget:
     """A budget per trial gives each trial the result of its budget as a scalar, bit for bit."""
 
     def test_waterfill_and_primary(self):
-        budgets, h11, _, _ = budget_stack()
+        budgets, (h11, *_) = budget_stack()
         inverse_gains = 1.0 / np.linalg.svd(h11, compute_uv=False) ** 2
         per_trial = waterfill(inverse_gains, budgets)
         design = design_primary(h11, budgets)
@@ -365,36 +356,43 @@ class TestPerTrialBudget:
     @pytest.mark.parametrize("scheme", [0, 1], ids=["uniform_secondary", "optimal_secondary"])
     def test_power_schemes(self, scheme):
         """``scheme`` indexes the (uniform, optimal) pair that design_secondary returns."""
-        _, _, inputs, budgets = budget_stack()
-        assert len(np.unique(budgets)) >= 3
-        per_trial = design_secondary(*inputs, budgets)[scheme]
+        budgets, chans = budget_stack()
+        per_trial = design_links(chans, budgets)[1][scheme]
         for budget in np.unique(budgets):
             rows = budgets == budget
-            scalar = design_secondary(*inputs, budget)[scheme]
+            scalar = design_links(chans, budget)[1][scheme]
             for name in ("v2", "p2", "rate"):
                 assert same_bytes(getattr(per_trial, name)[rows], getattr(scalar, name)[rows])
 
     def test_stack_equals_one_at_a_time(self):
-        """Trials of mixed active patterns and budgets each get their own design, bit for bit."""
-        _, _, (v2_raw, active, f2, h22), budgets = budget_stack(n=4, per_budget=6)
-        assert len(np.unique(active, axis=0)) >= 3 and len(np.unique(budgets)) >= 3
-        stacked = design_secondary(v2_raw, active, f2, h22, budgets)
+        """Mixed active patterns and budgets: each trial gets its own design, bit for bit.
+
+        A trial without an active column sends nothing: v2 = 0 and rate 0 in both schemes.
+        """
+        budgets, chans = budget_stack(n=4, per_budget=6)
+        primary, stacked = design_links(chans, budgets)
+        active = primary.p1_bar > 0.0
+        sends = active.any(axis=-1)
+        assert len(np.unique(active[sends], axis=0)) >= 3 and len(np.unique(budgets[sends])) >= 3
+        assert 0 < np.count_nonzero(~sends)
         for k, budget in enumerate(budgets):
-            alone = design_secondary(v2_raw[k], active[k], f2[k], h22[k], budget)
+            _, alone = design_links([h[k] for h in chans], budget)
             for scheme, (mixed, single) in enumerate(zip(stacked, alone)):
                 for name in ("v2", "p2", "rate"):
                     assert same_bytes(getattr(mixed, name)[k], getattr(single, name)), \
                         (k, scheme, name)
+        for design in stacked:
+            assert np.all(design.v2[~sends] == 0.0)
+            assert np.all(design.rate[~sends] == 0.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_bad_entry_rejected(self, bad):
         budgets = np.array([1.0, bad, 2.0])
-        v2_raw = np.broadcast_to(np.diag([0.0, 0.25]).astype(complex), (3, 2, 2))
-        active = np.broadcast_to([False, True], (3, 2))
         eye = np.broadcast_to(EYE2, (3, 2, 2))
+        primary = design_primary(np.broadcast_to(np.diag([2.0, 1.0]), (3, 2, 2)), 0.5)
         with pytest.raises(InvalidInputError):
             waterfill(np.ones((3, 2)), budgets)
         with pytest.raises(InvalidInputError):
             design_primary(eye, budgets)
         with pytest.raises(InvalidInputError):
-            design_secondary(v2_raw, active, eye, eye, budgets)
+            design_secondary(primary, eye, eye, eye, budgets)
