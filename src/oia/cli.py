@@ -8,7 +8,7 @@ import os
 import sys
 
 from .errors import InvalidInputError, OiaError
-from .experiments import ExperimentGrid, run_grid, write_csv
+from .experiments import ExperimentGrid, check_destination, run_grid, write_csv
 
 DEFAULT_SNR_MIN = -20.0
 DEFAULT_SNR_MAX = 40.0
@@ -126,6 +126,7 @@ def cli_main(argv=None) -> int:
         grids = [ExperimentGrid(nt=nt, nr=nr, snr_db_list=snr, trials=args.trials,
                                 master_seed=args.seed)
                  for nt, nr in geometries]
+        check_destination(args.out)
         # One task list, and one pool, for all geometries; geometry g's cell
         # c keeps grid index g * len(snr) + c.
         rows = run_grid(grids, workers=workers)

@@ -10,7 +10,7 @@ class InvalidInputError(OiaError, ValueError):
 
 
 class NotPositiveDefiniteError(OiaError):
-    """A matrix required to be positive definite has an eigenvalue below the floor."""
+    """A matrix required to be positive definite has an eigenvalue below its floor."""
 
 
 class RedrawError(OiaError):

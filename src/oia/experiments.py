@@ -291,6 +291,18 @@ def write_csv(rows, destination) -> None:
         raise OSError(f"cannot write result CSV to {destination}: {exc}") from exc
 
 
+def check_destination(destination) -> None:
+    """Fail early with ``write_csv``'s OSError if ``destination`` is or lacks a directory."""
+    target = os.path.realpath(destination)
+    if os.path.isdir(target):
+        problem = "it is a directory"
+    elif not os.path.isdir(os.path.dirname(target)):
+        problem = "its directory does not exist"
+    else:
+        return
+    raise OSError(f"cannot write result CSV to {destination}: {problem}")
+
+
 def _write_replacing(destination, text: str) -> bool:
     """Write ``text`` by renaming a temporary file over ``destination``.
 

@@ -1,18 +1,17 @@
 """Complex-matrix numerical primitives with explicit accuracy contracts.
 
-The module has two operations, and their tolerances are pinned here:
+The module has two operations:
 
 - ``svd``: reconstruction to 1e-10 relative. It diagonalizes the primary
-  channel and inverts the cross channel for the precoder.
-- ``hermitian_inv_sqrt``: round trip to 1e-9 per dimension, with a computed
-  eigenvalue allowed below the caller's floor by
-  ``EIGENVALUE_SLACK * n * eps * lambda_max``. It whitens the interference
-  and takes the optimal scheme's precoder gram root, and it holds the
-  package's only eigendecomposition.
+  channel.
+- ``undecided_sigma``: singular values for a guard, of the matrices whose
+  Frobenius-norm certificate was inconclusive; the precoder's rank guard and
+  the optimal scheme's gram guard use it.
 
 Rates need neither: each is a sum of ``log2(1 + g * p)`` over squared
 singular values (``waterfill.sum_rate``), which are nonnegative, so no
-positive-semidefinite check or clamp is needed.
+positive-semidefinite check or clamp is needed. The package holds no
+eigendecomposition.
 
 Every operation takes one matrix ``(m, n)`` or a stack ``(..., m, n)`` of
 them and treats each matrix of a stack on its own: LAPACK runs once per
@@ -26,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotPositiveDefiniteError
-
-# Multiple of n * eps * lambda_max by which a computed eigenvalue of an n x n
-# Hermitian matrix may sit below the true one. The interference-plus-noise
-# covariances of 2000 trials each of 1x3, 2x4, 3x5, 4x9, 5x10 and 3x3 at
-# 20-60 dB fell at most 0.82 of that below their noise floor.
-EIGENVALUE_SLACK = 4.0
+from .errors import InvalidInputError
 
 
 def herm(a: np.ndarray) -> np.ndarray:
@@ -87,51 +80,19 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma, v=herm(vh))
 
 
-def hermitian_inv_sqrt(m, floor: float) -> np.ndarray:
-    """Inverse principal square root of a Hermitian positive definite matrix.
+def undecided_sigma(a, certified) -> np.ndarray:
+    """Singular values, descending, of the matrices of a stack a cheaper bound left undecided.
 
-    Parameters
-    ----------
-    m : array_like
-        Hermitian matrix (to 1e-10 relative) with all eigenvalues >= floor,
-        or a stack of them.
-    floor : float
-        Positive lower bound the spectrum must respect. A computed eigenvalue
-        may fall below it by ``EIGENVALUE_SLACK * n * eps * lambda_max``, the
-        rounding error of the eigendecomposition of an n x n matrix; such an
-        eigenvalue is taken to be the floor before the root.
-
-    Returns
-    -------
-    numpy.ndarray
-        Hermitian W with ``W @ m @ W = I`` to 1e-9 per dimension, per matrix,
-        wherever no eigenvalue needed that clamp.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If any eigenvalue of any matrix falls below ``floor`` by more than
-        the rounding tolerance.
-    InvalidInputError
-        For non-Hermitian, non-square, or non-finite input, or floor <= 0.
+    ``certified`` holds one flag per matrix of ``a`` (shape ``(...)``), True
+    where a sufficient bound has already passed the matrix. Its rows of the
+    result ``(..., min(m, n))`` are NaN, so any comparison a guard makes on
+    them is False. Raises InvalidInputError if an uncertified matrix is not
+    finite.
     """
-    m = _as_finite_matrix(m, "m")
-    if m.shape[-2] != m.shape[-1]:
-        raise InvalidInputError(f"m must be square, got shape {m.shape}")
-    if not floor > 0:
-        raise InvalidInputError("floor must be positive")
-    # Both sides of the symmetry check compare largest entry magnitudes,
-    # which neither over- nor underflow where the entries themselves do not.
-    asym = np.abs(m - herm(m)).max(axis=(-2, -1))
-    bad = asym > 1e-10 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    if bad.any():
-        raise InvalidInputError(f"m is not Hermitian (asymmetry {asym[bad].max():.3e})")
-    w, vecs = np.linalg.eigh(0.5 * (m + herm(m)))
-    tolerance = EIGENVALUE_SLACK * w.shape[-1] * np.finfo(float).eps * w[..., -1]
-    below = w[..., 0] < floor - tolerance
-    if below.any():
-        raise NotPositiveDefiniteError(
-            f"eigenvalue {w[..., 0][below].min():.6e} below floor {floor:.6e}")
-    root = (vecs * (1.0 / np.sqrt(np.maximum(w, floor)))[..., None, :]) @ herm(vecs)
-    return 0.5 * (root + herm(root))
-
+    a = np.asarray(a, dtype=np.complex128)
+    certified = np.asarray(certified, dtype=bool)
+    sigma = np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.nan)
+    if not certified.all():
+        todo = ~certified
+        sigma[todo] = np.linalg.svd(_as_finite_matrix(a[todo], "a"), compute_uv=False)
+    return sigma

@@ -6,7 +6,12 @@ objectives directly, ``loop_waterfill`` is the mode-by-mode loop the
 vectorized water-filling must reproduce bit for bit,
 ``residual_interference`` measures the zero-interference guarantee,
 ``log2_det_id_plus`` evaluates a log-det rate from determinants alone,
-``whiten`` filters a channel by a Cholesky factor instead of ``q^{-1/2}``,
+``interference_covariance`` forms the covariance q that the secondary
+receiver whitens, ``whiten`` filters a channel by a Cholesky factor of q
+instead of the production QR factor, ``gram_inv_sqrt`` roots a precoder gram
+matrix by an eigendecomposition instead of a QR factor, and
+``optimal_covariance`` builds the optimal scheme's transmit covariance from
+those two, the way the package once did,
 ``derive_stream`` builds a trial's stream the documented way, one numpy
 ``SeedSequence`` and generator per trial, and ``complex_gaussian`` draws one
 channel matrix from it the way each trial's stacked draw must.
@@ -16,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from oia.kernels import herm, hermitian_inv_sqrt
+from oia.kernels import herm
 
 
 def derive_stream(master_seed, grid_index, trial_index):
@@ -53,6 +58,21 @@ def log2_det_id_plus(m):
     return np.log1p(minors) / np.log(2.0)
 
 
+def interference_covariance(h21, v1, p1):
+    """Covariance of the primary's interference plus noise at the secondary receiver.
+
+    ``h21 @ v1 @ diag(p1) @ v1^H @ h21^H + I``, symmetrized, per trial of a
+    stack. The result is Hermitian with spectrum at or above the unit noise
+    variance.
+    """
+    h21 = np.asarray(h21, dtype=np.complex128)
+    v1 = np.asarray(v1, dtype=np.complex128)
+    p = np.asarray(p1, dtype=float)
+    cov = h21 @ ((v1 * p[..., None, :]) @ herm(v1)) @ herm(h21)
+    q = cov + np.eye(h21.shape[-2])
+    return 0.5 * (q + herm(q))
+
+
 def whiten(q, m):
     """``L^{-1} @ m`` for the Cholesky factor ``q = L L^H``, per matrix of a stack.
 
@@ -60,6 +80,38 @@ def whiten(q, m):
     gives the same log-det rates; this one needs no eigensolver.
     """
     return np.linalg.solve(np.linalg.cholesky(q), m)
+
+
+def gram_inv_sqrt(vn):
+    """``(vn^H vn)^{-1/2}``, the inverse principal root of a gram matrix, by ``eigh``."""
+    gram = herm(vn) @ vn
+    w, basis = np.linalg.eigh(0.5 * (gram + herm(gram)))
+    return (basis * (1.0 / np.sqrt(w))[..., None, :]) @ herm(basis)
+
+
+def optimal_covariance(v2_raw, active, q, h22, p_max):
+    """The optimal scheme's transmit covariance, active block embedded in nt x nt.
+
+    Normalized active columns ``vn`` are rooted by ``gram_inv_sqrt`` and the
+    channel is whitened by ``whiten``; the equivalent channel's squared
+    singular values are water-filled under ``p_max`` by ``loop_waterfill``,
+    and the diagonal allocation is conjugated back through the right
+    singular vectors and the root.
+    """
+    cols = np.flatnonzero(np.asarray(active, dtype=bool))
+    vt = np.asarray(v2_raw, dtype=complex)[:, cols]
+    norms = np.linalg.norm(vt, axis=0)
+    vn = vt / norms[None, :]
+    m_inv = gram_inv_sqrt(vn)
+    _, eta, zh = np.linalg.svd(whiten(q, h22 @ vn) @ m_inv, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        powers, _, _ = loop_waterfill(1.0 / eta**2, p_max)
+    z = m_inv @ herm(zh)
+    reduced = (z * powers) @ herm(z) / np.outer(norms, norms)
+    nt = np.asarray(v2_raw).shape[1]
+    p2 = np.zeros((nt, nt), dtype=complex)
+    p2[np.ix_(cols, cols)] = 0.5 * (reduced + herm(reduced))
+    return p2
 
 
 def allocation_rate(powers, inverse_gains):
@@ -195,14 +247,10 @@ def secondary_split_oracle(v2_raw, active, q, h22, p_max, steps=1000):
     vt = np.asarray(v2_raw, dtype=complex)[:, active]
     # normalized columns span the same space and keep the gram well scaled
     vn = vt / np.linalg.norm(vt, axis=0)[None, :]
-    gram = herm(vn) @ vn
-    w, basis = np.linalg.eigh(0.5 * (gram + herm(gram)))
-    m_inv = (basis * (1.0 / np.sqrt(w))) @ herm(basis)
-    f2 = hermitian_inv_sqrt(q, floor=1.0 - 1e-10)
-    g = f2 @ h22 @ vn @ m_inv
-    _, _, zh = np.linalg.svd(g, full_matrices=False)
+    m_inv = gram_inv_sqrt(vn)
+    through = whiten(q, h22 @ vn)
+    _, _, zh = np.linalg.svd(through @ m_inv, full_matrices=False)
     z = herm(zh)
-    through = f2 @ h22 @ vn
     k = np.arange(steps + 1)
     splits = np.stack([p_max * k / steps, p_max * (steps - k) / steps], axis=-1)
     p_reduced = m_inv @ ((z * splits[:, None, :]) @ herm(z)) @ m_inv

@@ -17,7 +17,7 @@ from oia.errors import RedrawError
 from oia.experiments import REPLACEMENT_BASE, ExperimentGrid, run_grid
 from oia.kernels import herm
 from oia.primary import design_primary
-from oia.secondary import SecondaryDesign, design_secondary, interference_covariance
+from oia.secondary import SecondaryDesign, design_secondary
 from oia.waterfill import waterfill
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     complex_gaussian,
     derive_stream,
     grid_search_rate,
+    interference_covariance,
     residual_interference,
     secondary_split_oracle,
 )

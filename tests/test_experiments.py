@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import json
 import math
 import os
 import stat
@@ -140,23 +141,23 @@ class TestRunTrial:
                                    "trial 0 of cell 5 rejected 100 times in a row")
 
     def test_trials_without_free_mode_skip_secondary_stages(self, monkeypatch):
-        """Only trials with a free mode reach interference_covariance; the others get rate 0."""
-        covariances = []
-        real_covariance = secondary.interference_covariance
-        monkeypatch.setattr(secondary, "interference_covariance",
-                            lambda h21, *rest: covariances.append(len(h21))
-                            or real_covariance(h21, *rest))
+        """Only trials with a free mode reach the whitener; the others get rate 0."""
+        whitened = []
+        real_whitener = secondary.whitened_direct
+        monkeypatch.setattr(secondary, "whitened_direct",
+                            lambda h21, *rest: whitened.append(len(h21))
+                            or real_whitener(h21, *rest))
         grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=40)
         record = run_trials(grid, 0, 10.0, range(40))
         sends = record.unused_modes > 0
         assert 0 < np.count_nonzero(sends) < 40
-        assert covariances == [np.count_nonzero(sends)]
+        assert whitened == [np.count_nonzero(sends)]
         assert np.all(record.rate_secondary_uniform[~sends] == 0.0)
         assert np.all(record.rate_secondary_optimal[~sends] == 0.0)
         assert np.all(record.rate_secondary_optimal[sends] > 0.0)
-        covariances.clear()
+        whitened.clear()
         run_trials(grid, 0, 60.0, range(40))
-        assert covariances == []
+        assert whitened == []
 
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
     def test_stacked_records_equal_one_at_a_time(self, nt, nr):
@@ -433,6 +434,24 @@ class TestCli:
                          "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("out,problem", [
+        (".", "it is a directory"), ("missing/x.csv", "its directory does not exist"),
+        ("link.csv", "its directory does not exist"),
+    ], ids=["directory", "missing-parent", "dangling-symlink"])
+    def test_unwritable_output_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch,
+                                                      out, problem):
+        """A destination that cannot take the CSV exits 1 before any trial runs."""
+        def no_sweep(grids, workers):
+            raise AssertionError("the sweep ran before the destination was checked")
+
+        monkeypatch.setattr(cli, "run_grid", no_sweep)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "gone" / "x.csv")
+        target = tmp_path / out
+        assert cli_main(["run", "--trials", "1", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"oia: cannot write result CSV to {target}: {problem}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
     def test_fig_preset_row_count(self, tmp_path):
         out = tmp_path / "fig.csv"
         code = cli_main(["fig-unused", "--antennas", "2", "3", "--trials", "5",
@@ -571,7 +590,7 @@ class TestCli:
 
     @pytest.mark.parametrize("snr_db", ["50", "300"])
     def test_tall_geometry_at_high_snr(self, tmp_path, snr_db):
-        """Rounding puts q's noise-only eigenvalues below the floor here; the whitener absorbs it."""
+        """q's noise-only eigenvalues would round below 1 here; its QR factor never forms q."""
         out = tmp_path / "tall.csv"
         assert cli_main(["run", "--nt", "3", "--nr", "5", "--snr-db-min", snr_db,
                          "--snr-db-max", snr_db, "--trials", "60", "--out", str(out)]) == 0
@@ -597,6 +616,18 @@ class TestCli:
 
 class TestGoldenCsv:
     """SHA-256 of small sweeps, pinned so refactors keep the CSV bytes."""
+
+    @pytest.mark.parametrize("sweep", ["run --nt 3 --nr 3 --trials 100",
+                                       "run --nt 20 --nr 20 --trials 40",
+                                       "run --nt 3 --nr 5 --trials 100"],
+                             ids=["run-3x3", "run-20x20", "run-3x5"])
+    def test_benchmark_reference_digest(self, tmp_path, sweep):
+        """Seed 0 of each serial benchmark sweep has the digest in ``perfbench/reference.json``."""
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        digest = json.loads(reference.read_text())["sweeps"][sweep]["0"]
+        out = tmp_path / "sweep.csv"
+        assert cli_main([*sweep.split(), "--seed", "0", "--workers", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv,digest", [
         (["run", "--nt", "3", "--nr", "5", "--trials", "20", "--seed", "5",

@@ -1,12 +1,10 @@
 """Tests for the complex-matrix primitives and their accuracy contracts."""
 
-import math
-
 import numpy as np
 import pytest
 
-from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
-from oia.kernels import EIGENVALUE_SLACK, herm, hermitian_inv_sqrt, svd
+from oia.errors import InvalidInputError, RedrawError
+from oia.kernels import herm, svd, undecided_sigma
 from oia.secondary import build_precoder
 
 from oracles import complex_gaussian
@@ -68,64 +66,28 @@ class TestSvd:
             svd(np.array([[np.nan + 0j, 0.0], [0.0, 1.0]]))
 
 
-class TestHermitianInvSqrt:
-    def test_scalar_matrix(self):
-        w = hermitian_inv_sqrt(4.0 * np.eye(2), floor=1.0)
-        assert np.allclose(w, 0.5 * np.eye(2), atol=1e-14)
+class TestUndecidedSigma:
+    def test_certified_matrices_read_nan(self):
+        stack = np.stack([np.diag([3.0, 1.0]), np.diag([2.0, 5.0])])
+        sigma = undecided_sigma(stack, [True, False])
+        assert np.all(np.isnan(sigma[0]))
+        assert sigma[1].tolist() == [5.0, 2.0]
+        assert np.all(np.isnan(undecided_sigma(stack, [True, True])))
 
-    def test_diagonal(self):
-        w = hermitian_inv_sqrt(np.diag([1.5, 1.0]), floor=0.5)
-        assert np.allclose(np.diag(w), [1.0 / math.sqrt(1.5), 1.0], atol=1e-14)
-        assert abs(w[0, 0] - 0.8164965809) < 1e-9
+    def test_single_matrix(self):
+        assert undecided_sigma(np.diag([1.0, 4.0]), False).tolist() == [4.0, 1.0]
+        assert np.all(np.isnan(undecided_sigma(np.diag([1.0, 4.0]), True)))
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_round_trip_random_spectrum(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        u = random_unitary(n, rng)
-        spectrum = rng.uniform(0.5, 100.0, n)
-        m = (u * spectrum) @ herm(u)
-        w = hermitian_inv_sqrt(m, floor=0.4)
-        assert np.linalg.norm(w @ m @ w - np.eye(n)) <= 1e-9 * n
-        assert np.linalg.norm(w - herm(w)) <= 1e-12
-
-    def test_eigenvalue_below_floor(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            hermitian_inv_sqrt(np.diag([0.3, 1.0]), floor=0.5)
-
-    def test_floor_eigenvalue_within_rounding_clamped(self):
-        """An eigenvalue below the floor by less than the eigensolver's error counts as on it."""
-        top, floor = 1e12, 1.0 - 1e-10
-        tolerance = EIGENVALUE_SLACK * 3 * np.finfo(float).eps * top
-        low = floor - 0.5 * tolerance
-        assert low < floor
-        u = random_unitary(3, np.random.default_rng(4))
-        w = hermitian_inv_sqrt(np.diag([low, 2.0, top]), floor=floor)
-        assert np.allclose(np.diag(w), 1.0 / np.sqrt([floor, 2.0, top]), rtol=1e-14, atol=0.0)
-        rotated = hermitian_inv_sqrt((u * [low, low, top]) @ herm(u), floor=floor)
-        assert np.all(np.isfinite(rotated))
-        assert np.linalg.norm(rotated - herm(rotated)) <= 1e-12
-        assert np.linalg.eigvalsh(rotated)[-1] <= 1.0 / np.sqrt(floor) * (1.0 + 1e-12)
-
-    @pytest.mark.parametrize("low", [-1.0, 0.5])
-    def test_eigenvalue_beyond_rounding_rejected(self, low):
-        """A large spectrum widens the tolerance by n * eps * lambda_max only."""
-        u = random_unitary(3, np.random.default_rng(5))
-        m = (u * [low, 3.0, 1e12]) @ herm(u)
-        with pytest.raises(NotPositiveDefiniteError):
-            hermitian_inv_sqrt(m, floor=1.0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidInputError):
-            hermitian_inv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]), floor=0.1)
-
-    def test_rejects_nonpositive_floor(self):
-        with pytest.raises(InvalidInputError):
-            hermitian_inv_sqrt(np.eye(2), floor=0.0)
+    def test_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([complex_gaussian(5, 3, rng) for _ in range(4)])
+        sigma = undecided_sigma(stack, [False, True, False, False])
+        for k in (0, 2, 3):
+            assert sigma[k].tobytes() == np.linalg.svd(stack[k], compute_uv=False).tobytes()
 
 
 class TestPinvTall:
-    """The tall pseudo-inverse, formed from ``svd`` inside ``build_precoder``.
+    """The tall pseudo-inverse, formed from QR factors inside ``build_precoder``.
 
     With an all-ones complement and a column-selecting ``u1``, the unscaled
     precoder is a block of columns of ``h12^+``; ``tall_pinv`` stitches the
@@ -166,18 +128,17 @@ class TestStacks:
     def test_stack_equals_one_at_a_time(self, nr, nt):
         rng = np.random.default_rng(nr * 31 + nt)
         stack = np.stack([complex_gaussian(nr, nt, rng) for _ in range(5)])
-        gram = stack @ herm(stack) + np.eye(nr)
         f = svd(stack)
-        roots = hermitian_inv_sqrt(gram, floor=0.5)
         for k in range(5):
             one = svd(stack[k])
             assert f.u[k].tobytes() == one.u.tobytes()
             assert f.sigma[k].tobytes() == one.sigma.tobytes()
             assert f.v[k].tobytes() == one.v.tobytes()
-            assert roots[k].tobytes() == hermitian_inv_sqrt(gram[k], floor=0.5).tobytes()
 
     def test_one_bad_matrix_rejects_the_stack(self):
-        stack = np.stack([np.eye(2), np.diag([0.3, 1.0])])
-        with pytest.raises(NotPositiveDefiniteError):
-            hermitian_inv_sqrt(stack, floor=0.5)
+        """A non-finite matrix left to the guard fails the call; a certified one is never read."""
+        stack = np.stack([np.eye(2), np.diag([np.nan, 1.0])])
+        with pytest.raises(InvalidInputError):
+            undecided_sigma(stack, [False, False])
+        assert undecided_sigma(stack, [False, True])[0].tolist() == [1.0, 1.0]
 

@@ -20,9 +20,9 @@ from oia.channel import draw_trials
 from oia.experiments import ExperimentGrid, run_trials, snr_to_power
 from oia.kernels import herm
 from oia.primary import design_primary
-from oia.secondary import design_secondary, interference_covariance
+from oia.secondary import design_secondary
 
-from oracles import log2_det_id_plus, residual_interference, whiten
+from oracles import interference_covariance, log2_det_id_plus, residual_interference, whiten
 
 TRIALS = 8
 ANTENNAS = st.integers(2, 6)

@@ -5,16 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oia import secondary
 from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
 from oia.kernels import herm
 from oia.primary import design_primary
-from oia.secondary import RANK_GUARD, build_precoder, design_secondary, interference_covariance
+from oia.secondary import GRAM_FLOOR, RANK_GUARD, build_precoder, design_secondary
 from oia.waterfill import waterfill
 
 from oracles import (
     complex_gaussian,
+    interference_covariance,
     log2_det_id_plus,
+    optimal_covariance,
     residual_interference,
     secondary_split_oracle,
     whiten,
@@ -135,6 +140,95 @@ class TestBuildPrecoder:
             build_precoder(EYE2, EYE2, [0.1])
 
 
+def rank_criterion(h12):
+    """The rank guard's decision, per trial, from numpy's singular values alone."""
+    s = np.linalg.svd(h12, compute_uv=False)
+    return (s[..., 0] == 0.0) | (s[..., -1] < RANK_GUARD * s[..., 0])
+
+
+def parallel_columns_primary(gap):
+    """A primary with modes 1 and 2 free, and a cross channel that steers them near-parallel.
+
+    The normalized active columns are e1 and (e1 + gap e2) / |.|, whose gram
+    matrix has smallest eigenvalue ``1 - (1 + gap^2)^{-1/2}``, about gap^2 / 2.
+    """
+    primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
+    steer = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, gap]])
+    return primary, primary.svd.u @ np.linalg.inv(steer)  # so that v2_raw = steer @ diag(p1_bar)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGuards:
+    """The certified guards make the same decisions as their singular-value criteria."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([(2, 2), (3, 3), (8, 8), (20, 20), (4, 2), (5, 3), (10, 5)]),
+           st.lists(st.floats(0.3, 3.0), min_size=1, max_size=6),
+           st.lists(st.integers(0, 19), max_size=2), st.integers(0, 2**32 - 1))
+    def test_rank_guard_matches_singular_values(self, shape, factors, zero_columns, seed):
+        """Ratios 0.3x to 3x the guard; a trial may have an exact zero column."""
+        nr, nt = shape
+        rng = np.random.default_rng(seed)
+        h12 = np.stack([conditioned_channel(nr, nt, f * RANK_GUARD, rng) for f in factors])
+        for number, column in enumerate(zero_columns):
+            h12[(number * 7 + column) % len(factors), :, column % nt] = 0.0
+        u1 = np.linalg.qr(complex_gaussian(nr, nr, rng))[0]
+        u1 = np.broadcast_to(u1, (len(factors), nr, nr))
+        p1_bar = rng.uniform(0.0, 1.0, (len(factors), nt))
+        expected = rank_criterion(h12)
+        if expected.any():
+            with pytest.raises(RedrawError) as info:
+                build_precoder(h12, u1, p1_bar)
+            assert info.value.reason == "cross"
+            assert info.value.rejected.tolist() == expected.tolist()
+        else:
+            v2_raw, _ = build_precoder(h12, u1, p1_bar)
+            assert np.all(np.isfinite(v2_raw))
+
+    def test_inconclusive_certificate_passes_on_singular_values(self, monkeypatch):
+        """Above the guard but within the certificate's factor 2, the exact values decide."""
+        h12 = np.diag([1.0, 1.5 * RANK_GUARD]).astype(complex)
+        assert np.linalg.norm(h12) * np.linalg.norm(np.linalg.pinv(h12)) > 0.5 / RANK_GUARD
+        assert not rank_criterion(h12)
+        certified = []
+        real = secondary.undecided_sigma
+        monkeypatch.setattr(secondary, "undecided_sigma",
+                            lambda a, ok: certified.append(np.asarray(ok).tolist()) or real(a, ok))
+        v2_raw, _ = build_precoder(h12, EYE2, [0.0, 0.5])
+        assert certified == [False]
+        assert np.all(np.isfinite(v2_raw))
+
+    def test_exactly_singular_trial_of_a_stack(self):
+        """A zero on R's diagonal, or a pseudo-inverse norm that overflows, marks one trial."""
+        h12 = np.stack([EYE2, np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros((2, 2)),
+                        np.diag([1.0, 1e-200]), EYE2])
+        with pytest.raises(RedrawError) as info:
+            build_precoder(h12, np.broadcast_to(EYE2, h12.shape), np.full((5, 2), 0.1))
+        assert info.value.rejected.tolist() == [False, True, True, True, False]
+
+    @pytest.mark.parametrize("multiple,rejected", [(0.5, True), (0.9, True), (1.5, False),
+                                                   (4.0, False)])
+    def test_gram_guard_either_side_of_floor(self, multiple, rejected):
+        """Near-parallel active columns whose gram eigenvalue sits at ``multiple`` x the floor.
+
+        At 1.5x the Frobenius certificate is inconclusive and the exact
+        singular values pass the trial; at 4x the certificate passes it.
+        """
+        gap = math.sqrt(2.0 * multiple * GRAM_FLOOR)
+        primary, h12 = parallel_columns_primary(gap)
+        v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
+        vn = v2_raw[:, active] / np.linalg.norm(v2_raw[:, active], axis=0)
+        low = np.linalg.svd(vn, compute_uv=False)[-1] ** 2
+        assert (low < GRAM_FLOOR) == rejected
+        assert abs(low / (multiple * GRAM_FLOOR) - 1.0) < 1e-3
+        if rejected:
+            with pytest.raises(NotPositiveDefiniteError):
+                design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
+        else:
+            _, optimal = design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
+            assert np.all(np.isfinite(optimal.p2)) and 0.0 < optimal.rate < math.inf
+
+
 class TestInterferenceCovariance:
     def test_silent_primary(self):
         q = interference_covariance(EYE2, EYE2, [0.0, 0.0])
@@ -214,9 +308,7 @@ class TestOptimalScheme:
 
     def test_parallel_active_columns_rejected(self):
         """Numerically dependent active columns have no gram root."""
-        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)  # modes 1 and 2 free
-        steer = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-7]])
-        h12 = primary.svd.u @ np.linalg.inv(steer)  # so that v2_raw = steer @ diag(p1_bar)
+        primary, h12 = parallel_columns_primary(1e-7)
         with pytest.raises(NotPositiveDefiniteError):
             design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
 
@@ -245,6 +337,23 @@ class TestOptimalScheme:
         assert trial["opt"].rate >= trial["uni"].rate - 1e-9
         if trial["primary"].unused_count == 1:
             assert abs(trial["opt"].rate - trial["uni"].rate) <= 1e-6
+
+    @pytest.mark.parametrize("nr,nt", [(2, 2), (3, 3), (4, 4), (6, 6), (5, 3), (4, 2), (8, 4)])
+    def test_covariance_matches_eigh_gram_root(self, nr, nt):
+        """p2 equals the eigendecomposition-rooted, Cholesky-whitened construction."""
+        checked = 0
+        for seed, snr_db in itertools.product(range(6), (-20.0, -5.0, 10.0, 25.0, 40.0)):
+            p_max = 10.0 ** (snr_db / 10.0)
+            trial = random_trial(1000 * nr + 10 * nt + seed, n=nt, nr=nr, p_max=p_max)
+            if not trial["active"].any():
+                assert np.all(trial["opt"].p2 == 0.0)
+                continue
+            checked += 1
+            reference = optimal_covariance(trial["v2_raw"], trial["active"], trial["q"],
+                                           trial["h22"], p_max)
+            error = np.linalg.norm(trial["opt"].p2 - reference)
+            assert error <= 1e-9 * np.linalg.norm(reference), (seed, snr_db)
+        assert checked >= 6
 
     def test_two_active_columns_match_split_oracle(self):
         found = 0
