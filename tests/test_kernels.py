@@ -1,13 +1,15 @@
 """Tests for the complex-matrix primitives and their accuracy contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
-from oia.errors import InvalidInputError, RedrawError
+from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
 from oia.kernels import herm, svd, undecided_sigma
 from oia.secondary import build_precoder
 
-from oracles import complex_gaussian
+from oracles import EIGENVALUE_SLACK, complex_gaussian, hermitian_inv_sqrt
 
 
 def random_unitary(n, rng):
@@ -64,6 +66,64 @@ class TestSvd:
             svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(InvalidInputError):
             svd(np.array([[np.nan + 0j, 0.0], [0.0, 1.0]]))
+
+
+class TestHermitianInvSqrt:
+    """The eigendecomposition root that the optimal-scheme reference ``gram_inv_sqrt`` uses."""
+
+    def test_scalar_matrix(self):
+        w = hermitian_inv_sqrt(4.0 * np.eye(2), floor=1.0)
+        assert np.allclose(w, 0.5 * np.eye(2), atol=1e-14)
+
+    def test_diagonal(self):
+        w = hermitian_inv_sqrt(np.diag([1.5, 1.0]), floor=0.5)
+        assert np.allclose(np.diag(w), [1.0 / math.sqrt(1.5), 1.0], atol=1e-14)
+        assert abs(w[0, 0] - 0.8164965809) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_round_trip_random_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        u = random_unitary(n, rng)
+        spectrum = rng.uniform(0.5, 100.0, n)
+        m = (u * spectrum) @ herm(u)
+        w = hermitian_inv_sqrt(m, floor=0.4)
+        assert np.linalg.norm(w @ m @ w - np.eye(n)) <= 1e-9 * n
+        assert np.linalg.norm(w - herm(w)) <= 1e-12
+
+    def test_eigenvalue_below_floor(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            hermitian_inv_sqrt(np.diag([0.3, 1.0]), floor=0.5)
+
+    def test_floor_eigenvalue_within_rounding_clamped(self):
+        """An eigenvalue below the floor by less than the eigensolver's error counts as on it."""
+        top, floor = 1e12, 1.0 - 1e-10
+        tolerance = EIGENVALUE_SLACK * 3 * np.finfo(float).eps * top
+        low = floor - 0.5 * tolerance
+        assert low < floor
+        u = random_unitary(3, np.random.default_rng(4))
+        w = hermitian_inv_sqrt(np.diag([low, 2.0, top]), floor=floor)
+        assert np.allclose(np.diag(w), 1.0 / np.sqrt([floor, 2.0, top]), rtol=1e-14, atol=0.0)
+        rotated = hermitian_inv_sqrt((u * [low, low, top]) @ herm(u), floor=floor)
+        assert np.all(np.isfinite(rotated))
+        assert np.linalg.norm(rotated - herm(rotated)) <= 1e-12
+        assert np.linalg.eigvalsh(rotated)[-1] <= 1.0 / np.sqrt(floor) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("low", [-1.0, 0.5])
+    def test_eigenvalue_beyond_rounding_rejected(self, low):
+        """A large spectrum widens the tolerance by n * eps * lambda_max only."""
+        u = random_unitary(3, np.random.default_rng(5))
+        m = (u * [low, 3.0, 1e12]) @ herm(u)
+        with pytest.raises(NotPositiveDefiniteError):
+            hermitian_inv_sqrt(m, floor=1.0)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(InvalidInputError):
+            hermitian_inv_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]), floor=0.1)
+
+    def test_rejects_nonpositive_floor(self):
+        with pytest.raises(InvalidInputError):
+            hermitian_inv_sqrt(np.eye(2), floor=0.0)
 
 
 class TestUndecidedSigma:
