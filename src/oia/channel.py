@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 
 import numpy as np
 
@@ -34,6 +35,11 @@ _OTHERS = [np.delete(np.arange(_POOL), k) for k in range(_POOL)]
 
 # PCG64's 128-bit LCG multiplier.
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+
+# Each thread's PCG64 and the Generator over it, reseeded trial by trial.
+# Threads must not share one: a thread's reseed would land between another's
+# seeding and drawing.
+_THREAD = threading.local()
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -160,11 +166,23 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
     trials = _indices(trial_indices).ravel()
     grids = np.broadcast_to(_indices(grid_index), trials.shape)
     normals = np.empty((trials.size, 4, nr, nt, 2))
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    state = bits.state
+    bits, gen = _thread_generator()
+    # A freshly seeded PCG64's state: no buffered 32-bit half of a draw.
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for row, (value, inc) in zip(normals, _pcg64_states(master_seed, grids, trials)):
         state["state"] = {"state": value, "inc": inc}
         bits.state = state
         gen.standard_normal(out=row)
-    return normals.view(np.complex128)[..., 0] / np.sqrt(2.0)
+    # Complex by complex division, as on a fresh array: halving the float
+    # buffer instead differs in the last bit.
+    chans = normals.view(np.complex128)[..., 0]
+    chans /= np.sqrt(2.0)
+    return chans
+
+
+def _thread_generator() -> tuple:
+    """This thread's ``(PCG64, Generator)`` pair, built on its first draw."""
+    if not hasattr(_THREAD, "pair"):
+        bits = np.random.PCG64(0)
+        _THREAD.pair = bits, np.random.Generator(bits)
+    return _THREAD.pair

@@ -24,13 +24,13 @@ _MAX_ATTEMPTS = 100
 
 # A geometry's trials run cell after cell in stacked passes; a pass holds at
 # most this many bytes in any one (trials, nr, nr) complex matrix stack, and
-# may span several cells. That gives 910 trials per pass at n=3, whatever the
-# cell size, where each pass's fixed call overhead is what batching saves. At
-# n=20 (20 trials) LAPACK time dominates, but each stacked call still has a
-# fixed cost: on a 2-vCPU VM with OpenBLAS, design_primary and build_precoder
-# fell from about 258 and 246 to 203 and 192 us per trial when a pass grew
-# from 10 to 20 trials.
-PASS_BYTES = 128 * 1024
+# may span several cells. That gives 1,820 trials per pass at n=3 and 40 at
+# n=20, whatever the cell size. Each pass has a fixed cost besides its
+# trials, about 2.2 ms at n=3 and 1.5 ms at n=20 on a 2-vCPU VM with
+# OpenBLAS, which larger passes spread over more trials. At its peak a pass
+# holds 12 to 17 such stacks per trial (traced at n=3 and n=20 from -20 to
+# 30 dB), so the pass size also sets its working set: at most about 4.5 MB.
+PASS_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)

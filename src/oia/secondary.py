@@ -146,6 +146,11 @@ def _solve_upper(r, b) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.solve(r, b), singular
 
 
+def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[rows]`` for sorted distinct ``rows``, without a copy when they are all of x's."""
+    return x if rows.size == x.shape[0] else x[rows]
+
+
 def whitened_direct(h21, v1, p1, h22) -> np.ndarray:
     """h22 through a filter that whitens the primary's interference at the secondary receiver.
 
@@ -155,8 +160,12 @@ def whitened_direct(h21, v1, p1, h22) -> np.ndarray:
     turns q into I. q is never formed, and r's singular values are >= 1.
     """
     b = h21 @ (v1 * np.sqrt(p1)[..., None, :])
-    eye = np.broadcast_to(np.eye(b.shape[-2]), b.shape[:-2] + (b.shape[-2],) * 2)
-    r = np.linalg.qr(np.concatenate([herm(b), eye], axis=-2), mode="r")
+    nr, nt = b.shape[-2:]
+    stacked = np.empty(b.shape[:-2] + (nt + nr, nr), dtype=np.complex128)
+    np.conjugate(b.swapaxes(-1, -2), out=stacked[..., :nt, :])
+    del b
+    stacked[..., nt:, :] = np.eye(nr)
+    r = np.linalg.qr(stacked, mode="r")
     return np.linalg.solve(herm(r), h22)
 
 
@@ -208,48 +217,60 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     # Inactive columns are exactly zero, so this is ||vt||_F^2 of every trial.
     total = np.sum(np.abs(flat_v2) ** 2, axis=(-2, -1))
     scale, rate_uniform, rate_optimal = (np.zeros(total.size) for _ in range(3))
-    p2 = np.zeros(flat_v2.shape, dtype=np.complex128)
     sends = np.flatnonzero(flat_active.any(axis=-1))
     if sends.size:
-        h21, v1, p1, h22 = (x.reshape(total.size, *x.shape[len(batch):])[sends] for x in
+        h21, v1, p1, h22 = (_rows(x.reshape(total.size, *x.shape[len(batch):]), sends) for x in
                             map(np.asarray, (h21, primary.svd.v, primary.p1.powers, h22)))
         white = whitened_direct(h21, v1, p1, h22)
-        scale[sends] = np.sqrt(flat_p[sends] / total[sends])
-        # One byte string per mask row: unique on it is far cheaper than on rows.
-        keys = np.ascontiguousarray(flat_active[sends]).view(np.dtype((np.void, nt)))
-        patterns, group = np.unique(keys.ravel(), return_inverse=True)
-        for number, pattern in enumerate(patterns.view(bool).reshape(-1, nt)):
-            cols = np.flatnonzero(pattern)
-            members = np.flatnonzero(group.ravel() == number)
-            trials = sends[members]
-            vt = flat_v2[trials][..., cols]
-            a = white[members] @ vt
-            sigma = np.linalg.svd(a, compute_uv=False)
-            rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[trials])[:, None])
-            # Column equilibration: complementary-allocation entries can differ by many
-            # orders of magnitude, and small singular values of the gram root carry only
-            # absolute accuracy. The optimum depends only on the precoder's column space,
-            # so solve in normalized columns and undo the rescale on the output covariance.
-            norms = np.linalg.norm(vt, axis=-2)
-            if norms.min() == 0.0:
-                raise InternalInvariantError("an active precoder column is exactly zero")
-            vn = vt / norms[..., None, :]
-            m = np.linalg.qr(vn, mode="r")
-            m_inv, singular = _solve_upper(m, np.eye(cols.size))
-            certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
-                                     <= (2.0 * GRAM_FLOOR) ** -0.5)
-            low = undecided_sigma(m, certified)[..., -1] ** 2
-            if np.any(low < GRAM_FLOOR):
-                raise NotPositiveDefiniteError(f"precoder gram eigenvalue {np.nanmin(low):.6e} "
-                                               f"below floor {GRAM_FLOOR:.6e}")
-            _, eta, zh = np.linalg.svd((a / norms[..., None, :]) @ m_inv, full_matrices=False)
-            with np.errstate(divide="ignore"):
-                alloc = waterfill(1.0 / eta**2, flat_p[trials])
-            z = m_inv @ herm(zh)
-            reduced = (z * alloc.powers[..., None, :]) @ herm(z)
-            reduced = (reduced / norms[..., :, None]) / norms[..., None, :]
-            p2[np.ix_(trials, cols, cols)] = 0.5 * (reduced + herm(reduced))
-            rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
+    # Allocated past the whitener's peak, the highest of the call.
+    p2 = np.zeros(flat_v2.shape, dtype=np.complex128)
+    scale[sends] = np.sqrt(flat_p[sends] / total[sends])
+    # One byte string per mask row: unique on it is far cheaper than on rows.
+    keys = np.ascontiguousarray(flat_active[sends]).view(np.dtype((np.void, nt)))
+    patterns, group = np.unique(keys.ravel(), return_inverse=True)
+    # Large intermediates go as soon as they are used, so that no group's
+    # working set outgrows the whitener's peak.
+    for number, pattern in enumerate(patterns.view(bool).reshape(-1, nt)):
+        cols = np.flatnonzero(pattern)
+        members = np.flatnonzero(group.ravel() == number)
+        trials = sends[members]
+        vt = _rows(flat_v2, trials)[..., cols]
+        a = _rows(white, members) @ vt
+        if number == patterns.shape[0] - 1:
+            del white
+        sigma = np.linalg.svd(a, compute_uv=False)
+        rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[trials])[:, None])
+        # Column equilibration: complementary-allocation entries can differ by many
+        # orders of magnitude, and small singular values of the gram root carry only
+        # absolute accuracy. The optimum depends only on the precoder's column space,
+        # so solve in normalized columns and undo the rescale on the output covariance.
+        norms = np.linalg.norm(vt, axis=-2)
+        if norms.min() == 0.0:
+            raise InternalInvariantError("an active precoder column is exactly zero")
+        vt /= norms[..., None, :]
+        m = np.linalg.qr(vt, mode="r")
+        m_inv, singular = _solve_upper(m, np.eye(cols.size))
+        certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
+                                 <= (2.0 * GRAM_FLOOR) ** -0.5)
+        low = undecided_sigma(m, certified)[..., -1] ** 2
+        if np.any(low < GRAM_FLOOR):
+            raise NotPositiveDefiniteError(f"precoder gram eigenvalue {np.nanmin(low):.6e} "
+                                           f"below floor {GRAM_FLOOR:.6e}")
+        a /= norms[..., None, :]
+        g = a @ m_inv
+        del a
+        eta, zh = np.linalg.svd(g, full_matrices=False)[1:]
+        del g
+        with np.errstate(divide="ignore"):
+            alloc = waterfill(1.0 / eta**2, flat_p[trials])
+        z = m_inv @ herm(zh)
+        del m_inv, zh
+        reduced = (z * alloc.powers[..., None, :]) @ herm(z)
+        del z
+        reduced /= norms[..., :, None]
+        reduced /= norms[..., None, :]
+        p2[np.ix_(trials, cols, cols)] = 0.5 * (reduced + herm(reduced))
+        rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
     uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,
                               p2=np.broadcast_to(np.eye(nt), v2_raw.shape),
                               rate=rate_uniform.reshape(batch)[()])

@@ -75,22 +75,28 @@ def waterfill(inverse_gains, budget) -> PowerAllocation:
     if not np.isfinite(ig).any(axis=-1).all():
         raise InvalidInputError("need at least one finite inverse gain")
 
+    # Row by row on a 2-D view: (rows, n) gains, one (rows, 1) budget column.
+    stack = ig.shape[:-1]
+    ig = ig.reshape(-1, ig.shape[-1])
+    budget = np.broadcast_to(budget, stack + (1,)).reshape(-1, 1)
+    rows = np.arange(ig.shape[0])[:, None]
     order = np.argsort(ig, axis=-1, kind="stable")
-    sorted_ig = np.take_along_axis(ig, order, axis=-1)
+    sorted_ig = ig[rows, order]
     count = np.arange(1, ig.shape[-1] + 1)
     cumsum = np.cumsum(sorted_ig, axis=-1)
     level = (budget + cumsum) / count
     # Candidate k joins while it sits below the level of the k modes before
     # it; an infinite gain never does, so only finite modes can be active.
-    joins = sorted_ig[..., 1:] < level[..., :-1]
-    stops = np.concatenate([joins, np.zeros(joins.shape[:-1] + (1,), dtype=bool)], axis=-1)
-    k = np.argmin(stops, axis=-1, keepdims=True) + 1
-    water_level = np.take_along_axis(level, k - 1, axis=-1)
-    total = np.take_along_axis(cumsum, k - 1, axis=-1)
+    joins = sorted_ig[:, 1:] < level[:, :-1]
+    stops = np.concatenate([joins, np.zeros((ig.shape[0], 1), dtype=bool)], axis=-1)
+    k = np.argmin(stops, axis=-1)[:, None] + 1
+    water_level = level[rows, k - 1]
+    total = cumsum[rows, k - 1]
     powers_sorted = np.where(count <= k, (budget - (k * sorted_ig - total)) / k, 0.0)
     powers = np.empty_like(powers_sorted)
-    np.put_along_axis(powers, order, powers_sorted, axis=-1)
-    return PowerAllocation(powers=powers, water_level=water_level[..., 0][()])
+    powers[rows, order] = powers_sorted
+    return PowerAllocation(powers=powers.reshape(stack + ig.shape[-1:]),
+                           water_level=water_level.reshape(stack)[()])
 
 
 def sum_rate(gains, powers):

@@ -1,20 +1,26 @@
 """Tests for the Monte Carlo sweep machinery, CSV output, and CLI."""
 
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oia
 import oia.cli as cli
@@ -40,6 +46,8 @@ from oia.experiments import (
 
 WALKTHROUGH_SNR_DB = 10.0 * math.log10(0.5)  # p_max = 0.5
 RECORD_FIELDS = [f.name for f in fields(TrialRecords)]
+# Bound on a pass's traced peak, in (trials, nr, nr) complex stacks per trial.
+PASS_STACKS = 14
 
 
 def walkthrough_channels():
@@ -158,6 +166,27 @@ class TestRunTrial:
         whitened.clear()
         run_trials(grid, 0, 60.0, range(40))
         assert whitened == []
+
+    def test_pass_working_set(self):
+        """A full pass peaks under PASS_STACKS (trials, nr, nr) complex stacks.
+
+        A pass is sized in bytes of one such stack (``PASS_BYTES``), so this
+        bound caps its memory. At -20 dB every trial sends, so the whitener
+        and both schemes run on the whole pass.
+        """
+        grid = small_grid(nt=20, nr=20, snr_db_list=(-20.0,), trials=1)
+        size = experiments._pass_size(grid)
+        run_trials(grid, 0, -20.0, range(size))  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            record = run_trials(grid, 0, -20.0, range(size))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.all(record.unused_modes > 0)
+        stacks = peak / (16 * grid.nr**2 * size)
+        assert stacks < PASS_STACKS, f"{size}-trial pass peaks at {stacks:.2f} stacks per trial"
 
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
     def test_stacked_records_equal_one_at_a_time(self, nt, nr):
@@ -612,6 +641,110 @@ class TestCli:
         row = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
         # the primary fills all nt modes at high SNR and only its strongest at low SNR
         assert float(row["avg_unused_modes"]) == (nt - 1 if float(snr_db) < 0 else 0)
+
+
+def _either(valid, invalid):
+    """A valid choice three times in four, so that whole valid vectors stay common."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(invalid if k == 3 else valid))
+
+
+def _flag(name, valid, invalid):
+    return _either([[name, value] for value in valid], [[name, value] for value in invalid])
+
+
+# Small argument vectors, valid and not, over every subcommand. Trials, SNR
+# points and antennas stay few, so a vector that passes validation runs a
+# sweep of at most a few hundred small trials.
+SUBCOMMAND = _either(
+    [["run"], ["run", "--nt", "2", "--nr", "3"], ["run", "--nt", "1", "--nr", "1"],
+     ["fig-unused", "--antennas", "2", "3"], ["fig-rate", "--antennas", "1"],
+     ["fig-compare", "--antennas", "4"]],
+    [["run", "--nt", "3", "--nr", "2"], ["run", "--nt", "0"], ["run", "--nr", "1001"],
+     ["run", "--nt", "x"], ["fig-compare", "--antennas", "0"], ["fig-unused", "--antennas"],
+     ["nope"], []])
+SNR_RANGE = _either(
+    [("0", "0", "1"), ("-10", "10", "10"), ("-200", "300", "250"), ("5e-324", "5e-324", "1"),
+     ("-3000", "-3000", "1"), ("3000", "3000", "1")],
+    [("nan", "0", "1"), ("0", "inf", "1"), ("-inf", "0", "1"), ("1e308", "-1e308", "1"),
+     ("-1e308", "1e308", "1e-300"), ("0", "40", "1e-13"), ("-3100", "-3100", "1"),
+     ("0", "0", "0"), ("0", "0", "-1"), ("10", "0", "1")])
+CLI_FLAGS = st.lists(st.one_of(
+    _flag("--trials", ["1", "2"], ["0", "-1", "x"]),
+    _flag("--seed", ["0", "7", str(2**64 - 1)], ["-1", str(2**64), "seed"]),
+    _flag("--workers", ["1"], ["0", "-2", str(cli.MAX_WORKERS + 1), "one"]),
+    _either([[]], [["--bogus"], ["stray"], ["--trials"]]),
+), max_size=3)
+OUT = st.sampled_from(["new", "existing", "directory", "missing-parent", "dangling-symlink"])
+BAD_OUT = ("directory", "missing-parent", "dangling-symlink")
+
+
+def _cli_argv(command, snr, flags):
+    low, high, step = snr
+    argv = [*command, "--trials", "2", f"--snr-db-min={low}", f"--snr-db-max={high}",
+            f"--snr-db-step={step}"]
+    return argv + [token for flag in flags for token in flag]
+
+
+def _out_path(directory: Path, kind: str) -> Path:
+    """A fresh ``--out`` target of the given kind in ``directory``."""
+    if kind == "existing":
+        (directory / "x.csv").write_text("old\n")
+    elif kind == "dangling-symlink":
+        (directory / "x.csv").symlink_to(directory / "gone" / "x.csv")
+    return {"directory": directory, "missing-parent": directory / "missing" / "x.csv"}.get(
+        kind, directory / "x.csv")
+
+
+def _quiet_cli(argv) -> tuple[int, str, str]:
+    """``cli_main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_sweep(grids, workers):
+    raise AssertionError("a trial ran before --out was checked")
+
+
+class TestCliContract:
+    """Every argument vector ends in an exit code, one ``oia`` line and no leftovers."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(SUBCOMMAND, SNR_RANGE, CLI_FLAGS, OUT)
+    def test_exit_code_message_and_no_leftovers(self, command, snr, flags, kind):
+        argv = _cli_argv(command, snr, flags)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            out = _out_path(directory, kind)
+            code, stdout, stderr = _quiet_cli([*argv, "--out", str(out)])
+            leftovers = [p.name for p in directory.rglob("*.tmp")]
+            written = out.read_text() if code == 0 else None
+        assert code in (0, 1, 2, 3), code
+        assert "Traceback" not in stdout + stderr
+        assert leftovers == []
+        if code == 0:
+            assert stderr == "" and written.startswith(CSV_HEADER + "\n")
+        else:
+            assert stderr.splitlines()[-1].startswith("oia"), stderr
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(SUBCOMMAND, SNR_RANGE, CLI_FLAGS, st.sampled_from(BAD_OUT))
+    def test_bad_out_exits_1_before_any_trial(self, command, snr, flags, kind):
+        """With ``run_grid`` stubbed to fail, a bad --out turns exit 0 into 1, nothing else."""
+        argv = _cli_argv(command, snr, flags)
+        row = experiments.ResultRow(1, 1, 0.0, 1, 0, *[0.0] * 8)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            with mock.patch.object(cli, "run_grid", lambda grids, workers: [row]):
+                good, _, _ = _quiet_cli([*argv, "--out", str(directory / "good.csv")])
+            out = _out_path(directory, kind)
+            with mock.patch.object(cli, "run_grid", _no_sweep):
+                code, _, stderr = _quiet_cli([*argv, "--out", str(out)])
+        assert code == (1 if good == 0 else good)
+        if code == 1:
+            problem = "it is a directory" if kind == "directory" else "its directory does not exist"
+            assert stderr == f"oia: cannot write result CSV to {out}: {problem}\n"
 
 
 class TestGoldenCsv:
