@@ -18,7 +18,8 @@ class RedrawError(OiaError):
 
     ``reason`` names the rejected matrix: ``"direct"`` for a rank-deficient
     primary direct channel, ``"cross"`` for a cross channel that fails the
-    precoder's rank guard. ``rejected`` is a boolean array over the stack of
+    precoder's rank guard, which only trials that send on a free primary
+    mode meet. ``rejected`` is a boolean array over the stack of
     trials marking the trials to redraw; the others passed.
     """
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import collections
 import contextlib
 import math
+import operator
 import os
 import stat
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,8 +29,8 @@ _MAX_ATTEMPTS = 100
 # n=20, whatever the cell size. Each pass has a fixed cost besides its
 # trials, about 2.2 ms at n=3 and 1.5 ms at n=20 on a 2-vCPU VM with
 # OpenBLAS, which larger passes spread over more trials. At its peak a pass
-# holds 12 to 17 such stacks per trial (traced at n=3 and n=20 from -20 to
-# 30 dB), so the pass size also sets its working set: at most about 4.5 MB.
+# holds 10.5 to 14 such stacks per trial (traced at n=3 and n=20 from -20 to
+# 30 dB), so the pass size also sets its working set: at most about 3.6 MB.
 PASS_BYTES = 256 * 1024
 
 
@@ -98,6 +99,11 @@ class ResultRow:
 
 # The fixed 13-column contract of the CSV.
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+# A row's values in CSV column order, read without copying them.
+_row_values = operator.attrgetter(*CSV_HEADER.split(","))
+# The TrialRecords fields that a cell's row averages, in CSV column order.
+_AVERAGED = ("unused_modes", "rate_primary", "rate_secondary_uniform",
+             "rate_secondary_optimal")
 
 
 def snr_to_power(snr_db: float) -> float:
@@ -160,15 +166,17 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
                             discards=discards)
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each row of a C-contiguous 2-D array."""
+    means = values.mean(axis=-1)
     # single-trial cells report stderr 0 by convention
-    if values.size < 2:
-        return float(values.mean()), 0.0
+    if values.shape[-1] < 2:
+        return means, np.zeros_like(means)
     # std squares deviations, which underflow for values far below 1 (rates
-    # below about -1600 dB). Scaling by a power of two first is exact.
-    _, exponent = np.frexp(np.abs(values).max())
-    std = np.ldexp(np.ldexp(values, -exponent).std(ddof=1), exponent)
-    return float(values.mean()), float(std / math.sqrt(values.size))
+    # below about -1600 dB). Scaling each row by a power of two first is exact.
+    _, exponent = np.frexp(np.abs(values).max(axis=-1, keepdims=True))
+    std = np.ldexp(np.ldexp(values, -exponent).std(axis=-1, ddof=1, keepdims=True), exponent)
+    return means, std[:, 0] / math.sqrt(values.shape[-1])
 
 
 def _pass_size(grid: ExperimentGrid) -> int:
@@ -209,12 +217,15 @@ def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
 
 def _cell_row(grid: ExperimentGrid, snr_db: float, pieces) -> ResultRow:
     """A cell's row from ``(records, lo, hi)`` pieces, whose slices hold its trials in order."""
-    unused, r1, r2u, r2o, discards = (
-        np.concatenate([getattr(records, f.name)[lo:hi] for records, lo, hi in pieces])
-        for f in fields(TrialRecords))
-    return ResultRow(grid.nt, grid.nr, snr_db, grid.trials, int(discards.sum()),
-                     *_mean_stderr(unused.astype(float)), *_mean_stderr(r1),
-                     *_mean_stderr(r2u), *_mean_stderr(r2o))
+    values, discards, at = np.empty((len(_AVERAGED), grid.trials)), 0, 0
+    for records, lo, hi in pieces:
+        for row, name in enumerate(_AVERAGED):
+            values[row, at:at + hi - lo] = getattr(records, name)[lo:hi]
+        discards += int(records.discards[lo:hi].sum())
+        at += hi - lo
+    # avg and stderr of each averaged field, alternating, in CSV column order
+    stats = np.stack(_mean_stderr(values), axis=-1).ravel().tolist()
+    return ResultRow(grid.nt, grid.nr, snr_db, grid.trials, discards, *stats)
 
 
 def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
@@ -281,7 +292,7 @@ def write_csv(rows, destination) -> None:
     lines = [CSV_HEADER]
     for row in rows:
         lines.append(",".join(str(value) if isinstance(value, int) else _fmt(value)
-                              for value in astuple(row)))
+                              for value in _row_values(row)))
     text = "\n".join(lines) + "\n"
     try:
         if not _write_replacing(destination, text):

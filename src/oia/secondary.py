@@ -17,8 +17,10 @@ One call, ``design_secondary``, designs the whole secondary link of a
 stack of trials: the precoder, the receiver that whitens the primary's
 interference, and both power schemes. Only trials with at least one active
 column transmit; a trial without one has nothing to send and gets a zero
-precoder and rate 0. The sending trials are grouped by their active
-columns, and each trial's whitened active block is formed once. The uniform
+precoder and rate 0 without any precoder work, so the cross channel's rank
+guard discards only trials that invert h12. The sending trials are grouped
+by their active columns, and each trial's whitened active block is formed
+once. The uniform
 scheme splits power evenly over the precoder, and the optimal scheme
 water-fills an equivalent whitened channel restricted to the active
 columns.
@@ -107,20 +109,15 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
         If nr < nt; no precoder construction exists for that shape.
     RedrawError
         With reason ``"cross"`` if h12 fails the rank guard; ``rejected``
-        marks the trials that should be redrawn.
+        marks the trials that should be redrawn. ``design_secondary`` calls
+        this on the sending trials alone, so only they meet the guard.
     """
-    h12 = np.asarray(h12, dtype=np.complex128)
-    u1 = np.asarray(u1, dtype=np.complex128)
-    nr, nt = h12.shape[-2:]
-    if nr < nt:
-        raise InvalidInputError(
-            f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
-    p1_bar = np.asarray(p1_bar, dtype=float)
-    if p1_bar.shape != h12.shape[:-2] + (nt,):
-        raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
-                                f"got shape {p1_bar.shape}")
+    h12, p1_bar = _precoder_inputs(h12, p1_bar)
+    nt = h12.shape[-1]
     q, r = np.linalg.qr(h12)
-    pinv, singular = _solve_upper(r, herm(q))
+    q = herm(q)
+    pinv, singular = _solve_upper(r, q)
+    del q, r
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.linalg.norm(h12, axis=(-2, -1)) * np.linalg.norm(pinv, axis=(-2, -1))
     s = undecided_sigma(h12, ~singular & (bound <= 0.5 / RANK_GUARD))
@@ -130,8 +127,24 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
         ratio = np.divide(bottom, top, out=np.zeros_like(top), where=top > 0.0)
         raise RedrawError("cross", "rank guard failed "
                           f"(singular-value ratio {ratio[rejected].min():.3e})", rejected)
-    v2_raw = (pinv @ u1[..., :nt]) * p1_bar[..., None, :]
+    v2_raw = pinv @ np.asarray(u1, dtype=np.complex128)[..., :nt]
+    del pinv
+    v2_raw *= p1_bar[..., None, :]
     return v2_raw, p1_bar > 0.0
+
+
+def _precoder_inputs(h12, p1_bar) -> tuple[np.ndarray, np.ndarray]:
+    """h12 and p1_bar as arrays, checked for a shape that has a precoder."""
+    h12 = np.asarray(h12, dtype=np.complex128)
+    nr, nt = h12.shape[-2:]
+    if nr < nt:
+        raise InvalidInputError(
+            f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
+    p1_bar = np.asarray(p1_bar, dtype=float)
+    if p1_bar.shape != h12.shape[:-2] + (nt,):
+        raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
+                                f"got shape {p1_bar.shape}")
+    return h12, p1_bar
 
 
 def _solve_upper(r, b) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +164,15 @@ def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x if rows.size == x.shape[0] else x[rows]
 
 
+def _scatter(x: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``count`` rows, x's at sorted distinct ``rows`` and zeros elsewhere; x if rows are all."""
+    if rows.size == count:
+        return x
+    out = np.zeros((count,) + x.shape[1:], dtype=x.dtype)
+    out[rows] = x
+    return out
+
+
 def whitened_direct(h21, v1, p1, h22) -> np.ndarray:
     """h22 through a filter that whitens the primary's interference at the secondary receiver.
 
@@ -160,6 +182,8 @@ def whitened_direct(h21, v1, p1, h22) -> np.ndarray:
     turns q into I. q is never formed, and r's singular values are >= 1.
     """
     b = h21 @ (v1 * np.sqrt(p1)[..., None, :])
+    # The caller may pass row copies that nothing else holds: let them go before the QR.
+    del h21, v1, p1
     nr, nt = b.shape[-2:]
     stacked = np.empty(b.shape[:-2] + (nt + nr, nr), dtype=np.complex128)
     np.conjugate(b.swapaxes(-1, -2), out=stacked[..., :nt, :])
@@ -178,10 +202,14 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     nr x nt with the primary's leading stack axes. ``p_max`` is the budget,
     one value for the whole stack or one per trial.
 
-    The precoder ``v2_raw`` and its active columns come from
-    ``build_precoder``, whose ``"cross"`` ``RedrawError`` passes through.
-    Only trials with an active column transmit; a trial without one gets
-    ``v2 = 0`` and rate 0 in both schemes. A sending trial's receiver
+    Only trials with an active column (``p1_bar > 0`` somewhere) transmit;
+    a trial without one gets ``v2 = 0`` and rate 0 in both schemes, with no
+    precoder work, whatever its cross channel. The input checks (``nr >=
+    nt``, the shape of ``p1_bar`` and the budget) still cover every trial.
+    The sending trials' precoder ``v2_raw`` comes from ``build_precoder``;
+    its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
+    the whole stack, so only a sending trial is ever discarded by the cross
+    channel's rank guard. A sending trial's receiver
     whitens the primary's interference with a filter ``f2`` that has
     ``f2^H f2 = q^{-1}`` (``whitened_direct`` gives ``f2 @ h22``). The
     sending trials are grouped by their active-column mask, and each group
@@ -210,21 +238,34 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     ``NotPositiveDefiniteError``.
     """
     p_max = positive_budget(p_max, "p_max")
-    v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
-    batch, nt = active.shape[:-1], active.shape[-1]
-    flat_v2, flat_active = v2_raw.reshape(-1, nt, nt), active.reshape(-1, nt)
+    h12, p1_bar = _precoder_inputs(h12, primary.p1_bar)
+    batch, nt = p1_bar.shape[:-1], p1_bar.shape[-1]
+    flat_active = p1_bar.reshape(-1, nt) > 0.0
     flat_p = np.broadcast_to(p_max, batch).reshape(-1)
-    # Inactive columns are exactly zero, so this is ||vt||_F^2 of every trial.
-    total = np.sum(np.abs(flat_v2) ** 2, axis=(-2, -1))
-    scale, rate_uniform, rate_optimal = (np.zeros(total.size) for _ in range(3))
+    count = flat_p.size
     sends = np.flatnonzero(flat_active.any(axis=-1))
+
+    def senders(x):
+        x = np.asarray(x)
+        return _rows(x.reshape((count,) + x.shape[len(batch):]), sends)
+
+    v2s = np.zeros((0, nt, nt), dtype=np.complex128)
     if sends.size:
-        h21, v1, p1, h22 = (_rows(x.reshape(total.size, *x.shape[len(batch):]), sends) for x in
-                            map(np.asarray, (h21, primary.svd.v, primary.p1.powers, h22)))
-        white = whitened_direct(h21, v1, p1, h22)
-    # Allocated past the whitener's peak, the highest of the call.
-    p2 = np.zeros(flat_v2.shape, dtype=np.complex128)
-    scale[sends] = np.sqrt(flat_p[sends] / total[sends])
+        # Row copies go in as bare arguments, so that each one goes when its
+        # callee is done with it. The whitener runs first: its QR is the
+        # call's peak, which the precoder's output would otherwise raise.
+        white = whitened_direct(senders(h21), senders(primary.svd.v),
+                                senders(primary.p1.powers), senders(h22))
+        try:
+            v2s = build_precoder(senders(h12), senders(primary.svd.u), senders(p1_bar))[0]
+        except RedrawError as exc:
+            rejected = _scatter(exc.rejected, sends, count).reshape(batch)
+            raise RedrawError(exc.reason, exc.args[1], rejected) from None
+    p2 = np.zeros((count, nt, nt), dtype=np.complex128)
+    # Inactive columns are exactly zero, so this is ||vt||_F^2 of every sending trial.
+    total = np.sum(np.abs(v2s) ** 2, axis=(-2, -1))
+    scale = _scatter(np.sqrt(flat_p[sends] / total), sends, count)
+    rate_uniform, rate_optimal = np.zeros(count), np.zeros(count)
     # One byte string per mask row: unique on it is far cheaper than on rows.
     keys = np.ascontiguousarray(flat_active[sends]).view(np.dtype((np.void, nt)))
     patterns, group = np.unique(keys.ravel(), return_inverse=True)
@@ -234,12 +275,12 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         cols = np.flatnonzero(pattern)
         members = np.flatnonzero(group.ravel() == number)
         trials = sends[members]
-        vt = _rows(flat_v2, trials)[..., cols]
+        vt = _rows(v2s, members)[..., cols]
         a = _rows(white, members) @ vt
         if number == patterns.shape[0] - 1:
             del white
         sigma = np.linalg.svd(a, compute_uv=False)
-        rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[trials])[:, None])
+        rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[members])[:, None])
         # Column equilibration: complementary-allocation entries can differ by many
         # orders of magnitude, and small singular values of the gram root carry only
         # absolute accuracy. The optimum depends only on the precoder's column space,
@@ -271,6 +312,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         reduced /= norms[..., None, :]
         p2[np.ix_(trials, cols, cols)] = 0.5 * (reduced + herm(reduced))
         rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
+    v2_raw = _scatter(v2s, sends, count).reshape(batch + (nt, nt))
     uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,
                               p2=np.broadcast_to(np.eye(nt), v2_raw.shape),
                               rate=rate_uniform.reshape(batch)[()])

@@ -14,11 +14,14 @@ eigendecomposition root the package once whitened and rooted with,
 ``optimal_covariance`` builds the optimal scheme's transmit covariance from
 those two, the way the package once did,
 ``derive_stream`` builds a trial's stream the documented way, one numpy
-``SeedSequence`` and generator per trial, and ``complex_gaussian`` draws one
-channel matrix from it the way each trial's stacked draw must.
+``SeedSequence`` and generator per trial, ``complex_gaussian`` draws one
+channel matrix from it the way each trial's stacked draw must, and
+``column_mean_stderr`` aggregates one CSV column at a time, the way the
+vectorized cell aggregation must reproduce bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -48,6 +51,21 @@ def complex_gaussian(nr, nt, stream):
     Entries are taken in row-major order, real part then imaginary part.
     """
     return stream.standard_normal((nr, nt, 2)).view(np.complex128)[..., 0] / np.sqrt(2.0)
+
+
+def column_mean_stderr(values):
+    """One CSV column's ``(avg, stderr)`` from its 1-D values, as Python floats.
+
+    The standard error is ``std(ddof=1) / sqrt(n)`` of the values scaled by a
+    power of two, so that squared deviations do not underflow, and 0 for a
+    single value.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        return float(values.mean()), 0.0
+    _, exponent = np.frexp(np.abs(values).max())
+    std = np.ldexp(np.ldexp(values, -exponent).std(ddof=1), exponent)
+    return float(values.mean()), float(std / math.sqrt(values.size))
 
 
 def log2_det_id_plus(m):

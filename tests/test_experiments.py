@@ -44,6 +44,8 @@ from oia.experiments import (
     write_csv,
 )
 
+from oracles import column_mean_stderr
+
 WALKTHROUGH_SNR_DB = 10.0 * math.log10(0.5)  # p_max = 0.5
 RECORD_FIELDS = [f.name for f in fields(TrialRecords)]
 # Bound on a pass's traced peak, in (trials, nr, nr) complex stacks per trial.
@@ -132,12 +134,18 @@ class TestRunTrial:
             assert np.array_equal(getattr(rigged, name), expected), name
 
     def test_trial_rejected_every_time_gives_up(self, monkeypatch):
-        """The give-up names the trial and its cell, since a pass may span cells."""
+        """The give-up names the trial and its cell, since a pass may span cells.
+
+        Only sending trials meet the cross-channel guard, so cell 5's direct
+        channel is rigged to leave its weak mode free at 6 dB.
+        """
         real_draw = experiments.draw_trials
 
         def singular_cross_in_cell_5(nr, nt, master_seed, grid_index, trial_indices):
             chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
-            chans[np.asarray(grid_index) == 5, 1] = 1.0
+            cell_5 = np.asarray(grid_index) == 5
+            chans[cell_5, 0] = np.diag([1.0, 1e-3])
+            chans[cell_5, 1] = 1.0
             return chans
 
         monkeypatch.setattr(experiments, "draw_trials", singular_cross_in_cell_5)
@@ -149,44 +157,76 @@ class TestRunTrial:
                                    "trial 0 of cell 5 rejected 100 times in a row")
 
     def test_trials_without_free_mode_skip_secondary_stages(self, monkeypatch):
-        """Only trials with a free mode reach the whitener; the others get rate 0."""
-        whitened = []
-        real_whitener = secondary.whitened_direct
+        """Only trials with a free mode reach the precoder and the whitener; others get rate 0."""
+        whitened, precoded = [], []
+        real_whitener, real_precoder = secondary.whitened_direct, secondary.build_precoder
         monkeypatch.setattr(secondary, "whitened_direct",
                             lambda h21, *rest: whitened.append(len(h21))
                             or real_whitener(h21, *rest))
+        monkeypatch.setattr(secondary, "build_precoder",
+                            lambda h12, u1, p1_bar: precoded.append(np.array(p1_bar))
+                            or real_precoder(h12, u1, p1_bar))
         grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=40)
         record = run_trials(grid, 0, 10.0, range(40))
         sends = record.unused_modes > 0
         assert 0 < np.count_nonzero(sends) < 40
         assert whitened == [np.count_nonzero(sends)]
+        assert [len(p1_bar) for p1_bar in precoded] == [np.count_nonzero(sends)]
+        assert np.all(np.any(precoded[0] > 0.0, axis=-1))
         assert np.all(record.rate_secondary_uniform[~sends] == 0.0)
         assert np.all(record.rate_secondary_optimal[~sends] == 0.0)
         assert np.all(record.rate_secondary_optimal[sends] > 0.0)
         whitened.clear()
+        precoded.clear()
         run_trials(grid, 0, 60.0, range(40))
-        assert whitened == []
+        assert whitened == [] and precoded == []
+
+    def test_silent_trial_with_singular_cross_channel_kept(self, monkeypatch):
+        """The cross-channel guard discards only trials that send.
+
+        Trial 2 gets equal direct modes, which take the whole budget at any
+        SNR, and an exactly singular cross channel: it is not redrawn.
+        """
+        real_draw = experiments.draw_trials
+
+        def rigged_draw(nr, nt, master_seed, grid_index, trial_indices):
+            chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
+            chans[np.asarray(trial_indices) == 2, :2] = [np.eye(2), np.ones((2, 2))]
+            return chans
+
+        monkeypatch.setattr(experiments, "draw_trials", rigged_draw)
+        grid = small_grid(snr_db_list=(10.0,), trials=5)
+        record = run_trials(grid, 0, 10.0, range(5))
+        assert record.discards.tolist() == [0] * 5
+        assert record.unused_modes[2] == 0
+        assert record.rate_secondary_uniform[2] == record.rate_secondary_optimal[2] == 0.0
+        assert abs(record.rate_primary[2] - 2.0 * math.log2(6.0)) < 1e-9
 
     def test_pass_working_set(self):
         """A full pass peaks under PASS_STACKS (trials, nr, nr) complex stacks.
 
         A pass is sized in bytes of one such stack (``PASS_BYTES``), so this
-        bound caps its memory. At -20 dB every trial sends, so the whitener
-        and both schemes run on the whole pass.
+        bound caps its memory. At n=20 and -20 dB every trial sends, so the
+        whitener and both schemes run on the whole pass; at n=3 and 0 dB some
+        trials do not, and the sending trials' row copies must not raise the
+        peak past the same bound.
         """
-        grid = small_grid(nt=20, nr=20, snr_db_list=(-20.0,), trials=1)
-        size = experiments._pass_size(grid)
-        run_trials(grid, 0, -20.0, range(size))  # warm-up: first-call allocations
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            record = run_trials(grid, 0, -20.0, range(size))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert np.all(record.unused_modes > 0)
-        stacks = peak / (16 * grid.nr**2 * size)
-        assert stacks < PASS_STACKS, f"{size}-trial pass peaks at {stacks:.2f} stacks per trial"
+        for n, snr_db, all_send in [(20, -20.0, True), (3, 0.0, False)]:
+            grid = small_grid(nt=n, nr=n, snr_db_list=(snr_db,), trials=1)
+            size = experiments._pass_size(grid)
+            run_trials(grid, 0, snr_db, range(size))  # warm-up: first-call allocations
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                record = run_trials(grid, 0, snr_db, range(size))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            sends = np.count_nonzero(record.unused_modes > 0)
+            assert sends == size if all_send else 0 < sends < size
+            stacks = peak / (16 * grid.nr**2 * size)
+            assert stacks < PASS_STACKS, (f"{size}-trial pass at n={n}, {snr_db:g} dB "
+                                          f"peaks at {stacks:.2f} stacks per trial")
 
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
     def test_stacked_records_equal_one_at_a_time(self, nt, nr):
@@ -327,6 +367,41 @@ class TestRunGrid:
         for row in rows:
             assert row.avg_rate_secondary_optimal >= row.avg_rate_secondary_uniform - 1e-9
             assert 0.0 <= row.avg_unused_modes <= 3.0
+
+
+class TestCellRow:
+    """A cell's row is the per-column aggregation of its trials, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 80), st.lists(st.integers(-300, 300), min_size=3, max_size=3),
+           st.lists(st.integers(0, 80), max_size=4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_per_column_oracle(self, trials, exponents, cuts, zeros, seed):
+        """Rates from 1e-303 to 1e300, one to 80 trials, cut into up to five passes."""
+        rng = np.random.default_rng(seed)
+        unused = rng.integers(0, 4, trials)
+        rates = [10.0 ** (e + rng.uniform(-3.0, 0.0, trials)) for e in exponents]
+        if zeros:
+            rates[0][rng.random(trials) < 0.5] = 0.0
+        discards = rng.integers(0, 3, trials)
+        columns = [unused, *rates, discards]
+        bounds = sorted({0, trials, *(c for c in cuts if c < trials)})
+        pieces = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # each piece sits inside a pass of its own, with other trials around it
+            before, after = rng.integers(0, 3, 2)
+            padded = [np.concatenate([rng.integers(0, 9, before).astype(c.dtype), c[lo:hi],
+                                      rng.integers(0, 9, after).astype(c.dtype)])
+                      for c in columns]
+            pieces.append((TrialRecords(*padded), before, before + hi - lo))
+        grid = small_grid(nt=3, nr=4, snr_db_list=(7.0,), trials=trials)
+        row = experiments._cell_row(grid, 7.0, pieces)
+        expected = [3, 4, 7.0, trials, int(discards.sum())]
+        for column in (unused.astype(float), *rates):
+            expected.extend(column_mean_stderr(column))
+        got = [getattr(row, f.name) for f in fields(row)]
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        assert np.array(got[5:]).tobytes() == np.array(expected[5:]).tobytes()
+        assert got[:5] == expected[:5]
 
 
 class TestWriteCsv:
@@ -750,16 +825,22 @@ class TestCliContract:
 class TestGoldenCsv:
     """SHA-256 of small sweeps, pinned so refactors keep the CSV bytes."""
 
-    @pytest.mark.parametrize("sweep", ["run --nt 3 --nr 3 --trials 100",
-                                       "run --nt 20 --nr 20 --trials 40",
-                                       "run --nt 3 --nr 5 --trials 100"],
-                             ids=["run-3x3", "run-20x20", "run-3x5"])
-    def test_benchmark_reference_digest(self, tmp_path, sweep):
-        """Seed 0 of each serial benchmark sweep has the digest in ``perfbench/reference.json``."""
+    @pytest.mark.parametrize("sweep,workers", [("run --nt 3 --nr 3 --trials 100", 1),
+                                               ("run --nt 20 --nr 20 --trials 40", 1),
+                                               ("run --nt 3 --nr 5 --trials 100", 1),
+                                               ("fig-unused --trials 60", 2)],
+                             ids=["run-3x3", "run-20x20", "run-3x5", "fig-unused-w2"])
+    def test_benchmark_reference_digest(self, tmp_path, sweep, workers):
+        """Seed 0 of each benchmark sweep has the digest in ``perfbench/reference.json``.
+
+        The fig-unused sweep runs on two workers, so the process pool's
+        bytes are checked too.
+        """
         reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         digest = json.loads(reference.read_text())["sweeps"][sweep]["0"]
         out = tmp_path / "sweep.csv"
-        assert cli_main([*sweep.split(), "--seed", "0", "--workers", "1", "--out", str(out)]) == 0
+        assert cli_main([*sweep.split(), "--seed", "0", "--workers", str(workers),
+                         "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv,digest", [

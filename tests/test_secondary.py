@@ -140,6 +140,49 @@ class TestBuildPrecoder:
             build_precoder(EYE2, EYE2, [0.1])
 
 
+class TestSendersOnly:
+    """Only trials with an active column reach the precoder and its rank guard."""
+
+    def test_silent_trial_with_singular_cross_channel_gets_zero_design(self):
+        """Trial 1's equal direct modes take the whole budget; its h12 is exactly singular."""
+        primary = design_primary(np.stack([np.diag([1.0, 1e-3]), EYE2]), 1.0)
+        assert primary.unused_count.tolist() == [1, 0]
+        h12 = np.stack([EYE2, np.ones((2, 2))])
+        with pytest.raises(RedrawError):  # where it would send, the guard rejects it
+            build_precoder(h12[1], EYE2, [0.0, 0.1])
+        eye = np.broadcast_to(EYE2, h12.shape)
+        for design in design_secondary(primary, h12, eye, eye, 1.0):
+            assert np.all(design.v2[1] == 0.0) and design.rate[1] == 0.0
+            assert design.rate[0] > 0.0
+        assert np.all(design.p2[1] == 0.0)
+        silent = design_primary(EYE2, 1.0)
+        for design in design_secondary(silent, np.ones((2, 2)), EYE2, EYE2, 1.0):
+            assert np.all(design.v2 == 0.0) and design.rate == 0.0
+
+    def test_rejected_mask_covers_the_whole_stack(self):
+        """A sending trial's rejection is reported at its place among silent trials."""
+        h11 = np.stack([EYE2, np.diag([1.0, 1e-3]), EYE2, np.diag([1.0, 1e-3])])
+        primary = design_primary(h11, 1.0)
+        h12 = np.stack([np.ones((2, 2)), EYE2, np.ones((2, 2)), np.ones((2, 2))])
+        eye = np.broadcast_to(EYE2, h12.shape)
+        with pytest.raises(RedrawError) as info:
+            design_secondary(primary, h12, eye, eye, 1.0)
+        assert info.value.reason == "cross"
+        assert info.value.rejected.tolist() == [False, False, False, True]
+
+    def test_input_checks_cover_silent_stacks(self):
+        """With no trial sending, the shapes and the budget are still checked."""
+        silent = design_primary(np.broadcast_to(EYE2, (3, 2, 2)), 1.0)
+        assert not np.any(silent.p1_bar > 0.0)
+        eye = np.broadcast_to(EYE2, (3, 2, 2))
+        with pytest.raises(InvalidInputError, match="nr=2 < nt=3"):
+            design_secondary(silent, np.ones((3, 2, 3)), eye, eye, 1.0)
+        with pytest.raises(InvalidInputError, match="p1_bar must have 2 entries"):
+            design_secondary(silent, eye[:2], eye, eye, 1.0)
+        with pytest.raises(InvalidInputError):
+            design_secondary(silent, eye, eye, eye, 0.0)
+
+
 def rank_criterion(h12):
     """The rank guard's decision, per trial, from numpy's singular values alone."""
     s = np.linalg.svd(h12, compute_uv=False)
