@@ -173,11 +173,10 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
         state["state"] = {"state": value, "inc": inc}
         bits.state = state
         gen.standard_normal(out=row)
-    # Complex by complex division, as on a fresh array: halving the float
-    # buffer instead differs in the last bit.
-    chans = normals.view(np.complex128)[..., 0]
-    chans /= np.sqrt(2.0)
-    return chans
+    # numpy divides a complex value by sqrt(2) + 0j as a product with the rounded
+    # 1 / sqrt(2), so scaling the float buffer by that gives the same bits.
+    normals *= 1.0 / np.sqrt(2.0)
+    return normals.view(np.complex128)[..., 0]
 
 
 def _thread_generator() -> tuple:

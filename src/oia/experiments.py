@@ -215,17 +215,25 @@ def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
         yield pending.popleft().result()
 
 
-def _cell_row(grid: ExperimentGrid, snr_db: float, pieces) -> ResultRow:
-    """A cell's row from ``(records, lo, hi)`` pieces, whose slices hold its trials in order."""
-    values, discards, at = np.empty((len(_AVERAGED), grid.trials)), 0, 0
-    for records, lo, hi in pieces:
-        for row, name in enumerate(_AVERAGED):
-            values[row, at:at + hi - lo] = getattr(records, name)[lo:hi]
-        discards += int(records.discards[lo:hi].sum())
-        at += hi - lo
+def _cell_rows(grid: ExperimentGrid, cells) -> list[ResultRow]:
+    """Rows of cells given as ``(snr_db, pieces)``, aggregated in one call.
+
+    A cell's ``(records, lo, hi)`` pieces are slices that hold its trials in order.
+    """
+    values = np.empty((len(cells), len(_AVERAGED), grid.trials))
+    rows = []
+    for out, (snr_db, pieces) in zip(values, cells):
+        discards, at = 0, 0
+        for records, lo, hi in pieces:
+            for row, name in enumerate(_AVERAGED):
+                out[row, at:at + hi - lo] = getattr(records, name)[lo:hi]
+            discards += int(records.discards[lo:hi].sum())
+            at += hi - lo
+        rows.append((grid.nt, grid.nr, snr_db, grid.trials, discards))
     # avg and stderr of each averaged field, alternating, in CSV column order
-    stats = np.stack(_mean_stderr(values), axis=-1).ravel().tolist()
-    return ResultRow(grid.nt, grid.nr, snr_db, grid.trials, discards, *stats)
+    means, stderrs = _mean_stderr(values.reshape(-1, grid.trials))
+    stats = np.stack((means, stderrs), axis=-1).reshape(len(cells), -1).tolist()
+    return [ResultRow(*head, *tail) for head, tail in zip(rows, stats)]
 
 
 def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
@@ -235,12 +243,12 @@ def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
     ``grid_offset``, and a cell's number is its grid_index. A geometry's
     trials run cell after cell in passes (see ``PASS_BYTES``), and a pass
     may span several cells; with ``workers > 1`` one process pool, of at
-    most one process per pass, runs the passes of all geometries. A cell is
-    aggregated as soon as its last trial arrives, so at most one cell's
-    records are held besides the passes in flight. Every trial's stream
-    depends only on (master_seed, grid_index, trial_index) and each cell
-    aggregates its trials in index order, so the output is identical for any
-    worker count.
+    most one process per pass, runs the passes of all geometries. The cells
+    a pass completes are aggregated together as soon as it arrives, so
+    besides the passes in flight only the records of the one unfinished cell
+    are held. Every trial's stream depends only on (master_seed, grid_index,
+    trial_index) and each cell aggregates its trials in index order, so the
+    output is identical for any worker count.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
@@ -261,16 +269,18 @@ def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
             results = map(_run_pass, _passes(grids, grid_offset))
         rows, pieces = [], []
         for (grid, _, start, stop), records in zip(_passes(grids, grid_offset), results):
-            # Cut the pass at cell boundaries; a cell's row is due at its last trial.
-            at = start
+            # Cut the pass at cell boundaries; a cell is complete at its last trial.
+            done, at = [], start
             while at < stop:
                 cell = at // grid.trials
                 end = min(stop, (cell + 1) * grid.trials)
                 pieces.append((records, at - start, end - start))
                 if end == (cell + 1) * grid.trials:
-                    rows.append(_cell_row(grid, grid.snr_db_list[cell], pieces))
+                    done.append((grid.snr_db_list[cell], pieces))
                     pieces = []
                 at = end
+            if done:
+                rows.extend(_cell_rows(grid, done))
         return rows
 
 

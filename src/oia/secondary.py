@@ -2,16 +2,17 @@
 
 The opportunistic transmitter aims its signal at the spatial modes the
 primary left unused. The unscaled precoder is
-``pinv(h12) @ u1[:, :nt] @ diag(p1_bar)``, with the pseudo-inverse
-``solve(r, q^H)`` taken from the reduced QR factors ``h12 = q r``. With
-square channels the pseudo-inverse is the inverse: after the primary's
-receive filter, the secondary's transmission lands exactly on the
-unused-mode diagonal and the active modes see nothing. With more receive
-than transmit antennas the same expression uses the left pseudo-inverse,
-which does not in general clear the active modes, since
-``u1[:, :nt]^H @ h12 @ pinv(h12) @ u1[:, :nt]`` is then a projection, not the
-identity. Column n is exactly zero whenever ``p1_bar[n]`` is zero, so the
-precoder spans only the free dimensions.
+``pinv(h12) @ u1[:, :nt] @ diag(p1_bar)``, and the input's shape picks how
+it is formed. With square channels the pseudo-inverse is the inverse, so
+the steer is ``cross^{-1}`` of the cross channel seen after the primary's
+receive filter, ``cross = u1^H @ h12``, from one LU solve: the secondary's
+transmission lands exactly on the unused-mode diagonal and the active modes
+see nothing. With more receive than transmit antennas the steer is
+``solve(r, q^H) @ u1[:, :nt]`` from the reduced QR factors ``h12 = q r``,
+the left pseudo-inverse, which does not in general clear the active modes,
+since ``u1[:, :nt]^H @ h12 @ pinv(h12) @ u1[:, :nt]`` is then a projection,
+not the identity. Column n is exactly zero whenever ``p1_bar[n]`` is zero,
+so the precoder spans only the free dimensions.
 
 One call, ``design_secondary``, designs the whole secondary link of a
 stack of trials: the precoder, the receiver that whitens the primary's
@@ -25,10 +26,16 @@ scheme splits power evenly over the precoder, and the optimal scheme
 water-fills an equivalent whitened channel restricted to the active
 columns.
 
-Both rates are sums over squared singular values (``waterfill.sum_rate``):
-the uniform rate ``log2 det(I + W W^H)`` of the whitened channel ``W`` over
-the active block's at the uniform power, the optimal rate over the
-equivalent channel's at the water-filled powers. Both, and the optimal
+A trial with one free mode needs no factorization past the precoder and
+the whitener: water-filling gives that mode the whole budget, so both
+schemes put ``p_max / ||vt||^2`` on it and share the rate
+``log2(1 + p_max ||a||^2 / ||vt||^2)``, with ``vt`` the active column and
+``a`` its whitened image.
+
+Otherwise both rates are sums over squared singular values
+(``waterfill.sum_rate``): the uniform rate ``log2 det(I + W W^H)`` of the
+whitened channel ``W`` over the active block's at the uniform power, the
+optimal rate over the equivalent channel's at the water-filled powers. Both, and the optimal
 covariance, depend on the interference covariance q only through ``q^{-1}``
 and on the precoder only through its column span, so the whitener and the
 gram root are R factors of QR decompositions and no q, gram matrix or
@@ -54,8 +61,9 @@ from .waterfill import positive_budget, sum_rate, waterfill
 # Smallest/largest singular-value ratio of the cross channel below which it is
 # treated as rank deficient. Below this, inverting would amplify noise past
 # the point where the zero-interference guarantee is numerically meaningful.
-# A trial passes at once where ||h12||_F ||pinv||_F <= 0.5 / RANK_GUARD: the
-# product bounds sigma_max / sigma_min from above, with a factor 2 for rounding.
+# A trial passes at once where ||h12||_F ||pinv||_F <= 0.5 / RANK_GUARD, with
+# ||cross^{-1}||_F standing in for ||pinv||_F when h12 is square: the product
+# bounds sigma_max / sigma_min from above, with a factor 2 for rounding.
 RANK_GUARD = 1e-10
 
 # Floor on the eigenvalues of the optimal scheme's precoder gram matrix, the
@@ -63,6 +71,8 @@ RANK_GUARD = 1e-10
 # in [1, k] for k columns, and below the floor they are numerically dependent.
 # A trial passes at once where ||m^{-1}||_F^{-2} >= 2 * GRAM_FLOOR.
 GRAM_FLOOR = 1e-12
+
+_ZERO_COLUMN = "an active precoder column is exactly zero"
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,8 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     (v2_raw, active)
         nt x nt precoder with scale deferred to the power scheme, and the
         boolean mask of its nonzero columns (the primary's unused modes).
+        A square h12 gives ``solve(u1^H @ h12, I) @ diag(p1_bar)``, a tall
+        one ``solve(r, q^H) @ u1[:, :nt] @ diag(p1_bar)`` with ``h12 = q r``.
 
     Raises
     ------
@@ -113,13 +125,18 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
         this on the sending trials alone, so only they meet the guard.
     """
     h12, p1_bar = _precoder_inputs(h12, p1_bar)
-    nt = h12.shape[-1]
-    q, r = np.linalg.qr(h12)
-    q = herm(q)
-    pinv, singular = _solve_upper(r, q)
-    del q, r
+    nr, nt = h12.shape[-2:]
+    u1 = np.asarray(u1, dtype=np.complex128)
+    if nr == nt:
+        # u1 is unitary, so cross^{-1} = h12^{-1} @ u1 is the steer and has h12^{-1}'s norm.
+        steer, singular = _inverse(herm(u1) @ h12)
+        del u1
+    else:
+        q, r = np.linalg.qr(h12)
+        steer, singular = _solve_upper(r, herm(q))
+        del q, r
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.linalg.norm(h12, axis=(-2, -1)) * np.linalg.norm(pinv, axis=(-2, -1))
+        bound = np.linalg.norm(h12, axis=(-2, -1)) * np.linalg.norm(steer, axis=(-2, -1))
     s = undecided_sigma(h12, ~singular & (bound <= 0.5 / RANK_GUARD))
     top, bottom = s[..., 0], s[..., -1]
     rejected = (top == 0.0) | (bottom < RANK_GUARD * top)
@@ -127,10 +144,10 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
         ratio = np.divide(bottom, top, out=np.zeros_like(top), where=top > 0.0)
         raise RedrawError("cross", "rank guard failed "
                           f"(singular-value ratio {ratio[rejected].min():.3e})", rejected)
-    v2_raw = pinv @ np.asarray(u1, dtype=np.complex128)[..., :nt]
-    del pinv
-    v2_raw *= p1_bar[..., None, :]
-    return v2_raw, p1_bar > 0.0
+    if nr > nt:
+        steer = steer @ u1[..., :nt]
+    steer *= p1_bar[..., None, :]
+    return steer, p1_bar > 0.0
 
 
 def _precoder_inputs(h12, p1_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +174,21 @@ def _solve_upper(r, b) -> tuple[np.ndarray, np.ndarray]:
     if singular.any():
         r = np.where(singular[..., None, None], np.eye(r.shape[-1]), r)
     return np.linalg.solve(r, b), singular
+
+
+def _inverse(a) -> tuple[np.ndarray, np.ndarray]:
+    """``a^{-1}`` per trial by LU, and the trials whose LU has an exactly zero pivot.
+
+    Those get I in place of a, so one cannot fail the whole stack's
+    inversion; their guard decides them from exact singular values.
+    """
+    try:
+        return np.linalg.inv(a), np.zeros(a.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        # slogdet runs the same LU as inv and reports a zero pivot as sign 0.
+        singular = np.linalg.slogdet(a)[0] == 0.0
+        a = np.where(singular[..., None, None], np.eye(a.shape[-1]), a)
+        return np.linalg.inv(a), singular
 
 
 def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -214,7 +246,9 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     ``f2^H f2 = q^{-1}`` (``whitened_direct`` gives ``f2 @ h22``). The
     sending trials are grouped by their active-column mask, and each group
     is solved as one stack. With ``vt = v2_raw[:, active]``, both schemes
-    start from the whitened active block ``a = f2 @ h22 @ vt``.
+    start from the whitened active block ``a = f2 @ h22 @ vt``. A trial
+    with one active column gets both schemes in closed form, from the norms
+    of ``vt`` and ``a``: the two below coincide there.
 
     Uniform scheme: identity input covariance, with the precoder scaled so
     that ``trace(v2 @ v2^H) = p_max`` exactly. Its rate is
@@ -279,6 +313,16 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         a = _rows(white, members) @ vt
         if number == patterns.shape[0] - 1:
             del white
+        if cols.size == 1:
+            # Water-filling gives a lone mode the whole budget, so both schemes put
+            # p_max / ||vt||^2 on it and share one rate, found from norms alone.
+            if total[members].min() == 0.0:
+                raise InternalInvariantError(_ZERO_COLUMN)
+            power = flat_p[trials] / total[members]
+            rate_uniform[trials] = rate_optimal[trials] = sum_rate(
+                np.sum(np.abs(a) ** 2, axis=(-2, -1))[:, None], power[:, None])
+            p2[trials, cols[0], cols[0]] = power
+            continue
         sigma = np.linalg.svd(a, compute_uv=False)
         rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[members])[:, None])
         # Column equilibration: complementary-allocation entries can differ by many
@@ -287,7 +331,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         # so solve in normalized columns and undo the rescale on the output covariance.
         norms = np.linalg.norm(vt, axis=-2)
         if norms.min() == 0.0:
-            raise InternalInvariantError("an active precoder column is exactly zero")
+            raise InternalInvariantError(_ZERO_COLUMN)
         vt /= norms[..., None, :]
         m = np.linalg.qr(vt, mode="r")
         m_inv, singular = _solve_upper(m, np.eye(cols.size))

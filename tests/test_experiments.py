@@ -374,34 +374,47 @@ class TestCellRow:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 80), st.lists(st.integers(-300, 300), min_size=3, max_size=3),
-           st.lists(st.integers(0, 80), max_size=4), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_matches_per_column_oracle(self, trials, exponents, cuts, zeros, seed):
-        """Rates from 1e-303 to 1e300, one to 80 trials, cut into up to five passes."""
+           st.lists(st.integers(0, 80), max_size=4), st.booleans(), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_column_oracle(self, trials, exponents, cuts, zeros, cells, seed):
+        """Rates from 1e-303 to 1e300, one to 80 trials, cut into up to five passes.
+
+        One call aggregates one to four cells, each with its own trials and
+        rate scales, as a pass that completes several cells does.
+        """
         rng = np.random.default_rng(seed)
-        unused = rng.integers(0, 4, trials)
-        rates = [10.0 ** (e + rng.uniform(-3.0, 0.0, trials)) for e in exponents]
-        if zeros:
-            rates[0][rng.random(trials) < 0.5] = 0.0
-        discards = rng.integers(0, 3, trials)
-        columns = [unused, *rates, discards]
-        bounds = sorted({0, trials, *(c for c in cuts if c < trials)})
-        pieces = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            # each piece sits inside a pass of its own, with other trials around it
-            before, after = rng.integers(0, 3, 2)
-            padded = [np.concatenate([rng.integers(0, 9, before).astype(c.dtype), c[lo:hi],
-                                      rng.integers(0, 9, after).astype(c.dtype)])
-                      for c in columns]
-            pieces.append((TrialRecords(*padded), before, before + hi - lo))
-        grid = small_grid(nt=3, nr=4, snr_db_list=(7.0,), trials=trials)
-        row = experiments._cell_row(grid, 7.0, pieces)
-        expected = [3, 4, 7.0, trials, int(discards.sum())]
-        for column in (unused.astype(float), *rates):
-            expected.extend(column_mean_stderr(column))
-        got = [getattr(row, f.name) for f in fields(row)]
-        assert [type(v) for v in got] == [type(v) for v in expected]
-        assert np.array(got[5:]).tobytes() == np.array(expected[5:]).tobytes()
-        assert got[:5] == expected[:5]
+        snrs = [7.0 + cell for cell in range(cells)]
+        grid = small_grid(nt=3, nr=4, snr_db_list=snrs, trials=trials)
+        given_cells, expected_rows = [], []
+        for cell, snr_db in enumerate(snrs):
+            unused = rng.integers(0, 4, trials)
+            rates = [10.0 ** (min(300, max(-300, e + 40 * cell)) + rng.uniform(-3.0, 0.0, trials))
+                     for e in exponents]
+            if zeros:
+                rates[0][rng.random(trials) < 0.5] = 0.0
+            discards = rng.integers(0, 3, trials)
+            columns = [unused, *rates, discards]
+            bounds = sorted({0, trials, *(c for c in cuts if c < trials)})
+            pieces = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                # each piece sits inside a pass of its own, with other trials around it
+                before, after = rng.integers(0, 3, 2)
+                padded = [np.concatenate([rng.integers(0, 9, before).astype(c.dtype), c[lo:hi],
+                                          rng.integers(0, 9, after).astype(c.dtype)])
+                          for c in columns]
+                pieces.append((TrialRecords(*padded), before, before + hi - lo))
+            given_cells.append((snr_db, pieces))
+            expected = [3, 4, snr_db, trials, int(discards.sum())]
+            for column in (unused.astype(float), *rates):
+                expected.extend(column_mean_stderr(column))
+            expected_rows.append(expected)
+        rows = experiments._cell_rows(grid, given_cells)
+        assert len(rows) == cells
+        for row, expected in zip(rows, expected_rows):
+            got = [getattr(row, f.name) for f in fields(row)]
+            assert [type(v) for v in got] == [type(v) for v in expected]
+            assert np.array(got[5:]).tobytes() == np.array(expected[5:]).tobytes()
+            assert got[:5] == expected[:5]
 
 
 class TestWriteCsv:
@@ -825,23 +838,26 @@ class TestCliContract:
 class TestGoldenCsv:
     """SHA-256 of small sweeps, pinned so refactors keep the CSV bytes."""
 
-    @pytest.mark.parametrize("sweep,workers", [("run --nt 3 --nr 3 --trials 100", 1),
-                                               ("run --nt 20 --nr 20 --trials 40", 1),
-                                               ("run --nt 3 --nr 5 --trials 100", 1),
-                                               ("fig-unused --trials 60", 2)],
+    @pytest.mark.parametrize("sweep,workers,seeds",
+                             [("run --nt 3 --nr 3 --trials 100", 1, range(4)),
+                              ("run --nt 20 --nr 20 --trials 40", 1, [0]),
+                              ("run --nt 3 --nr 5 --trials 100", 1, range(4)),
+                              ("fig-unused --trials 60", 2, [0])],
                              ids=["run-3x3", "run-20x20", "run-3x5", "fig-unused-w2"])
-    def test_benchmark_reference_digest(self, tmp_path, sweep, workers):
-        """Seed 0 of each benchmark sweep has the digest in ``perfbench/reference.json``.
+    def test_benchmark_reference_digest(self, tmp_path, sweep, workers, seeds):
+        """``seeds`` of each benchmark sweep have the digests in ``perfbench/reference.json``.
 
-        The fig-unused sweep runs on two workers, so the process pool's
-        bytes are checked too.
+        The small sweeps check four seeds, since rounding-level changes to
+        the rates move a CSV digit only rarely. The fig-unused sweep runs on
+        two workers, so the process pool's bytes are checked too.
         """
         reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-        digest = json.loads(reference.read_text())["sweeps"][sweep]["0"]
+        digests = json.loads(reference.read_text())["sweeps"][sweep]
         out = tmp_path / "sweep.csv"
-        assert cli_main([*sweep.split(), "--seed", "0", "--workers", str(workers),
-                         "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        for seed in map(str, seeds):
+            assert cli_main([*sweep.split(), "--seed", seed, "--workers", str(workers),
+                             "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[seed], seed
 
     @pytest.mark.parametrize("argv,digest", [
         (["run", "--nt", "3", "--nr", "5", "--trials", "20", "--seed", "5",

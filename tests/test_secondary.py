@@ -104,6 +104,20 @@ class TestBuildPrecoder:
         reference = np.linalg.pinv(h12) @ u1[:, :nt] * p1_bar[None, :]
         assert np.linalg.norm(v2_raw - reference) <= 1e-9 * np.linalg.norm(reference)
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 10, 20])
+    def test_square_steer_inverts_cross_channel(self, n):
+        """``cross = u1^H h12`` takes the square steer to ``diag(p1_bar)``, zeros included."""
+        rng = np.random.default_rng(n)
+        h12 = np.stack([complex_gaussian(n, n, rng) for _ in range(20)])
+        u1 = np.stack([np.linalg.qr(complex_gaussian(n, n, rng))[0] for _ in range(20)])
+        p1_bar = rng.uniform(0.0, 1.0, (20, n)) * (rng.random((20, n)) < 0.6)
+        v2_raw, active = build_precoder(h12, u1, p1_bar)
+        assert np.array_equal(active, p1_bar > 0.0)
+        assert np.all(v2_raw.swapaxes(-1, -2)[~active] == 0.0)
+        error = np.linalg.norm(herm(u1) @ h12 @ v2_raw - p1_bar[:, None, :] * np.eye(n),
+                               axis=(-2, -1))
+        assert np.all(error <= 1e-12 * np.linalg.norm(p1_bar, axis=-1))
+
     @pytest.mark.parametrize("nr,nt", [(3, 3), (20, 20), (5, 3), (8, 4)])
     def test_near_guard_cross_channel(self, nr, nt):
         """Just above the rank guard the precoder is finite or the trial is redrawn."""
@@ -170,6 +184,19 @@ class TestSendersOnly:
         assert info.value.reason == "cross"
         assert info.value.rejected.tolist() == [False, False, False, True]
 
+    def test_singular_cross_channel_among_sending_square_trials(self):
+        """An exactly singular h12 fails the LU of its cross channel: it alone is redrawn."""
+        h11 = np.broadcast_to(np.diag([1.0, 1.0, 1e-3]), (4, 3, 3))
+        primary = design_primary(h11, 1.0)
+        assert np.all(primary.unused_count == 1)
+        rng = np.random.default_rng(2)
+        h12 = np.stack([complex_gaussian(3, 3, rng) for _ in range(4)])
+        h12[2, :, 1] = 0.0
+        with pytest.raises(RedrawError) as info:
+            design_secondary(primary, h12, h12, h12, 1.0)
+        assert info.value.reason == "cross"
+        assert info.value.rejected.tolist() == [False, False, True, False]
+
     def test_input_checks_cover_silent_stacks(self):
         """With no trial sending, the shapes and the budget are still checked."""
         silent = design_primary(np.broadcast_to(EYE2, (3, 2, 2)), 1.0)
@@ -181,6 +208,88 @@ class TestSendersOnly:
             design_secondary(silent, eye[:2], eye, eye, 1.0)
         with pytest.raises(InvalidInputError):
             design_secondary(silent, eye, eye, eye, 0.0)
+
+
+def one_free_mode_links(nr, nt, snr_db, rng):
+    """A stack of random links, one per SNR, whose primary leaves exactly one mode free.
+
+    h11 has singular values 1 (nt - 1 times) and 1e-6: water-filling from
+    -20 to 40 dB fills the equal modes and never the weak one.
+    """
+    p_max = 10.0 ** (np.asarray(snr_db) / 10.0)
+    sigma = np.r_[np.ones(nt - 1), 1e-6]
+    unitary = [np.linalg.qr(complex_gaussian(k, k, rng))[0] for k in (nr, nt) for _ in p_max]
+    h11 = np.stack([(left[:, :nt] * sigma) @ right
+                    for left, right in zip(unitary[:p_max.size], unitary[p_max.size:])])
+    h12, h21, h22 = (np.stack([complex_gaussian(nr, nt, rng) for _ in p_max]) for _ in range(3))
+    primary = design_primary(h11, p_max)
+    assert np.all(primary.unused_count == 1)
+    return primary, h12, h21, h22, p_max
+
+
+class TestOneActiveColumn:
+    """A trial with one free mode gets both schemes' designs in closed form, from norms."""
+
+    @pytest.mark.parametrize("nr,nt", [(2, 2), (3, 3), (5, 5), (5, 3), (4, 2), (6, 4)])
+    def test_matches_oracle_path(self, nr, nt):
+        """Rates, p2 and budgets of the Cholesky-whitened, eigh-rooted reference path."""
+        rng = np.random.default_rng(10 * nr + nt)
+        primary, h12, h21, h22, p_max = one_free_mode_links(
+            nr, nt, np.arange(-20.0, 41.0, 5.0), rng)
+        uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+        assert np.array_equal(uniform.rate, optimal.rate)
+        for k, budget in enumerate(p_max):
+            q = interference_covariance(h21[k], primary.svd.v[k], primary.p1.powers[k])
+            w = whiten(q, h22[k] @ uniform.v2[k])
+            rate = log2_det_id_plus(herm(w) @ w)
+            assert abs(uniform.rate[k] - rate) <= 1e-12 * rate
+            p2 = optimal_covariance(optimal.v2[k], primary.p1_bar[k] > 0.0, q, h22[k], budget)
+            assert np.linalg.norm(optimal.p2[k] - p2) <= 1e-12 * np.linalg.norm(p2)
+            w = whiten(q, h22[k] @ optimal.v2[k])
+            rate = log2_det_id_plus(w @ p2 @ herm(w))
+            assert abs(optimal.rate[k] - rate) <= 1e-12 * rate
+            for design in (uniform, optimal):
+                spent = np.trace(design.v2[k] @ design.p2[k] @ herm(design.v2[k])).real
+                assert abs(spent - budget) <= 1e-12 * budget
+
+    def test_one_column_groups_make_no_linalg_call(self, monkeypatch):
+        """Past the precoder and the whitener, one-column trials call nothing in np.linalg.
+
+        A trial with two active columns still does, which shows the seam counts.
+        """
+        rng = np.random.default_rng(4)
+        one = one_free_mode_links(3, 3, np.arange(-20.0, 41.0, 5.0), rng)
+        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
+        assert primary.unused_count == 2
+        two = (primary, *(complex_gaussian(3, 3, rng) for _ in range(3)), 0.01)
+        calls, counting = [], [True]
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                if counting[0]:
+                    calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        def uncounted(real):
+            def call(*args):
+                counting[0] = False
+                try:
+                    return real(*args)
+                finally:
+                    counting[0] = True
+            return call
+
+        for name in np.linalg.__all__:
+            real = getattr(np.linalg, name)
+            if callable(real) and not isinstance(real, type):
+                monkeypatch.setattr(np.linalg, name, counted(name, real))
+        for name in ("whitened_direct", "build_precoder"):
+            monkeypatch.setattr(secondary, name, uncounted(getattr(secondary, name)))
+        design_secondary(*one)
+        assert calls == []
+        design_secondary(*two)
+        assert "svd" in calls and "qr" in calls
 
 
 def rank_criterion(h12):
