@@ -6,23 +6,21 @@ collision-resistantly into the state of a ``numpy.random.PCG64`` generator,
 the one ``numpy.random.default_rng`` builds from it. A trial's draws therefore
 depend only on the triple, never on execution order or worker count. Both
 algorithms are fixed by numpy's stream-compatibility policy for seeded bit
-generators. ``draw_trials`` computes that seeding for a whole stack of trials
-at once, in numpy's uint32 arithmetic, rather than building one SeedSequence
-and one generator per trial.
+generators. ``draw_trials`` hashes the SeedSequences of a whole stack of
+trials at once, in numpy's uint32 arithmetic, and numpy's own PCG64
+constructor then seeds each trial's generator from its words, in C.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-import threading
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 _MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
 
 # numpy.random.SeedSequence: pool size and the constants of its hashes.
 _POOL = 4
@@ -32,14 +30,6 @@ _MIX_L, _MIX_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
 
 # Row indices of the pool words other than word k, for each k.
 _OTHERS = [np.delete(np.arange(_POOL), k) for k in range(_POOL)]
-
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-
-# Each thread's PCG64 and the Generator over it, reseeded trial by trial.
-# Threads must not share one: a thread's reseed would land between another's
-# seeding and drawing.
-_THREAD = threading.local()
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -113,8 +103,8 @@ def _indices(values) -> np.ndarray:
     return values.astype(np.uint64)
 
 
-def _pcg64_states(master_seed: int, grids: np.ndarray, trials: np.ndarray) -> list:
-    """``(state, inc)`` of ``PCG64(SeedSequence((master_seed, g, t)))`` per pair (g, t)."""
+def _stream_seeds(master_seed: int, grids: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """Rows of ``SeedSequence((master_seed, g, t)).generate_state(4, uint64)``, per pair (g, t)."""
     prefix = _entropy_words(master_seed)
     words = len(prefix)
     # Each trial's entropy: the master seed's words, then its grid index's and
@@ -132,16 +122,34 @@ def _pcg64_states(master_seed: int, grids: np.ndarray, trials: np.ndarray) -> li
     # SeedSequence's hash depends on the entropy's word count only past the
     # pool size: shorter entropy is hashed as if padded with zero words.
     counts = np.maximum(words + 2 + grid_wide + trial_wide, _POOL)
-    states = [None] * trials.size
+    seeds = np.empty((trials.size, 4), dtype=np.uint64)
     for count in sorted(set(counts.tolist())):
         group = counts == count
-        g0, g1, g2, g3 = _seed_words(entropy[:count, group]).tolist()
-        for k, a, b, c, d in zip(np.flatnonzero(group).tolist(), g0, g1, g2, g3):
-            # PCG64's set_seed: initstate a:b, increment (c:d << 1) | 1, two LCG steps from 0.
-            initstate = a << 64 | b
-            inc = ((c << 64 | d) << 1 | 1) & _MASK128
-            states[k] = (((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc)
-    return states
+        seeds[group] = _seed_words(entropy[:count, group]).T
+    return seeds
+
+
+@functools.cache
+def _stream_types() -> tuple:
+    """numpy's PCG64 and Generator, and a seed sequence that hands PCG64 one row per trial.
+
+    Built on the first draw, so that importing the package does not load
+    numpy.random. PCG64 asks its seed sequence once for four uint64 words and
+    reads them from the array's data, unchecked: a row of a C-contiguous uint64
+    ``(trials, 4)`` array.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Feed(ISeedSequence):
+        __slots__ = ("rows",)
+
+        def __init__(self, seeds):
+            self.rows = iter(seeds)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return next(self.rows)
+
+    return np.random.PCG64, np.random.Generator, Feed
 
 
 def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
@@ -166,22 +174,12 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
     trials = _indices(trial_indices).ravel()
     grids = np.broadcast_to(_indices(grid_index), trials.shape)
     normals = np.empty((trials.size, 4, nr, nt, 2))
-    bits, gen = _thread_generator()
-    # A freshly seeded PCG64's state: no buffered 32-bit half of a draw.
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for row, (value, inc) in zip(normals, _pcg64_states(master_seed, grids, trials)):
-        state["state"] = {"state": value, "inc": inc}
-        bits.state = state
-        gen.standard_normal(out=row)
+    pcg64, generator, feed = _stream_types()
+    seeds = feed(_stream_seeds(master_seed, grids, trials))
+    for row in normals:
+        generator(pcg64(seeds)).standard_normal(out=row)
     # numpy divides a complex value by sqrt(2) + 0j as a product with the rounded
     # 1 / sqrt(2), so scaling the float buffer by that gives the same bits.
     normals *= 1.0 / np.sqrt(2.0)
     return normals.view(np.complex128)[..., 0]
 
-
-def _thread_generator() -> tuple:
-    """This thread's ``(PCG64, Generator)`` pair, built on its first draw."""
-    if not hasattr(_THREAD, "pair"):
-        bits = np.random.PCG64(0)
-        _THREAD.pair = bits, np.random.Generator(bits)
-    return _THREAD.pair

@@ -6,6 +6,7 @@ import argparse
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .errors import InvalidInputError, OiaError
 from .experiments import ExperimentGrid, check_destination, run_grid, write_csv
@@ -136,6 +137,9 @@ def cli_main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"oia: {exc}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:
+        print(f"oia: a worker process died: {exc}", file=sys.stderr)
         return 1
     except OiaError as exc:
         # A numerical failure inside the sweep: a redraw that kept failing, or

@@ -9,18 +9,14 @@ class InvalidInputError(OiaError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class NotPositiveDefiniteError(OiaError):
-    """A matrix required to be positive definite has an eigenvalue below its floor."""
-
-
 class RedrawError(OiaError):
     """A trial's channel draw was rejected; the trial should be discarded and redrawn.
 
     ``reason`` names the rejected matrix: ``"direct"`` for a rank-deficient
-    primary direct channel, ``"cross"`` for a cross channel that fails the
-    precoder's rank guard, which only trials that send on a free primary
-    mode meet. ``rejected`` is a boolean array over the stack of
-    trials marking the trials to redraw; the others passed.
+    primary direct channel; for a trial that sends, ``"cross"`` for a cross
+    channel that fails the precoder's rank guard and ``"gram"`` for active
+    precoder columns below the gram floor. ``rejected`` is a boolean array
+    over the stack of trials marking the trials to redraw; the others passed.
     """
 
     def __init__(self, reason: str, detail: str, rejected):
@@ -29,7 +25,8 @@ class RedrawError(OiaError):
         self.rejected = rejected
 
     def __str__(self) -> str:
-        return f"{self.reason} channel rejected: {self.args[1]}"
+        matrix = "precoder gram matrix" if self.reason == "gram" else f"{self.reason} channel"
+        return f"{matrix} rejected: {self.args[1]}"
 
 
 class InternalInvariantError(OiaError):

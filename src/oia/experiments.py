@@ -128,7 +128,7 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
 
     ``grid_index`` and ``snr_db`` are one value for the whole stack or one
     per trial, so a pass may span several cells of a grid. Trials whose
-    channels fail a rank guard are discarded, counted, and replaced by a
+    channels fail a guard are discarded, counted, and replaced by a
     redraw at ``trial_index + attempt * REPLACEMENT_BASE`` of the same cell,
     so replacements are deterministic and never collide with regular
     indices. Only the rejected trials are redrawn; every trial's record

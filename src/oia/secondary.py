@@ -53,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InternalInvariantError, InvalidInputError, NotPositiveDefiniteError,
-                     RedrawError)
+from .errors import InternalInvariantError, InvalidInputError, RedrawError
 from .kernels import herm, undecided_sigma
 from .waterfill import positive_budget, sum_rate, waterfill
 
@@ -269,7 +268,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     already absorbs all scaling, and any nonzero scale yields the same
     transmitted covariance. Numerically dependent active columns, whose
     normalized gram matrix has an eigenvalue below ``GRAM_FLOOR``, raise
-    ``NotPositiveDefiniteError``.
+    ``RedrawError("gram")``, whose ``rejected`` marks them in the whole stack.
     """
     p_max = positive_budget(p_max, "p_max")
     h12, p1_bar = _precoder_inputs(h12, primary.p1_bar)
@@ -339,8 +338,8 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
                                  <= (2.0 * GRAM_FLOOR) ** -0.5)
         low = undecided_sigma(m, certified)[..., -1] ** 2
         if np.any(low < GRAM_FLOOR):
-            raise NotPositiveDefiniteError(f"precoder gram eigenvalue {np.nanmin(low):.6e} "
-                                           f"below floor {GRAM_FLOOR:.6e}")
+            raise RedrawError("gram", f"eigenvalue {np.nanmin(low):.6e} below {GRAM_FLOOR:.0e}",
+                              _scatter(low < GRAM_FLOOR, trials, count).reshape(batch))
         a /= norms[..., None, :]
         g = a @ m_inv
         del a

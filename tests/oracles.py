@@ -25,9 +25,14 @@ import math
 
 import numpy as np
 
-from oia.errors import InvalidInputError, NotPositiveDefiniteError
+from oia.errors import InvalidInputError, OiaError
 from oia.kernels import herm
 from oia.secondary import GRAM_FLOOR
+
+
+class NotPositiveDefiniteError(OiaError):
+    """A matrix required to be positive definite has an eigenvalue below its floor."""
+
 
 # Multiple of n * eps * lambda_max by which a computed eigenvalue of an n x n
 # Hermitian matrix may sit below the true one. The interference-plus-noise

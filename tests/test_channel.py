@@ -1,12 +1,16 @@
 """Tests for seeded channel generation: determinism, moments, independence."""
 
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oia
 from oia.channel import draw_trials
 from oia.errors import InvalidInputError
 from oia.experiments import REPLACEMENT_BASE
@@ -65,6 +69,18 @@ class TestStreamDerivation:
         stacked = draw_trials(nr, nt, master, grids if per_trial else grids[0], trials)
         assert np.array_equal(stacked, expected)
 
+    def test_start_up_leaves_numpy_random_unloaded(self):
+        """Importing the CLI and building its parser leave numpy.random to the first draw."""
+        src = str(Path(oia.__file__).resolve().parents[1])
+        script = ("import sys\n"
+                  "import oia.cli\n"
+                  "oia.cli.build_parser()\n"
+                  "print('numpy.random' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True,
+                              text=True, timeout=120, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_negative_master_seed_rejected(self):
         # SeedSequence takes nonnegative entropy only; the CLI rejects such seeds first
         with pytest.raises(ValueError):
@@ -101,6 +117,15 @@ class TestStreamDerivation:
             for name in NAMES:
                 assert np.array_equal(a[name], b[name])
                 assert np.array_equal(a[name], c[name])
+        # Stacks drawn from 8 threads at once, each mixing one- and two-word
+        # trial indices, equal the same stacks drawn serially.
+        stacks = [(7 + k, k, [k, 2**32 + k, 5 * k + 1, 2**40 + k, 2**31 + k] * 40)
+                  for k in range(16)]
+        serial = [draw_trials(3, 2, *stack) for stack in stacks]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda stack: draw_trials(3, 2, *stack), stacks))
+        for a, b in zip(serial, parallel):
+            assert np.array_equal(a, b)
 
 
 class TestDrawChannel:

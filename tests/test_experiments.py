@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -30,7 +31,6 @@ from oia.cli import cli_main
 from oia.errors import (
     InternalInvariantError,
     InvalidInputError,
-    NotPositiveDefiniteError,
     RedrawError,
 )
 from oia.experiments import (
@@ -56,6 +56,11 @@ def walkthrough_channels():
     """The analytic walkthrough's channels h11, h12, h21, h22 as a stack of one trial."""
     eye = np.eye(2, dtype=complex)
     return np.stack([np.diag([2.0, 1.0]).astype(complex), eye, eye, eye])[None]
+
+
+def dying_pass(task):
+    """A pass that ends its worker process at once, as a crash in native code would."""
+    os._exit(1)
 
 
 def small_grid(**overrides):
@@ -131,6 +136,39 @@ class TestRunTrial:
         for name in RECORD_FIELDS[:-1]:
             expected = getattr(clean, name).copy()
             expected[4] = getattr(replacement, name)[0]
+            assert np.array_equal(getattr(rigged, name), expected), name
+
+    def test_parallel_active_columns_redrawn(self, monkeypatch):
+        """A trial whose two active precoder columns are parallel fails the gram floor.
+
+        Its first draw is rigged: a direct channel that leaves two modes free
+        at -20 dB, and a cross channel that steers them onto near-parallel
+        columns. That trial alone is redrawn; the others keep their records.
+        """
+        grid = small_grid(nt=3, nr=3, snr_db_list=(-20.0,), trials=5)
+        h11 = np.diag([10.0, 1.0, 1.0]).astype(complex)
+        u1 = np.linalg.svd(h11)[0]
+        steer = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-7]])
+        real_draw = experiments.draw_trials
+        requested = []
+
+        def rigged_draw(nr, nt, master_seed, grid_index, trial_indices):
+            requested.append([int(t) for t in trial_indices])
+            chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
+            if len(requested) == 1:
+                chans[2, 0], chans[2, 1] = h11, u1 @ np.linalg.inv(steer)
+            return chans
+
+        monkeypatch.setattr(experiments, "draw_trials", rigged_draw)
+        rigged = run_trials(grid, 0, -20.0, range(5))
+        monkeypatch.undo()
+        assert requested == [list(range(5)), [2 + REPLACEMENT_BASE]]
+        assert list(rigged.discards) == [0, 0, 1, 0, 0]
+        clean = run_trials(grid, 0, -20.0, range(5))
+        replacement = run_trials(grid, 0, -20.0, [2 + REPLACEMENT_BASE])
+        for name in RECORD_FIELDS[:-1]:
+            expected = getattr(clean, name).copy()
+            expected[2] = getattr(replacement, name)[0]
             assert np.array_equal(getattr(rigged, name), expected), name
 
     def test_trial_rejected_every_time_gives_up(self, monkeypatch):
@@ -608,10 +646,10 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("error", [
-        NotPositiveDefiniteError("eigenvalue 5.0e-01 below floor 1.0e+00"),
+        RedrawError("gram", "trial 7 rejected 100 times in a row", np.ones(3, dtype=bool)),
         InternalInvariantError("an active precoder column is exactly zero"),
         RedrawError("cross", "trial 7 rejected 100 times in a row", np.ones(3, dtype=bool)),
-    ], ids=["not-positive-definite", "internal-invariant", "redraw-give-up"])
+    ], ids=["gram-give-up", "internal-invariant", "redraw-give-up"])
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch, error):
         def failing_run_grid(grids, workers):
             raise error
@@ -623,6 +661,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"oia: numerical failure: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stub pass reaches the workers only through fork")
+    def test_dead_worker_exits_1(self, tmp_path, capfd, monkeypatch):
+        """A worker that dies ends the run with one line: no traceback, no CSV, no .tmp."""
+        monkeypatch.setattr(experiments, "_run_pass", dying_pass)
+        out = tmp_path / "x.csv"
+        # 2,000 trials at n=3 take two passes, so the pool gets both workers.
+        code = cli_main(["run", "--snr-db-min", "0", "--snr-db-max", "0", "--trials", "2000",
+                         "--workers", "2", "--out", str(out)])
+        captured = capfd.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("oia: a worker process died: ")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
+from oia.errors import InvalidInputError, RedrawError
 from oia.kernels import herm, svd, undecided_sigma
 from oia.secondary import build_precoder
 
-from oracles import EIGENVALUE_SLACK, complex_gaussian, hermitian_inv_sqrt
+from oracles import (EIGENVALUE_SLACK, NotPositiveDefiniteError, complex_gaussian,
+                     hermitian_inv_sqrt)
 
 
 def random_unitary(n, rng):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oia import secondary
-from oia.errors import InvalidInputError, NotPositiveDefiniteError, RedrawError
+from oia.errors import InvalidInputError, RedrawError
 from oia.kernels import herm
 from oia.primary import design_primary
 from oia.secondary import GRAM_FLOOR, RANK_GUARD, build_precoder, design_secondary
@@ -374,8 +374,10 @@ class TestGuards:
         assert (low < GRAM_FLOOR) == rejected
         assert abs(low / (multiple * GRAM_FLOOR) - 1.0) < 1e-3
         if rejected:
-            with pytest.raises(NotPositiveDefiniteError):
+            with pytest.raises(RedrawError) as info:
                 design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
+            assert info.value.reason == "gram"
+            assert info.value.rejected.shape == () and info.value.rejected
         else:
             _, optimal = design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
             assert np.all(np.isfinite(optimal.p2)) and 0.0 < optimal.rate < math.inf
@@ -459,10 +461,22 @@ class TestOptimalScheme:
             assert abs(design.rate[0] - math.log2(1.5)) < 1e-12
 
     def test_parallel_active_columns_rejected(self):
-        """Numerically dependent active columns have no gram root."""
-        primary, h12 = parallel_columns_primary(1e-7)
-        with pytest.raises(NotPositiveDefiniteError):
-            design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
+        """Numerically dependent active columns have no gram root: that trial alone is redrawn.
+
+        The stack's first trial sends nothing, so the rejected group member
+        sits at a different place among the senders than in the stack.
+        """
+        gaps = [1.0, 0.5, 1e-7, 0.5]
+        p_max = np.array([1e4, 0.01, 0.01, 0.01])
+        primary = design_primary(np.broadcast_to(np.diag([10.0, 1.0, 1.0]), (4, 3, 3)), p_max)
+        assert primary.p1_bar[0].max() == 0.0 and np.all(primary.p1_bar[1:, 1:] > 0.0)
+        h12 = np.stack([parallel_columns_primary(gap)[1] for gap in gaps])
+        eye = np.broadcast_to(np.eye(3), (4, 3, 3))
+        with pytest.raises(RedrawError) as info:
+            design_secondary(primary, h12, eye, eye, p_max)
+        assert info.value.reason == "gram"
+        assert info.value.rejected.tolist() == [False, False, True, False]
+        assert str(info.value).startswith("precoder gram matrix rejected: eigenvalue ")
 
     @pytest.mark.parametrize("seed", range(12))
     def test_power_constraint_and_psd(self, seed):
