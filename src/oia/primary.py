@@ -13,9 +13,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RedrawError
-from .kernels import SvdFactors, svd
+from .errors import InvalidInputError, RedrawError
 from .waterfill import PowerAllocation, positive_budget, sum_rate, waterfill
+
+
+@dataclass(frozen=True)
+class SvdFactors:
+    """Factorization a = u @ diag(sigma) @ v^H, per matrix of a stack.
+
+    u and v are square unitary matrices; sigma holds the min(rows, cols)
+    singular values sorted descending.
+    """
+
+    u: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
+
+
+def svd(a) -> SvdFactors:
+    """Full singular value decomposition of a finite complex matrix or stack ``(..., m, n)``.
+
+    The factors satisfy ``a = u @ diag(sigma) @ v^H`` with Frobenius residual
+    at most 1e-10 * max(1, ||a||_F), sigma descending, and u, v unitary to
+    1e-10 per dimension, for every matrix. LAPACK runs once per matrix, so a
+    stacked result equals the one-at-a-time results bit for bit. Raises
+    InvalidInputError if ``a`` is not a matrix or has a NaN or infinite entry.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise InvalidInputError(f"a must be a matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("a contains non-finite entries")
+    u, sigma, vh = np.linalg.svd(a, full_matrices=True)
+    return SvdFactors(u=u, sigma=sigma, v=vh.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

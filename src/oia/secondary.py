@@ -19,12 +19,12 @@ stack of trials: the precoder, the receiver that whitens the primary's
 interference, and both power schemes. Only trials with at least one active
 column transmit; a trial without one has nothing to send and gets a zero
 precoder and rate 0 without any precoder work, so the cross channel's rank
-guard discards only trials that invert h12. The sending trials are grouped
-by their active columns, and each trial's whitened active block is formed
-once. The uniform
-scheme splits power evenly over the precoder, and the optimal scheme
-water-fills an equivalent whitened channel restricted to the active
-columns.
+guard discards only trials that invert h12. The active columns are a
+suffix of the modes, since ``p1_bar`` grows as the singular values fall, so
+the sending trials are grouped by their active count, and each trial's
+whitened active block is formed once. The uniform scheme splits power
+evenly over the precoder, and the optimal scheme water-fills an equivalent
+whitened channel restricted to the active columns.
 
 A trial with one free mode needs no factorization past the precoder and
 the whitener: water-filling gives that mode the whole budget, so both
@@ -40,7 +40,7 @@ covariance, depend on the interference covariance q only through ``q^{-1}``
 and on the precoder only through its column span, so the whitener and the
 gram root are R factors of QR decompositions and no q, gram matrix or
 eigendecomposition is formed. Both guards take exact singular values only
-where a Frobenius-norm certificate is inconclusive (``kernels.undecided_sigma``).
+where a Frobenius-norm certificate is inconclusive (``undecided_sigma``).
 
 Every design function takes one trial's matrices or stacks of them with the
 same leading axes, one trial per entry, and gives each trial of a stack the
@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError, RedrawError
-from .kernels import herm, undecided_sigma
 from .waterfill import positive_budget, sum_rate, waterfill
 
 # Smallest/largest singular-value ratio of the cross channel below which it is
@@ -88,6 +87,31 @@ class SecondaryDesign:
     v2: np.ndarray
     p2: np.ndarray
     rate: float
+
+
+def herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def undecided_sigma(a, certified) -> np.ndarray:
+    """Singular values, descending, of the matrices of a stack a cheaper bound left undecided.
+
+    ``certified`` holds one flag per matrix of ``a`` (shape ``(...)``), True
+    where a sufficient bound has already passed the matrix. Its rows of the
+    result ``(..., min(m, n))`` are NaN, so any comparison a guard makes on
+    them is False. Raises InvalidInputError if an uncertified matrix is not
+    finite.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    certified = np.asarray(certified, dtype=bool)
+    sigma = np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.nan)
+    if not certified.all():
+        todo = a[~certified]
+        if not np.all(np.isfinite(todo)):
+            raise InvalidInputError("a contains non-finite entries")
+        sigma[~certified] = np.linalg.svd(todo, compute_uv=False)
+    return sigma
 
 
 def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -128,11 +152,11 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     u1 = np.asarray(u1, dtype=np.complex128)
     if nr == nt:
         # u1 is unitary, so cross^{-1} = h12^{-1} @ u1 is the steer and has h12^{-1}'s norm.
-        steer, singular = _inverse(herm(u1) @ h12)
+        steer, singular = _solve(herm(u1) @ h12, np.eye(nt))
         del u1
     else:
         q, r = np.linalg.qr(h12)
-        steer, singular = _solve_upper(r, herm(q))
+        steer, singular = _solve(r, herm(q))
         del q, r
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.linalg.norm(h12, axis=(-2, -1)) * np.linalg.norm(steer, axis=(-2, -1))
@@ -163,31 +187,20 @@ def _precoder_inputs(h12, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     return h12, p1_bar
 
 
-def _solve_upper(r, b) -> tuple[np.ndarray, np.ndarray]:
-    """``r^{-1} @ b`` per trial for upper-triangular r, and the trials with a singular r.
+def _solve(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a^{-1} @ b`` per trial by LU, and the trials whose LU has an exactly zero pivot.
 
-    Those get I in place of r, so one cannot fail the whole stack's solve;
-    their guard decides them from exact singular values.
-    """
-    singular = np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0.0, axis=-1)
-    if singular.any():
-        r = np.where(singular[..., None, None], np.eye(r.shape[-1]), r)
-    return np.linalg.solve(r, b), singular
-
-
-def _inverse(a) -> tuple[np.ndarray, np.ndarray]:
-    """``a^{-1}`` per trial by LU, and the trials whose LU has an exactly zero pivot.
-
-    Those get I in place of a, so one cannot fail the whole stack's
-    inversion; their guard decides them from exact singular values.
+    Those get I in place of a, so one cannot fail the whole stack's solve;
+    their guard decides them from exact singular values. On an
+    upper-triangular a the zero pivots are the zeros of its diagonal.
     """
     try:
-        return np.linalg.inv(a), np.zeros(a.shape[:-2], dtype=bool)
+        return np.linalg.solve(a, b), np.zeros(a.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
-        # slogdet runs the same LU as inv and reports a zero pivot as sign 0.
+        # slogdet runs the same LU as solve and reports a zero pivot as sign 0.
         singular = np.linalg.slogdet(a)[0] == 0.0
         a = np.where(singular[..., None, None], np.eye(a.shape[-1]), a)
-        return np.linalg.inv(a), singular
+        return np.linalg.solve(a, b), singular
 
 
 def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -236,14 +249,16 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     Only trials with an active column (``p1_bar > 0`` somewhere) transmit;
     a trial without one gets ``v2 = 0`` and rate 0 in both schemes, with no
     precoder work, whatever its cross channel. The input checks (``nr >=
-    nt``, the shape of ``p1_bar`` and the budget) still cover every trial.
+    nt``, the shape of ``p1_bar``, its positive entries forming a suffix of
+    the modes, as ``design_primary``'s do, and the budget) still cover every
+    trial.
     The sending trials' precoder ``v2_raw`` comes from ``build_precoder``;
     its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
     the whole stack, so only a sending trial is ever discarded by the cross
     channel's rank guard. A sending trial's receiver
     whitens the primary's interference with a filter ``f2`` that has
     ``f2^H f2 = q^{-1}`` (``whitened_direct`` gives ``f2 @ h22``). The
-    sending trials are grouped by their active-column mask, and each group
+    sending trials are grouped by their active-column count, and each group
     is solved as one stack. With ``vt = v2_raw[:, active]``, both schemes
     start from the whitened active block ``a = f2 @ h22 @ vt``. A trial
     with one active column gets both schemes in closed form, from the norms
@@ -274,6 +289,9 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     h12, p1_bar = _precoder_inputs(h12, primary.p1_bar)
     batch, nt = p1_bar.shape[:-1], p1_bar.shape[-1]
     flat_active = p1_bar.reshape(-1, nt) > 0.0
+    if np.any(flat_active[:, :-1] > flat_active[:, 1:]):
+        raise InvalidInputError("p1_bar must be positive on a suffix of the modes, "
+                                "as design_primary's complement is")
     flat_p = np.broadcast_to(p_max, batch).reshape(-1)
     count = flat_p.size
     sends = np.flatnonzero(flat_active.any(axis=-1))
@@ -299,20 +317,23 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     total = np.sum(np.abs(v2s) ** 2, axis=(-2, -1))
     scale = _scatter(np.sqrt(flat_p[sends] / total), sends, count)
     rate_uniform, rate_optimal = np.zeros(count), np.zeros(count)
-    # One byte string per mask row: unique on it is far cheaper than on rows.
-    keys = np.ascontiguousarray(flat_active[sends]).view(np.dtype((np.void, nt)))
-    patterns, group = np.unique(keys.ravel(), return_inverse=True)
+    # The active columns are a suffix, so a trial's active count names its
+    # columns. bincount lists the counts present, ascending, without the hash
+    # table an integer np.unique builds, which raised the peak RSS of a sweep.
+    width = np.count_nonzero(flat_active[sends], axis=-1)
+    sizes = np.flatnonzero(np.bincount(width))
     # Large intermediates go as soon as they are used, so that no group's
     # working set outgrows the whitener's peak.
-    for number, pattern in enumerate(patterns.view(bool).reshape(-1, nt)):
-        cols = np.flatnonzero(pattern)
-        members = np.flatnonzero(group.ravel() == number)
+    for k in sizes:
+        cols = slice(nt - k, nt)
+        members = np.flatnonzero(width == k)
         trials = sends[members]
-        vt = _rows(v2s, members)[..., cols]
+        # Indexing by members copies, so rescaling vt in place leaves v2s alone.
+        vt = v2s[members, :, cols]
         a = _rows(white, members) @ vt
-        if number == patterns.shape[0] - 1:
+        if k == sizes[-1]:
             del white
-        if cols.size == 1:
+        if k == 1:
             # Water-filling gives a lone mode the whole budget, so both schemes put
             # p_max / ||vt||^2 on it and share one rate, found from norms alone.
             if total[members].min() == 0.0:
@@ -320,7 +341,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
             power = flat_p[trials] / total[members]
             rate_uniform[trials] = rate_optimal[trials] = sum_rate(
                 np.sum(np.abs(a) ** 2, axis=(-2, -1))[:, None], power[:, None])
-            p2[trials, cols[0], cols[0]] = power
+            p2[trials, -1, -1] = power
             continue
         sigma = np.linalg.svd(a, compute_uv=False)
         rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[members])[:, None])
@@ -333,7 +354,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
             raise InternalInvariantError(_ZERO_COLUMN)
         vt /= norms[..., None, :]
         m = np.linalg.qr(vt, mode="r")
-        m_inv, singular = _solve_upper(m, np.eye(cols.size))
+        m_inv, singular = _solve(m, np.eye(k))
         certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
                                  <= (2.0 * GRAM_FLOOR) ** -0.5)
         low = undecided_sigma(m, certified)[..., -1] ** 2
@@ -353,7 +374,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         del z
         reduced /= norms[..., :, None]
         reduced /= norms[..., None, :]
-        p2[np.ix_(trials, cols, cols)] = 0.5 * (reduced + herm(reduced))
+        p2[trials, cols, cols] = 0.5 * (reduced + herm(reduced))
         rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
     v2_raw = _scatter(v2s, sends, count).reshape(batch + (nt, nt))
     uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,

@@ -26,8 +26,12 @@ import math
 import numpy as np
 
 from oia.errors import InvalidInputError, OiaError
-from oia.kernels import herm
 from oia.secondary import GRAM_FLOOR
+
+
+def herm(a):
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 class NotPositiveDefiniteError(OiaError):

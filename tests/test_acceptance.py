@@ -15,7 +15,6 @@ from oia.channel import draw_trials
 from oia.cli import cli_main
 from oia.errors import RedrawError
 from oia.experiments import REPLACEMENT_BASE, ExperimentGrid, run_grid
-from oia.kernels import herm
 from oia.primary import design_primary
 from oia.secondary import SecondaryDesign, design_secondary
 from oia.waterfill import waterfill
@@ -25,6 +24,7 @@ from oracles import (
     complex_gaussian,
     derive_stream,
     grid_search_rate,
+    herm,
     interference_covariance,
     residual_interference,
     secondary_split_oracle,

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from oia.channel import draw_trials
 from oia.experiments import ExperimentGrid, run_trials, snr_to_power
-from oia.kernels import herm
 from oia.primary import design_primary
 from oia.secondary import design_secondary
 
-from oracles import interference_covariance, log2_det_id_plus, residual_interference, whiten
+from oracles import (herm, interference_covariance, log2_det_id_plus, residual_interference,
+                     whiten)
 
 TRIALS = 8
 ANTENNAS = st.integers(2, 6)

@@ -1,15 +1,17 @@
-"""Tests for the primary-link water-filled SVD design."""
+"""Tests for the primary-link water-filled SVD design and its SVD accuracy contract."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oia.errors import InvalidInputError, RedrawError
-from oia.kernels import herm
-from oia.primary import design_primary, primary_rate
+from oia.experiments import snr_to_power
+from oia.primary import design_primary, primary_rate, svd
 
-from oracles import complex_gaussian, log2_det_id_plus
+from oracles import complex_gaussian, herm, log2_det_id_plus
 
 
 def random_design(seed, n=3, p_max=1.0):
@@ -71,6 +73,20 @@ class TestDesignPrimary:
         assert np.max(np.abs(off)) <= 1e-10 * d.svd.sigma[0]
         assert np.allclose(np.diag(diagonalized).real, d.svd.sigma, atol=1e-10)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([(n, n) for n in range(2, 21)] + [(5, 3), (4, 2), (10, 5), (3, 5)]),
+           st.floats(-30.0, 58.0), st.integers(0, 2**32 - 1))
+    def test_active_columns_are_a_suffix(self, shape, snr_db, seed):
+        """A row's positive p1_bar entries end it: max(0, 1/sigma^2 - level) grows as sigma falls.
+
+        ``design_secondary`` groups sending trials by their active count on
+        this, and refuses a design that breaks it.
+        """
+        rng = np.random.default_rng(seed)
+        h11 = np.stack([complex_gaussian(*shape, rng) for _ in range(16)])
+        active = design_primary(h11, snr_to_power(snr_db)).p1_bar > 0.0
+        assert np.all(active[:, :-1] <= active[:, 1:])
+
     def test_wide_channel_allocates_min_modes(self):
         rng = np.random.default_rng(3)
         h11 = complex_gaussian(2, 3, rng)
@@ -116,3 +132,70 @@ class TestPrimaryRate:
     def test_rate_vanishes_with_budget(self):
         d = design_primary(np.diag([2.0, 1.0]), p_max=1e-12)
         assert primary_rate(d) < 1e-10
+
+
+class TestSvd:
+    def test_diagonal_already_sorted(self):
+        f = svd(np.diag([2.0, 1.0]))
+        assert np.allclose(f.u, np.eye(2), atol=1e-14)
+        assert np.allclose(f.v, np.eye(2), atol=1e-14)
+        assert np.allclose(f.sigma, [2.0, 1.0])
+
+    def test_diagonal_permuted(self):
+        f = svd(np.diag([1.0, 3.0]))
+        assert np.allclose(f.sigma, [3.0, 1.0])
+        rebuilt = f.u @ np.diag(f.sigma) @ herm(f.v)
+        assert np.linalg.norm(rebuilt - np.diag([1.0, 3.0])) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_reconstruction_and_unitarity(self, seed):
+        rng = np.random.default_rng(seed)
+        a = complex_gaussian(4, 4, rng)
+        f = svd(a)
+        norm = np.linalg.norm(a)
+        rebuilt = f.u @ np.diag(f.sigma) @ herm(f.v)
+        assert np.linalg.norm(rebuilt - a) <= 1e-10 * max(1.0, norm)
+        assert np.linalg.norm(herm(f.u) @ f.u - np.eye(4)) <= 1e-10 * 4
+        assert np.linalg.norm(herm(f.v) @ f.v - np.eye(4)) <= 1e-10 * 4
+        assert np.all(np.diff(f.sigma) <= 0)
+        assert np.all(f.sigma >= 0)
+
+    def test_rectangular_shapes(self):
+        rng = np.random.default_rng(0)
+        a = complex_gaussian(5, 3, rng)
+        f = svd(a)
+        assert f.u.shape == (5, 5)
+        assert f.v.shape == (3, 3)
+        assert f.sigma.shape == (3,)
+        padded = np.zeros((5, 3))
+        np.fill_diagonal(padded, f.sigma)
+        assert np.linalg.norm(f.u @ padded @ herm(f.v) - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
+
+    def test_deterministic_for_fixed_input(self):
+        rng = np.random.default_rng(11)
+        a = complex_gaussian(4, 4, rng)
+        f1, f2 = svd(a), svd(a)
+        assert np.array_equal(f1.u, f2.u)
+        assert np.array_equal(f1.sigma, f2.sigma)
+        assert np.array_equal(f1.v, f2.v)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(InvalidInputError):
+            svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidInputError):
+            svd(np.array([[np.nan + 0j, 0.0], [0.0, 1.0]]))
+
+
+class TestStacks:
+    """A stack is factored matrix by matrix: each result equals the one-at-a-time result bitwise."""
+
+    @pytest.mark.parametrize("nr,nt", [(1, 1), (2, 2), (3, 3), (8, 8), (20, 20), (5, 3)])
+    def test_stack_equals_one_at_a_time(self, nr, nt):
+        rng = np.random.default_rng(nr * 31 + nt)
+        stack = np.stack([complex_gaussian(nr, nt, rng) for _ in range(5)])
+        f = svd(stack)
+        for k in range(5):
+            one = svd(stack[k])
+            assert f.u[k].tobytes() == one.u.tobytes()
+            assert f.sigma[k].tobytes() == one.sigma.tobytes()
+            assert f.v[k].tobytes() == one.v.tobytes()
