@@ -96,7 +96,9 @@ def _indices(values) -> np.ndarray:
     """Integer indices in [0, 2^64) as uint64; Python ints past 2^63 stay exact on the way."""
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
-    if values.dtype.kind not in "iuO":
+        if not all(isinstance(value, (int, np.integer)) for value in values.flat):
+            raise InvalidInputError("indices must be integers")
+    elif values.dtype.kind not in "iu":
         raise InvalidInputError(f"indices must be integers, got dtype {values.dtype}")
     if values.size and not (values.min() >= 0 and values.max() < 2**64):
         raise InvalidInputError("grid and trial indices must lie in [0, 2^64)")
@@ -165,9 +167,10 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
     with one ``standard_normal((4, nr, nt, 2))`` call: matrix by matrix in
     that order, each in row-major entry order, real part then imaginary
     part. ``grid_index`` is one index for the whole stack or one per trial;
-    grid and trial indices lie in [0, 2^64). A trial's channels therefore
-    do not depend on the other trials of the stack. A negative
-    ``master_seed`` raises ``ValueError``, as SeedSequence does.
+    grid and trial indices are integers in [0, 2^64), or InvalidInputError
+    is raised. A trial's channels therefore do not depend on the other
+    trials of the stack. A negative ``master_seed`` raises ``ValueError``,
+    as SeedSequence does.
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -62,21 +61,12 @@ def _snr_list(lo: float, hi: float, step: float) -> tuple:
     return tuple(lo + k * step for k in range(count))
 
 
-def _env_workers() -> int:
-    text = os.environ.get("OIA_WORKERS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidInputError(f"OIA_WORKERS must be an integer, got {text!r}") from None
-
-
 def _add_common_flags(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help="Monte Carlo trials per grid cell")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=default_out, help="output CSV path")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: OIA_WORKERS or 1)")
+    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     parser.add_argument("--snr-db-min", type=float, default=DEFAULT_SNR_MIN)
     parser.add_argument("--snr-db-max", type=float, default=DEFAULT_SNR_MAX)
     parser.add_argument("--snr-db-step", type=float, default=DEFAULT_SNR_STEP)
@@ -117,9 +107,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        workers = _env_workers() if args.workers is None else args.workers
-        if workers > MAX_WORKERS:
-            raise InvalidInputError(f"{workers} workers exceeds the limit of {MAX_WORKERS}")
+        if args.workers > MAX_WORKERS:
+            raise InvalidInputError(f"{args.workers} workers exceeds the limit of {MAX_WORKERS}")
         snr = _snr_list(args.snr_db_min, args.snr_db_max, args.snr_db_step)
         geometries = ([(args.nt, args.nr)] if args.command == "run"
                       else [(count, count) for count in args.antennas])
@@ -130,7 +119,7 @@ def cli_main(argv=None) -> int:
         check_destination(args.out)
         # One task list, and one pool, for all geometries; geometry g's cell
         # c keeps grid index g * len(snr) + c.
-        rows = run_grid(grids, workers=workers)
+        rows = run_grid(grids, workers=args.workers)
         write_csv(rows, args.out)
     except InvalidInputError as exc:
         print(f"oia: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import draw_trials
 from .errors import InvalidInputError, RedrawError
-from .primary import design_primary, primary_rate
+from .primary import design_primary
 from .secondary import design_secondary
 
 # Replacement draws for discarded trials take indices at or above this base so
@@ -133,11 +133,16 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
     so replacements are deterministic and never collide with regular
     indices. Only the rejected trials are redrawn; every trial's record
     depends on its own stream and SNR alone, not on the other trials of the
-    stack. Each trial is designed by ``design_primary`` and
-    ``design_secondary``; a trial without a free mode has nothing to
-    transmit, and ``design_secondary`` gives it secondary rates 0.
+    stack. Each trial is designed by ``design_primary``, whose design
+    carries the primary rate, and ``design_secondary``; a trial without a
+    free mode has nothing to transmit, and ``design_secondary`` gives it
+    secondary rates 0. Raises InvalidInputError on a trial index that is
+    not an integer.
     """
-    trials = np.asarray(trial_indices, dtype=np.int64)
+    trials = np.asarray(trial_indices)
+    if trials.dtype.kind not in "iu":
+        raise InvalidInputError(f"trial indices must be integers, got dtype {trials.dtype}")
+    trials = trials.astype(np.int64)
     grid_index = np.broadcast_to(grid_index, trials.shape)
     levels, level_of = np.unique(np.broadcast_to(snr_db, trials.shape), return_inverse=True)
     p_max = np.array([snr_to_power(level) for level in levels.tolist()])[level_of]
@@ -160,7 +165,7 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
                                       trials[redo] + discards[redo] * REPLACEMENT_BASE)
             continue
         return TrialRecords(unused_modes=primary.unused_count,
-                            rate_primary=primary_rate(primary),
+                            rate_primary=primary.rate,
                             rate_secondary_uniform=uniform.rate,
                             rate_secondary_optimal=optimal.rate,
                             discards=discards)

@@ -18,53 +18,27 @@ from .waterfill import PowerAllocation, positive_budget, sum_rate, waterfill
 
 
 @dataclass(frozen=True)
-class SvdFactors:
-    """Factorization a = u @ diag(sigma) @ v^H, per matrix of a stack.
+class PrimaryDesign:
+    """Everything the primary link commits to for one channel realization or a stack.
 
-    u and v are square unitary matrices; sigma holds the min(rows, cols)
-    singular values sorted descending.
+    ``h11 = u @ diag(sigma) @ v^H``: the precoder is ``v`` and the receive
+    filter is ``u`` conjugate transposed, both square unitary, with
+    ``sigma`` the min(nr, nt) singular values, descending. ``p1.powers`` and
+    ``p1_bar`` have disjoint supports by construction (they share the same
+    water level), so their elementwise product is exactly zero.
+    ``unused_count`` is the number of allocatable modes carrying zero power,
+    i.e. the dimensions left free for the opportunistic link, and ``rate``
+    the achieved rate in bits/s/Hz, summed over the diagonalized modes. For a
+    stack of channels every field gains the stack's leading axes.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-
-def svd(a) -> SvdFactors:
-    """Full singular value decomposition of a finite complex matrix or stack ``(..., m, n)``.
-
-    The factors satisfy ``a = u @ diag(sigma) @ v^H`` with Frobenius residual
-    at most 1e-10 * max(1, ||a||_F), sigma descending, and u, v unitary to
-    1e-10 per dimension, for every matrix. LAPACK runs once per matrix, so a
-    stacked result equals the one-at-a-time results bit for bit. Raises
-    InvalidInputError if ``a`` is not a matrix or has a NaN or infinite entry.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
-        raise InvalidInputError(f"a must be a matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("a contains non-finite entries")
-    u, sigma, vh = np.linalg.svd(a, full_matrices=True)
-    return SvdFactors(u=u, sigma=sigma, v=vh.conj().swapaxes(-1, -2))
-
-
-@dataclass(frozen=True)
-class PrimaryDesign:
-    """Everything the primary link commits to for one channel realization or a stack.
-
-    The precoder is ``svd.v``; the receive filter is ``svd.u`` conjugate
-    transposed. ``p1.powers`` and ``p1_bar`` have disjoint supports by
-    construction (they share the same water level), so their elementwise
-    product is exactly zero. ``unused_count`` is the number of allocatable
-    modes carrying zero power, i.e. the dimensions left free for the
-    opportunistic link. For a stack of channels every field gains the
-    stack's leading axes.
-    """
-
-    svd: SvdFactors
     p1: PowerAllocation
     p1_bar: np.ndarray
     unused_count: int | np.ndarray
+    rate: float | np.ndarray
 
 
 def design_primary(h11, p_max) -> PrimaryDesign:
@@ -79,6 +53,11 @@ def design_primary(h11, p_max) -> PrimaryDesign:
     transmit dimensions are nullspace directions, not water-filling
     decisions: they carry no power and are not counted as unused modes.
 
+    The SVD's factors reconstruct each h11 with Frobenius residual at most
+    1e-10 * max(1, ||h11||_F) and are unitary to 1e-10 per dimension. LAPACK
+    runs once per matrix, so a stacked design equals the one-at-a-time
+    designs bit for bit.
+
     Raises
     ------
     RedrawError
@@ -88,11 +67,16 @@ def design_primary(h11, p_max) -> PrimaryDesign:
         rank-deficient channel has no finite design; callers discard the
         trial and redraw.
     InvalidInputError
-        If an entry of p_max is not positive and finite.
+        If an entry of p_max is not positive and finite, or h11 is not a
+        matrix or has a NaN or infinite entry.
     """
     p_max = positive_budget(p_max, "p_max")
-    factors = svd(h11)
-    lam = factors.sigma
+    h11 = np.asarray(h11, dtype=np.complex128)
+    if h11.ndim < 2 or h11.shape[-2] < 1 or h11.shape[-1] < 1:
+        raise InvalidInputError(f"h11 must be a matrix or a stack of them, got shape {h11.shape}")
+    if not np.all(np.isfinite(h11)):
+        raise InvalidInputError("h11 contains non-finite entries")
+    u, lam, vh = np.linalg.svd(h11, full_matrices=True)
     rejected = lam[..., -1] == 0.0
     if rejected.any():
         raise RedrawError("direct", "rank deficient, complementary allocation undefined",
@@ -101,12 +85,5 @@ def design_primary(h11, p_max) -> PrimaryDesign:
     p1 = waterfill(inverse_gains, p_max)
     p1_bar = np.maximum(0.0, inverse_gains - np.expand_dims(p1.water_level, -1))
     unused = np.count_nonzero(p1.powers == 0.0, axis=-1)
-    return PrimaryDesign(svd=factors, p1=p1, p1_bar=p1_bar, unused_count=unused)
-
-
-def primary_rate(design: PrimaryDesign):
-    """Achieved primary rate in bits/s/Hz, summed over the diagonalized modes.
-
-    One value per channel: a float, or an array of the stack's shape.
-    """
-    return sum_rate(design.svd.sigma**2, design.p1.powers)
+    return PrimaryDesign(u=u, sigma=lam, v=vh.conj().swapaxes(-1, -2), p1=p1, p1_bar=p1_bar,
+                         unused_count=unused, rate=sum_rate(lam**2, p1.powers))

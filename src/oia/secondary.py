@@ -114,8 +114,8 @@ def undecided_sigma(a, certified) -> np.ndarray:
     return sigma
 
 
-def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled zero-interference precoder and its active columns.
+def build_precoder(h12, u1, p1_bar) -> np.ndarray:
+    """Unscaled zero-interference precoder, nonzero only on the primary's unused modes.
 
     Every argument may carry leading stack axes, one trial per entry.
 
@@ -132,11 +132,11 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    (v2_raw, active)
-        nt x nt precoder with scale deferred to the power scheme, and the
-        boolean mask of its nonzero columns (the primary's unused modes).
-        A square h12 gives ``solve(u1^H @ h12, I) @ diag(p1_bar)``, a tall
-        one ``solve(r, q^H) @ u1[:, :nt] @ diag(p1_bar)`` with ``h12 = q r``.
+    v2_raw
+        nt x nt precoder with scale deferred to the power scheme; column n
+        is zero exactly where ``p1_bar[n]`` is. A square h12 gives
+        ``solve(u1^H @ h12, I) @ diag(p1_bar)``, a tall one
+        ``solve(r, q^H) @ u1[:, :nt] @ diag(p1_bar)`` with ``h12 = q r``.
 
     Raises
     ------
@@ -170,7 +170,7 @@ def build_precoder(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
     if nr > nt:
         steer = steer @ u1[..., :nt]
     steer *= p1_bar[..., None, :]
-    return steer, p1_bar > 0.0
+    return steer
 
 
 def _precoder_inputs(h12, p1_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -249,9 +249,9 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     Only trials with an active column (``p1_bar > 0`` somewhere) transmit;
     a trial without one gets ``v2 = 0`` and rate 0 in both schemes, with no
     precoder work, whatever its cross channel. The input checks (``nr >=
-    nt``, the shape of ``p1_bar``, its positive entries forming a suffix of
-    the modes, as ``design_primary``'s do, and the budget) still cover every
-    trial.
+    nt``, finite channels, the shape of ``p1_bar``, its positive entries
+    forming a suffix of the modes, as ``design_primary``'s do, and the
+    budget) still cover every trial.
     The sending trials' precoder ``v2_raw`` comes from ``build_precoder``;
     its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
     the whole stack, so only a sending trial is ever discarded by the cross
@@ -287,6 +287,9 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     """
     p_max = positive_budget(p_max, "p_max")
     h12, p1_bar = _precoder_inputs(h12, primary.p1_bar)
+    for name, h in (("h12", h12), ("h21", h21), ("h22", h22)):
+        if not np.all(np.isfinite(h)):
+            raise InvalidInputError(f"{name} contains non-finite entries")
     batch, nt = p1_bar.shape[:-1], p1_bar.shape[-1]
     flat_active = p1_bar.reshape(-1, nt) > 0.0
     if np.any(flat_active[:, :-1] > flat_active[:, 1:]):
@@ -305,10 +308,10 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         # Row copies go in as bare arguments, so that each one goes when its
         # callee is done with it. The whitener runs first: its QR is the
         # call's peak, which the precoder's output would otherwise raise.
-        white = whitened_direct(senders(h21), senders(primary.svd.v),
+        white = whitened_direct(senders(h21), senders(primary.v),
                                 senders(primary.p1.powers), senders(h22))
         try:
-            v2s = build_precoder(senders(h12), senders(primary.svd.u), senders(p1_bar))[0]
+            v2s = build_precoder(senders(h12), senders(primary.u), senders(p1_bar))
         except RedrawError as exc:
             rejected = _scatter(exc.rejected, sends, count).reshape(batch)
             raise RedrawError(exc.reason, exc.args[1], rejected) from None

@@ -57,7 +57,7 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
             continue
         return dict(nt=nt, p_max=p_max, h12=h12, h22=h22, primary=primary,
                     v2_raw=opt.v2, active=primary.p1_bar > 0.0,
-                    q=interference_covariance(h21, primary.svd.v, primary.p1.powers),
+                    q=interference_covariance(h21, primary.v, primary.p1.powers),
                     uni=uni, opt=opt)
     raise RuntimeError("trial rejected repeatedly")
 
@@ -86,7 +86,7 @@ def cell_designs(nt, grid_index, trials, p_max):
                 raise RuntimeError("trial rejected repeatedly") from None
             chans[redo] = draw_trials(nt, nt, MASTER_SEED, grid_index,
                                       indices[redo] + redraws[redo] * REPLACEMENT_BASE)
-    return [dict(p_max=p_max, h12=h12[k], u1=primary.svd.u[k], lam=primary.svd.sigma[k],
+    return [dict(p_max=p_max, h12=h12[k], u1=primary.u[k], lam=primary.sigma[k],
                  p1=primary.p1.powers[k], unused_count=primary.unused_count[k],
                  **{name: SecondaryDesign(design.v2[k], design.p2[k], design.rate[k])
                     for name, design in zip(("uni", "opt"), designs)})

@@ -104,6 +104,13 @@ class TestStreamDerivation:
         with pytest.raises(InvalidInputError):
             draw_trials(2, 2, 1, 0, [2**64 - 1, 2**64])
 
+    @pytest.mark.parametrize("grid,trials", [(0, [0.5]), (0.5, [0]), (0, np.array([0.5]))],
+                             ids=["float-list", "float-grid-scalar", "float-array"])
+    def test_float_indices_rejected(self, grid, trials):
+        """A float index is refused, not truncated to the stream of its integer part."""
+        with pytest.raises(InvalidInputError, match="integers"):
+            draw_trials(2, 2, 1, grid, trials)
+
     def test_scheduling_independence(self):
         seeds = [(42, 3, t) for t in range(40)]
         serial = [channel_for(*s) for s in seeds]

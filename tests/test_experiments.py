@@ -105,6 +105,11 @@ class TestRunTrial:
         for name in RECORD_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    def test_float_trial_index_rejected(self):
+        """A float trial index is refused, not recorded as the trial of its integer part."""
+        with pytest.raises(InvalidInputError, match="integers"):
+            run_trials(small_grid(), 0, 0.0, [0.5])
+
     def test_effectively_zero_power(self):
         grid = small_grid(nt=3, nr=3, snr_db_list=(-60.0,))
         record = run_trials(grid, 0, -60.0, range(5))
@@ -526,6 +531,22 @@ class TestWriteCsv:
         assert squatter.read_text() == "not ours\n"
         assert out.read_text().startswith(CSV_HEADER)
 
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A rename that fails removes the temporary file and leaves the old bytes."""
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"old contents\n")
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(experiments.os, "replace", failing_replace)
+        rows = [experiments.ResultRow(2, 2, 0.0, 1, 0, *[0.0] * 8)]
+        with pytest.raises(OSError) as info:
+            write_csv(rows, out)
+        assert str(info.value).startswith("cannot write result CSV to")
+        assert out.read_bytes() == b"old contents\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("previous", [None, "previous contents\n"])
     def test_write_failing_midway_leaves_no_partial_file(self, tmp_path, previous):
         """A write cut short by the file-size limit keeps the old file (or none) and exits 1."""
@@ -615,12 +636,6 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 3  # header + antennas x snr cells
-
-    def test_non_integer_env_workers_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("OIA_WORKERS", "abc")
-        code = cli_main(["run", "--trials", "1", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert_one_line_usage_error(capsys, "OIA_WORKERS")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
@@ -712,20 +727,16 @@ class TestCli:
         assert_one_line_usage_error(capsys, "exceeds the limit")
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_too_many_workers_exit_2(self, tmp_path, capsys, monkeypatch, source):
+    @pytest.mark.parametrize("workers", ["100000", str(cli.MAX_WORKERS + 1)],
+                             ids=["flag", "one-past-the-cap"])
+    def test_too_many_workers_exit_2(self, tmp_path, capsys, monkeypatch, workers):
         """The worker count is capped before anything is built; no process starts."""
         def no_sweep(grids, workers):
             raise AssertionError("an oversized pool reached run_grid")
 
         monkeypatch.setattr(cli, "run_grid", no_sweep)
         out = tmp_path / "x.csv"
-        argv = ["run", "--trials", "1", "--out", str(out)]
-        if source == "flag":
-            argv += ["--workers", "100000"]
-        else:
-            monkeypatch.setenv("OIA_WORKERS", "100000")
-        assert cli_main(argv) == 2
+        assert cli_main(["run", "--trials", "1", "--workers", workers, "--out", str(out)]) == 2
         assert_one_line_usage_error(capsys, f"exceeds the limit of {cli.MAX_WORKERS}")
         assert not out.exists()
 
@@ -737,6 +748,15 @@ class TestCli:
         argv = ["run", "--trials", "1", "--workers", str(cli.MAX_WORKERS), "--out", str(out)]
         assert cli_main(argv) == 0
         assert asked == [cli.MAX_WORKERS]
+
+    def test_workers_default_to_one(self, tmp_path, monkeypatch):
+        """Without --workers the sweep is serial, whatever the environment holds."""
+        asked = []
+        row = experiments.ResultRow(3, 3, 0.0, 1, 0, *[0.0] * 8)
+        monkeypatch.setattr(cli, "run_grid", lambda grids, workers: asked.append(workers) or [row])
+        monkeypatch.setenv("OIA_WORKERS", "4")
+        assert cli_main(["run", "--trials", "1", "--out", str(tmp_path / "x.csv")]) == 0
+        assert asked == [1]
 
     def test_many_trials_over_many_cells_accepted(self, tmp_path, monkeypatch):
         """Only cells and trials per cell are capped, not their product."""

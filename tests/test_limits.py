@@ -66,7 +66,7 @@ def test_extreme_snr_keeps_zero_interference(n, seed, snr_db):
     bound = 1e-9 * math.sqrt(p_max)  # the bound of acceptance criterion C01
     for design in design_secondary(primary, h12, h21, h22, p_max):
         for k in range(TRIALS):
-            assert residual_interference(primary.svd.u[k], h12[k], design.v2[k], design.p2[k],
+            assert residual_interference(primary.u[k], h12[k], design.v2[k], design.p2[k],
                                          primary.p1.powers[k] > 0.0) <= bound
 
 
@@ -87,7 +87,7 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
     design, _ = design_secondary(primary, h12, h21, h22, p_max)
     sends = primary.unused_count > 0
     assert np.all(design.rate[~sends] == 0.0)
-    q = interference_covariance(h21[sends], primary.svd.v[sends], primary.p1.powers[sends])
+    q = interference_covariance(h21[sends], primary.v[sends], primary.p1.powers[sends])
     whitened = whiten(q, h22[sends] @ design.v2[sends])
     reference = log2_det_id_plus(herm(whitened) @ whitened)
     assert np.all(np.abs(design.rate[sends] - reference) <= 1e-9 * reference)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import snr_to_power
-from oia.primary import design_primary, primary_rate, svd
+from oia.primary import design_primary
 
 from oracles import complex_gaussian, herm, log2_det_id_plus
 
@@ -53,9 +53,9 @@ class TestDesignPrimary:
     @pytest.mark.parametrize("seed", range(8))
     def test_rate_matches_log_det_form(self, seed):
         h11, d = random_design(seed, n=3, p_max=2.0)
-        covariance = (d.svd.v * d.p1.powers) @ herm(d.svd.v)
+        covariance = (d.v * d.p1.powers) @ herm(d.v)
         m = h11 @ covariance @ herm(h11)
-        assert abs(primary_rate(d) - log2_det_id_plus(m)) <= 1e-9
+        assert abs(d.rate - log2_det_id_plus(m)) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_unused_count_monotone_in_budget(self, seed):
@@ -68,10 +68,10 @@ class TestDesignPrimary:
     @pytest.mark.parametrize("seed", range(5))
     def test_svd_diagonalizes_channel(self, seed):
         h11, d = random_design(seed, n=4)
-        diagonalized = herm(d.svd.u) @ h11 @ d.svd.v
+        diagonalized = herm(d.u) @ h11 @ d.v
         off = diagonalized - np.diag(np.diag(diagonalized))
-        assert np.max(np.abs(off)) <= 1e-10 * d.svd.sigma[0]
-        assert np.allclose(np.diag(diagonalized).real, d.svd.sigma, atol=1e-10)
+        assert np.max(np.abs(off)) <= 1e-10 * d.sigma[0]
+        assert np.allclose(np.diag(diagonalized).real, d.sigma, atol=1e-10)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([(n, n) for n in range(2, 21)] + [(5, 3), (4, 2), (10, 5), (3, 5)]),
@@ -122,27 +122,29 @@ class TestPrimaryRate:
     def test_diagonal_full_budget_rate(self):
         d = design_primary(np.diag([2.0, 1.0]), p_max=1.0)
         expected = math.log2(4.5) + math.log2(1.125)
-        assert abs(primary_rate(d) - expected) < 1e-12
-        assert abs(primary_rate(d) - 2.33985) < 1e-5
+        assert abs(d.rate - expected) < 1e-12
+        assert abs(d.rate - 2.33985) < 1e-5
 
     def test_diagonal_single_mode_rate(self):
         d = design_primary(np.diag([2.0, 1.0]), p_max=0.5)
-        assert abs(primary_rate(d) - math.log2(3.0)) < 1e-12
+        assert abs(d.rate - math.log2(3.0)) < 1e-12
 
     def test_rate_vanishes_with_budget(self):
         d = design_primary(np.diag([2.0, 1.0]), p_max=1e-12)
-        assert primary_rate(d) < 1e-10
+        assert d.rate < 1e-10
 
 
 class TestSvd:
+    """The SVD factors ``design_primary`` carries, and their accuracy contract."""
+
     def test_diagonal_already_sorted(self):
-        f = svd(np.diag([2.0, 1.0]))
+        f = design_primary(np.diag([2.0, 1.0]), 1.0)
         assert np.allclose(f.u, np.eye(2), atol=1e-14)
         assert np.allclose(f.v, np.eye(2), atol=1e-14)
         assert np.allclose(f.sigma, [2.0, 1.0])
 
     def test_diagonal_permuted(self):
-        f = svd(np.diag([1.0, 3.0]))
+        f = design_primary(np.diag([1.0, 3.0]), 1.0)
         assert np.allclose(f.sigma, [3.0, 1.0])
         rebuilt = f.u @ np.diag(f.sigma) @ herm(f.v)
         assert np.linalg.norm(rebuilt - np.diag([1.0, 3.0])) <= 1e-10
@@ -151,7 +153,7 @@ class TestSvd:
     def test_random_reconstruction_and_unitarity(self, seed):
         rng = np.random.default_rng(seed)
         a = complex_gaussian(4, 4, rng)
-        f = svd(a)
+        f = design_primary(a, 1.0)
         norm = np.linalg.norm(a)
         rebuilt = f.u @ np.diag(f.sigma) @ herm(f.v)
         assert np.linalg.norm(rebuilt - a) <= 1e-10 * max(1.0, norm)
@@ -163,7 +165,7 @@ class TestSvd:
     def test_rectangular_shapes(self):
         rng = np.random.default_rng(0)
         a = complex_gaussian(5, 3, rng)
-        f = svd(a)
+        f = design_primary(a, 1.0)
         assert f.u.shape == (5, 5)
         assert f.v.shape == (3, 3)
         assert f.sigma.shape == (3,)
@@ -174,16 +176,22 @@ class TestSvd:
     def test_deterministic_for_fixed_input(self):
         rng = np.random.default_rng(11)
         a = complex_gaussian(4, 4, rng)
-        f1, f2 = svd(a), svd(a)
+        f1, f2 = design_primary(a, 1.0), design_primary(a, 1.0)
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.sigma, f2.sigma)
         assert np.array_equal(f1.v, f2.v)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInputError):
-            svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        with pytest.raises(InvalidInputError):
-            svd(np.array([[np.nan + 0j, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidInputError, match="h11 contains non-finite"):
+            design_primary(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
+        with pytest.raises(InvalidInputError, match="h11 contains non-finite"):
+            design_primary(np.array([[np.nan + 0j, 0.0], [0.0, 1.0]]), 1.0)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (0, 2), (4, 2, 0)],
+                             ids=["scalar", "vector", "no-rows", "no-columns"])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(InvalidInputError, match=r"h11 must be a matrix.*got shape"):
+            design_primary(np.ones(shape), 1.0)
 
 
 class TestStacks:
@@ -193,9 +201,9 @@ class TestStacks:
     def test_stack_equals_one_at_a_time(self, nr, nt):
         rng = np.random.default_rng(nr * 31 + nt)
         stack = np.stack([complex_gaussian(nr, nt, rng) for _ in range(5)])
-        f = svd(stack)
+        f = design_primary(stack, 1.0)
         for k in range(5):
-            one = svd(stack[k])
+            one = design_primary(stack[k], 1.0)
             assert f.u[k].tobytes() == one.u.tobytes()
             assert f.sigma[k].tobytes() == one.sigma.tobytes()
             assert f.v[k].tobytes() == one.v.tobytes()

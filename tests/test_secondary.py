@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from oia import secondary
 from oia.errors import InvalidInputError, RedrawError
-from oia.primary import design_primary, svd
+from oia.primary import design_primary
 from oia.secondary import (GRAM_FLOOR, RANK_GUARD, build_precoder, design_secondary,
                            undecided_sigma)
 from oia.waterfill import waterfill
@@ -50,7 +50,7 @@ def random_trial(seed, n=3, p_max=1.0, nr=None):
     uni, opt = design_secondary(primary, h12, h21, h22, p_max)
     return dict(h11=h11, h12=h12, h21=h21, h22=h22, primary=primary,
                 v2_raw=opt.v2, active=primary.p1_bar > 0.0,
-                q=interference_covariance(h21, primary.svd.v, primary.p1.powers),
+                q=interference_covariance(h21, primary.v, primary.p1.powers),
                 uni=uni, opt=opt, p_max=p_max)
 
 
@@ -64,21 +64,19 @@ def conditioned_channel(nr, nt, ratio, rng):
 
 class TestBuildPrecoder:
     def test_identity_channel(self):
-        v2_raw, active = build_precoder(EYE2, EYE2, [0.0, 0.25])
+        v2_raw = build_precoder(EYE2, EYE2, [0.0, 0.25])
         assert np.allclose(v2_raw, np.diag([0.0, 0.25]), atol=1e-15)
         assert np.all(v2_raw[:, 0] == 0.0)
-        assert list(active) == [False, True]
 
     def test_all_modes_used_gives_zero_precoder(self):
-        v2_raw, active = build_precoder(EYE2, EYE2, [0.0, 0.0])
+        v2_raw = build_precoder(EYE2, EYE2, [0.0, 0.0])
         assert np.all(v2_raw == 0.0)
-        assert not active.any()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_alignment_identity_square(self, seed):
         trial = random_trial(seed, n=3, p_max=0.8)
         primary = trial["primary"]
-        aligned = herm(primary.svd.u) @ trial["h12"] @ trial["v2_raw"]
+        aligned = herm(primary.u) @ trial["h12"] @ trial["v2_raw"]
         target = np.diag(primary.p1_bar)
         scale = max(np.linalg.norm(primary.p1_bar), 1e-30)
         assert np.linalg.norm(aligned - target) <= 1e-9 * scale
@@ -97,10 +95,10 @@ class TestBuildPrecoder:
         rng = np.random.default_rng(0)
         h12 = complex_gaussian(4, 2, rng)
         u1 = np.linalg.qr(complex_gaussian(4, 4, rng))[0]
-        v2_raw, active = build_precoder(h12, u1, [0.0, 0.3])
+        v2_raw = build_precoder(h12, u1, [0.0, 0.3])
         assert v2_raw.shape == (2, 2)
         assert np.all(v2_raw[:, 0] == 0.0)
-        assert list(active) == [False, True]
+        assert np.any(v2_raw[:, 1] != 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tall_steer_matches_pseudo_inverse(self, seed):
@@ -109,7 +107,7 @@ class TestBuildPrecoder:
         h12 = complex_gaussian(nt + 1 + seed % 2, nt, rng)
         u1 = np.linalg.qr(complex_gaussian(h12.shape[0], h12.shape[0], rng))[0]
         p1_bar = rng.uniform(0.0, 1.0, nt)
-        v2_raw, _ = build_precoder(h12, u1, p1_bar)
+        v2_raw = build_precoder(h12, u1, p1_bar)
         reference = np.linalg.pinv(h12) @ u1[:, :nt] * p1_bar[None, :]
         assert np.linalg.norm(v2_raw - reference) <= 1e-9 * np.linalg.norm(reference)
 
@@ -120,9 +118,8 @@ class TestBuildPrecoder:
         h12 = np.stack([complex_gaussian(n, n, rng) for _ in range(20)])
         u1 = np.stack([np.linalg.qr(complex_gaussian(n, n, rng))[0] for _ in range(20)])
         p1_bar = rng.uniform(0.0, 1.0, (20, n)) * (rng.random((20, n)) < 0.6)
-        v2_raw, active = build_precoder(h12, u1, p1_bar)
-        assert np.array_equal(active, p1_bar > 0.0)
-        assert np.all(v2_raw.swapaxes(-1, -2)[~active] == 0.0)
+        v2_raw = build_precoder(h12, u1, p1_bar)
+        assert np.all(v2_raw.swapaxes(-1, -2)[p1_bar == 0.0] == 0.0)
         error = np.linalg.norm(herm(u1) @ h12 @ v2_raw - p1_bar[:, None, :] * np.eye(n),
                                axis=(-2, -1))
         assert np.all(error <= 1e-12 * np.linalg.norm(p1_bar, axis=-1))
@@ -135,7 +132,7 @@ class TestBuildPrecoder:
         for _ in range(200):
             h12 = conditioned_channel(nr, nt, 10.0 * RANK_GUARD, rng)
             try:
-                v2_raw, _ = build_precoder(h12, u1, rng.uniform(0.0, 1.0, nt))
+                v2_raw = build_precoder(h12, u1, rng.uniform(0.0, 1.0, nt))
             except RedrawError:
                 continue
             assert np.all(np.isfinite(v2_raw))
@@ -161,6 +158,23 @@ class TestBuildPrecoder:
     def test_wrong_complement_length_rejected(self):
         with pytest.raises(InvalidInputError):
             build_precoder(EYE2, EYE2, [0.1])
+
+
+class TestNonFiniteChannels:
+    """A NaN in any channel is refused at entry and named, whatever the trial sends."""
+
+    @pytest.mark.parametrize("name", ["h12", "h21", "h22"])
+    @pytest.mark.parametrize("h11,p_max,active", [
+        (np.diag([1.0, 1e-3]), 1.0, 1), (np.diag([10.0, 1.0, 1.0]), 0.01, 2), (EYE2, 1.0, 0),
+    ], ids=["one-column", "two-column", "silent"])
+    def test_nan_channel_rejected(self, name, h11, p_max, active):
+        primary = design_primary(h11, p_max)
+        assert np.count_nonzero(primary.p1_bar > 0.0) == active
+        rng = np.random.default_rng(3)
+        chans = {key: complex_gaussian(*h11.shape, rng) for key in ("h12", "h21", "h22")}
+        chans[name][0, -1] = np.nan
+        with pytest.raises(InvalidInputError, match=f"^{name} contains non-finite entries$"):
+            design_secondary(primary, p_max=p_max, **chans)
 
 
 class TestSendersOnly:
@@ -260,7 +274,7 @@ class TestOneActiveColumn:
         uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
         assert np.array_equal(uniform.rate, optimal.rate)
         for k, budget in enumerate(p_max):
-            q = interference_covariance(h21[k], primary.svd.v[k], primary.p1.powers[k])
+            q = interference_covariance(h21[k], primary.v[k], primary.p1.powers[k])
             w = whiten(q, h22[k] @ uniform.v2[k])
             rate = log2_det_id_plus(herm(w) @ w)
             assert abs(uniform.rate[k] - rate) <= 1e-12 * rate
@@ -327,7 +341,7 @@ def parallel_columns_primary(gap):
     """
     primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
     steer = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, gap]])
-    return primary, primary.svd.u @ np.linalg.inv(steer)  # so that v2_raw = steer @ diag(p1_bar)
+    return primary, primary.u @ np.linalg.inv(steer)  # so that v2_raw = steer @ diag(p1_bar)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -355,7 +369,7 @@ class TestGuards:
             assert info.value.reason == "cross"
             assert info.value.rejected.tolist() == expected.tolist()
         else:
-            v2_raw, _ = build_precoder(h12, u1, p1_bar)
+            v2_raw = build_precoder(h12, u1, p1_bar)
             assert np.all(np.isfinite(v2_raw))
 
     def test_inconclusive_certificate_passes_on_singular_values(self, monkeypatch):
@@ -367,7 +381,7 @@ class TestGuards:
         real = secondary.undecided_sigma
         monkeypatch.setattr(secondary, "undecided_sigma",
                             lambda a, ok: certified.append(np.asarray(ok).tolist()) or real(a, ok))
-        v2_raw, _ = build_precoder(h12, EYE2, [0.0, 0.5])
+        v2_raw = build_precoder(h12, EYE2, [0.0, 0.5])
         assert certified == [False]
         assert np.all(np.isfinite(v2_raw))
 
@@ -389,7 +403,8 @@ class TestGuards:
         """
         gap = math.sqrt(2.0 * multiple * GRAM_FLOOR)
         primary, h12 = parallel_columns_primary(gap)
-        v2_raw, active = build_precoder(h12, primary.svd.u, primary.p1_bar)
+        v2_raw = build_precoder(h12, primary.u, primary.p1_bar)
+        active = primary.p1_bar > 0.0
         vn = v2_raw[:, active] / np.linalg.norm(v2_raw[:, active], axis=0)
         low = np.linalg.svd(vn, compute_uv=False)[-1] ** 2
         assert (low < GRAM_FLOOR) == rejected
@@ -565,7 +580,7 @@ class TestResidualInterference:
     def test_walkthrough_is_interference_free(self):
         primary = walkthrough()
         design, _ = design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
-        metric = residual_interference(primary.svd.u, EYE2, design.v2, design.p2,
+        metric = residual_interference(primary.u, EYE2, design.v2, design.p2,
                                        primary.p1.powers > 0.0)
         assert metric == 0.0
 
@@ -575,7 +590,7 @@ class TestResidualInterference:
         trial = random_trial(seed, n=2 + seed % 4, p_max=p_max)
         primary = trial["primary"]
         for design in (trial["uni"], trial["opt"]):
-            metric = residual_interference(primary.svd.u, trial["h12"],
+            metric = residual_interference(primary.u, trial["h12"],
                                            design.v2, design.p2,
                                            primary.p1.powers > 0.0)
             assert metric <= 1e-9 * math.sqrt(p_max)
@@ -590,7 +605,7 @@ class TestResidualInterference:
             trial = random_trial(seed, n=nt, nr=nr, p_max=p_max)
             primary = trial["primary"]
             for design in (trial["uni"], trial["opt"]):
-                metric = residual_interference(primary.svd.u, trial["h12"],
+                metric = residual_interference(primary.u, trial["h12"],
                                                design.v2, design.p2,
                                                primary.p1.powers > 0.0)
                 assert metric <= 1e-9 * math.sqrt(p_max)
@@ -600,9 +615,9 @@ class TestResidualInterference:
         trial = random_trial(seed, n=3, p_max=2.0)
         primary = trial["primary"]
         design = trial["opt"]
-        filtered = herm(primary.svd.u) @ trial["h12"] @ design.v2
+        filtered = herm(primary.u) @ trial["h12"] @ design.v2
         extra = filtered @ design.p2 @ herm(filtered)
-        lam = primary.svd.sigma
+        lam = primary.sigma
         for mode in np.flatnonzero(primary.p1.powers > 0.0):
             clean = lam[mode] ** 2 * primary.p1.powers[mode]
             bled = lam[mode] ** 2 * primary.p1.powers[mode] / (1.0 + extra[mode, mode].real)
@@ -735,7 +750,7 @@ class TestPinvTall:
         blocks = []
         for start in range(0, nr, nt):
             u1 = np.eye(nr)[:, [(start + k) % nr for k in range(nr)]]
-            blocks.append(build_precoder(h, u1, np.ones(nt))[0])
+            blocks.append(build_precoder(h, u1, np.ones(nt)))
         return np.hstack(blocks)[:, :nr]
 
     def test_identity(self):
@@ -757,7 +772,7 @@ class TestPinvTall:
 
 
 def random_unitary(n, rng):
-    return svd(complex_gaussian(n, n, rng)).u
+    return design_primary(complex_gaussian(n, n, rng), 1.0).u
 
 
 class TestHermitianInvSqrt:
