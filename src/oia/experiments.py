@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import draw_trials
+from .channel import as_indices, draw_trials
 from .errors import InvalidInputError, RedrawError
 from .primary import design_primary
 from .secondary import design_secondary
@@ -136,17 +136,16 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
     stack. Each trial is designed by ``design_primary``, whose design
     carries the primary rate, and ``design_secondary``; a trial without a
     free mode has nothing to transmit, and ``design_secondary`` gives it
-    secondary rates 0. Raises InvalidInputError on a trial index that is
-    not an integer.
+    secondary rates 0. Trial indices are those ``draw_trials`` takes,
+    integers in [0, 2^64); InvalidInputError is raised on any other, and
+    on a trial to redraw whose replacement index would pass 2^64.
     """
-    trials = np.asarray(trial_indices)
-    if trials.dtype.kind not in "iu":
-        raise InvalidInputError(f"trial indices must be integers, got dtype {trials.dtype}")
-    trials = trials.astype(np.int64)
+    trials = as_indices(trial_indices)
     grid_index = np.broadcast_to(grid_index, trials.shape)
     levels, level_of = np.unique(np.broadcast_to(snr_db, trials.shape), return_inverse=True)
     p_max = np.array([snr_to_power(level) for level in levels.tolist()])[level_of]
-    discards = np.zeros(trials.size, dtype=np.int64)
+    # uint64 like the trial indices, so a replacement index is an exact uint64 sum.
+    discards = np.zeros(trials.size, dtype=np.uint64)
     chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trials)
     while True:
         h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
@@ -161,8 +160,13 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
                 raise RedrawError(exc.reason, f"trial {trials[worst]} of cell {grid_index[worst]} "
                                   f"rejected {_MAX_ATTEMPTS} times in a row",
                                   exc.rejected) from None
+            replacement = trials[redo] + discards[redo] * REPLACEMENT_BASE
+            past = replacement < trials[redo]  # wrapped around 2^64
+            if past.any():
+                raise InvalidInputError(f"replacement index of trial {trials[redo][past][0]} "
+                                        "would pass 2^64")
             chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index[redo],
-                                      trials[redo] + discards[redo] * REPLACEMENT_BASE)
+                                      replacement)
             continue
         return TrialRecords(unused_modes=primary.unused_count,
                             rate_primary=primary.rate,

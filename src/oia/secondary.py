@@ -38,9 +38,15 @@ whitened channel ``W`` over the active block's at the uniform power, the
 optimal rate over the equivalent channel's at the water-filled powers. Both, and the optimal
 covariance, depend on the interference covariance q only through ``q^{-1}``
 and on the precoder only through its column span, so the whitener and the
-gram root are R factors of QR decompositions and no q, gram matrix or
+gram root are R factors of QR decompositions and no q or
 eigendecomposition is formed. Both guards take exact singular values only
 where a Frobenius-norm certificate is inconclusive (``undecided_sigma``).
+
+A trial with two free modes needs no factorization either: its squared
+singular values are the eigenvalues of 2 x 2 Hermitian forms
+(``_gram_eig``), and the gram root of its unit active columns ``u0, u1``
+is ``[[1, beta], [0, gamma]]``, with ``beta = u0^H u1`` and ``gamma =
+||u1 - beta u0||``; its guard reads ``gamma^2 / (1 + |beta|)``.
 
 Every design function takes one trial's matrices or stacks of them with the
 same leading axes, one trial per entry, and gives each trial of a stack the
@@ -141,7 +147,8 @@ def build_precoder(h12, u1, p1_bar) -> np.ndarray:
     Raises
     ------
     InvalidInputError
-        If nr < nt; no precoder construction exists for that shape.
+        If nr < nt, for which no precoder construction exists, if h12 is
+        not finite, or if p1_bar is not finite and nonnegative.
     RedrawError
         With reason ``"cross"`` if h12 fails the rank guard; ``rejected``
         marks the trials that should be redrawn. ``design_secondary`` calls
@@ -174,16 +181,20 @@ def build_precoder(h12, u1, p1_bar) -> np.ndarray:
 
 
 def _precoder_inputs(h12, p1_bar) -> tuple[np.ndarray, np.ndarray]:
-    """h12 and p1_bar as arrays, checked for a shape that has a precoder."""
+    """h12 and p1_bar as arrays, checked for a shape that has a precoder and for finite values."""
     h12 = np.asarray(h12, dtype=np.complex128)
     nr, nt = h12.shape[-2:]
     if nr < nt:
         raise InvalidInputError(
             f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
+    if not np.all(np.isfinite(h12)):
+        raise InvalidInputError("h12 contains non-finite entries")
     p1_bar = np.asarray(p1_bar, dtype=float)
     if p1_bar.shape != h12.shape[:-2] + (nt,):
         raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
                                 f"got shape {p1_bar.shape}")
+    if not np.all((p1_bar >= 0.0) & (p1_bar < np.inf)):
+        raise InvalidInputError("p1_bar must be finite and nonnegative")
     return h12, p1_bar
 
 
@@ -201,6 +212,34 @@ def _solve(a, b) -> tuple[np.ndarray, np.ndarray]:
         singular = np.linalg.slogdet(a)[0] == 0.0
         a = np.where(singular[..., None, None], np.eye(a.shape[-1]), a)
         return np.linalg.solve(a, b), singular
+
+
+def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, descending, and unit eigenvectors, as columns, of ``a^H a`` for n x 2 ``a``.
+
+    The determinant is ``||a_0||^2`` times the squared norm of ``a_1``
+    projected off ``a_0``, never a difference of products, so the smaller
+    eigenvalue ``det / top`` is as accurate as an SVD's. The top eigenvector
+    comes from the row of ``a^H a - top I`` whose diagonal entry cancels
+    least, and is ``e_0`` where ``a^H a`` is a multiple of I.
+    """
+    a0, a1 = a[..., 0], a[..., 1]
+    d0 = np.sum((a0.conj() * a0).real, axis=-1)
+    d1 = np.sum((a1.conj() * a1).real, axis=-1)
+    c = np.sum(a0.conj() * a1, axis=-1)
+    rest = a1 - np.divide(c, d0, out=np.zeros_like(c), where=d0 > 0.0)[:, None] * a0
+    det = d0 * np.sum((rest.conj() * rest).real, axis=-1)
+    split = np.hypot(d0 - d1, 2.0 * np.abs(c))
+    top = 0.5 * (d0 + d1 + split)
+    low = np.divide(det, top, out=np.zeros_like(top), where=top > 0.0)
+    # gap is 0 only where a^H a is a multiple of I: there the vector is e_0.
+    gap = 0.5 * (np.abs(d0 - d1) + split)
+    gap += gap == 0.0
+    first = d0 >= d1
+    x = np.stack((np.where(first, gap, c), np.where(first, c.conj(), gap)), axis=-1)
+    x /= np.hypot(gap, np.abs(c))[:, None]
+    other = np.stack((-x[:, 1].conj(), x[:, 0].conj()), axis=-1)
+    return np.stack((top, low), axis=-1), np.stack((x, other), axis=-1)
 
 
 def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -262,7 +301,9 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     is solved as one stack. With ``vt = v2_raw[:, active]``, both schemes
     start from the whitened active block ``a = f2 @ h22 @ vt``. A trial
     with one active column gets both schemes in closed form, from the norms
-    of ``vt`` and ``a``: the two below coincide there.
+    of ``vt`` and ``a``: the two below coincide there. A trial with two gets
+    the singular values, gram root and singular vectors below from 2 x 2
+    Hermitian forms. Neither calls ``np.linalg``.
 
     Uniform scheme: identity input covariance, with the precoder scaled so
     that ``trace(v2 @ v2^H) = p_max`` exactly. Its rate is
@@ -287,7 +328,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     """
     p_max = positive_budget(p_max, "p_max")
     h12, p1_bar = _precoder_inputs(h12, primary.p1_bar)
-    for name, h in (("h12", h12), ("h21", h21), ("h22", h22)):
+    for name, h in (("h21", h21), ("h22", h22)):
         if not np.all(np.isfinite(h)):
             raise InvalidInputError(f"{name} contains non-finite entries")
     batch, nt = p1_bar.shape[:-1], p1_bar.shape[-1]
@@ -346,39 +387,53 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
                 np.sum(np.abs(a) ** 2, axis=(-2, -1))[:, None], power[:, None])
             p2[trials, -1, -1] = power
             continue
-        sigma = np.linalg.svd(a, compute_uv=False)
-        rate_uniform[trials] = sum_rate(sigma**2, (flat_p[trials] / total[members])[:, None])
         # Column equilibration: complementary-allocation entries can differ by many
         # orders of magnitude, and small singular values of the gram root carry only
         # absolute accuracy. The optimum depends only on the precoder's column space,
         # so solve in normalized columns and undo the rescale on the output covariance.
-        norms = np.linalg.norm(vt, axis=-2)
+        norms = np.sqrt(np.sum((vt.conj() * vt).real, axis=-2))
         if norms.min() == 0.0:
             raise InternalInvariantError(_ZERO_COLUMN)
         vt /= norms[..., None, :]
-        m = np.linalg.qr(vt, mode="r")
-        m_inv, singular = _solve(m, np.eye(k))
-        certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
-                                 <= (2.0 * GRAM_FLOOR) ** -0.5)
-        low = undecided_sigma(m, certified)[..., -1] ** 2
+        if k == 2:
+            sigma2 = _gram_eig(a)[0]
+            beta = np.sum(vt[..., 0].conj() * vt[..., 1], axis=-1)
+            gamma2 = np.sum(np.abs(vt[..., 1] - beta[:, None] * vt[..., 0]) ** 2, axis=-1)
+            low = gamma2 / (1.0 + np.abs(beta))
+        else:
+            sigma2 = np.linalg.svd(a, compute_uv=False) ** 2
+            m = np.linalg.qr(vt, mode="r")
+            m_inv, singular = _solve(m, np.eye(k))
+            certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
+                                     <= (2.0 * GRAM_FLOOR) ** -0.5)
+            low = undecided_sigma(m, certified)[..., -1] ** 2
+        rate_uniform[trials] = sum_rate(sigma2, (flat_p[trials] / total[members])[:, None])
         if np.any(low < GRAM_FLOOR):
             raise RedrawError("gram", f"eigenvalue {np.nanmin(low):.6e} below {GRAM_FLOOR:.0e}",
                               _scatter(low < GRAM_FLOOR, trials, count).reshape(batch))
         a /= norms[..., None, :]
-        g = a @ m_inv
+        if k == 2:
+            gamma = np.sqrt(gamma2)
+            m_inv = np.zeros((members.size, 2, 2), dtype=np.complex128)
+            m_inv[:, 0, 0], m_inv[:, 0, 1], m_inv[:, 1, 1] = 1.0, -beta / gamma, 1.0 / gamma
+            a[..., 1] = (a[..., 1] - beta[:, None] * a[..., 0]) / gamma[:, None]  # a @ m_inv
+            eta2, basis = _gram_eig(a)
+        else:
+            a = a @ m_inv  # the old a goes before the SVD
+            eta, zh = np.linalg.svd(a, full_matrices=False)[1:]
+            eta2, basis = eta**2, herm(zh)
+            del zh
         del a
-        eta, zh = np.linalg.svd(g, full_matrices=False)[1:]
-        del g
         with np.errstate(divide="ignore"):
-            alloc = waterfill(1.0 / eta**2, flat_p[trials])
-        z = m_inv @ herm(zh)
-        del m_inv, zh
+            alloc = waterfill(1.0 / eta2, flat_p[trials])
+        z = m_inv @ basis
+        del m_inv, basis
         reduced = (z * alloc.powers[..., None, :]) @ herm(z)
         del z
         reduced /= norms[..., :, None]
         reduced /= norms[..., None, :]
         p2[trials, cols, cols] = 0.5 * (reduced + herm(reduced))
-        rate_optimal[trials] = sum_rate(eta**2, alloc.powers)
+        rate_optimal[trials] = sum_rate(eta2, alloc.powers)
     v2_raw = _scatter(v2s, sends, count).reshape(batch + (nt, nt))
     uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,
                               p2=np.broadcast_to(np.eye(nt), v2_raw.shape),

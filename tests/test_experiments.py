@@ -110,6 +110,42 @@ class TestRunTrial:
         with pytest.raises(InvalidInputError, match="integers"):
             run_trials(small_grid(), 0, 0.0, [0.5])
 
+    def test_trial_index_past_int64(self):
+        """Indices in [2^63, 2^64), which draw_trials takes, are run, not wrapped negative."""
+        grid = small_grid(snr_db_list=(0.0,))
+        alone = run_trials(grid, 0, 0.0, [2**63])
+        stack = run_trials(grid, 0, 0.0, np.array([3, 2**63, 2**64 - 1], dtype=np.uint64))
+        for name in RECORD_FIELDS:
+            assert getattr(alone, name)[0] == getattr(stack, name)[1], name
+
+    @staticmethod
+    def always_singular_cross(real_draw, requested):
+        """A draw whose every trial sends at 6 dB over an exactly singular cross channel."""
+        def rigged_draw(nr, nt, master_seed, grid_index, trial_indices):
+            requested.append([int(t) for t in trial_indices])
+            chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
+            chans[:, 0] = np.diag([1.0, 1e-3])
+            chans[:, 1] = 1.0
+            return chans
+        return rigged_draw
+
+    def test_redraw_past_int64_stays_integer(self, monkeypatch):
+        """A replacement index above 2^63 is the exact integer, not a float64 sum."""
+        requested = []
+        monkeypatch.setattr(experiments, "draw_trials",
+                            self.always_singular_cross(experiments.draw_trials, requested))
+        with pytest.raises(RedrawError, match="rejected 100 times"):
+            run_trials(small_grid(snr_db_list=(6.0,)), 0, 6.0, [2**63 + 5])
+        assert requested[:3] == [[2**63 + 5 + n * REPLACEMENT_BASE] for n in range(3)]
+
+    def test_replacement_index_past_2_64_rejected(self, monkeypatch):
+        """A trial to redraw whose replacement index would wrap past 2^64 is refused by name."""
+        monkeypatch.setattr(experiments, "draw_trials",
+                            self.always_singular_cross(experiments.draw_trials, []))
+        with pytest.raises(InvalidInputError, match=r"^replacement index of trial "
+                           rf"{2**64 - 1} would pass 2\^64$"):
+            run_trials(small_grid(snr_db_list=(6.0,)), 0, 6.0, [2, 2**64 - 1])
+
     def test_effectively_zero_power(self):
         grid = small_grid(nt=3, nr=3, snr_db_list=(-60.0,))
         record = run_trials(grid, 0, -60.0, range(5))
@@ -913,17 +949,17 @@ class TestGoldenCsv:
     """SHA-256 of small sweeps, pinned so refactors keep the CSV bytes."""
 
     @pytest.mark.parametrize("sweep,workers,seeds",
-                             [("run --nt 3 --nr 3 --trials 100", 1, range(4)),
+                             [("run --nt 3 --nr 3 --trials 100", 1, range(32)),
                               ("run --nt 20 --nr 20 --trials 40", 1, [0]),
-                              ("run --nt 3 --nr 5 --trials 100", 1, range(4)),
+                              ("run --nt 3 --nr 5 --trials 100", 1, range(32)),
                               ("fig-unused --trials 60", 2, [0])],
                              ids=["run-3x3", "run-20x20", "run-3x5", "fig-unused-w2"])
     def test_benchmark_reference_digest(self, tmp_path, sweep, workers, seeds):
         """``seeds`` of each benchmark sweep have the digests in ``perfbench/reference.json``.
 
-        The small sweeps check four seeds, since rounding-level changes to
-        the rates move a CSV digit only rarely. The fig-unused sweep runs on
-        two workers, so the process pool's bytes are checked too.
+        The small sweeps check all 32 recorded seeds, since rounding-level
+        changes to the rates move a CSV digit only rarely. The fig-unused
+        sweep runs on two workers, so the process pool's bytes are checked too.
         """
         reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         digests = json.loads(reference.read_text())["sweeps"][sweep]

@@ -7,6 +7,7 @@ reference ``oracles.gram_inv_sqrt`` uses.
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,27 @@ class TestNonFiniteChannels:
             design_secondary(primary, p_max=p_max, **chans)
 
 
+class TestBadPrecoderInputs:
+    """A non-finite h12 and a non-finite or negative p1_bar are refused at entry and named."""
+
+    def test_nan_cross_channel_rejected_by_build_precoder(self):
+        h12 = EYE2.copy()
+        h12[1, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="^h12 contains non-finite entries$"):
+            build_precoder(h12, EYE2, [0.0, 0.25])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
+    def test_bad_complement_rejected_by_build_precoder(self, bad):
+        with pytest.raises(InvalidInputError, match="^p1_bar must be finite and nonnegative$"):
+            build_precoder(EYE2, EYE2, [0.0, bad])
+
+    def test_bad_complement_rejected_by_design_secondary(self):
+        """A hand-built design with ``p1_bar = [nan, 5]`` is refused, not given NaN rates."""
+        primary = dataclasses.replace(walkthrough(), p1_bar=np.array([np.nan, 5.0]))
+        with pytest.raises(InvalidInputError, match="^p1_bar must be finite and nonnegative$"):
+            design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
+
+
 class TestSendersOnly:
     """Only trials with an active column reach the precoder and its rank guard."""
 
@@ -245,21 +267,40 @@ class TestSendersOnly:
             design_secondary(dataclasses.replace(primary, p1_bar=p1_bar), h, h, h, 1.0)
 
 
-def one_free_mode_links(nr, nt, snr_db, rng):
-    """A stack of random links, one per SNR, whose primary leaves exactly one mode free.
+def free_mode_links(free, nr, nt, snr_db, rng):
+    """A stack of random links, one per SNR, whose primary leaves exactly ``free`` modes free.
 
-    h11 has singular values 1 (nt - 1 times) and 1e-6: water-filling from
-    -20 to 40 dB fills the equal modes and never the weak one.
+    h11 has singular values 1 (nt - free times) and 1e-6, 2e-6, ...: water-filling
+    from -20 to 40 dB fills the equal modes and never the weak ones.
     """
     p_max = 10.0 ** (np.asarray(snr_db) / 10.0)
-    sigma = np.r_[np.ones(nt - 1), 1e-6]
+    sigma = np.r_[np.ones(nt - free), 1e-6 * np.arange(1, free + 1)]
     unitary = [np.linalg.qr(complex_gaussian(k, k, rng))[0] for k in (nr, nt) for _ in p_max]
     h11 = np.stack([(left[:, :nt] * sigma) @ right
                     for left, right in zip(unitary[:p_max.size], unitary[p_max.size:])])
     h12, h21, h22 = (np.stack([complex_gaussian(nr, nt, rng) for _ in p_max]) for _ in range(3))
     primary = design_primary(h11, p_max)
-    assert np.all(primary.unused_count == 1)
+    assert np.all(primary.unused_count == free)
     return primary, h12, h21, h22, p_max
+
+
+def check_oracle_path(primary, h12, h21, h22, p_max):
+    """Rates, p2 and budgets of both schemes match the Cholesky-whitened, eigh-rooted path."""
+    uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+    for k, budget in enumerate(p_max):
+        q = interference_covariance(h21[k], primary.v[k], primary.p1.powers[k])
+        w = whiten(q, h22[k] @ uniform.v2[k])
+        rate = log2_det_id_plus(herm(w) @ w)
+        assert abs(uniform.rate[k] - rate) <= 1e-12 * rate
+        p2 = optimal_covariance(optimal.v2[k], primary.p1_bar[k] > 0.0, q, h22[k], budget)
+        assert np.linalg.norm(optimal.p2[k] - p2) <= 1e-12 * np.linalg.norm(p2)
+        w = whiten(q, h22[k] @ optimal.v2[k])
+        rate = log2_det_id_plus(w @ p2 @ herm(w))
+        assert abs(optimal.rate[k] - rate) <= 1e-12 * rate
+        for design in (uniform, optimal):
+            spent = np.trace(design.v2[k] @ design.p2[k] @ herm(design.v2[k])).real
+            assert abs(spent - budget) <= 1e-12 * budget
+    return uniform, optimal
 
 
 class TestOneActiveColumn:
@@ -269,34 +310,20 @@ class TestOneActiveColumn:
     def test_matches_oracle_path(self, nr, nt):
         """Rates, p2 and budgets of the Cholesky-whitened, eigh-rooted reference path."""
         rng = np.random.default_rng(10 * nr + nt)
-        primary, h12, h21, h22, p_max = one_free_mode_links(
-            nr, nt, np.arange(-20.0, 41.0, 5.0), rng)
-        uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+        links = free_mode_links(1, nr, nt, np.arange(-20.0, 41.0, 5.0), rng)
+        uniform, optimal = check_oracle_path(*links)
         assert np.array_equal(uniform.rate, optimal.rate)
-        for k, budget in enumerate(p_max):
-            q = interference_covariance(h21[k], primary.v[k], primary.p1.powers[k])
-            w = whiten(q, h22[k] @ uniform.v2[k])
-            rate = log2_det_id_plus(herm(w) @ w)
-            assert abs(uniform.rate[k] - rate) <= 1e-12 * rate
-            p2 = optimal_covariance(optimal.v2[k], primary.p1_bar[k] > 0.0, q, h22[k], budget)
-            assert np.linalg.norm(optimal.p2[k] - p2) <= 1e-12 * np.linalg.norm(p2)
-            w = whiten(q, h22[k] @ optimal.v2[k])
-            rate = log2_det_id_plus(w @ p2 @ herm(w))
-            assert abs(optimal.rate[k] - rate) <= 1e-12 * rate
-            for design in (uniform, optimal):
-                spent = np.trace(design.v2[k] @ design.p2[k] @ herm(design.v2[k])).real
-                assert abs(spent - budget) <= 1e-12 * budget
 
     def test_one_column_groups_make_no_linalg_call(self, monkeypatch):
-        """Past the precoder and the whitener, one-column trials call nothing in np.linalg.
+        """Past the precoder and the whitener, one- and two-column trials call nothing in np.linalg.
 
-        A trial with two active columns still does, which shows the seam counts.
+        A 4 x 4 trial with three active columns still does, which shows the seam counts.
         """
         rng = np.random.default_rng(4)
-        one = one_free_mode_links(3, 3, np.arange(-20.0, 41.0, 5.0), rng)
-        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
-        assert primary.unused_count == 2
-        two = (primary, *(complex_gaussian(3, 3, rng) for _ in range(3)), 0.01)
+        snr_db = np.arange(-20.0, 41.0, 5.0)
+        one = free_mode_links(1, 3, 3, snr_db, rng)
+        two = free_mode_links(2, 3, 3, snr_db, rng)
+        three = free_mode_links(3, 4, 4, [0.0], rng)
         calls, counting = [], [True]
 
         def counted(name, real):
@@ -322,9 +349,38 @@ class TestOneActiveColumn:
         for name in ("whitened_direct", "build_precoder"):
             monkeypatch.setattr(secondary, name, uncounted(getattr(secondary, name)))
         design_secondary(*one)
-        assert calls == []
         design_secondary(*two)
+        assert calls == []
+        design_secondary(*three)
         assert "svd" in calls and "qr" in calls
+
+
+class TestTwoActiveColumns:
+    """A trial with two free modes gets both schemes' designs in closed form, from 2 x 2 forms."""
+
+    @pytest.mark.parametrize("nr,nt", [(3, 3), (4, 4), (6, 6), (5, 3), (4, 3), (7, 5)])
+    def test_matches_oracle_path(self, nr, nt):
+        """Rates, p2 and budgets of the Cholesky-whitened, eigh-rooted reference path."""
+        rng = np.random.default_rng(10 * nr + nt)
+        check_oracle_path(*free_mode_links(2, nr, nt, np.arange(-20.0, 41.0, 5.0), rng))
+
+    def test_scalar_equivalent_gram(self):
+        """Orthonormal active columns seen through a unitary: ``g^H g`` is a multiple of I.
+
+        Its eigenvectors are any basis, so water-filling splits the budget
+        evenly and p2 is diagonal, finite and found without a warning.
+        """
+        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
+        p1_bar = primary.p1_bar
+        assert np.count_nonzero(p1_bar > 0.0) == 2
+        # u1^H h12 = I steers each free mode onto its own column.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uniform, optimal = design_secondary(primary, primary.u, np.eye(3), np.eye(3), 0.01)
+        expected = np.diag(np.divide(0.005, p1_bar**2, out=np.zeros(3), where=p1_bar > 0.0))
+        assert np.allclose(optimal.p2, expected, rtol=1e-12, atol=0.0)
+        assert abs(optimal.rate - 2.0 * math.log2(1.005)) <= 1e-12
+        assert abs(uniform.rate - optimal.rate) <= 1e-12
 
 
 def rank_criterion(h12):
