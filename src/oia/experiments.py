@@ -29,8 +29,8 @@ _MAX_ATTEMPTS = 100
 # n=20, whatever the cell size. Each pass has a fixed cost besides its
 # trials, about 2.2 ms at n=3 and 1.5 ms at n=20 on a 2-vCPU VM with
 # OpenBLAS, which larger passes spread over more trials. At its peak a pass
-# holds 10.5 to 14 such stacks per trial (traced at n=3 and n=20 from -20 to
-# 30 dB), so the pass size also sets its working set: at most about 3.6 MB.
+# holds 10.1 to 13.7 such stacks per trial (traced at n=3 and n=20 from -20
+# to 30 dB), so the pass size also sets its working set: at most about 3.6 MB.
 PASS_BYTES = 256 * 1024
 
 

@@ -1,53 +1,10 @@
 """Secondary-link design: zero-interference precoder, whitening, power allocation.
 
 The opportunistic transmitter aims its signal at the spatial modes the
-primary left unused. The unscaled precoder is
-``pinv(h12) @ u1[:, :nt] @ diag(p1_bar)``, and the input's shape picks how
-it is formed. With square channels the pseudo-inverse is the inverse, so
-the steer is ``cross^{-1}`` of the cross channel seen after the primary's
-receive filter, ``cross = u1^H @ h12``, from one LU solve: the secondary's
-transmission lands exactly on the unused-mode diagonal and the active modes
-see nothing. With more receive than transmit antennas the steer is
-``solve(r, q^H) @ u1[:, :nt]`` from the reduced QR factors ``h12 = q r``,
-the left pseudo-inverse, which does not in general clear the active modes,
-since ``u1[:, :nt]^H @ h12 @ pinv(h12) @ u1[:, :nt]`` is then a projection,
-not the identity. Column n is exactly zero whenever ``p1_bar[n]`` is zero,
-so the precoder spans only the free dimensions.
-
-One call, ``design_secondary``, designs the whole secondary link of a
-stack of trials: the precoder, the receiver that whitens the primary's
-interference, and both power schemes. Only trials with at least one active
-column transmit; a trial without one has nothing to send and gets a zero
-precoder and rate 0 without any precoder work, so the cross channel's rank
-guard discards only trials that invert h12. The active columns are a
-suffix of the modes, since ``p1_bar`` grows as the singular values fall, so
-the sending trials are grouped by their active count, and each trial's
-whitened active block is formed once. The uniform scheme splits power
-evenly over the precoder, and the optimal scheme water-fills an equivalent
-whitened channel restricted to the active columns.
-
-A trial with one free mode needs no factorization past the precoder and
-the whitener: water-filling gives that mode the whole budget, so both
-schemes put ``p_max / ||vt||^2`` on it and share the rate
-``log2(1 + p_max ||a||^2 / ||vt||^2)``, with ``vt`` the active column and
-``a`` its whitened image.
-
-Otherwise both rates are sums over squared singular values
-(``waterfill.sum_rate``): the uniform rate ``log2 det(I + W W^H)`` of the
-whitened channel ``W`` over the active block's at the uniform power, the
-optimal rate over the equivalent channel's at the water-filled powers. Both, and the optimal
-covariance, depend on the interference covariance q only through ``q^{-1}``
-and on the precoder only through its column span, so the whitener and the
-gram root are R factors of QR decompositions and no q or
-eigendecomposition is formed. Both guards take exact singular values only
-where a Frobenius-norm certificate is inconclusive (``undecided_sigma``).
-
-A trial with two free modes needs no factorization either: its squared
-singular values are the eigenvalues of 2 x 2 Hermitian forms
-(``_gram_eig``), and the gram root of its unit active columns ``u0, u1``
-is ``[[1, beta], [0, gamma]]``, with ``beta = u0^H u1`` and ``gamma =
-||u1 - beta u0||``; its guard reads ``gamma^2 / (1 + |beta|)``.
-
+primary left unused (``build_precoder``), its receiver whitens the
+primary's interference, and it splits its budget either evenly or by
+water-filling the whitened channel. ``design_secondary`` designs all of it
+for a stack of trials in one call; its docstring gives the construction.
 Every design function takes one trial's matrices or stacks of them with the
 same leading axes, one trial per entry, and gives each trial of a stack the
 result it would get on its own, bit for bit.
@@ -141,20 +98,23 @@ def build_precoder(h12, u1, p1_bar) -> np.ndarray:
     v2_raw
         nt x nt precoder with scale deferred to the power scheme; column n
         is zero exactly where ``p1_bar[n]`` is. A square h12 gives
-        ``solve(u1^H @ h12, I) @ diag(p1_bar)``, a tall one
-        ``solve(r, q^H) @ u1[:, :nt] @ diag(p1_bar)`` with ``h12 = q r``.
+        ``solve(u1^H @ h12, I) @ diag(p1_bar)``, a tall one the left
+        pseudo-inverse ``solve(r, q^H) @ u1[:, :nt] @ diag(p1_bar)`` with
+        ``h12 = q r``, which does not in general clear the active modes:
+        ``u1[:, :nt]^H @ h12 @ pinv(h12) @ u1[:, :nt]`` is a projection.
 
     Raises
     ------
     InvalidInputError
         If nr < nt, for which no precoder construction exists, if h12 is
-        not finite, or if p1_bar is not finite and nonnegative.
+        not nr x nt with u1's stack axes or not finite, or if p1_bar is not
+        finite and nonnegative.
     RedrawError
         With reason ``"cross"`` if h12 fails the rank guard; ``rejected``
         marks the trials that should be redrawn. ``design_secondary`` calls
         this on the sending trials alone, so only they meet the guard.
     """
-    h12, p1_bar = _precoder_inputs(h12, p1_bar)
+    h12, p1_bar = _precoder_inputs(h12, u1, p1_bar)
     nr, nt = h12.shape[-2:]
     u1 = np.asarray(u1, dtype=np.complex128)
     if nr == nt:
@@ -180,22 +140,33 @@ def build_precoder(h12, u1, p1_bar) -> np.ndarray:
     return steer
 
 
-def _precoder_inputs(h12, p1_bar) -> tuple[np.ndarray, np.ndarray]:
-    """h12 and p1_bar as arrays, checked for a shape that has a precoder and for finite values."""
-    h12 = np.asarray(h12, dtype=np.complex128)
-    nr, nt = h12.shape[-2:]
+def _channel(name, h, shape) -> np.ndarray:
+    """``h`` as a complex array, refused by name unless it has ``shape`` and finite entries."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape != shape:
+        raise InvalidInputError(f"{name} must have shape {shape}, got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return h
+
+
+def _precoder_inputs(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
+    """h12 and p1_bar as arrays, checked for shapes that have a precoder and for finite values.
+
+    h12 is nr x nt with u1's stack axes, nr is u1's and nt h12's last axis, and
+    p1_bar holds nt entries per trial of h12.
+    """
+    nr, nt = np.shape(u1)[-1], np.shape(h12)[-1]
     if nr < nt:
         raise InvalidInputError(
             f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
-    if not np.all(np.isfinite(h12)):
-        raise InvalidInputError("h12 contains non-finite entries")
     p1_bar = np.asarray(p1_bar, dtype=float)
-    if p1_bar.shape != h12.shape[:-2] + (nt,):
+    if p1_bar.shape != np.shape(h12)[:-2] + (nt,):
         raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
                                 f"got shape {p1_bar.shape}")
     if not np.all((p1_bar >= 0.0) & (p1_bar < np.inf)):
         raise InvalidInputError("p1_bar must be finite and nonnegative")
-    return h12, p1_bar
+    return _channel("h12", h12, np.shape(u1)[:-1] + (nt,)), p1_bar
 
 
 def _solve(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -215,23 +186,22 @@ def _solve(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, descending, and unit eigenvectors, as columns, of ``a^H a`` for n x 2 ``a``.
+    """Eigenvalues, descending, and unit eigenvectors, as columns, of ``a^H a``.
 
-    The determinant is ``||a_0||^2`` times the squared norm of ``a_1``
-    projected off ``a_0``, never a difference of products, so the smaller
-    eigenvalue ``det / top`` is as accurate as an SVD's. The top eigenvector
-    comes from the row of ``a^H a - top I`` whose diagonal entry cancels
-    least, and is ``e_0`` where ``a^H a`` is a multiple of I.
+    ``a`` is a stack of upper-triangular 2 x 2 blocks. The determinant is ``|a_00|^2 |a_11|^2``, never a difference of
+    products, so the smaller eigenvalue ``det / top`` is as accurate as an
+    SVD's. The top eigenvector comes from the row of ``a^H a - top I`` whose
+    diagonal entry cancels least, and is ``e_0`` where ``a^H a`` is a
+    multiple of I.
     """
-    a0, a1 = a[..., 0], a[..., 1]
-    d0 = np.sum((a0.conj() * a0).real, axis=-1)
-    d1 = np.sum((a1.conj() * a1).real, axis=-1)
-    c = np.sum(a0.conj() * a1, axis=-1)
-    rest = a1 - np.divide(c, d0, out=np.zeros_like(c), where=d0 > 0.0)[:, None] * a0
-    det = d0 * np.sum((rest.conj() * rest).real, axis=-1)
+    a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    d0 = (a00.conj() * a00).real
+    e1 = (a11.conj() * a11).real
+    d1 = (a01.conj() * a01).real + e1
+    c = a00.conj() * a01
     split = np.hypot(d0 - d1, 2.0 * np.abs(c))
     top = 0.5 * (d0 + d1 + split)
-    low = np.divide(det, top, out=np.zeros_like(top), where=top > 0.0)
+    low = np.divide(d0 * e1, top, out=np.zeros_like(top), where=top > 0.0)
     # gap is 0 only where a^H a is a multiple of I: there the vector is e_0.
     gap = 0.5 * (np.abs(d0 - d1) + split)
     gap += gap == 0.0
@@ -256,26 +226,6 @@ def _scatter(x: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def whitened_direct(h21, v1, p1, h22) -> np.ndarray:
-    """h22 through a filter that whitens the primary's interference at the secondary receiver.
-
-    That interference plus unit noise has covariance ``q = I + b b^H``, with
-    ``b = h21 @ v1 @ diag(p1)^{1/2}``. The R factor of ``[b, I]^H`` has
-    ``r^H r = q``, so ``solve(r^H, h22)`` is h22 through ``r^{-H}``, which
-    turns q into I. q is never formed, and r's singular values are >= 1.
-    """
-    b = h21 @ (v1 * np.sqrt(p1)[..., None, :])
-    # The caller may pass row copies that nothing else holds: let them go before the QR.
-    del h21, v1, p1
-    nr, nt = b.shape[-2:]
-    stacked = np.empty(b.shape[:-2] + (nt + nr, nr), dtype=np.complex128)
-    np.conjugate(b.swapaxes(-1, -2), out=stacked[..., :nt, :])
-    del b
-    stacked[..., nt:, :] = np.eye(nr)
-    r = np.linalg.qr(stacked, mode="r")
-    return np.linalg.solve(herm(r), h22)
-
-
 def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, SecondaryDesign]:
     """The secondary link of a trial or a stack of trials: ``(uniform, optimal)``.
 
@@ -288,28 +238,37 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     Only trials with an active column (``p1_bar > 0`` somewhere) transmit;
     a trial without one gets ``v2 = 0`` and rate 0 in both schemes, with no
     precoder work, whatever its cross channel. The input checks (``nr >=
-    nt``, finite channels, the shape of ``p1_bar``, its positive entries
-    forming a suffix of the modes, as ``design_primary``'s do, and the
-    budget) still cover every trial.
+    nt``, the channels' shapes and finite entries, the shape of ``p1_bar``,
+    its positive entries forming a suffix of the modes with a support
+    disjoint from ``p1.powers``, as ``design_primary``'s do, and the budget)
+    still cover every trial.
     The sending trials' precoder ``v2_raw`` comes from ``build_precoder``;
     its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
     the whole stack, so only a sending trial is ever discarded by the cross
-    channel's rank guard. A sending trial's receiver
-    whitens the primary's interference with a filter ``f2`` that has
-    ``f2^H f2 = q^{-1}`` (``whitened_direct`` gives ``f2 @ h22``). The
-    sending trials are grouped by their active-column count, and each group
-    is solved as one stack. With ``vt = v2_raw[:, active]``, both schemes
-    start from the whitened active block ``a = f2 @ h22 @ vt``. A trial
-    with one active column gets both schemes in closed form, from the norms
-    of ``vt`` and ``a``: the two below coincide there. A trial with two gets
-    the singular values, gram root and singular vectors below from 2 x 2
-    Hermitian forms. Neither calls ``np.linalg``.
+    channel's rank guard. The sending trials are grouped by their
+    active-column count k, and each group is solved as one stack.
+
+    A sending trial's receiver whitens the primary's interference, whose
+    covariance with the unit noise is ``q = I + b b^H``, with ``b = h21 @ v1
+    @ diag(p1)^{1/2}``. Both schemes see its whitened active block ``a``
+    only through ``a^H a = c^H q^{-1} c``, with ``c = h22 @ vt`` and ``vt =
+    v2_raw[:, active]``. That is the Schur complement of the leading block
+    of ``x^H x`` for ``x = [[I, 0], [b_lead, c]]``, where ``b_lead`` holds
+    b's first ``lead = nt - k`` columns: the primary powers no active mode,
+    since ``p1.powers`` and ``p1_bar`` have disjoint supports. So ``a`` is
+    the trailing k x k block of x's R factor, upper triangular, from one QR
+    per group; no q, filter or inverse is formed. A trial with one active
+    column gets both schemes in closed form, from the norms of ``vt`` and
+    ``a``: the two below coincide there. A trial with two gets the singular
+    values, gram root and singular vectors below from 2 x 2 Hermitian forms.
+    Neither calls ``np.linalg`` past that QR.
 
     Uniform scheme: identity input covariance, with the precoder scaled so
     that ``trace(v2 @ v2^H) = p_max`` exactly. Its rate is
-    ``log2 det(I + W W^H)`` of the whitened channel ``W = f2 @ h22 @ v2``,
-    whose nonzero columns are ``a`` scaled by ``(p_max / ||vt||_F^2)^{1/2}``:
-    a sum over the squared singular values of ``a`` at that power.
+    ``log2 det(I + W^H W)`` of the whitened channel ``W = q^{-1/2} @ h22 @
+    v2``, whose gram matrix on the active columns is ``a^H a`` scaled by
+    ``p_max / ||vt||_F^2``: a sum over the squared singular values of ``a``
+    at that power.
 
     Optimal scheme: water-filling on an equivalent channel, over the active
     columns only, since the full-size precoder gram matrix is singular
@@ -325,34 +284,36 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     transmitted covariance. Numerically dependent active columns, whose
     normalized gram matrix has an eigenvalue below ``GRAM_FLOOR``, raise
     ``RedrawError("gram")``, whose ``rejected`` marks them in the whole stack.
+    A trial whose equivalent channel has no gain at all (``a = 0``, as with
+    ``h22 = 0``) gets rate 0 in both schemes, and its optimal budget is
+    split evenly over the equivalent channel's modes.
     """
     p_max = positive_budget(p_max, "p_max")
-    h12, p1_bar = _precoder_inputs(h12, primary.p1_bar)
-    for name, h in (("h21", h21), ("h22", h22)):
-        if not np.all(np.isfinite(h)):
-            raise InvalidInputError(f"{name} contains non-finite entries")
-    batch, nt = p1_bar.shape[:-1], p1_bar.shape[-1]
+    h12, p1_bar = _precoder_inputs(h12, primary.u, primary.p1_bar)
+    h21, h22 = (_channel(name, h, h12.shape) for name, h in (("h21", h21), ("h22", h22)))
+    batch, (nr, nt) = p1_bar.shape[:-1], h12.shape[-2:]
     flat_active = p1_bar.reshape(-1, nt) > 0.0
     if np.any(flat_active[:, :-1] > flat_active[:, 1:]):
         raise InvalidInputError("p1_bar must be positive on a suffix of the modes, "
                                 "as design_primary's complement is")
+    flat_p1 = np.reshape(primary.p1.powers, flat_active.shape)
+    if np.any(flat_active & (flat_p1 > 0.0)):
+        raise InvalidInputError("p1.powers and p1_bar must have disjoint supports, "
+                                "as design_primary's do")
     flat_p = np.broadcast_to(p_max, batch).reshape(-1)
     count = flat_p.size
     sends = np.flatnonzero(flat_active.any(axis=-1))
 
-    def senders(x):
-        x = np.asarray(x)
-        return _rows(x.reshape((count,) + x.shape[len(batch):]), sends)
+    def flat(x):
+        return np.reshape(x, (count,) + np.shape(x)[len(batch):])
 
     v2s = np.zeros((0, nt, nt), dtype=np.complex128)
     if sends.size:
-        # Row copies go in as bare arguments, so that each one goes when its
-        # callee is done with it. The whitener runs first: its QR is the
-        # call's peak, which the precoder's output would otherwise raise.
-        white = whitened_direct(senders(h21), senders(primary.v),
-                                senders(primary.p1.powers), senders(h22))
+        # Row copies go in as bare arguments, so that each one goes when the
+        # precoder is done with it.
         try:
-            v2s = build_precoder(senders(h12), senders(primary.u), senders(p1_bar))
+            v2s = build_precoder(_rows(flat(h12), sends), _rows(flat(primary.u), sends),
+                                 _rows(flat(p1_bar), sends))
         except RedrawError as exc:
             rejected = _scatter(exc.rejected, sends, count).reshape(batch)
             raise RedrawError(exc.reason, exc.args[1], rejected) from None
@@ -367,25 +328,32 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     width = np.count_nonzero(flat_active[sends], axis=-1)
     sizes = np.flatnonzero(np.bincount(width))
     # Large intermediates go as soon as they are used, so that no group's
-    # working set outgrows the whitener's peak.
+    # working set outgrows its whitening QR.
     for k in sizes:
-        cols = slice(nt - k, nt)
+        lead = nt - k
         members = np.flatnonzero(width == k)
         trials = sends[members]
         # Indexing by members copies, so rescaling vt in place leaves v2s alone.
-        vt = v2s[members, :, cols]
-        a = _rows(white, members) @ vt
-        if k == sizes[-1]:
-            del white
+        vt = v2s[members, :, lead:]
+        x = np.zeros((members.size, lead + nr, nt), dtype=np.complex128)
+        x[:, :lead, :lead] = np.eye(lead)
+        v1 = flat(primary.v)[trials, :, :lead]
+        v1 *= np.sqrt(flat_p1[trials, None, :lead])
+        np.matmul(_rows(flat(h21), trials), v1, out=x[:, lead:, :lead])
+        del v1
+        np.matmul(_rows(flat(h22), trials), vt, out=x[:, lead:, lead:])
+        # The whitened active block. numpy's raw QR holds R transposed, and
+        # reading the block from it skips mode "r"'s full-size triu copy.
+        a = np.triu(np.linalg.qr(x, mode="raw")[0][:, lead:, lead:nt].swapaxes(-1, -2))
+        del x
         if k == 1:
             # Water-filling gives a lone mode the whole budget, so both schemes put
             # p_max / ||vt||^2 on it and share one rate, found from norms alone.
             if total[members].min() == 0.0:
                 raise InternalInvariantError(_ZERO_COLUMN)
-            power = flat_p[trials] / total[members]
-            rate_uniform[trials] = rate_optimal[trials] = sum_rate(
-                np.sum(np.abs(a) ** 2, axis=(-2, -1))[:, None], power[:, None])
-            p2[trials, -1, -1] = power
+            power = (flat_p[trials] / total[members])[:, None]
+            rate_uniform[trials] = rate_optimal[trials] = sum_rate(np.abs(a[:, 0]) ** 2, power)
+            p2[trials, -1, -1] = power[:, 0]
             continue
         # Column equilibration: complementary-allocation entries can differ by many
         # orders of magnitude, and small singular values of the gram root carry only
@@ -424,15 +392,18 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
             eta2, basis = eta**2, herm(zh)
             del zh
         del a
-        with np.errstate(divide="ignore"):
-            alloc = waterfill(1.0 / eta2, flat_p[trials])
+        inverse = np.divide(1.0, eta2, out=np.full_like(eta2, np.inf), where=eta2 > 0.0)
+        # A trial without any gain has rate 0 whatever it sends, as a lone
+        # column with a = 0 does: equal inverse gains split its budget evenly.
+        inverse[~np.any(eta2 > 0.0, axis=-1)] = 1.0
+        alloc = waterfill(inverse, flat_p[trials])
         z = m_inv @ basis
         del m_inv, basis
         reduced = (z * alloc.powers[..., None, :]) @ herm(z)
         del z
         reduced /= norms[..., :, None]
         reduced /= norms[..., None, :]
-        p2[trials, cols, cols] = 0.5 * (reduced + herm(reduced))
+        p2[trials, lead:, lead:] = 0.5 * (reduced + herm(reduced))
         rate_optimal[trials] = sum_rate(eta2, alloc.powers)
     v2_raw = _scatter(v2s, sends, count).reshape(batch + (nt, nt))
     uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,

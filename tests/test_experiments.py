@@ -236,12 +236,16 @@ class TestRunTrial:
                                    "trial 0 of cell 5 rejected 100 times in a row")
 
     def test_trials_without_free_mode_skip_secondary_stages(self, monkeypatch):
-        """Only trials with a free mode reach the precoder and the whitener; others get rate 0."""
+        """Only trials with a free mode reach the precoder and a whitening QR; others get rate 0.
+
+        Each active-count group makes one whitening QR, the only ``mode="raw"``
+        one, so together they see each sending trial once.
+        """
         whitened, precoded = [], []
-        real_whitener, real_precoder = secondary.whitened_direct, secondary.build_precoder
-        monkeypatch.setattr(secondary, "whitened_direct",
-                            lambda h21, *rest: whitened.append(len(h21))
-                            or real_whitener(h21, *rest))
+        real_qr, real_precoder = np.linalg.qr, secondary.build_precoder
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda x, mode="reduced": (mode == "raw" and whitened.append(len(x)))
+                            or real_qr(x, mode=mode))
         monkeypatch.setattr(secondary, "build_precoder",
                             lambda h12, u1, p1_bar: precoded.append(np.array(p1_bar))
                             or real_precoder(h12, u1, p1_bar))
@@ -249,7 +253,8 @@ class TestRunTrial:
         record = run_trials(grid, 0, 10.0, range(40))
         sends = record.unused_modes > 0
         assert 0 < np.count_nonzero(sends) < 40
-        assert whitened == [np.count_nonzero(sends)]
+        assert sum(whitened) == np.count_nonzero(sends)
+        assert len(whitened) == len(np.unique(record.unused_modes[sends]))
         assert [len(p1_bar) for p1_bar in precoded] == [np.count_nonzero(sends)]
         assert np.all(np.any(precoded[0] > 0.0, axis=-1))
         assert np.all(record.rate_secondary_uniform[~sends] == 0.0)
@@ -286,11 +291,13 @@ class TestRunTrial:
 
         A pass is sized in bytes of one such stack (``PASS_BYTES``), so this
         bound caps its memory. At n=20 and -20 dB every trial sends, so the
-        whitener and both schemes run on the whole pass; at n=3 and 0 dB some
-        trials do not, and the sending trials' row copies must not raise the
-        peak past the same bound.
+        whitening QRs and both schemes run on the whole pass; at n=3 and
+        -20 dB every trial sends too, mostly in two-column groups; at n=3 and
+        0 dB some trials do not, and the sending trials' row copies must not
+        raise the peak past the same bound. They trace at about 11.3, 13.6
+        and 12.9 stacks per trial.
         """
-        for n, snr_db, all_send in [(20, -20.0, True), (3, 0.0, False)]:
+        for n, snr_db, all_send in [(20, -20.0, True), (3, -20.0, True), (3, 0.0, False)]:
             grid = small_grid(nt=n, nr=n, snr_db_list=(snr_db,), trials=1)
             size = experiments._pass_size(grid)
             run_trials(grid, 0, snr_db, range(size))  # warm-up: first-call allocations

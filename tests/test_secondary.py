@@ -178,6 +178,31 @@ class TestNonFiniteChannels:
             design_secondary(primary, p_max=p_max, **chans)
 
 
+class TestChannelShapes:
+    """A channel that is not nr x nt with the primary's stack axes is refused by name."""
+
+    @pytest.mark.parametrize("name,shape", [
+        pytest.param(name, shape, id=f"{name}-{'x'.join(map(str, shape))}")
+        for names, shapes in [(("h12", "h21", "h22"), [(4, 3), (2, 3), (3,)]),
+                              (("h21", "h22"), [(3, 4), (2, 3, 3)])]
+        for name in names for shape in shapes
+    ])
+    def test_misshaped_channel_rejected(self, name, shape):
+        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
+        chans = {key: np.eye(3) for key in ("h12", "h21", "h22")}
+        chans[name] = np.ones(shape)
+        with pytest.raises(InvalidInputError,
+                           match=rf"^{name} must have shape \(3, 3\), got "):
+            design_secondary(primary, p_max=0.01, **chans)
+
+    def test_stack_axes_are_the_primary_s(self):
+        primary = design_primary(np.broadcast_to(np.diag([10.0, 1.0, 1.0]), (2, 3, 3)), 0.01)
+        eye = np.broadcast_to(np.eye(3), (2, 3, 3))
+        design_secondary(primary, eye, eye, eye, 0.01)
+        with pytest.raises(InvalidInputError, match=r"^h22 must have shape \(2, 3, 3\)"):
+            design_secondary(primary, eye, eye, np.eye(3), 0.01)
+
+
 class TestBadPrecoderInputs:
     """A non-finite h12 and a non-finite or negative p1_bar are refused at entry and named."""
 
@@ -266,6 +291,21 @@ class TestSendersOnly:
         with pytest.raises(InvalidInputError, match="suffix"):
             design_secondary(dataclasses.replace(primary, p1_bar=p1_bar), h, h, h, 1.0)
 
+    def test_overlapping_supports_rejected(self):
+        """A hand-built design whose primary powers a free mode is refused.
+
+        The whitening drops the primary's columns past the used modes, which is
+        exact only where ``p1.powers`` and ``p1_bar`` have disjoint supports.
+        """
+        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
+        powers = primary.p1.powers.copy()
+        powers[-1] = 1e-3
+        overlapping = dataclasses.replace(primary, p1=dataclasses.replace(primary.p1, powers=powers))
+        eye = np.eye(3)
+        design_secondary(primary, eye, eye, eye, 0.01)
+        with pytest.raises(InvalidInputError, match="disjoint supports"):
+            design_secondary(overlapping, eye, eye, eye, 0.01)
+
 
 def free_mode_links(free, nr, nt, snr_db, rng):
     """A stack of random links, one per SNR, whose primary leaves exactly ``free`` modes free.
@@ -314,10 +354,11 @@ class TestOneActiveColumn:
         uniform, optimal = check_oracle_path(*links)
         assert np.array_equal(uniform.rate, optimal.rate)
 
-    def test_one_column_groups_make_no_linalg_call(self, monkeypatch):
-        """Past the precoder and the whitener, one- and two-column trials call nothing in np.linalg.
+    def test_one_and_two_column_groups_call_only_their_qr(self, monkeypatch):
+        """Past the precoder, a one- or two-column group makes one np.linalg call: its whitening QR.
 
-        A 4 x 4 trial with three active columns still does, which shows the seam counts.
+        A 4 x 4 trial with three active columns still calls ``svd``, which
+        shows the seam counts.
         """
         rng = np.random.default_rng(4)
         snr_db = np.arange(-20.0, 41.0, 5.0)
@@ -346,13 +387,13 @@ class TestOneActiveColumn:
             real = getattr(np.linalg, name)
             if callable(real) and not isinstance(real, type):
                 monkeypatch.setattr(np.linalg, name, counted(name, real))
-        for name in ("whitened_direct", "build_precoder"):
-            monkeypatch.setattr(secondary, name, uncounted(getattr(secondary, name)))
-        design_secondary(*one)
-        design_secondary(*two)
-        assert calls == []
+        monkeypatch.setattr(secondary, "build_precoder", uncounted(secondary.build_precoder))
+        for links in (one, two):
+            design_secondary(*links)
+            assert calls == ["qr"]
+            calls.clear()
         design_secondary(*three)
-        assert "svd" in calls and "qr" in calls
+        assert calls[0] == "qr" and "svd" in calls
 
 
 class TestTwoActiveColumns:
@@ -401,6 +442,44 @@ def parallel_columns_primary(gap):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestThreeOrMoreActiveColumns:
+    """A trial with three or more free modes takes the LAPACK path past its whitening QR."""
+
+    @pytest.mark.parametrize("nr,nt,free", [(4, 4, 3), (6, 6, 4), (7, 5, 3), (8, 8, 6)])
+    def test_matches_oracle_path(self, nr, nt, free):
+        """Rates, p2 and budgets of the Cholesky-whitened, eigh-rooted reference path."""
+        rng = np.random.default_rng(10 * nr + nt)
+        check_oracle_path(*free_mode_links(free, nr, nt, np.arange(-20.0, 41.0, 5.0), rng))
+
+
+class TestZeroGain:
+    """A trial whose active columns reach the secondary receiver with no gain sends at rate 0."""
+
+    @pytest.mark.parametrize("active", [1, 2, 3])
+    @pytest.mark.parametrize("h22", ["zero", "kills-active"])
+    def test_rate_zero_and_budget_met(self, active, h22):
+        """Both schemes get rate 0 and a finite p2 that spends the whole budget.
+
+        ``u1^H h12 = I`` makes the precoder ``diag(p1_bar)``, so an h22 whose
+        active columns are zero maps the active columns to exact zeros.
+        """
+        primary = design_primary(np.diag([10.0] * (4 - active) + [1.0] * active), 0.01)
+        free = primary.p1_bar > 0.0
+        assert np.count_nonzero(free) == active
+        rng = np.random.default_rng(active)
+        h21 = complex_gaussian(4, 4, rng)
+        channel = np.zeros((4, 4), dtype=complex)
+        if h22 == "kills-active":
+            channel[:, ~free] = complex_gaussian(4, 4 - active, rng)
+        uniform, optimal = design_secondary(primary, primary.u, h21, channel, 0.01)
+        assert np.all(channel @ optimal.v2[:, free] == 0.0)
+        for design in (uniform, optimal):
+            assert design.rate == 0.0
+            assert np.all(np.isfinite(design.p2))
+            spent = np.trace(design.v2 @ design.p2 @ herm(design.v2)).real
+            assert abs(spent - 0.01) <= 1e-12 * 0.01
+
+
 class TestGuards:
     """The certified guards make the same decisions as their singular-value criteria."""
 
