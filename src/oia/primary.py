@@ -67,15 +67,15 @@ def design_primary(h11, p_max) -> PrimaryDesign:
         rank-deficient channel has no finite design; callers discard the
         trial and redraw.
     InvalidInputError
-        If an entry of p_max is not positive and finite, or h11 is not a
-        matrix or has a NaN or infinite entry.
+        If h11 is not a matrix or has a NaN or infinite entry, or p_max has
+        neither of its shapes or an entry that is not positive and finite.
     """
-    p_max = positive_budget(p_max, "p_max")
     h11 = np.asarray(h11, dtype=np.complex128)
     if h11.ndim < 2 or h11.shape[-2] < 1 or h11.shape[-1] < 1:
         raise InvalidInputError(f"h11 must be a matrix or a stack of them, got shape {h11.shape}")
     if not np.all(np.isfinite(h11)):
         raise InvalidInputError("h11 contains non-finite entries")
+    p_max = positive_budget(p_max, h11.shape[:-2], "p_max")
     u, lam, vh = np.linalg.svd(h11, full_matrices=True)
     rejected = lam[..., -1] == 0.0
     if rejected.any():

@@ -1,13 +1,12 @@
 """Secondary-link design: zero-interference precoder, whitening, power allocation.
 
 The opportunistic transmitter aims its signal at the spatial modes the
-primary left unused (``build_precoder``), its receiver whitens the
-primary's interference, and it splits its budget either evenly or by
-water-filling the whitened channel. ``design_secondary`` designs all of it
-for a stack of trials in one call; its docstring gives the construction.
-Every design function takes one trial's matrices or stacks of them with the
-same leading axes, one trial per entry, and gives each trial of a stack the
-result it would get on its own, bit for bit.
+primary left unused, its receiver whitens the primary's interference, and
+it splits its budget either evenly or by water-filling the whitened
+channel. ``design_secondary`` designs all of it in one call, for one
+trial's matrices or stacks of them with the same leading axes, and gives
+each trial of a stack the result it would get on its own, bit for bit; its
+docstring gives the construction.
 """
 
 from __future__ import annotations
@@ -77,46 +76,16 @@ def undecided_sigma(a, certified) -> np.ndarray:
     return sigma
 
 
-def build_precoder(h12, u1, p1_bar) -> np.ndarray:
-    """Unscaled zero-interference precoder, nonzero only on the primary's unused modes.
+def _precoder(h12, u1, p1_bar) -> np.ndarray:
+    """Unscaled zero-interference precoder of checked trials, zero where ``p1_bar`` is.
 
-    Every argument may carry leading stack axes, one trial per entry.
-
-    Parameters
-    ----------
-    h12 : array_like
-        Cross channel from the secondary transmitter to the primary receiver,
-        nr x nt with nr >= nt and full column rank.
-    u1 : array_like
-        Left singular vectors of the primary's direct channel (nr x nr); only
-        the first nt columns, the ones paired with singular values, are used.
-    p1_bar : array_like
-        Complementary primary allocation over the nt allocatable modes.
-
-    Returns
-    -------
-    v2_raw
-        nt x nt precoder with scale deferred to the power scheme; column n
-        is zero exactly where ``p1_bar[n]`` is. A square h12 gives
-        ``solve(u1^H @ h12, I) @ diag(p1_bar)``, a tall one the left
-        pseudo-inverse ``solve(r, q^H) @ u1[:, :nt] @ diag(p1_bar)`` with
-        ``h12 = q r``, which does not in general clear the active modes:
-        ``u1[:, :nt]^H @ h12 @ pinv(h12) @ u1[:, :nt]`` is a projection.
-
-    Raises
-    ------
-    InvalidInputError
-        If nr < nt, for which no precoder construction exists, if h12 is
-        not nr x nt with u1's stack axes or not finite, or if p1_bar is not
-        finite and nonnegative.
-    RedrawError
-        With reason ``"cross"`` if h12 fails the rank guard; ``rejected``
-        marks the trials that should be redrawn. ``design_secondary`` calls
-        this on the sending trials alone, so only they meet the guard.
+    A square h12 steers by ``solve(u1^H @ h12, I)``, a tall one by the left
+    pseudo-inverse ``solve(r, q^H) @ u1[:, :nt]`` with ``h12 = q r``, which
+    does not in general clear the active modes; column n is then scaled by
+    ``p1_bar[n]``. Raises ``RedrawError("cross")``, whose ``rejected`` marks
+    the trials that fail the rank guard.
     """
-    h12, p1_bar = _precoder_inputs(h12, u1, p1_bar)
     nr, nt = h12.shape[-2:]
-    u1 = np.asarray(u1, dtype=np.complex128)
     if nr == nt:
         # u1 is unitary, so cross^{-1} = h12^{-1} @ u1 is the steer and has h12^{-1}'s norm.
         steer, singular = _solve(herm(u1) @ h12, np.eye(nt))
@@ -148,25 +117,6 @@ def _channel(name, h, shape) -> np.ndarray:
     if not np.all(np.isfinite(h)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return h
-
-
-def _precoder_inputs(h12, u1, p1_bar) -> tuple[np.ndarray, np.ndarray]:
-    """h12 and p1_bar as arrays, checked for shapes that have a precoder and for finite values.
-
-    h12 is nr x nt with u1's stack axes, nr is u1's and nt h12's last axis, and
-    p1_bar holds nt entries per trial of h12.
-    """
-    nr, nt = np.shape(u1)[-1], np.shape(h12)[-1]
-    if nr < nt:
-        raise InvalidInputError(
-            f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
-    p1_bar = np.asarray(p1_bar, dtype=float)
-    if p1_bar.shape != np.shape(h12)[:-2] + (nt,):
-        raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
-                                f"got shape {p1_bar.shape}")
-    if not np.all((p1_bar >= 0.0) & (p1_bar < np.inf)):
-        raise InvalidInputError("p1_bar must be finite and nonnegative")
-    return _channel("h12", h12, np.shape(u1)[:-1] + (nt,)), p1_bar
 
 
 def _solve(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -237,12 +187,12 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
 
     Only trials with an active column (``p1_bar > 0`` somewhere) transmit;
     a trial without one gets ``v2 = 0`` and rate 0 in both schemes, with no
-    precoder work, whatever its cross channel. The input checks (``nr >=
-    nt``, the channels' shapes and finite entries, the shape of ``p1_bar``,
-    its positive entries forming a suffix of the modes with a support
-    disjoint from ``p1.powers``, as ``design_primary``'s do, and the budget)
-    still cover every trial.
-    The sending trials' precoder ``v2_raw`` comes from ``build_precoder``;
+    precoder work, whatever its cross channel. Every input is checked once,
+    over every trial, in this order: ``nr >= nt``; the channels' shapes and
+    finite entries; the shape of ``p1_bar``, its finite nonnegative entries,
+    and its positive entries forming a suffix of the modes with a support
+    disjoint from ``p1.powers``, as ``design_primary``'s do; the budget.
+    The sending trials' precoder ``v2_raw`` comes from ``_precoder``;
     its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
     the whole stack, so only a sending trial is ever discarded by the cross
     channel's rank guard. The sending trials are grouped by their
@@ -288,10 +238,18 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     ``h22 = 0``) gets rate 0 in both schemes, and its optimal budget is
     split evenly over the equivalent channel's modes.
     """
-    p_max = positive_budget(p_max, "p_max")
-    h12, p1_bar = _precoder_inputs(h12, primary.u, primary.p1_bar)
-    h21, h22 = (_channel(name, h, h12.shape) for name, h in (("h21", h21), ("h22", h22)))
-    batch, (nr, nt) = p1_bar.shape[:-1], h12.shape[-2:]
+    batch, nr, nt = primary.u.shape[:-2], primary.u.shape[-1], primary.v.shape[-1]
+    if nr < nt:
+        raise InvalidInputError(
+            f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
+    h12, h21, h22 = (_channel(name, h, batch + (nr, nt))
+                     for name, h in (("h12", h12), ("h21", h21), ("h22", h22)))
+    p1_bar = np.asarray(primary.p1_bar, dtype=float)
+    if p1_bar.shape != batch + (nt,):
+        raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
+                                f"got shape {p1_bar.shape}")
+    if not np.all((p1_bar >= 0.0) & (p1_bar < np.inf)):
+        raise InvalidInputError("p1_bar must be finite and nonnegative")
     flat_active = p1_bar.reshape(-1, nt) > 0.0
     if np.any(flat_active[:, :-1] > flat_active[:, 1:]):
         raise InvalidInputError("p1_bar must be positive on a suffix of the modes, "
@@ -300,7 +258,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     if np.any(flat_active & (flat_p1 > 0.0)):
         raise InvalidInputError("p1.powers and p1_bar must have disjoint supports, "
                                 "as design_primary's do")
-    flat_p = np.broadcast_to(p_max, batch).reshape(-1)
+    flat_p = np.broadcast_to(positive_budget(p_max, batch, "p_max"), batch).reshape(-1)
     count = flat_p.size
     sends = np.flatnonzero(flat_active.any(axis=-1))
 
@@ -312,8 +270,8 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         # Row copies go in as bare arguments, so that each one goes when the
         # precoder is done with it.
         try:
-            v2s = build_precoder(_rows(flat(h12), sends), _rows(flat(primary.u), sends),
-                                 _rows(flat(p1_bar), sends))
+            v2s = _precoder(_rows(flat(h12), sends), _rows(flat(primary.u), sends),
+                            _rows(flat(p1_bar), sends))
         except RedrawError as exc:
             rejected = _scatter(exc.rejected, sends, count).reshape(batch)
             raise RedrawError(exc.reason, exc.args[1], rejected) from None

@@ -23,13 +23,16 @@ class PowerAllocation:
     water_level: float | np.ndarray
 
 
-def positive_budget(budget, name: str = "budget") -> np.ndarray:
-    """A power budget, one value or one per trial, as a float array.
+def positive_budget(budget, shape: tuple, name: str = "budget") -> np.ndarray:
+    """A power budget, one value or one per trial of a stack of ``shape``, as a float array.
 
-    Raises InvalidInputError, naming the parameter ``name``, unless every
-    entry is positive and finite.
+    Raises InvalidInputError, naming the parameter ``name``, unless the
+    budget has one of those shapes and every entry is positive and finite.
     """
     budget = np.asarray(budget, dtype=float)
+    if budget.shape not in ((), shape):
+        raise InvalidInputError(f"{name} must be one value or have the stack's shape {shape}, "
+                                f"got shape {budget.shape}")
     if not (np.isfinite(budget).all() and (budget > 0).all()):
         raise InvalidInputError(f"{name} must be positive and finite")
     return budget
@@ -63,7 +66,8 @@ def waterfill(inverse_gains, budget) -> PowerAllocation:
     Raises
     ------
     InvalidInputError
-        Empty gain list, a budget entry that is not positive and finite,
+        Empty gain list, a budget of another shape or with an entry that is
+        not positive and finite,
         nonpositive or NaN gains, or a row without any finite gain.
     """
     ig = np.asarray(inverse_gains, dtype=float)
@@ -71,14 +75,14 @@ def waterfill(inverse_gains, budget) -> PowerAllocation:
         raise InvalidInputError("inverse_gains must be a nonempty sequence or stack of them")
     if np.isnan(ig).any() or (ig <= 0).any():
         raise InvalidInputError("inverse gains must be positive (or +inf)")
-    budget = positive_budget(budget)[..., None]
+    stack = ig.shape[:-1]
+    budget = positive_budget(budget, stack)
     if not np.isfinite(ig).any(axis=-1).all():
         raise InvalidInputError("need at least one finite inverse gain")
 
     # Row by row on a 2-D view: (rows, n) gains, one (rows, 1) budget column.
-    stack = ig.shape[:-1]
     ig = ig.reshape(-1, ig.shape[-1])
-    budget = np.broadcast_to(budget, stack + (1,)).reshape(-1, 1)
+    budget = np.broadcast_to(budget, stack).reshape(-1, 1)
     rows = np.arange(ig.shape[0])[:, None]
     order = np.argsort(ig, axis=-1, kind="stable")
     sorted_ig = ig[rows, order]

@@ -242,11 +242,11 @@ class TestRunTrial:
         one, so together they see each sending trial once.
         """
         whitened, precoded = [], []
-        real_qr, real_precoder = np.linalg.qr, secondary.build_precoder
+        real_qr, real_precoder = np.linalg.qr, secondary._precoder
         monkeypatch.setattr(np.linalg, "qr",
                             lambda x, mode="reduced": (mode == "raw" and whitened.append(len(x)))
                             or real_qr(x, mode=mode))
-        monkeypatch.setattr(secondary, "build_precoder",
+        monkeypatch.setattr(secondary, "_precoder",
                             lambda h12, u1, p1_bar: precoded.append(np.array(p1_bar))
                             or real_precoder(h12, u1, p1_bar))
         grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=40)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from oia import secondary
 from oia.errors import InvalidInputError, RedrawError
 from oia.primary import design_primary
-from oia.secondary import (GRAM_FLOOR, RANK_GUARD, build_precoder, design_secondary,
-                           undecided_sigma)
+from oia.secondary import GRAM_FLOOR, RANK_GUARD, design_secondary, undecided_sigma
 from oia.waterfill import waterfill
 
 from oracles import (
@@ -64,13 +63,15 @@ def conditioned_channel(nr, nt, ratio, rng):
 
 
 class TestBuildPrecoder:
+    """The precoder step of ``design_secondary``, ``_precoder``, on checked arrays."""
+
     def test_identity_channel(self):
-        v2_raw = build_precoder(EYE2, EYE2, [0.0, 0.25])
+        v2_raw = secondary._precoder(EYE2, EYE2, np.array([0.0, 0.25]))
         assert np.allclose(v2_raw, np.diag([0.0, 0.25]), atol=1e-15)
         assert np.all(v2_raw[:, 0] == 0.0)
 
     def test_all_modes_used_gives_zero_precoder(self):
-        v2_raw = build_precoder(EYE2, EYE2, [0.0, 0.0])
+        v2_raw = secondary._precoder(EYE2, EYE2, np.zeros(2))
         assert np.all(v2_raw == 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -96,7 +97,7 @@ class TestBuildPrecoder:
         rng = np.random.default_rng(0)
         h12 = complex_gaussian(4, 2, rng)
         u1 = np.linalg.qr(complex_gaussian(4, 4, rng))[0]
-        v2_raw = build_precoder(h12, u1, [0.0, 0.3])
+        v2_raw = secondary._precoder(h12, u1, np.array([0.0, 0.3]))
         assert v2_raw.shape == (2, 2)
         assert np.all(v2_raw[:, 0] == 0.0)
         assert np.any(v2_raw[:, 1] != 0.0)
@@ -108,7 +109,7 @@ class TestBuildPrecoder:
         h12 = complex_gaussian(nt + 1 + seed % 2, nt, rng)
         u1 = np.linalg.qr(complex_gaussian(h12.shape[0], h12.shape[0], rng))[0]
         p1_bar = rng.uniform(0.0, 1.0, nt)
-        v2_raw = build_precoder(h12, u1, p1_bar)
+        v2_raw = secondary._precoder(h12, u1, p1_bar)
         reference = np.linalg.pinv(h12) @ u1[:, :nt] * p1_bar[None, :]
         assert np.linalg.norm(v2_raw - reference) <= 1e-9 * np.linalg.norm(reference)
 
@@ -119,7 +120,7 @@ class TestBuildPrecoder:
         h12 = np.stack([complex_gaussian(n, n, rng) for _ in range(20)])
         u1 = np.stack([np.linalg.qr(complex_gaussian(n, n, rng))[0] for _ in range(20)])
         p1_bar = rng.uniform(0.0, 1.0, (20, n)) * (rng.random((20, n)) < 0.6)
-        v2_raw = build_precoder(h12, u1, p1_bar)
+        v2_raw = secondary._precoder(h12, u1, p1_bar)
         assert np.all(v2_raw.swapaxes(-1, -2)[p1_bar == 0.0] == 0.0)
         error = np.linalg.norm(herm(u1) @ h12 @ v2_raw - p1_bar[:, None, :] * np.eye(n),
                                axis=(-2, -1))
@@ -133,32 +134,36 @@ class TestBuildPrecoder:
         for _ in range(200):
             h12 = conditioned_channel(nr, nt, 10.0 * RANK_GUARD, rng)
             try:
-                v2_raw = build_precoder(h12, u1, rng.uniform(0.0, 1.0, nt))
+                v2_raw = secondary._precoder(h12, u1, rng.uniform(0.0, 1.0, nt))
             except RedrawError:
                 continue
             assert np.all(np.isfinite(v2_raw))
 
     def test_more_transmit_than_receive_rejected(self):
         rng = np.random.default_rng(1)
+        primary = design_primary(complex_gaussian(2, 3, rng), 1.0)
+        h = complex_gaussian(2, 3, rng)
         with pytest.raises(InvalidInputError, match="nr=2 < nt=3"):
-            build_precoder(complex_gaussian(2, 3, rng), np.eye(2), [0.1, 0.1, 0.1])
+            design_secondary(primary, h, h, h, 1.0)
 
     def test_singular_cross_channel_rejected(self):
         with pytest.raises(RedrawError) as info:
-            build_precoder(np.ones((2, 2)), EYE2, [0.0, 0.1])
+            secondary._precoder(np.ones((2, 2)), EYE2, np.array([0.0, 0.1]))
         assert info.value.reason == "cross"
 
     def test_singular_trial_of_a_stack_marked(self):
         h12 = np.stack([EYE2, np.ones((2, 2)), EYE2])
         u1 = np.broadcast_to(EYE2, h12.shape)
         with pytest.raises(RedrawError) as info:
-            build_precoder(h12, u1, np.full((3, 2), 0.1))
+            secondary._precoder(h12, u1, np.full((3, 2), 0.1))
         assert info.value.reason == "cross"
         assert list(info.value.rejected) == [False, True, False]
 
     def test_wrong_complement_length_rejected(self):
-        with pytest.raises(InvalidInputError):
-            build_precoder(EYE2, EYE2, [0.1])
+        primary = dataclasses.replace(walkthrough(), p1_bar=np.array([0.1]))
+        with pytest.raises(InvalidInputError, match=r"^p1_bar must have 2 entries per trial, "
+                                                    r"got shape \(1,\)$"):
+            design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
 
 
 class TestNonFiniteChannels:
@@ -183,11 +188,11 @@ class TestChannelShapes:
 
     @pytest.mark.parametrize("name,shape", [
         pytest.param(name, shape, id=f"{name}-{'x'.join(map(str, shape))}")
-        for names, shapes in [(("h12", "h21", "h22"), [(4, 3), (2, 3), (3,)]),
-                              (("h21", "h22"), [(3, 4), (2, 3, 3)])]
-        for name in names for shape in shapes
+        for name in ("h12", "h21", "h22")
+        for shape in [(4, 3), (2, 3), (3,), (3, 4), (3, 2), (2, 3, 3)]
     ])
     def test_misshaped_channel_rejected(self, name, shape):
+        """A stacked or narrower h12 is named too, not blamed on ``p1_bar``'s shape."""
         primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
         chans = {key: np.eye(3) for key in ("h12", "h21", "h22")}
         chans[name] = np.ones(shape)
@@ -204,24 +209,15 @@ class TestChannelShapes:
 
 
 class TestBadPrecoderInputs:
-    """A non-finite h12 and a non-finite or negative p1_bar are refused at entry and named."""
-
-    def test_nan_cross_channel_rejected_by_build_precoder(self):
-        h12 = EYE2.copy()
-        h12[1, 0] = np.nan
-        with pytest.raises(InvalidInputError, match="^h12 contains non-finite entries$"):
-            build_precoder(h12, EYE2, [0.0, 0.25])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
-    def test_bad_complement_rejected_by_build_precoder(self, bad):
-        with pytest.raises(InvalidInputError, match="^p1_bar must be finite and nonnegative$"):
-            build_precoder(EYE2, EYE2, [0.0, bad])
+    """A non-finite or negative p1_bar is refused at entry and named."""
 
     def test_bad_complement_rejected_by_design_secondary(self):
-        """A hand-built design with ``p1_bar = [nan, 5]`` is refused, not given NaN rates."""
-        primary = dataclasses.replace(walkthrough(), p1_bar=np.array([np.nan, 5.0]))
-        with pytest.raises(InvalidInputError, match="^p1_bar must be finite and nonnegative$"):
-            design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
+        """A hand-built design with ``p1_bar = [bad, 5]`` is refused, not given NaN rates."""
+        for bad in (np.nan, np.inf, -0.25):
+            primary = dataclasses.replace(walkthrough(), p1_bar=np.array([bad, 5.0]))
+            with pytest.raises(InvalidInputError,
+                               match="^p1_bar must be finite and nonnegative$"):
+                design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
 
 
 class TestSendersOnly:
@@ -233,7 +229,7 @@ class TestSendersOnly:
         assert primary.unused_count.tolist() == [1, 0]
         h12 = np.stack([EYE2, np.ones((2, 2))])
         with pytest.raises(RedrawError):  # where it would send, the guard rejects it
-            build_precoder(h12[1], EYE2, [0.0, 0.1])
+            secondary._precoder(h12[1], EYE2, np.array([0.0, 0.1]))
         eye = np.broadcast_to(EYE2, h12.shape)
         for design in design_secondary(primary, h12, eye, eye, 1.0):
             assert np.all(design.v2[1] == 0.0) and design.rate[1] == 0.0
@@ -268,13 +264,14 @@ class TestSendersOnly:
         assert info.value.rejected.tolist() == [False, False, True, False]
 
     def test_input_checks_cover_silent_stacks(self):
-        """With no trial sending, the shapes and the budget are still checked."""
+        """With no trial sending, the geometry, the shapes and the budget are still checked."""
         silent = design_primary(np.broadcast_to(EYE2, (3, 2, 2)), 1.0)
-        assert not np.any(silent.p1_bar > 0.0)
+        wide = design_primary(np.broadcast_to(np.eye(2, 3), (3, 2, 3)), 1.0)
+        assert not np.any(silent.p1_bar > 0.0) and not np.any(wide.p1_bar > 0.0)
         eye = np.broadcast_to(EYE2, (3, 2, 2))
         with pytest.raises(InvalidInputError, match="nr=2 < nt=3"):
-            design_secondary(silent, np.ones((3, 2, 3)), eye, eye, 1.0)
-        with pytest.raises(InvalidInputError, match="p1_bar must have 2 entries"):
+            design_secondary(wide, np.ones((3, 2, 3)), eye, eye, 1.0)
+        with pytest.raises(InvalidInputError, match=r"^h12 must have shape \(3, 2, 2\)"):
             design_secondary(silent, eye[:2], eye, eye, 1.0)
         with pytest.raises(InvalidInputError):
             design_secondary(silent, eye, eye, eye, 0.0)
@@ -387,7 +384,7 @@ class TestOneActiveColumn:
             real = getattr(np.linalg, name)
             if callable(real) and not isinstance(real, type):
                 monkeypatch.setattr(np.linalg, name, counted(name, real))
-        monkeypatch.setattr(secondary, "build_precoder", uncounted(secondary.build_precoder))
+        monkeypatch.setattr(secondary, "_precoder", uncounted(secondary._precoder))
         for links in (one, two):
             design_secondary(*links)
             assert calls == ["qr"]
@@ -500,11 +497,11 @@ class TestGuards:
         expected = rank_criterion(h12)
         if expected.any():
             with pytest.raises(RedrawError) as info:
-                build_precoder(h12, u1, p1_bar)
+                secondary._precoder(h12, u1, p1_bar)
             assert info.value.reason == "cross"
             assert info.value.rejected.tolist() == expected.tolist()
         else:
-            v2_raw = build_precoder(h12, u1, p1_bar)
+            v2_raw = secondary._precoder(h12, u1, p1_bar)
             assert np.all(np.isfinite(v2_raw))
 
     def test_inconclusive_certificate_passes_on_singular_values(self, monkeypatch):
@@ -516,7 +513,7 @@ class TestGuards:
         real = secondary.undecided_sigma
         monkeypatch.setattr(secondary, "undecided_sigma",
                             lambda a, ok: certified.append(np.asarray(ok).tolist()) or real(a, ok))
-        v2_raw = build_precoder(h12, EYE2, [0.0, 0.5])
+        v2_raw = secondary._precoder(h12, EYE2, np.array([0.0, 0.5]))
         assert certified == [False]
         assert np.all(np.isfinite(v2_raw))
 
@@ -525,7 +522,7 @@ class TestGuards:
         h12 = np.stack([EYE2, np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros((2, 2)),
                         np.diag([1.0, 1e-200]), EYE2])
         with pytest.raises(RedrawError) as info:
-            build_precoder(h12, np.broadcast_to(EYE2, h12.shape), np.full((5, 2), 0.1))
+            secondary._precoder(h12, np.broadcast_to(EYE2, h12.shape), np.full((5, 2), 0.1))
         assert info.value.rejected.tolist() == [False, True, True, True, False]
 
     @pytest.mark.parametrize("multiple,rejected", [(0.5, True), (0.9, True), (1.5, False),
@@ -538,7 +535,7 @@ class TestGuards:
         """
         gap = math.sqrt(2.0 * multiple * GRAM_FLOOR)
         primary, h12 = parallel_columns_primary(gap)
-        v2_raw = build_precoder(h12, primary.u, primary.p1_bar)
+        v2_raw = secondary._precoder(h12, primary.u, primary.p1_bar)
         active = primary.p1_bar > 0.0
         vn = v2_raw[:, active] / np.linalg.norm(v2_raw[:, active], axis=0)
         low = np.linalg.svd(vn, compute_uv=False)[-1] ** 2
@@ -831,6 +828,20 @@ class TestPerTrialBudget:
             assert np.all(design.v2[~sends] == 0.0)
             assert np.all(design.rate[~sends] == 0.0)
 
+    @pytest.mark.parametrize("entry", ["waterfill", "design_primary", "design_secondary"])
+    def test_misshaped_budget_rejected(self, entry):
+        """A budget neither one value nor one per trial of the 3-stack is refused by name."""
+        eye = np.broadcast_to(EYE2, (3, 2, 2))
+        primary = design_primary(np.broadcast_to(np.diag([2.0, 1.0]), (3, 2, 2)), 0.5)
+        call = {"waterfill": lambda p: waterfill(np.ones((3, 2)), p),
+                "design_primary": lambda p: design_primary(eye, p),
+                "design_secondary": lambda p: design_secondary(primary, eye, eye, eye, p)}[entry]
+        name = "budget" if entry == "waterfill" else "p_max"
+        for bad in ([0.01, 0.02], np.full((3, 1), 0.01)):
+            with pytest.raises(InvalidInputError, match=rf"^{name} must be one value or have "
+                                                        r"the stack's shape \(3,\), got shape "):
+                call(bad)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_bad_entry_rejected(self, bad):
         budgets = np.array([1.0, bad, 2.0])
@@ -872,7 +883,7 @@ class TestUndecidedSigma:
 
 
 class TestPinvTall:
-    """The tall pseudo-inverse, formed from QR factors inside ``build_precoder``.
+    """The tall pseudo-inverse, formed from QR factors by the precoder step ``_precoder``.
 
     With an all-ones complement and a column-selecting ``u1``, the unscaled
     precoder is a block of columns of ``h12^+``; ``tall_pinv`` stitches the
@@ -885,7 +896,7 @@ class TestPinvTall:
         blocks = []
         for start in range(0, nr, nt):
             u1 = np.eye(nr)[:, [(start + k) % nr for k in range(nr)]]
-            blocks.append(build_precoder(h, u1, np.ones(nt)))
+            blocks.append(secondary._precoder(h, u1, np.ones(nt)))
         return np.hstack(blocks)[:, :nr]
 
     def test_identity(self):
@@ -896,8 +907,10 @@ class TestPinvTall:
         assert np.allclose(p, [[0.5, 0.5]], atol=1e-14)
 
     def test_rejects_wide(self):
+        """A wide primary has no precoder; it is refused before any channel is read."""
+        primary = design_primary(np.ones((1, 2)), 1.0)
         with pytest.raises(InvalidInputError, match="nr=1 < nt=2"):
-            self.tall_pinv(np.ones((1, 2)))
+            design_secondary(primary, np.ones(3), np.ones(3), np.ones(3), 1.0)
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(RedrawError):
