@@ -20,10 +20,10 @@ FIG_COMPARE_ANTENNAS = (3, 20)
 
 # Largest sweep the CLI accepts. Every cell costs a row and a pool task per
 # pass, and a cell keeps its per-trial records until it is aggregated: about
-# 100 bytes per trial at peak, measured on one n=2 cell of 2*10^5 trials, so
-# the per-cell trial cap bounds that memory at about 1 GB. A trial holds about
-# 18 n x n complex matrices at once (peak RSS rise of one trial at n=400), so
-# the antenna cap bounds one trial's working set at about 0.3 GB per process.
+# 105 bytes per trial at peak, traced on one and two n=2 cells of 2*10^5 trials,
+# so the per-cell trial cap bounds that memory at about 1.05 GB. A trial holds
+# about 18 n x n complex matrices at once (peak RSS rise of one trial at n=400),
+# so the antenna cap bounds one trial's working set at about 0.3 GB per process.
 MAX_CELLS = 100_000
 MAX_TRIALS_PER_CELL = 10**7
 MAX_ANTENNAS = 1000

@@ -101,9 +101,10 @@ class ResultRow:
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 # A row's values in CSV column order, read without copying them.
 _row_values = operator.attrgetter(*CSV_HEADER.split(","))
-# The TrialRecords fields that a cell's row averages, in CSV column order.
-_AVERAGED = ("unused_modes", "rate_primary", "rate_secondary_uniform",
-             "rate_secondary_optimal")
+# The TrialRecords fields of a pass's array: those a cell's row averages, in CSV
+# column order, then the discard counts, which float64 holds exactly below 2^53.
+_FIELDS = ("unused_modes", "rate_primary", "rate_secondary_uniform",
+           "rate_secondary_optimal", "discards")
 
 
 def snr_to_power(snr_db: float) -> float:
@@ -176,7 +177,7 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of each row of a C-contiguous 2-D array."""
+    """Mean and standard error along the last axis, which must be contiguous."""
     means = values.mean(axis=-1)
     # single-trial cells report stderr 0 by convention
     if values.shape[-1] < 2:
@@ -185,7 +186,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # below about -1600 dB). Scaling each row by a power of two first is exact.
     _, exponent = np.frexp(np.abs(values).max(axis=-1, keepdims=True))
     std = np.ldexp(np.ldexp(values, -exponent).std(axis=-1, ddof=1, keepdims=True), exponent)
-    return means, std[:, 0] / math.sqrt(values.shape[-1])
+    return means, std[..., 0] / math.sqrt(values.shape[-1])
 
 
 def _pass_size(grid: ExperimentGrid) -> int:
@@ -207,10 +208,12 @@ def _passes(grids, grid_offset: int):
         first += len(grid.snr_db_list)
 
 
-def _run_pass(task) -> TrialRecords:
+def _run_pass(task) -> np.ndarray:
+    """A pass's records as one ``(len(_FIELDS), stop - start)`` float64 array."""
     grid, first, start, stop = task
     cell, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), np.uint64(grid.trials))
-    return run_trials(grid, np.uint64(first) + cell, np.asarray(grid.snr_db_list)[cell], trial)
+    records = run_trials(grid, np.uint64(first) + cell, np.asarray(grid.snr_db_list)[cell], trial)
+    return np.stack([getattr(records, name) for name in _FIELDS], dtype=float)
 
 
 def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
@@ -224,25 +227,19 @@ def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
         yield pending.popleft().result()
 
 
-def _cell_rows(grid: ExperimentGrid, cells) -> list[ResultRow]:
-    """Rows of cells given as ``(snr_db, pieces)``, aggregated in one call.
+def _cell_rows(grid: ExperimentGrid, first: int, values: np.ndarray) -> list[ResultRow]:
+    """Rows of the grid's cells from ``first`` on, from their ``_run_pass`` records in one call.
 
-    A cell's ``(records, lo, hi)`` pieces are slices that hold its trials in order.
+    ``values`` holds whole cells, their trials in cell-major order.
     """
-    values = np.empty((len(cells), len(_AVERAGED), grid.trials))
-    rows = []
-    for out, (snr_db, pieces) in zip(values, cells):
-        discards, at = 0, 0
-        for records, lo, hi in pieces:
-            for row, name in enumerate(_AVERAGED):
-                out[row, at:at + hi - lo] = getattr(records, name)[lo:hi]
-            discards += int(records.discards[lo:hi].sum())
-            at += hi - lo
-        rows.append((grid.nt, grid.nr, snr_db, grid.trials, discards))
+    cells = values.shape[1] // grid.trials
+    values = values.reshape(len(_FIELDS), cells, grid.trials)
+    means, stderrs = _mean_stderr(values[:-1])
     # avg and stderr of each averaged field, alternating, in CSV column order
-    means, stderrs = _mean_stderr(values.reshape(-1, grid.trials))
-    stats = np.stack((means, stderrs), axis=-1).reshape(len(cells), -1).tolist()
-    return [ResultRow(*head, *tail) for head, tail in zip(rows, stats)]
+    stats = np.stack((means, stderrs), axis=-1).swapaxes(0, 1).reshape(cells, -1).tolist()
+    discards = values[-1].sum(axis=-1).tolist()
+    return [ResultRow(grid.nt, grid.nr, grid.snr_db_list[first + cell], grid.trials,
+                      int(discards[cell]), *stats[cell]) for cell in range(cells)]
 
 
 def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
@@ -276,20 +273,17 @@ def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
             results = _in_order(pool, _passes(grids, grid_offset), window=4 * workers)
         else:
             results = map(_run_pass, _passes(grids, grid_offset))
-        rows, pieces = [], []
-        for (grid, _, start, stop), records in zip(_passes(grids, grid_offset), results):
-            # Cut the pass at cell boundaries; a cell is complete at its last trial.
-            done, at = [], start
-            while at < stop:
-                cell = at // grid.trials
-                end = min(stop, (cell + 1) * grid.trials)
-                pieces.append((records, at - start, end - start))
-                if end == (cell + 1) * grid.trials:
-                    done.append((grid.snr_db_list[cell], pieces))
-                    pieces = []
-                at = end
-            if done:
-                rows.extend(_cell_rows(grid, done))
+        rows, held = [], []
+        for (grid, _, start, stop), values in zip(_passes(grids, grid_offset), results):
+            # A cell is complete at its last trial; held runs from a cell's first to stop.
+            held.append(values)
+            end = stop - stop % grid.trials
+            if end > start:
+                values = np.concatenate(held, axis=1)
+                begin = stop - values.shape[1]
+                # A copy of the tail, so that the completed block goes once aggregated.
+                held = [values[:, end - begin:].copy()]
+                rows.extend(_cell_rows(grid, begin // grid.trials, values[:, :end - begin]))
         return rows
 
 

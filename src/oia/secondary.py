@@ -32,8 +32,6 @@ RANK_GUARD = 1e-10
 # A trial passes at once where ||m^{-1}||_F^{-2} >= 2 * GRAM_FLOOR.
 GRAM_FLOOR = 1e-12
 
-_ZERO_COLUMN = "an active precoder column is exactly zero"
-
 
 @dataclass(frozen=True)
 class SecondaryDesign:
@@ -105,7 +103,9 @@ def _precoder(h12, u1, p1_bar) -> np.ndarray:
                           f"(singular-value ratio {ratio[rejected].min():.3e})", rejected)
     if nr > nt:
         steer = steer @ u1[..., :nt]
-    steer *= p1_bar[..., None, :]
+    # An overflow here shows as a non-finite norm, which design_secondary refuses.
+    with np.errstate(over="ignore"):
+        steer *= p1_bar[..., None, :]
     return steer
 
 
@@ -195,8 +195,10 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     The sending trials' precoder ``v2_raw`` comes from ``_precoder``;
     its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
     the whole stack, so only a sending trial is ever discarded by the cross
-    channel's rank guard. The sending trials are grouped by their
-    active-column count k, and each group is solved as one stack.
+    channel's rank guard. A precoder whose squared norm is not finite (h12
+    too small for ``p1_bar``) is an InvalidInputError naming both. The
+    sending trials are grouped by their active-column count k, and each
+    group is solved as one stack.
 
     A sending trial's receiver whitens the primary's interference, whose
     covariance with the unit noise is ``q = I + b b^H``, with ``b = h21 @ v1
@@ -277,7 +279,10 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
             raise RedrawError(exc.reason, exc.args[1], rejected) from None
     p2 = np.zeros((count, nt, nt), dtype=np.complex128)
     # Inactive columns are exactly zero, so this is ||vt||_F^2 of every sending trial.
-    total = np.sum(np.abs(v2s) ** 2, axis=(-2, -1))
+    with np.errstate(over="ignore"):
+        total = np.sum(np.abs(v2s) ** 2, axis=(-2, -1))
+    if not np.all(np.isfinite(total)):
+        raise InvalidInputError("h12 and p1_bar give a precoder whose squared norm is not finite")
     scale = _scatter(np.sqrt(flat_p[sends] / total), sends, count)
     rate_uniform, rate_optimal = np.zeros(count), np.zeros(count)
     # The active columns are a suffix, so a trial's active count names its
@@ -304,12 +309,13 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         # reading the block from it skips mode "r"'s full-size triu copy.
         a = np.triu(np.linalg.qr(x, mode="raw")[0][:, lead:, lead:nt].swapaxes(-1, -2))
         del x
+        norms = np.sqrt(np.sum((vt.conj() * vt).real, axis=-2))
+        if norms.min() == 0.0:
+            raise InternalInvariantError("an active precoder column is exactly zero")
+        power = (flat_p[trials] / total[members])[:, None]
         if k == 1:
             # Water-filling gives a lone mode the whole budget, so both schemes put
             # p_max / ||vt||^2 on it and share one rate, found from norms alone.
-            if total[members].min() == 0.0:
-                raise InternalInvariantError(_ZERO_COLUMN)
-            power = (flat_p[trials] / total[members])[:, None]
             rate_uniform[trials] = rate_optimal[trials] = sum_rate(np.abs(a[:, 0]) ** 2, power)
             p2[trials, -1, -1] = power[:, 0]
             continue
@@ -317,9 +323,6 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         # orders of magnitude, and small singular values of the gram root carry only
         # absolute accuracy. The optimum depends only on the precoder's column space,
         # so solve in normalized columns and undo the rescale on the output covariance.
-        norms = np.sqrt(np.sum((vt.conj() * vt).real, axis=-2))
-        if norms.min() == 0.0:
-            raise InternalInvariantError(_ZERO_COLUMN)
         vt /= norms[..., None, :]
         if k == 2:
             sigma2 = _gram_eig(a)[0]
@@ -333,7 +336,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
             certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
                                      <= (2.0 * GRAM_FLOOR) ** -0.5)
             low = undecided_sigma(m, certified)[..., -1] ** 2
-        rate_uniform[trials] = sum_rate(sigma2, (flat_p[trials] / total[members])[:, None])
+        rate_uniform[trials] = sum_rate(sigma2, power)
         if np.any(low < GRAM_FLOOR):
             raise RedrawError("gram", f"eigenvalue {np.nanmin(low):.6e} below {GRAM_FLOOR:.0e}",
                               _scatter(low < GRAM_FLOOR, trials, count).reshape(batch))

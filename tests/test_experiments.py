@@ -460,41 +460,34 @@ class TestCellRow:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 80), st.lists(st.integers(-300, 300), min_size=3, max_size=3),
-           st.lists(st.integers(0, 80), max_size=4), st.booleans(), st.integers(1, 4),
+           st.integers(0, 3), st.integers(0, 80), st.booleans(), st.integers(1, 4),
            st.integers(0, 2**32 - 1))
-    def test_matches_per_column_oracle(self, trials, exponents, cuts, zeros, cells, seed):
-        """Rates from 1e-303 to 1e300, one to 80 trials, cut into up to five passes.
+    def test_matches_per_column_oracle(self, trials, exponents, first, tail, zeros, cells, seed):
+        """Rates from 1e-303 to 1e300, one to 80 trials, one to four cells in one block.
 
-        One call aggregates one to four cells, each with its own trials and
-        rate scales, as a pass that completes several cells does.
+        One call aggregates the whole cells of a block, each with its own
+        trials and rate scales, from the grid's cell ``first`` on. The block
+        is cut from a wider array, as ``run_grid`` cuts it from the held
+        records with an unfinished cell's trials after it.
         """
         rng = np.random.default_rng(seed)
-        snrs = [7.0 + cell for cell in range(cells)]
+        snrs = [7.0 + cell for cell in range(first + cells)]
         grid = small_grid(nt=3, nr=4, snr_db_list=snrs, trials=trials)
-        given_cells, expected_rows = [], []
-        for cell, snr_db in enumerate(snrs):
+        columns, expected_rows = [], []
+        for cell, snr_db in enumerate(snrs[first:]):
             unused = rng.integers(0, 4, trials)
             rates = [10.0 ** (min(300, max(-300, e + 40 * cell)) + rng.uniform(-3.0, 0.0, trials))
                      for e in exponents]
             if zeros:
                 rates[0][rng.random(trials) < 0.5] = 0.0
             discards = rng.integers(0, 3, trials)
-            columns = [unused, *rates, discards]
-            bounds = sorted({0, trials, *(c for c in cuts if c < trials)})
-            pieces = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                # each piece sits inside a pass of its own, with other trials around it
-                before, after = rng.integers(0, 3, 2)
-                padded = [np.concatenate([rng.integers(0, 9, before).astype(c.dtype), c[lo:hi],
-                                          rng.integers(0, 9, after).astype(c.dtype)])
-                          for c in columns]
-                pieces.append((TrialRecords(*padded), before, before + hi - lo))
-            given_cells.append((snr_db, pieces))
+            columns.append(np.stack([unused, *rates, discards]))
             expected = [3, 4, snr_db, trials, int(discards.sum())]
             for column in (unused.astype(float), *rates):
                 expected.extend(column_mean_stderr(column))
             expected_rows.append(expected)
-        rows = experiments._cell_rows(grid, given_cells)
+        held = np.concatenate([*columns, rng.integers(0, 9, (5, tail))], axis=1)
+        rows = experiments._cell_rows(grid, first, held[:, :cells * trials])
         assert len(rows) == cells
         for row, expected in zip(rows, expected_rows):
             got = [getattr(row, f.name) for f in fields(row)]

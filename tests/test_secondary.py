@@ -219,6 +219,25 @@ class TestBadPrecoderInputs:
                                match="^p1_bar must be finite and nonnegative$"):
                 design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
 
+    @pytest.mark.parametrize("n,scale", [(2, 1e-150), (3, 1e-100), (4, 1e-150)],
+                             ids=["2x2-identity", "3x3-identity", "4x4-gaussian"])
+    def test_scaled_down_channels_refused(self, n, scale):
+        """Channels all scaled far down give a p1_bar of 1e200 to 1e301 that overflows the precoder.
+
+        Such a design is refused by name, not given NaN rates (2 x 2), a
+        "gram" redraw (3 x 3) or a LinAlgError from an SVD (4 x 4).
+        """
+        if n < 4:
+            chans = [np.diag([10.0] + [1.0] * (n - 1))] + [np.eye(n)] * 3
+        else:
+            rng = np.random.default_rng(0)
+            chans = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                     for _ in range(4)]
+        h11, h12, h21, h22 = (scale * h for h in chans)
+        primary = design_primary(h11, 1e-20)
+        with pytest.raises(InvalidInputError, match="^h12 and p1_bar give a precoder "):
+            design_secondary(primary, h12, h21, h22, 1e-20)
+
 
 class TestSendersOnly:
     """Only trials with an active column reach the precoder and its rank guard."""
