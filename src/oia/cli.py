@@ -131,8 +131,7 @@ def cli_main(argv=None) -> int:
         print(f"oia: a worker process died: {exc}", file=sys.stderr)
         return 1
     except OiaError as exc:
-        # A numerical failure inside the sweep: a redraw that kept failing, or
-        # a guarantee that should hold by construction did not.
+        # A numerical failure inside the sweep: a redraw that kept failing.
         print(f"oia: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

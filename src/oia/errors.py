@@ -27,7 +27,3 @@ class RedrawError(OiaError):
     def __str__(self) -> str:
         matrix = "precoder gram matrix" if self.reason == "gram" else f"{self.reason} channel"
         return f"{matrix} rejected: {self.args[1]}"
-
-
-class InternalInvariantError(OiaError):
-    """An internal consistency condition that should hold by construction was violated."""

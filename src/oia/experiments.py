@@ -101,10 +101,9 @@ class ResultRow:
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 # A row's values in CSV column order, read without copying them.
 _row_values = operator.attrgetter(*CSV_HEADER.split(","))
-# The TrialRecords fields of a pass's array: those a cell's row averages, in CSV
-# column order, then the discard counts, which float64 holds exactly below 2^53.
-_FIELDS = ("unused_modes", "rate_primary", "rate_secondary_uniform",
-           "rate_secondary_optimal", "discards")
+# A pass's array has TrialRecords' fields as rows: those a cell's row averages,
+# in CSV column order, then the discard counts, exact in float64 below 2^53.
+_FIELDS = tuple(f.name for f in fields(TrialRecords))
 
 
 def snr_to_power(snr_db: float) -> float:
@@ -193,14 +192,14 @@ def _pass_size(grid: ExperimentGrid) -> int:
     return max(1, PASS_BYTES // (16 * grid.nr * grid.nr))
 
 
-def _passes(grids, grid_offset: int):
+def _passes(grids):
     """Each geometry's trials, cell after cell, cut into passes of ``_pass_size``.
 
     A task is ``(grid, first, start, stop)``: positions ``start..stop`` of
     the grid's trials in cell-major order, where position ``c * trials + t``
     is trial t of cell c, whose grid index is ``first + c``.
     """
-    first = grid_offset
+    first = 0
     for grid in grids:
         size, total = _pass_size(grid), grid.trials * len(grid.snr_db_list)
         for start in range(0, total, size):
@@ -242,27 +241,23 @@ def _cell_rows(grid: ExperimentGrid, first: int, values: np.ndarray) -> list[Res
                       int(discards[cell]), *stats[cell]) for cell in range(cells)]
 
 
-def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
+def run_grid(grids, workers: int = 1) -> list[ResultRow]:
     """All cells of a sequence of grids, one ResultRow per SNR point, in order.
 
-    Cells are numbered consecutively across the grids, starting at
-    ``grid_offset``, and a cell's number is its grid_index. A geometry's
-    trials run cell after cell in passes (see ``PASS_BYTES``), and a pass
-    may span several cells; with ``workers > 1`` one process pool, of at
-    most one process per pass, runs the passes of all geometries. The cells
-    a pass completes are aggregated together as soon as it arrives, so
-    besides the passes in flight only the records of the one unfinished cell
-    are held. Every trial's stream depends only on (master_seed, grid_index,
-    trial_index) and each cell aggregates its trials in index order, so the
-    output is identical for any worker count.
+    Cells are numbered consecutively across the grids, from 0, and a cell's
+    number is its grid_index. A geometry's trials run cell after cell in
+    passes (see ``PASS_BYTES``), and a pass may span several cells; with
+    ``workers > 1`` one process pool, of at most one process per pass, runs
+    the passes of all geometries. The cells a pass completes are aggregated
+    together as soon as it arrives, so besides the passes in flight only the
+    records of the one unfinished cell are held. Every trial's stream
+    depends only on (master_seed, grid_index, trial_index) and each cell
+    aggregates its trials in index order, so the output is identical for any
+    worker count.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     grids = list(grids)
-    cells = sum(len(grid.snr_db_list) for grid in grids)
-    if not 0 <= grid_offset <= 2**64 - cells:
-        raise InvalidInputError(f"grid indices from {grid_offset} for {cells} cells "
-                                "must lie in [0, 2^64)")
     # A pool starts all its processes at once; more than one per pass would
     # idle. A geometry has ceil(trials * cells / pass size) passes.
     workers = min(workers, sum(-(-grid.trials * len(grid.snr_db_list) // _pass_size(grid))
@@ -270,11 +265,11 @@ def run_grid(grids, workers: int = 1, grid_offset: int = 0) -> list[ResultRow]:
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = _in_order(pool, _passes(grids, grid_offset), window=4 * workers)
+            results = _in_order(pool, _passes(grids), window=4 * workers)
         else:
-            results = map(_run_pass, _passes(grids, grid_offset))
+            results = map(_run_pass, _passes(grids))
         rows, held = [], []
-        for (grid, _, start, stop), values in zip(_passes(grids, grid_offset), results):
+        for (grid, _, start, stop), values in zip(_passes(grids), results):
             # A cell is complete at its last trial; held runs from a cell's first to stop.
             held.append(values)
             end = stop - stop % grid.trials

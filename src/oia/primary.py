@@ -67,8 +67,10 @@ def design_primary(h11, p_max) -> PrimaryDesign:
         rank-deficient channel has no finite design; callers discard the
         trial and redraw.
     InvalidInputError
-        If h11 is not a matrix or has a NaN or infinite entry, or p_max has
-        neither of its shapes or an entry that is not positive and finite.
+        If h11 is not a matrix, has a NaN or infinite entry, or has a
+        nonzero singular value whose square or inverse square, or the sum of
+        the inverse squares, leaves float range; or if p_max has neither of
+        its shapes or an entry that is not positive and finite.
     """
     h11 = np.asarray(h11, dtype=np.complex128)
     if h11.ndim < 2 or h11.shape[-2] < 1 or h11.shape[-1] < 1:
@@ -81,7 +83,13 @@ def design_primary(h11, p_max) -> PrimaryDesign:
     if rejected.any():
         raise RedrawError("direct", "rank deficient, complementary allocation undefined",
                           rejected)
-    inverse_gains = 1.0 / lam**2
+    # Beyond about 1e154, or below 1e-154, a singular value's square or inverse
+    # square leaves float range; the water level also sums the inverse squares.
+    with np.errstate(over="ignore", divide="ignore"):
+        inverse_gains = 1.0 / lam**2
+        if not np.all((inverse_gains[..., 0] > 0.0) & (np.sum(inverse_gains, axis=-1) < np.inf)):
+            raise InvalidInputError("h11 has a singular value too large or too small "
+                                    "to square and invert in floating point")
     p1 = waterfill(inverse_gains, p_max)
     p1_bar = np.maximum(0.0, inverse_gains - np.expand_dims(p1.water_level, -1))
     unused = np.count_nonzero(p1.powers == 0.0, axis=-1)

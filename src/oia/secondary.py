@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError, InvalidInputError, RedrawError
+from .errors import InvalidInputError, RedrawError
 from .waterfill import positive_budget, sum_rate, waterfill
 
 # Smallest/largest singular-value ratio of the cross channel below which it is
@@ -142,8 +142,14 @@ def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
     products, so the smaller eigenvalue ``det / top`` is as accurate as an
     SVD's. The top eigenvector comes from the row of ``a^H a - top I`` whose
     diagonal entry cancels least, and is ``e_0`` where ``a^H a`` is a
-    multiple of I.
+    multiple of I. A block whose largest entry lies outside [2^-250, 2^250)
+    is first scaled by a power of two, which keeps that product in range,
+    and its eigenvalues are scaled back.
     """
+    _, shift = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    shift[(shift > -250) & (shift <= 250)] = 0
+    if shift.any():
+        a = a * np.ldexp(1.0, -shift)[:, None, None]
     a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     d0 = (a00.conj() * a00).real
     e1 = (a11.conj() * a11).real
@@ -159,7 +165,8 @@ def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
     x = np.stack((np.where(first, gap, c), np.where(first, c.conj(), gap)), axis=-1)
     x /= np.hypot(gap, np.abs(c))[:, None]
     other = np.stack((-x[:, 1].conj(), x[:, 0].conj()), axis=-1)
-    return np.stack((top, low), axis=-1), np.stack((x, other), axis=-1)
+    values = np.ldexp(np.stack((top, low), axis=-1), 2 * shift[:, None])
+    return values, np.stack((x, other), axis=-1)
 
 
 def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -195,10 +202,10 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     The sending trials' precoder ``v2_raw`` comes from ``_precoder``;
     its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
     the whole stack, so only a sending trial is ever discarded by the cross
-    channel's rank guard. A precoder whose squared norm is not finite (h12
-    too small for ``p1_bar``) is an InvalidInputError naming both. The
-    sending trials are grouped by their active-column count k, and each
-    group is solved as one stack.
+    channel's rank guard. A trial whose active squared column norms, their
+    sum or ``p_max`` over it is zero or not finite is an InvalidInputError
+    naming h12 and ``p1_bar``. The sending trials are grouped by their
+    active-column count k, and each group is solved as one stack.
 
     A sending trial's receiver whitens the primary's interference, whose
     covariance with the unit noise is ``q = I + b b^H``, with ``b = h21 @ v1
@@ -278,12 +285,15 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
             rejected = _scatter(exc.rejected, sends, count).reshape(batch)
             raise RedrawError(exc.reason, exc.args[1], rejected) from None
     p2 = np.zeros((count, nt, nt), dtype=np.complex128)
-    # Inactive columns are exactly zero, so this is ||vt||_F^2 of every sending trial.
-    with np.errstate(over="ignore"):
-        total = np.sum(np.abs(v2s) ** 2, axis=(-2, -1))
-    if not np.all(np.isfinite(total)):
-        raise InvalidInputError("h12 and p1_bar give a precoder whose squared norm is not finite")
-    scale = _scatter(np.sqrt(flat_p[sends] / total), sends, count)
+    # Squared column norms; inactive columns are exactly zero, so total is ||vt||_F^2.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        columns = np.sum((v2s.conj() * v2s).real, axis=-2)
+        total = columns.sum(axis=-1)
+        power = flat_p[sends] / total
+    if not np.all((total < np.inf) & (power > 0.0) & (power < np.inf)
+                  & np.all(columns > 0.0, axis=-1, where=flat_active[sends])):
+        raise InvalidInputError("h12 and p1_bar give a precoder too small or too large to scale")
+    scale = _scatter(np.sqrt(power), sends, count)
     rate_uniform, rate_optimal = np.zeros(count), np.zeros(count)
     # The active columns are a suffix, so a trial's active count names its
     # columns. bincount lists the counts present, ascending, without the hash
@@ -309,15 +319,13 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         # reading the block from it skips mode "r"'s full-size triu copy.
         a = np.triu(np.linalg.qr(x, mode="raw")[0][:, lead:, lead:nt].swapaxes(-1, -2))
         del x
-        norms = np.sqrt(np.sum((vt.conj() * vt).real, axis=-2))
-        if norms.min() == 0.0:
-            raise InternalInvariantError("an active precoder column is exactly zero")
-        power = (flat_p[trials] / total[members])[:, None]
+        norms = np.sqrt(columns[members, lead:])
+        power_k = power[members, None]
         if k == 1:
             # Water-filling gives a lone mode the whole budget, so both schemes put
             # p_max / ||vt||^2 on it and share one rate, found from norms alone.
-            rate_uniform[trials] = rate_optimal[trials] = sum_rate(np.abs(a[:, 0]) ** 2, power)
-            p2[trials, -1, -1] = power[:, 0]
+            rate_uniform[trials] = rate_optimal[trials] = sum_rate(np.abs(a[:, 0]) ** 2, power_k)
+            p2[trials, -1, -1] = power_k[:, 0]
             continue
         # Column equilibration: complementary-allocation entries can differ by many
         # orders of magnitude, and small singular values of the gram root carry only
@@ -336,7 +344,7 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
             certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
                                      <= (2.0 * GRAM_FLOOR) ** -0.5)
             low = undecided_sigma(m, certified)[..., -1] ** 2
-        rate_uniform[trials] = sum_rate(sigma2, power)
+        rate_uniform[trials] = sum_rate(sigma2, power_k)
         if np.any(low < GRAM_FLOOR):
             raise RedrawError("gram", f"eigenvalue {np.nanmin(low):.6e} below {GRAM_FLOOR:.0e}",
                               _scatter(low < GRAM_FLOOR, trials, count).reshape(batch))

@@ -17,7 +17,9 @@ those two, the way the package once did,
 ``SeedSequence`` and generator per trial, ``complex_gaussian`` draws one
 channel matrix from it the way each trial's stacked draw must, and
 ``column_mean_stderr`` aggregates one CSV column at a time, the way the
-vectorized cell aggregation must reproduce bit for bit.
+vectorized cell aggregation must reproduce bit for bit. ``rows_numbered_from``
+is not an oracle: it runs a grid's passes with its cells numbered from a
+chosen grid index, as ``run_grid`` numbers a later grid of a sequence.
 """
 
 import itertools
@@ -25,6 +27,7 @@ import math
 
 import numpy as np
 
+from oia import experiments
 from oia.errors import InvalidInputError, OiaError
 from oia.secondary import GRAM_FLOOR
 
@@ -75,6 +78,14 @@ def column_mean_stderr(values):
     _, exponent = np.frexp(np.abs(values).max())
     std = np.ldexp(np.ldexp(values, -exponent).std(ddof=1), exponent)
     return float(values.mean()), float(std / math.sqrt(values.size))
+
+
+def rows_numbered_from(grid, first):
+    """``run_grid([grid])``'s rows, but with cell c at grid index ``first + c``."""
+    total, size = grid.trials * len(grid.snr_db_list), experiments._pass_size(grid)
+    values = [experiments._run_pass((grid, first, start, min(start + size, total)))
+              for start in range(0, total, size)]
+    return experiments._cell_rows(grid, 0, np.concatenate(values, axis=1))
 
 
 def log2_det_id_plus(m):

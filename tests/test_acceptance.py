@@ -27,6 +27,7 @@ from oracles import (
     herm,
     interference_covariance,
     residual_interference,
+    rows_numbered_from,
     secondary_split_oracle,
 )
 
@@ -212,7 +213,7 @@ def test_c06_unused_mode_trend():
     snr_grid = (-20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
     grid = ExperimentGrid(nt=4, nr=4, snr_db_list=snr_grid, trials=2000,
                           master_seed=MASTER_SEED)
-    rows = run_grid([grid], grid_offset=600)
+    rows = rows_numbered_from(grid, 600)
     problems = []
     for a, b in zip(rows, rows[1:]):
         pooled = math.hypot(a.stderr_unused_modes, b.stderr_unused_modes)
@@ -249,7 +250,7 @@ def test_c07_secondary_rate_trend(fig_rate_rows):
     for index, nt in enumerate((2, 4, 6)):
         grid = ExperimentGrid(nt=nt, nr=nt, snr_db_list=(peak_snr,), trials=1000,
                               master_seed=MASTER_SEED)
-        by_antennas[nt] = run_grid([grid], grid_offset=700 + index)[0].avg_rate_secondary_optimal
+        by_antennas[nt] = rows_numbered_from(grid, 700 + index)[0].avg_rate_secondary_optimal
     if not (by_antennas[2] < by_antennas[4] < by_antennas[6]):
         problems.append(f"rates not increasing with antennas: {by_antennas}")
     report("criterion 7 (secondary rate peaks at mid SNR, grows with antennas)", problems)
@@ -259,7 +260,7 @@ def test_c08_uniform_vs_optimal_gap(fig_rate_rows):
     snr_grid = tuple(range(-20, 41, 2))
     grid20 = ExperimentGrid(nt=20, nr=20, snr_db_list=snr_grid, trials=1000,
                             master_seed=MASTER_SEED)
-    rows20 = run_grid([grid20], grid_offset=800)
+    rows20 = rows_numbered_from(grid20, 800)
     rows3 = fig_rate_rows
     problems = []
     for rows, label in ((rows3, "nt=3"), (rows20, "nt=20")):

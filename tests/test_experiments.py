@@ -28,11 +28,7 @@ import oia.cli as cli
 import oia.experiments as experiments
 import oia.secondary as secondary
 from oia.cli import cli_main
-from oia.errors import (
-    InternalInvariantError,
-    InvalidInputError,
-    RedrawError,
-)
+from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import (
     CSV_HEADER,
     REPLACEMENT_BASE,
@@ -43,8 +39,9 @@ from oia.experiments import (
     snr_to_power,
     write_csv,
 )
+from oia.primary import design_primary
 
-from oracles import column_mean_stderr
+from oracles import column_mean_stderr, complex_gaussian, derive_stream, rows_numbered_from
 
 WALKTHROUGH_SNR_DB = 10.0 * math.log10(0.5)  # p_max = 0.5
 RECORD_FIELDS = [f.name for f in fields(TrialRecords)]
@@ -117,6 +114,18 @@ class TestRunTrial:
         stack = run_trials(grid, 0, 0.0, np.array([3, 2**63, 2**64 - 1], dtype=np.uint64))
         for name in RECORD_FIELDS:
             assert getattr(alone, name)[0] == getattr(stack, name)[1], name
+
+    def test_grid_index_up_to_64_bits(self):
+        """Grid indices take the 64 bits the seed contract allows, and no more."""
+        grid = small_grid(snr_db_list=(6.0,), trials=3)
+        record = run_trials(grid, 2**64 - 1, 6.0, range(3))
+        assert not record.discards.any()
+        for trial in range(3):
+            h11 = complex_gaussian(2, 2, derive_stream(grid.master_seed, 2**64 - 1, trial))
+            assert record.rate_primary[trial] == design_primary(h11, snr_to_power(6.0)).rate
+        for bad in (-1, 2**64):
+            with pytest.raises(InvalidInputError):
+                run_trials(grid, bad, 6.0, range(3))
 
     @staticmethod
     def always_singular_cross(real_draw, requested):
@@ -345,25 +354,11 @@ class TestRunGrid:
         monkeypatch.setattr(experiments, "PASS_BYTES", 16 * 2 * 2 * 7)
         assert run_grid([grid], workers=8) == serial
 
-    def test_grid_offset_changes_streams(self):
-        grid = small_grid(trials=10)
-        assert run_grid([grid], grid_offset=0) != run_grid([grid], grid_offset=100)
-
-    def test_grid_offset_up_to_64_bits(self):
-        """Grid indices take the 64 bits the seed contract allows, and no more."""
-        grid = small_grid(snr_db_list=(0.0, 6.0), trials=3)
-        row = run_grid([grid], grid_offset=2**64 - 2)[1]
-        record = run_trials(grid, 2**64 - 1, 6.0, range(3))
-        assert row.avg_rate_primary == float(record.rate_primary.mean())
-        for offset in (-1, 2**64 - 1):
-            with pytest.raises(InvalidInputError, match="grid indices"):
-                run_grid([grid], grid_offset=offset)
-
     def test_grid_sequence_numbers_cells_consecutively(self):
         first, second = small_grid(trials=5), small_grid(nt=3, nr=4, trials=5)
-        separate = run_grid([first], grid_offset=7) + run_grid([second], grid_offset=9)
-        assert run_grid([first, second], grid_offset=7) == separate
-        assert run_grid([first, second], workers=2, grid_offset=7) == separate
+        separate = run_grid([first]) + rows_numbered_from(second, 2)
+        assert run_grid([first, second]) == separate
+        assert run_grid([first, second], workers=2) == separate
 
     def test_one_cell_split_over_workers_matches_serial(self, monkeypatch):
         """A pool task is one pass, so a single cell still spreads over the workers."""
@@ -422,17 +417,16 @@ class TestRunGrid:
         cells = [(grid, snr_db) for grid in grids for snr_db in grid.snr_db_list]
         # Each cell alone, in one pass of its own.
         reference = [row for number, (grid, snr_db) in enumerate(cells)
-                     for row in run_grid([replace(grid, snr_db_list=(snr_db,))],
-                                         grid_offset=3 + number)]
+                     for row in rows_numbered_from(replace(grid, snr_db_list=(snr_db,)), number)]
         default = experiments._pass_size(grids[0])
         for size in (1, 7, trials - 1, trials, trials + 1, default):
             monkeypatch.setattr(experiments, "PASS_BYTES", 16 * 3 * 3 * size)
-            passes = list(experiments._passes(grids, 3))
+            passes = list(experiments._passes(grids))
             assert max(stop - start for _, _, start, stop in passes) == min(size, 3 * trials)
             if trials % size:
                 assert any(start // trials != (stop - 1) // trials
                            for _, _, start, stop in passes), "no pass straddles a cell"
-            assert run_grid(grids, workers=workers, grid_offset=3) == reference, size
+            assert run_grid(grids, workers=workers) == reference, size
 
     def test_stderr_scales_with_budget_at_very_low_snr(self):
         """Far below 0 dB rates scale with the budget; their standard errors must not underflow."""
@@ -698,9 +692,8 @@ class TestCli:
 
     @pytest.mark.parametrize("error", [
         RedrawError("gram", "trial 7 rejected 100 times in a row", np.ones(3, dtype=bool)),
-        InternalInvariantError("an active precoder column is exactly zero"),
         RedrawError("cross", "trial 7 rejected 100 times in a row", np.ones(3, dtype=bool)),
-    ], ids=["gram-give-up", "internal-invariant", "redraw-give-up"])
+    ], ids=["gram-give-up", "redraw-give-up"])
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch, error):
         def failing_run_grid(grids, workers):
             raise error

@@ -6,7 +6,8 @@ budget on its strongest mode, leaving n - 1 modes to the secondary, where
 water-filling does at least as well as the uniform split. At both extremes
 the secondary adds no interference on the primary's active modes, and the
 uniform rate, a sum over squared singular values, matches an independent
-log-det oracle across the whole SNR range.
+log-det oracle across the whole SNR range. A channel scaled by 1e-150 to
+1e150 gives finite rates or a refusal that names the matrix at fault.
 """
 
 import math
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oia.channel import draw_trials
+from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import ExperimentGrid, run_trials, snr_to_power
 from oia.primary import design_primary
 from oia.secondary import design_secondary
 
-from oracles import (herm, interference_covariance, log2_det_id_plus, residual_interference,
-                     whiten)
+from oracles import (complex_gaussian, herm, interference_covariance, log2_det_id_plus,
+                     residual_interference, whiten)
 
 TRIALS = 8
 ANTENNAS = st.integers(2, 6)
@@ -91,3 +93,41 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
     whitened = whiten(q, h22[sends] @ design.v2[sends])
     reference = log2_det_id_plus(herm(whitened) @ whitened)
     assert np.all(np.abs(design.rate[sends] - reference) <= 1e-9 * reference)
+
+
+def scaled_design(n, seed, which, scale):
+    """Both schemes of one n x n trial at budget 0.01, with channel ``which`` scaled.
+
+    Seed None gives ``h11 = diag([10, 1, ...])`` and identity h12, h21 and
+    h22; a seed draws all four as Gaussians. Unscaled, the primary nearly
+    always water-fills its strongest mode alone, leaving n - 1 free modes.
+    """
+    if seed is None:
+        chans = [np.diag([10.0] + [1.0] * (n - 1))] + [np.eye(n)] * 3
+    else:
+        rng = np.random.default_rng(seed)
+        chans = [complex_gaussian(n, n, rng) for _ in range(4)]
+    chans[which] = scale * chans[which]
+    h11, h12, h21, h22 = chans
+    return design_secondary(design_primary(h11, 0.01), h12, h21, h22, 0.01)
+
+
+@LIMITS
+@given(st.integers(2, 4), st.none() | st.integers(0, 2**32 - 1), st.integers(0, 3),
+       st.integers(-150, 150))
+def test_scaled_channels_give_finite_rates_or_a_named_refusal(n, seed, which, exponent):
+    """h11, h12, h21 or h22 scaled by 10^x, |x| <= 150: finite rates, or a refusal by name.
+
+    Any RuntimeWarning fails the test too. Where h12 is scaled and the call
+    returns, both rates match the unscaled call's within 1e-12 relative,
+    since neither scheme depends on h12's scale.
+    """
+    try:
+        designs = scaled_design(n, seed, which, 10.0**exponent)
+    except (InvalidInputError, RedrawError):
+        return
+    for design in designs:
+        assert np.isfinite(design.rate) and np.all(np.isfinite(design.v2))
+    if which == 1:
+        for scaled, unscaled in zip(designs, scaled_design(n, seed, which, 1.0)):
+            assert abs(scaled.rate - unscaled.rate) <= 1e-12 * unscaled.rate

@@ -112,6 +112,15 @@ class TestDesignPrimary:
         assert info.value.reason == "direct"
         assert list(info.value.rejected) == [False, True, False]
 
+    @pytest.mark.parametrize("h11", [np.diag([1.0, 1e-200]), np.diag([1e200, 1.0]),
+                                     np.diag([1e-160, 1e-160]), np.diag([1e-154, 1e-154])],
+                             ids=["square-underflows", "square-overflows",
+                                  "inverse-overflows", "inverse-sum-overflows"])
+    def test_out_of_range_singular_values_name_h11(self, h11):
+        """Squares, inverse squares or the water level's sum out of float range: h11 is named."""
+        with pytest.raises(InvalidInputError, match="^h11 "):
+            design_primary(h11, 0.01)
+
     @pytest.mark.parametrize("p_max,gain", [(0.0, 1.0), (-1.0, 1.0), (np.inf, 1.0)])
     def test_bad_parameters_rejected(self, p_max, gain):
         with pytest.raises(InvalidInputError, match="p_max"):

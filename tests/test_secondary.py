@@ -238,6 +238,25 @@ class TestBadPrecoderInputs:
         with pytest.raises(InvalidInputError, match="^h12 and p1_bar give a precoder "):
             design_secondary(primary, h12, h21, h22, 1e-20)
 
+    @staticmethod
+    def cross_scaled(scale):
+        """Both schemes of ``diag([10, 1, 1])`` at budget 0.01 with identity channels, h12 scaled."""
+        eye = np.eye(3)
+        return design_secondary(design_primary(np.diag([10.0, 1.0, 1.0]), 0.01),
+                                scale * eye, eye, eye, 0.01)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160, 1e200, 1e308])
+    def test_cross_channel_out_of_scale_refused(self, scale):
+        """Column norms, or their scale to p_max, out of float range are refused by name."""
+        with pytest.raises(InvalidInputError, match="^h12 and p1_bar give a precoder "):
+            self.cross_scaled(scale)
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e100, 1e150])
+    def test_scaled_cross_channel_keeps_rates(self, scale):
+        """Neither scheme depends on h12's scale, the two-column closed form included."""
+        for scaled, unscaled in zip(self.cross_scaled(scale), self.cross_scaled(1.0)):
+            assert abs(scaled.rate - unscaled.rate) <= 1e-12 * unscaled.rate
+
 
 class TestSendersOnly:
     """Only trials with an active column reach the precoder and its rank guard."""
