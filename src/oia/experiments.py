@@ -141,7 +141,7 @@ def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> Trial
     on a trial to redraw whose replacement index would pass 2^64.
     """
     trials = as_indices(trial_indices)
-    grid_index = np.broadcast_to(grid_index, trials.shape)
+    grid_index = np.broadcast_to(as_indices(grid_index), trials.shape)
     levels, level_of = np.unique(np.broadcast_to(snr_db, trials.shape), return_inverse=True)
     p_max = np.array([snr_to_power(level) for level in levels.tolist()])[level_of]
     # uint64 like the trial indices, so a replacement index is an exact uint64 sum.

@@ -21,15 +21,11 @@ from .waterfill import positive_budget, sum_rate, waterfill
 # Smallest/largest singular-value ratio of the cross channel below which it is
 # treated as rank deficient. Below this, inverting would amplify noise past
 # the point where the zero-interference guarantee is numerically meaningful.
-# A trial passes at once where ||h12||_F ||pinv||_F <= 0.5 / RANK_GUARD, with
-# ||cross^{-1}||_F standing in for ||pinv||_F when h12 is square: the product
-# bounds sigma_max / sigma_min from above, with a factor 2 for rounding.
 RANK_GUARD = 1e-10
 
 # Floor on the eigenvalues of the optimal scheme's precoder gram matrix, the
 # squared singular values of its unit-norm active columns: the largest lies
 # in [1, k] for k columns, and below the floor they are numerically dependent.
-# A trial passes at once where ||m^{-1}||_F^{-2} >= 2 * GRAM_FLOOR.
 GRAM_FLOOR = 1e-12
 
 
@@ -54,47 +50,53 @@ def herm(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def undecided_sigma(a, certified) -> np.ndarray:
-    """Singular values, descending, of the matrices of a stack a cheaper bound left undecided.
+def _guarded_solve(a, b, size, limit, of) -> tuple[np.ndarray, np.ndarray]:
+    """``x = a^{-1} @ b`` per trial by LU, and the singular values, descending, of ``of``.
 
-    ``certified`` holds one flag per matrix of ``a`` (shape ``(...)``), True
-    where a sufficient bound has already passed the matrix. Its rows of the
-    result ``(..., min(m, n))`` are NaN, so any comparison a guard makes on
-    them is False. Raises InvalidInputError if an uncertified matrix is not
-    finite.
+    ``x`` is ``of``'s inverse or left pseudo-inverse up to a unitary factor,
+    so ``1 / ||x||_F`` bounds ``of``'s smallest singular value from below. A
+    trial is certified where ``size * ||x||_F <= limit``, each guard setting
+    these so that it passes with a factor 2 to spare for rounding; its row of
+    singular values is NaN, so no comparison a guard makes on it holds. Every
+    other row holds ``np.linalg.svd``'s exact values. A trial whose LU meets
+    an exactly zero pivot is among those, and gets I in place of ``a`` so
+    that it cannot fail the whole stack's solve.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    certified = np.asarray(certified, dtype=bool)
-    sigma = np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.nan)
-    if not certified.all():
-        todo = a[~certified]
-        if not np.all(np.isfinite(todo)):
-            raise InvalidInputError("a contains non-finite entries")
-        sigma[~certified] = np.linalg.svd(todo, compute_uv=False)
-    return sigma
+    try:
+        x, singular = np.linalg.solve(a, b), np.zeros(a.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        # slogdet runs the same LU as solve and reports a zero pivot as sign 0.
+        singular = np.linalg.slogdet(a)[0] == 0.0
+        x = np.linalg.solve(np.where(singular[..., None, None], np.eye(a.shape[-1]), a), b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        undecided = singular | ~(size * np.linalg.norm(x, axis=(-2, -1)) <= limit)
+    sigma = np.full(of.shape[:-2] + (min(of.shape[-2:]),), np.nan)
+    if undecided.any():
+        sigma[undecided] = np.linalg.svd(of[undecided], compute_uv=False)
+    return x, sigma
 
 
 def _precoder(h12, u1, p1_bar) -> np.ndarray:
     """Unscaled zero-interference precoder of checked trials, zero where ``p1_bar`` is.
 
-    A square h12 steers by ``solve(u1^H @ h12, I)``, a tall one by the left
-    pseudo-inverse ``solve(r, q^H) @ u1[:, :nt]`` with ``h12 = q r``, which
+    A square h12 steers by ``(u1^H @ h12)^{-1}``, a tall one by the left
+    pseudo-inverse ``r^{-1} q^H @ u1[:, :nt]`` with ``h12 = q r``, which
     does not in general clear the active modes; column n is then scaled by
-    ``p1_bar[n]``. Raises ``RedrawError("cross")``, whose ``rejected`` marks
-    the trials that fail the rank guard.
+    ``p1_bar[n]``. A trial whose h12 has a smallest-to-largest singular-value
+    ratio below ``RANK_GUARD`` fails the rank guard: ``RedrawError("cross")``
+    marks those trials in its ``rejected``.
     """
     nr, nt = h12.shape[-2:]
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(h12, axis=(-2, -1))
     if nr == nt:
         # u1 is unitary, so cross^{-1} = h12^{-1} @ u1 is the steer and has h12^{-1}'s norm.
-        steer, singular = _solve(herm(u1) @ h12, np.eye(nt))
+        steer, s = _guarded_solve(herm(u1) @ h12, np.eye(nt), size, 0.5 / RANK_GUARD, h12)
         del u1
     else:
         q, r = np.linalg.qr(h12)
-        steer, singular = _solve(r, herm(q))
+        steer, s = _guarded_solve(r, herm(q), size, 0.5 / RANK_GUARD, h12)
         del q, r
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.linalg.norm(h12, axis=(-2, -1)) * np.linalg.norm(steer, axis=(-2, -1))
-    s = undecided_sigma(h12, ~singular & (bound <= 0.5 / RANK_GUARD))
     top, bottom = s[..., 0], s[..., -1]
     rejected = (top == 0.0) | (bottom < RANK_GUARD * top)
     if rejected.any():
@@ -119,20 +121,17 @@ def _channel(name, h, shape) -> np.ndarray:
     return h
 
 
-def _solve(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``a^{-1} @ b`` per trial by LU, and the trials whose LU has an exactly zero pivot.
+def _in_band(a) -> tuple[np.ndarray, np.ndarray]:
+    """``(a * 2^-s, s)`` per block, s = 0 where a block is in band; ``a`` itself where all are.
 
-    Those get I in place of a, so one cannot fail the whole stack's solve;
-    their guard decides them from exact singular values. On an
-    upper-triangular a the zero pivots are the zeros of its diagonal.
+    In band, the largest entry lies in [2^-250, 2^250): squares of entries,
+    and products of two squares, stay in float range.
     """
-    try:
-        return np.linalg.solve(a, b), np.zeros(a.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:
-        # slogdet runs the same LU as solve and reports a zero pivot as sign 0.
-        singular = np.linalg.slogdet(a)[0] == 0.0
-        a = np.where(singular[..., None, None], np.eye(a.shape[-1]), a)
-        return np.linalg.solve(a, b), singular
+    _, shift = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    shift[(shift > -250) & (shift <= 250)] = 0
+    if shift.any():
+        a = a * np.ldexp(1.0, -shift)[:, None, None]
+    return a, shift
 
 
 def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -142,14 +141,10 @@ def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
     products, so the smaller eigenvalue ``det / top`` is as accurate as an
     SVD's. The top eigenvector comes from the row of ``a^H a - top I`` whose
     diagonal entry cancels least, and is ``e_0`` where ``a^H a`` is a
-    multiple of I. A block whose largest entry lies outside [2^-250, 2^250)
-    is first scaled by a power of two, which keeps that product in range,
-    and its eigenvalues are scaled back.
+    multiple of I. Each block is first brought in band by ``_in_band``,
+    which keeps that product in range, and its eigenvalues are scaled back.
     """
-    _, shift = np.frexp(np.abs(a).max(axis=(-2, -1)))
-    shift[(shift > -250) & (shift <= 250)] = 0
-    if shift.any():
-        a = a * np.ldexp(1.0, -shift)[:, None, None]
+    a, shift = _in_band(a)
     a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     d0 = (a00.conj() * a00).real
     e1 = (a11.conj() * a11).real
@@ -320,12 +315,16 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         a = np.triu(np.linalg.qr(x, mode="raw")[0][:, lead:, lead:nt].swapaxes(-1, -2))
         del x
         norms = np.sqrt(columns[members, lead:])
-        power_k = power[members, None]
+        # |a|^2 can leave float range where the gains |a|^2 p_max / ||vt||^2 do
+        # not, so the uniform rate squares a in band and scales the power back.
+        band, shift = _in_band(a)
+        band_power = np.ldexp(power[members, None], 2 * shift[:, None])
         if k == 1:
             # Water-filling gives a lone mode the whole budget, so both schemes put
             # p_max / ||vt||^2 on it and share one rate, found from norms alone.
-            rate_uniform[trials] = rate_optimal[trials] = sum_rate(np.abs(a[:, 0]) ** 2, power_k)
-            p2[trials, -1, -1] = power_k[:, 0]
+            rate_uniform[trials] = rate_optimal[trials] = sum_rate(np.abs(band[:, 0]) ** 2,
+                                                                   band_power)
+            p2[trials, -1, -1] = power[members]
             continue
         # Column equilibration: complementary-allocation entries can differ by many
         # orders of magnitude, and small singular values of the gram root carry only
@@ -333,18 +332,17 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
         # so solve in normalized columns and undo the rescale on the output covariance.
         vt /= norms[..., None, :]
         if k == 2:
-            sigma2 = _gram_eig(a)[0]
+            sigma2 = _gram_eig(band)[0]
             beta = np.sum(vt[..., 0].conj() * vt[..., 1], axis=-1)
             gamma2 = np.sum(np.abs(vt[..., 1] - beta[:, None] * vt[..., 0]) ** 2, axis=-1)
             low = gamma2 / (1.0 + np.abs(beta))
         else:
-            sigma2 = np.linalg.svd(a, compute_uv=False) ** 2
+            sigma2 = np.linalg.svd(band, compute_uv=False) ** 2
             m = np.linalg.qr(vt, mode="r")
-            m_inv, singular = _solve(m, np.eye(k))
-            certified = ~singular & (np.linalg.norm(m_inv, axis=(-2, -1))
-                                     <= (2.0 * GRAM_FLOOR) ** -0.5)
-            low = undecided_sigma(m, certified)[..., -1] ** 2
-        rate_uniform[trials] = sum_rate(sigma2, power_k)
+            m_inv, s = _guarded_solve(m, np.eye(k), 1.0, (2.0 * GRAM_FLOOR) ** -0.5, m)
+            low = s[..., -1] ** 2
+        del band
+        rate_uniform[trials] = sum_rate(sigma2, band_power)
         if np.any(low < GRAM_FLOOR):
             raise RedrawError("gram", f"eigenvalue {np.nanmin(low):.6e} below {GRAM_FLOOR:.0e}",
                               _scatter(low < GRAM_FLOOR, trials, count).reshape(batch))

@@ -124,7 +124,7 @@ class TestRunTrial:
             h11 = complex_gaussian(2, 2, derive_stream(grid.master_seed, 2**64 - 1, trial))
             assert record.rate_primary[trial] == design_primary(h11, snr_to_power(6.0)).rate
         for bad in (-1, 2**64):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError, match=r"must lie in \[0, 2\^64\)"):
                 run_trials(grid, bad, 6.0, range(3))
 
     @staticmethod

@@ -7,14 +7,15 @@ water-filling does at least as well as the uniform split. At both extremes
 the secondary adds no interference on the primary's active modes, and the
 uniform rate, a sum over squared singular values, matches an independent
 log-det oracle across the whole SNR range. A channel scaled by 1e-150 to
-1e150 gives finite rates or a refusal that names the matrix at fault.
+1e150, alone or with another scaled the opposite way, gives finite rates or
+a refusal that names the matrix at fault.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oia.channel import draw_trials
@@ -95,8 +96,8 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
     assert np.all(np.abs(design.rate[sends] - reference) <= 1e-9 * reference)
 
 
-def scaled_design(n, seed, which, scale):
-    """Both schemes of one n x n trial at budget 0.01, with channel ``which`` scaled.
+def scaled_design(n, seed, scales):
+    """Both schemes of one n x n trial at budget 0.01, channel j scaled by ``scales[j]``.
 
     Seed None gives ``h11 = diag([10, 1, ...])`` and identity h12, h21 and
     h22; a seed draws all four as Gaussians. Unscaled, the primary nearly
@@ -107,27 +108,41 @@ def scaled_design(n, seed, which, scale):
     else:
         rng = np.random.default_rng(seed)
         chans = [complex_gaussian(n, n, rng) for _ in range(4)]
-    chans[which] = scale * chans[which]
+    for which, scale in scales.items():
+        chans[which] = scale * chans[which]
     h11, h12, h21, h22 = chans
     return design_secondary(design_primary(h11, 0.01), h12, h21, h22, 0.01)
 
 
 @LIMITS
 @given(st.integers(2, 4), st.none() | st.integers(0, 2**32 - 1), st.integers(0, 3),
-       st.integers(-150, 150))
-def test_scaled_channels_give_finite_rates_or_a_named_refusal(n, seed, which, exponent):
-    """h11, h12, h21 or h22 scaled by 10^x, |x| <= 150: finite rates, or a refusal by name.
+       st.integers(0, 3), st.integers(-150, 150))
+# h12 small and h22 large squared the whitened block past float range; the
+# other way round, its square underflowed to a uniform rate of 0.
+@example(2, None, 1, 3, -150)
+@example(2, None, 1, 3, 130)
+def test_scaled_channels_give_finite_rates_or_a_named_refusal(n, seed, which, other, exponent):
+    """One channel scaled by 10^x, |x| <= 150, another by 10^-x: finite rates or a named refusal.
 
-    Any RuntimeWarning fails the test too. Where h12 is scaled and the call
-    returns, both rates match the unscaled call's within 1e-12 relative,
-    since neither scheme depends on h12's scale.
+    ``other`` equal to ``which`` scales that one channel alone. Any
+    RuntimeWarning fails the test too. Where h12 is one of the scaled
+    channels and both calls return, both rates match, within 1e-12 relative,
+    the call that scales only the other channel, since neither scheme
+    depends on h12's scale.
     """
+    scales = {other: 10.0**-exponent, which: 10.0**exponent}
     try:
-        designs = scaled_design(n, seed, which, 10.0**exponent)
+        designs = scaled_design(n, seed, scales)
     except (InvalidInputError, RedrawError):
         return
     for design in designs:
         assert np.isfinite(design.rate) and np.all(np.isfinite(design.v2))
-    if which == 1:
-        for scaled, unscaled in zip(designs, scaled_design(n, seed, which, 1.0)):
-            assert abs(scaled.rate - unscaled.rate) <= 1e-12 * unscaled.rate
+    if 1 not in scales:
+        return
+    del scales[1]
+    try:
+        references = scaled_design(n, seed, scales)
+    except (InvalidInputError, RedrawError):
+        return  # the other channel alone may be refused where the pair is not
+    for scaled, reference in zip(designs, references):
+        assert abs(scaled.rate - reference.rate) <= 1e-12 * reference.rate

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oia import secondary
 from oia.errors import InvalidInputError, RedrawError
 from oia.primary import design_primary
-from oia.secondary import GRAM_FLOOR, RANK_GUARD, design_secondary, undecided_sigma
+from oia.secondary import GRAM_FLOOR, RANK_GUARD, design_secondary
 from oia.waterfill import waterfill
 
 from oracles import (
@@ -547,12 +547,12 @@ class TestGuards:
         h12 = np.diag([1.0, 1.5 * RANK_GUARD]).astype(complex)
         assert np.linalg.norm(h12) * np.linalg.norm(np.linalg.pinv(h12)) > 0.5 / RANK_GUARD
         assert not rank_criterion(h12)
-        certified = []
-        real = secondary.undecided_sigma
-        monkeypatch.setattr(secondary, "undecided_sigma",
-                            lambda a, ok: certified.append(np.asarray(ok).tolist()) or real(a, ok))
+        decided = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: decided.append(a.copy()) or real(a, **kw))
         v2_raw = secondary._precoder(h12, EYE2, np.array([0.0, 0.5]))
-        assert certified == [False]
+        assert len(decided) == 1 and np.array_equal(decided[0], h12[None])
         assert np.all(np.isfinite(v2_raw))
 
     def test_exactly_singular_trial_of_a_stack(self):
@@ -893,31 +893,49 @@ class TestPerTrialBudget:
             design_secondary(primary, eye, eye, eye, budgets)
 
 
-class TestUndecidedSigma:
+class TestGuardedSolve:
+    """``_guarded_solve``, the LU solve and exact singular values behind both rank guards."""
+
+    @staticmethod
+    def guarded(a, limit, size=1.0):
+        """The gram guard's call on ``a``, which certifies ``size * ||a^{-1}||_F <= limit``."""
+        return secondary._guarded_solve(a, np.eye(a.shape[-1]), size, limit, a)
+
     def test_certified_matrices_read_nan(self):
+        """||inv||_F is 1.054 for the first matrix and 0.539 for the second."""
         stack = np.stack([np.diag([3.0, 1.0]), np.diag([2.0, 5.0])])
-        sigma = undecided_sigma(stack, [True, False])
-        assert np.all(np.isnan(sigma[0]))
-        assert sigma[1].tolist() == [5.0, 2.0]
-        assert np.all(np.isnan(undecided_sigma(stack, [True, True])))
+        for limit, size in ((1.0, 1.0), (2.0, 2.0)):
+            x, sigma = self.guarded(stack, limit, size)
+            assert sigma[0].tolist() == [3.0, 1.0]
+            assert np.all(np.isnan(sigma[1]))
+            assert np.allclose(x, np.linalg.inv(stack), rtol=1e-15, atol=0.0)
+        assert np.all(np.isnan(self.guarded(stack, 2.0)[1]))
 
     def test_single_matrix(self):
-        assert undecided_sigma(np.diag([1.0, 4.0]), False).tolist() == [4.0, 1.0]
-        assert np.all(np.isnan(undecided_sigma(np.diag([1.0, 4.0]), True)))
+        x, sigma = self.guarded(np.diag([1.0, 4.0]), 1.0)
+        assert sigma.tolist() == [4.0, 1.0]
+        assert x.tolist() == [[1.0, 0.0], [0.0, 0.25]]
+        assert np.all(np.isnan(self.guarded(np.diag([1.0, 4.0]), 2.0)[1]))
 
     def test_matches_numpy_bitwise(self):
+        """Tall matrices through their QR factors, as the tall cross guard solves them."""
         rng = np.random.default_rng(3)
         stack = np.stack([complex_gaussian(5, 3, rng) for _ in range(4)])
-        sigma = undecided_sigma(stack, [False, True, False, False])
+        q, r = np.linalg.qr(stack)
+        limit = np.array([0.0, np.inf, 0.0, 0.0])
+        x, sigma = secondary._guarded_solve(r, herm(q), 1.0, limit, stack)
+        assert np.allclose(x, np.linalg.pinv(stack), rtol=0.0, atol=1e-12)
+        assert np.all(np.isnan(sigma[1]))
         for k in (0, 2, 3):
             assert sigma[k].tobytes() == np.linalg.svd(stack[k], compute_uv=False).tobytes()
 
-    def test_one_bad_matrix_rejects_the_stack(self):
-        """A non-finite matrix left to the guard fails the call; a certified one is never read."""
-        stack = np.stack([np.eye(2), np.diag([np.nan, 1.0])])
-        with pytest.raises(InvalidInputError):
-            undecided_sigma(stack, [False, False])
-        assert undecided_sigma(stack, [False, True])[0].tolist() == [1.0, 1.0]
+    def test_zero_pivot_trial_of_a_stack(self):
+        """An exactly singular trial is solved with I and never certified; the others solve."""
+        stack = np.stack([np.diag([2.0, 4.0]), np.array([[1.0, 2.0], [2.0, 4.0]]), EYE2.real])
+        x, sigma = self.guarded(stack, np.inf)
+        assert x.tolist() == [[[0.5, 0.0], [0.0, 0.25]], np.eye(2).tolist(), np.eye(2).tolist()]
+        assert np.all(np.isnan(sigma[[0, 2]]))
+        assert abs(sigma[1, 0] - 5.0) < 1e-14 and sigma[1, 1] < 1e-15
 
 
 class TestPinvTall:
