@@ -6,7 +6,9 @@ it splits its budget either evenly or by water-filling the whitened
 channel. ``design_secondary`` designs all of it in one call, for one
 trial's matrices or stacks of them with the same leading axes, and gives
 each trial of a stack the result it would get on its own, bit for bit; its
-docstring gives the construction.
+docstring gives the contract. Past its whitening QR, each group of trials
+with the same active-column count takes one gram-root step, ``_gram_root``,
+and one eigen step, ``_gram_eig``. ``p1_bar``'s scale causes no refusal.
 """
 
 from __future__ import annotations
@@ -82,9 +84,10 @@ def _precoder(h12, u1, p1_bar) -> np.ndarray:
     A square h12 steers by ``(u1^H @ h12)^{-1}``, a tall one by the left
     pseudo-inverse ``r^{-1} q^H @ u1[:, :nt]`` with ``h12 = q r``, which
     does not in general clear the active modes; column n is then scaled by
-    ``p1_bar[n]``. A trial whose h12 has a smallest-to-largest singular-value
-    ratio below ``RANK_GUARD`` fails the rank guard: ``RedrawError("cross")``
-    marks those trials in its ``rejected``.
+    ``p1_bar[n]``, brought in band per trial by ``_in_band``. A trial whose
+    h12 has a smallest-to-largest singular-value ratio below ``RANK_GUARD``
+    fails the rank guard: ``RedrawError("cross")`` marks those trials in its
+    ``rejected``.
     """
     nr, nt = h12.shape[-2:]
     with np.errstate(over="ignore"):
@@ -105,9 +108,10 @@ def _precoder(h12, u1, p1_bar) -> np.ndarray:
                           f"(singular-value ratio {ratio[rejected].min():.3e})", rejected)
     if nr > nt:
         steer = steer @ u1[..., :nt]
-    # An overflow here shows as a non-finite norm, which design_secondary refuses.
+    # Neither scheme sees the precoder's scale. An overflow left shows as a
+    # non-finite norm, which design_secondary refuses.
     with np.errstate(over="ignore"):
-        steer *= p1_bar[..., None, :]
+        steer *= _in_band(p1_bar[..., None, :])[0]
     return steer
 
 
@@ -125,25 +129,53 @@ def _in_band(a) -> tuple[np.ndarray, np.ndarray]:
     """``(a * 2^-s, s)`` per block, s = 0 where a block is in band; ``a`` itself where all are.
 
     In band, the largest entry lies in [2^-250, 2^250): squares of entries,
-    and products of two squares, stay in float range.
+    and products of two squares, stay in float range. ``s`` keeps both axes.
     """
-    _, shift = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    _, shift = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))
     shift[(shift > -250) & (shift <= 250)] = 0
     if shift.any():
-        a = a * np.ldexp(1.0, -shift)[:, None, None]
+        a = a * np.ldexp(1.0, -shift)
     return a, shift
+
+
+def _gram_root(vt) -> tuple[np.ndarray, np.ndarray]:
+    """``m^{-1}`` for a root ``m^H m`` of unit columns' ``vt^H vt``, and its least eigenvalue.
+
+    Any root gives the optimal scheme the same equivalent channel ``g = a @
+    m^{-1}``; here ``m`` is the R factor of ``vt = Q m``. Two columns have
+    ``m = [[1, b], [0, c]]``, with ``b = vt_0^H vt_1`` and ``c = ||vt_1 - b
+    vt_0||``, and least eigenvalue ``1 - |b| = c^2 / (1 + |b|)``, formed
+    without cancellation. Past two, ``m`` comes from a QR, and the eigenvalue
+    is NaN where ``_guarded_solve`` certifies it above ``GRAM_FLOOR``.
+    """
+    if vt.shape[-1] > 2:
+        m = np.linalg.qr(vt, mode="r")
+        m_inv, s = _guarded_solve(m, np.eye(vt.shape[-1]), 1.0, (2.0 * GRAM_FLOOR) ** -0.5, m)
+        return m_inv, s[..., -1] ** 2
+    beta = np.sum(vt[..., 0].conj() * vt[..., 1], axis=-1)
+    gamma2 = np.sum(np.abs(vt[..., 1] - beta[:, None] * vt[..., 0]) ** 2, axis=-1)
+    m_inv = np.zeros((len(vt), 2, 2), dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 fails GRAM_FLOOR
+        gamma = np.sqrt(gamma2)
+        m_inv[:, 0, 0], m_inv[:, 0, 1], m_inv[:, 1, 1] = 1.0, -beta / gamma, 1.0 / gamma
+    return m_inv, gamma2 / (1.0 + np.abs(beta))
 
 
 def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, descending, and unit eigenvectors, as columns, of ``a^H a``.
 
-    ``a`` is a stack of upper-triangular 2 x 2 blocks. The determinant is ``|a_00|^2 |a_11|^2``, never a difference of
-    products, so the smaller eigenvalue ``det / top`` is as accurate as an
+    Past two columns these are ``np.linalg.svd``'s squared singular values
+    and right singular vectors of ``a``. A 2 x 2 ``a`` is upper triangular,
+    so the determinant is ``|a_00|^2 |a_11|^2``, never a difference of
+    products, and the smaller eigenvalue ``det / top`` is as accurate as an
     SVD's. The top eigenvector comes from the row of ``a^H a - top I`` whose
     diagonal entry cancels least, and is ``e_0`` where ``a^H a`` is a
     multiple of I. Each block is first brought in band by ``_in_band``,
     which keeps that product in range, and its eigenvalues are scaled back.
     """
+    if a.shape[-1] > 2:
+        eta, zh = np.linalg.svd(a, full_matrices=False)[1:]
+        return eta**2, herm(zh)
     a, shift = _in_band(a)
     a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     d0 = (a00.conj() * a00).real
@@ -160,7 +192,7 @@ def _gram_eig(a) -> tuple[np.ndarray, np.ndarray]:
     x = np.stack((np.where(first, gap, c), np.where(first, c.conj(), gap)), axis=-1)
     x /= np.hypot(gap, np.abs(c))[:, None]
     other = np.stack((-x[:, 1].conj(), x[:, 0].conj()), axis=-1)
-    values = np.ldexp(np.stack((top, low), axis=-1), 2 * shift[:, None])
+    values = np.ldexp(np.stack((top, low), axis=-1), 2 * shift[..., 0])
     return values, np.stack((x, other), axis=-1)
 
 
@@ -181,66 +213,28 @@ def _scatter(x: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
 def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, SecondaryDesign]:
     """The secondary link of a trial or a stack of trials: ``(uniform, optimal)``.
 
-    ``primary`` is the trials' ``PrimaryDesign``. ``h12`` is the cross
-    channel to the primary receiver, ``h21`` the primary's channel to the
-    secondary receiver and ``h22`` the secondary's direct channel, each
-    nr x nt with the primary's leading stack axes. ``p_max`` is the budget,
-    one value for the whole stack or one per trial.
+    ``primary`` is the trials' ``PrimaryDesign``; ``h12`` (cross, to the
+    primary receiver), ``h21`` (primary to secondary receiver) and ``h22``
+    (direct) are nr x nt with its stack axes; ``p_max`` is one budget or one
+    per trial. Each input is checked once, in this order: ``nr >= nt``; the
+    channels' shapes and finite entries; ``p1_bar``'s shape, its finite
+    nonnegative entries, and its positive entries forming a suffix of the
+    modes disjoint from ``p1.powers``, as ``design_primary``'s do; the budget.
 
-    Only trials with an active column (``p1_bar > 0`` somewhere) transmit;
-    a trial without one gets ``v2 = 0`` and rate 0 in both schemes, with no
-    precoder work, whatever its cross channel. Every input is checked once,
-    over every trial, in this order: ``nr >= nt``; the channels' shapes and
-    finite entries; the shape of ``p1_bar``, its finite nonnegative entries,
-    and its positive entries forming a suffix of the modes with a support
-    disjoint from ``p1.powers``, as ``design_primary``'s do; the budget.
-    The sending trials' precoder ``v2_raw`` comes from ``_precoder``;
-    its ``"cross"`` ``RedrawError`` passes through with ``rejected`` over
-    the whole stack, so only a sending trial is ever discarded by the cross
-    channel's rank guard. A trial whose active squared column norms, their
-    sum or ``p_max`` over it is zero or not finite is an InvalidInputError
-    naming h12 and ``p1_bar``. The sending trials are grouped by their
-    active-column count k, and each group is solved as one stack.
+    Only trials with an active column (``p1_bar > 0``) send; the others get
+    ``v2 = 0`` and rate 0, whatever their cross channel. Two refusals discard
+    sending trials, as a ``RedrawError`` whose ``rejected`` marks them in
+    the whole stack: ``"cross"``, from ``_precoder``'s rank guard, and
+    ``"gram"``, where the active columns' normalized gram matrix has an
+    eigenvalue below ``GRAM_FLOOR``. Active squared column norms, their sum
+    or ``p_max`` over it that are zero or not finite are an
+    InvalidInputError naming h12 and ``p1_bar``.
 
-    A sending trial's receiver whitens the primary's interference, whose
-    covariance with the unit noise is ``q = I + b b^H``, with ``b = h21 @ v1
-    @ diag(p1)^{1/2}``. Both schemes see its whitened active block ``a``
-    only through ``a^H a = c^H q^{-1} c``, with ``c = h22 @ vt`` and ``vt =
-    v2_raw[:, active]``. That is the Schur complement of the leading block
-    of ``x^H x`` for ``x = [[I, 0], [b_lead, c]]``, where ``b_lead`` holds
-    b's first ``lead = nt - k`` columns: the primary powers no active mode,
-    since ``p1.powers`` and ``p1_bar`` have disjoint supports. So ``a`` is
-    the trailing k x k block of x's R factor, upper triangular, from one QR
-    per group; no q, filter or inverse is formed. A trial with one active
-    column gets both schemes in closed form, from the norms of ``vt`` and
-    ``a``: the two below coincide there. A trial with two gets the singular
-    values, gram root and singular vectors below from 2 x 2 Hermitian forms.
-    Neither calls ``np.linalg`` past that QR.
-
-    Uniform scheme: identity input covariance, with the precoder scaled so
-    that ``trace(v2 @ v2^H) = p_max`` exactly. Its rate is
-    ``log2 det(I + W^H W)`` of the whitened channel ``W = q^{-1/2} @ h22 @
-    v2``, whose gram matrix on the active columns is ``a^H a`` scaled by
-    ``p_max / ||vt||_F^2``: a sum over the squared singular values of ``a``
-    at that power.
-
-    Optimal scheme: water-filling on an equivalent channel, over the active
-    columns only, since the full-size precoder gram matrix is singular
-    whenever a column is zero. With m the R factor of ``vt = Q m`` (any root
-    of the gram matrix ``vt^H vt = m^H m`` gives the same result), the
-    equivalent whitened channel is ``g = a @ m^{-1}``; water-filling its
-    squared singular values under the budget gives the diagonal allocation,
-    which is conjugated back through the right singular vectors and
-    ``m^{-1}`` and embedded at the active rows and columns. The budget is
-    then met with equality: ``trace(vt @ p2_reduced @ vt^H) = p_max``. The
-    precoder is ``v2_raw`` unscaled: the transformed trace constraint
-    already absorbs all scaling, and any nonzero scale yields the same
-    transmitted covariance. Numerically dependent active columns, whose
-    normalized gram matrix has an eigenvalue below ``GRAM_FLOOR``, raise
-    ``RedrawError("gram")``, whose ``rejected`` marks them in the whole stack.
-    A trial whose equivalent channel has no gain at all (``a = 0``, as with
-    ``h22 = 0``) gets rate 0 in both schemes, and its optimal budget is
-    split evenly over the equivalent channel's modes.
+    The uniform scheme sends an identity covariance through the precoder
+    scaled to ``trace(v2 @ v2^H) = p_max``; the optimal one sends the
+    unscaled ``v2_raw`` and water-fills the whitened equivalent channel of
+    the active columns to ``trace(v2 @ p2 @ v2^H) = p_max``. A trial without
+    any gain gets rate 0 in both, its optimal budget split evenly.
     """
     batch, nr, nt = primary.u.shape[:-2], primary.u.shape[-1], primary.v.shape[-1]
     if nr < nt:
@@ -254,28 +248,26 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
                                 f"got shape {p1_bar.shape}")
     if not np.all((p1_bar >= 0.0) & (p1_bar < np.inf)):
         raise InvalidInputError("p1_bar must be finite and nonnegative")
-    flat_active = p1_bar.reshape(-1, nt) > 0.0
-    if np.any(flat_active[:, :-1] > flat_active[:, 1:]):
+    active = p1_bar > 0.0
+    if np.any(active[..., :-1] > active[..., 1:]):
         raise InvalidInputError("p1_bar must be positive on a suffix of the modes, "
                                 "as design_primary's complement is")
-    flat_p1 = np.reshape(primary.p1.powers, flat_active.shape)
-    if np.any(flat_active & (flat_p1 > 0.0)):
+    p1 = np.reshape(primary.p1.powers, active.shape)
+    if np.any(active & (p1 > 0.0)):
         raise InvalidInputError("p1.powers and p1_bar must have disjoint supports, "
                                 "as design_primary's do")
-    flat_p = np.broadcast_to(positive_budget(p_max, batch, "p_max"), batch).reshape(-1)
-    count = flat_p.size
-    sends = np.flatnonzero(flat_active.any(axis=-1))
-
-    def flat(x):
-        return np.reshape(x, (count,) + np.shape(x)[len(batch):])
-
+    p_max = np.broadcast_to(positive_budget(p_max, batch, "p_max"), batch).reshape(-1)
+    count = p_max.size
+    h12, h21, h22 = (h.reshape(count, nr, nt) for h in (h12, h21, h22))
+    u, v = np.reshape(primary.u, (count, nr, nr)), np.reshape(primary.v, (count, nt, nt))
+    p1_bar, p1, active = (x.reshape(count, nt) for x in (p1_bar, p1, active))
+    sends = np.flatnonzero(active.any(axis=-1))
     v2s = np.zeros((0, nt, nt), dtype=np.complex128)
     if sends.size:
         # Row copies go in as bare arguments, so that each one goes when the
         # precoder is done with it.
         try:
-            v2s = _precoder(_rows(flat(h12), sends), _rows(flat(primary.u), sends),
-                            _rows(flat(p1_bar), sends))
+            v2s = _precoder(_rows(h12, sends), _rows(u, sends), _rows(p1_bar, sends))
         except RedrawError as exc:
             rejected = _scatter(exc.rejected, sends, count).reshape(batch)
             raise RedrawError(exc.reason, exc.args[1], rejected) from None
@@ -284,41 +276,45 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         columns = np.sum((v2s.conj() * v2s).real, axis=-2)
         total = columns.sum(axis=-1)
-        power = flat_p[sends] / total
+        power = p_max[sends] / total
     if not np.all((total < np.inf) & (power > 0.0) & (power < np.inf)
-                  & np.all(columns > 0.0, axis=-1, where=flat_active[sends])):
+                  & np.all(columns > 0.0, axis=-1, where=active[sends])):
         raise InvalidInputError("h12 and p1_bar give a precoder too small or too large to scale")
     scale = _scatter(np.sqrt(power), sends, count)
     rate_uniform, rate_optimal = np.zeros(count), np.zeros(count)
     # The active columns are a suffix, so a trial's active count names its
     # columns. bincount lists the counts present, ascending, without the hash
     # table an integer np.unique builds, which raised the peak RSS of a sweep.
-    width = np.count_nonzero(flat_active[sends], axis=-1)
+    width = np.count_nonzero(active[sends], axis=-1)
     sizes = np.flatnonzero(np.bincount(width))
-    # Large intermediates go as soon as they are used, so that no group's
-    # working set outgrows its whitening QR.
+    # Large intermediates go once used, so no group's working set outgrows its whitening QR.
     for k in sizes:
         lead = nt - k
         members = np.flatnonzero(width == k)
         trials = sends[members]
         # Indexing by members copies, so rescaling vt in place leaves v2s alone.
         vt = v2s[members, :, lead:]
+        # The receiver whitens q = I + b b^H, b = h21 @ v1 @ diag(p1)^{1/2} on the lead
+        # modes, where alone the primary sends. Both schemes see the whitened active block
+        # a only through a^H a = c^H q^{-1} c, c = h22 @ vt: the Schur complement of x^H x's
+        # leading block, x = [[I, 0], [b, c]], so a is x's trailing k x k R block.
         x = np.zeros((members.size, lead + nr, nt), dtype=np.complex128)
         x[:, :lead, :lead] = np.eye(lead)
-        v1 = flat(primary.v)[trials, :, :lead]
-        v1 *= np.sqrt(flat_p1[trials, None, :lead])
-        np.matmul(_rows(flat(h21), trials), v1, out=x[:, lead:, :lead])
+        v1 = v[trials, :, :lead]
+        v1 *= np.sqrt(p1[trials, None, :lead])
+        np.matmul(_rows(h21, trials), v1, out=x[:, lead:, :lead])
         del v1
-        np.matmul(_rows(flat(h22), trials), vt, out=x[:, lead:, lead:])
-        # The whitened active block. numpy's raw QR holds R transposed, and
-        # reading the block from it skips mode "r"'s full-size triu copy.
+        np.matmul(_rows(h22, trials), vt, out=x[:, lead:, lead:])
+        # numpy's raw QR holds R transposed, and reading the block from it
+        # skips mode "r"'s full-size triu copy.
         a = np.triu(np.linalg.qr(x, mode="raw")[0][:, lead:, lead:nt].swapaxes(-1, -2))
         del x
         norms = np.sqrt(columns[members, lead:])
-        # |a|^2 can leave float range where the gains |a|^2 p_max / ||vt||^2 do
-        # not, so the uniform rate squares a in band and scales the power back.
+        # The uniform rate takes a^H a's eigenvalues at power p_max / ||vt||^2: a squared
+        # in band, and the power scaled back, kept normal by ||vt||^2's exponent.
         band, shift = _in_band(a)
-        band_power = np.ldexp(power[members, None], 2 * shift[:, None])
+        frac, exponent = np.frexp(total[members, None])
+        band_power = np.ldexp(p_max[trials, None] / frac, 2 * shift[..., 0] - exponent)
         if k == 1:
             # Water-filling gives a lone mode the whole budget, so both schemes put
             # p_max / ||vt||^2 on it and share one rate, found from norms alone.
@@ -326,44 +322,26 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
                                                                    band_power)
             p2[trials, -1, -1] = power[members]
             continue
-        # Column equilibration: complementary-allocation entries can differ by many
-        # orders of magnitude, and small singular values of the gram root carry only
-        # absolute accuracy. The optimum depends only on the precoder's column space,
-        # so solve in normalized columns and undo the rescale on the output covariance.
+        # Column equilibration: p1_bar's entries can differ by orders of magnitude, and
+        # the gram root's small singular values carry only absolute accuracy. The optimum
+        # depends only on the column space: solve in unit columns, undo it on p2.
         vt /= norms[..., None, :]
-        if k == 2:
-            sigma2 = _gram_eig(band)[0]
-            beta = np.sum(vt[..., 0].conj() * vt[..., 1], axis=-1)
-            gamma2 = np.sum(np.abs(vt[..., 1] - beta[:, None] * vt[..., 0]) ** 2, axis=-1)
-            low = gamma2 / (1.0 + np.abs(beta))
-        else:
-            sigma2 = np.linalg.svd(band, compute_uv=False) ** 2
-            m = np.linalg.qr(vt, mode="r")
-            m_inv, s = _guarded_solve(m, np.eye(k), 1.0, (2.0 * GRAM_FLOOR) ** -0.5, m)
-            low = s[..., -1] ** 2
+        m_inv, low = _gram_root(vt)
+        sigma2 = _gram_eig(band)[0] if k == 2 else np.linalg.svd(band, compute_uv=False) ** 2
         del band
         rate_uniform[trials] = sum_rate(sigma2, band_power)
         if np.any(low < GRAM_FLOOR):
             raise RedrawError("gram", f"eigenvalue {np.nanmin(low):.6e} below {GRAM_FLOOR:.0e}",
                               _scatter(low < GRAM_FLOOR, trials, count).reshape(batch))
-        a /= norms[..., None, :]
-        if k == 2:
-            gamma = np.sqrt(gamma2)
-            m_inv = np.zeros((members.size, 2, 2), dtype=np.complex128)
-            m_inv[:, 0, 0], m_inv[:, 0, 1], m_inv[:, 1, 1] = 1.0, -beta / gamma, 1.0 / gamma
-            a[..., 1] = (a[..., 1] - beta[:, None] * a[..., 0]) / gamma[:, None]  # a @ m_inv
-            eta2, basis = _gram_eig(a)
-        else:
-            a = a @ m_inv  # the old a goes before the SVD
-            eta, zh = np.linalg.svd(a, full_matrices=False)[1:]
-            eta2, basis = eta**2, herm(zh)
-            del zh
+        a = (a / norms[..., None, :]) @ m_inv  # the old a goes before the eigen step
+        eta2, basis = _gram_eig(a)
         del a
+        # Water-fill g = a @ m_inv's eigenvalues eta2, and conjugate the allocation back
+        # through g's right singular vectors and m_inv. A trial without any gain has rate
+        # 0 whatever it sends, as a lone column with a = 0 does: it splits its budget evenly.
         inverse = np.divide(1.0, eta2, out=np.full_like(eta2, np.inf), where=eta2 > 0.0)
-        # A trial without any gain has rate 0 whatever it sends, as a lone
-        # column with a = 0 does: equal inverse gains split its budget evenly.
         inverse[~np.any(eta2 > 0.0, axis=-1)] = 1.0
-        alloc = waterfill(inverse, flat_p[trials])
+        alloc = waterfill(inverse, p_max[trials])
         z = m_inv @ basis
         del m_inv, basis
         reduced = (z * alloc.powers[..., None, :]) @ herm(z)

@@ -303,8 +303,8 @@ class TestRunTrial:
         whitening QRs and both schemes run on the whole pass; at n=3 and
         -20 dB every trial sends too, mostly in two-column groups; at n=3 and
         0 dB some trials do not, and the sending trials' row copies must not
-        raise the peak past the same bound. They trace at about 11.3, 13.6
-        and 12.9 stacks per trial.
+        raise the peak past the same bound. They trace at about 10.9, 13.9
+        and 13.2 stacks per trial.
         """
         for n, snr_db, all_send in [(20, -20.0, True), (3, -20.0, True), (3, 0.0, False)]:
             grid = small_grid(nt=n, nr=n, snr_db_list=(snr_db,), trials=1)

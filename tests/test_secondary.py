@@ -221,11 +221,13 @@ class TestBadPrecoderInputs:
 
     @pytest.mark.parametrize("n,scale", [(2, 1e-150), (3, 1e-100), (4, 1e-150)],
                              ids=["2x2-identity", "3x3-identity", "4x4-gaussian"])
-    def test_scaled_down_channels_refused(self, n, scale):
-        """Channels all scaled far down give a p1_bar of 1e200 to 1e301 that overflows the precoder.
+    def test_scaled_down_channels_keep_scale_law(self, n, scale):
+        """Channels all scaled far down, with a p1_bar of 1e200 to 1e301, keep h12's scale law.
 
-        Such a design is refused by name, not given NaN rates (2 x 2), a
-        "gram" redraw (3 x 3) or a LinAlgError from an SVD (4 x 4).
+        Neither scheme depends on the precoder's scale, so the rates equal
+        those of the same call with h12 scaled by ``1 / scale^2``, whose
+        precoder is in range: to 1e-12 relative, or to 8 units of the least
+        subnormal where a rate is subnormal.
         """
         if n < 4:
             chans = [np.diag([10.0] + [1.0] * (n - 1))] + [np.eye(n)] * 3
@@ -235,15 +237,21 @@ class TestBadPrecoderInputs:
                      for _ in range(4)]
         h11, h12, h21, h22 = (scale * h for h in chans)
         primary = design_primary(h11, 1e-20)
-        with pytest.raises(InvalidInputError, match="^h12 and p1_bar give a precoder "):
-            design_secondary(primary, h12, h21, h22, 1e-20)
+        scaled = design_secondary(primary, h12, h21, h22, 1e-20)
+        reference = design_secondary(primary, h12 / scale**2, h21, h22, 1e-20)
+        for design, expected in zip(scaled, reference):
+            assert np.all(np.isfinite(design.v2)) and np.all(np.isfinite(design.p2))
+            subnormal = abs(expected.rate) < np.finfo(float).tiny
+            tolerance = 8 * math.ulp(0.0) if subnormal else 1e-12 * expected.rate
+            assert expected.rate > 0.0
+            assert abs(design.rate - expected.rate) <= tolerance
 
     @staticmethod
-    def cross_scaled(scale):
-        """Both schemes of ``diag([10, 1, 1])`` at budget 0.01 with identity channels, h12 scaled."""
+    def cross_scaled(scale, p_max=0.01):
+        """Both schemes of ``diag([10, 1, 1])`` at ``p_max``: identity channels, h12 scaled."""
         eye = np.eye(3)
-        return design_secondary(design_primary(np.diag([10.0, 1.0, 1.0]), 0.01),
-                                scale * eye, eye, eye, 0.01)
+        return design_secondary(design_primary(np.diag([10.0, 1.0, 1.0]), p_max),
+                                scale * eye, eye, eye, p_max)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160, 1e200, 1e308])
     def test_cross_channel_out_of_scale_refused(self, scale):
@@ -251,10 +259,18 @@ class TestBadPrecoderInputs:
         with pytest.raises(InvalidInputError, match="^h12 and p1_bar give a precoder "):
             self.cross_scaled(scale)
 
-    @pytest.mark.parametrize("scale", [1e-80, 1e100, 1e150])
-    def test_scaled_cross_channel_keeps_rates(self, scale):
-        """Neither scheme depends on h12's scale, the two-column closed form included."""
-        for scaled, unscaled in zip(self.cross_scaled(scale), self.cross_scaled(1.0)):
+    @pytest.mark.parametrize("scale,p_max", [
+        pytest.param(1e-80, 0.01, id="1e-80"), pytest.param(1e100, 0.01, id="1e+100"),
+        pytest.param(1e150, 0.01, id="1e+150"),
+        *(pytest.param(scale, 1e-20, id=f"{scale:g}-budget-1e-20")
+          for scale in (1e-148, 1e-150, 1e-151))])
+    def test_scaled_cross_channel_keeps_rates(self, scale, p_max):
+        """Neither scheme depends on h12's scale, the two-column closed form included.
+
+        At budget 1e-20 the uniform power ``p_max / ||vt||^2`` is subnormal
+        before its band scale makes it normal again.
+        """
+        for scaled, unscaled in zip(self.cross_scaled(scale, p_max), self.cross_scaled(1.0, p_max)):
             assert abs(scaled.rate - unscaled.rate) <= 1e-12 * unscaled.rate
 
 
@@ -669,8 +685,10 @@ class TestOptimalScheme:
     def test_parallel_active_columns_rejected(self):
         """Numerically dependent active columns have no gram root: that trial alone is redrawn.
 
-        The stack's first trial sends nothing, so the rejected group member
-        sits at a different place among the senders than in the stack.
+        In the first stack, of two-column trials, the first trial sends
+        nothing, so the rejected group member sits at a different place among
+        the senders than in the stack. The second stack holds one silent trial
+        and one of one, two and three active columns.
         """
         gaps = [1.0, 0.5, 1e-7, 0.5]
         p_max = np.array([1e4, 0.01, 0.01, 0.01])
@@ -683,6 +701,19 @@ class TestOptimalScheme:
         assert info.value.reason == "gram"
         assert info.value.rejected.tolist() == [False, False, True, False]
         assert str(info.value).startswith("precoder gram matrix rejected: eigenvalue ")
+        # Budgets that leave 0, 3, 1 and 2 of the four modes free, so one trial
+        # of each group; only the three-column trial has near-parallel columns.
+        p_max = np.array([10.0, 0.01, 1.0, 0.2])
+        primary = design_primary(np.broadcast_to(np.diag([10.0, 3.0, 2.0, 1.0]), (4, 4, 4)),
+                                 p_max)
+        assert np.count_nonzero(primary.p1_bar, axis=-1).tolist() == [0, 3, 1, 2]
+        steer = np.stack([np.eye(4)] * 4)
+        steer[1, 1:3, 2] = 1.0, 1e-7  # column 2 is e_1 + 1e-7 e_2, beside column 1's e_1
+        eye = np.broadcast_to(np.eye(4), (4, 4, 4))
+        with pytest.raises(RedrawError) as info:
+            design_secondary(primary, primary.u @ np.linalg.inv(steer), eye, eye, p_max)
+        assert info.value.reason == "gram"
+        assert info.value.rejected.tolist() == [False, True, False, False]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_power_constraint_and_psd(self, seed):
