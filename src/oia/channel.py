@@ -92,7 +92,7 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state[0::2] | (state[1::2] << np.uint64(32))
 
 
-def as_indices(values) -> np.ndarray:
+def _as_indices(values) -> np.ndarray:
     """Integer indices in [0, 2^64) as uint64; Python ints past 2^63 stay exact on the way."""
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
@@ -174,8 +174,8 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")
-    trials = as_indices(trial_indices).ravel()
-    grids = np.broadcast_to(as_indices(grid_index), trials.shape)
+    trials = _as_indices(trial_indices).ravel()
+    grids = np.broadcast_to(_as_indices(grid_index), trials.shape)
     normals = np.empty((trials.size, 4, nr, nt, 2))
     pcg64, generator, feed = _stream_types()
     seeds = feed(_stream_seeds(master_seed, grids, trials))

@@ -13,13 +13,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import as_indices, draw_trials
+from .channel import draw_trials
 from .errors import InvalidInputError, RedrawError
 from .primary import design_primary
 from .secondary import design_secondary
 
-# Replacement draws for discarded trials take indices at or above this base so
-# they can never collide with regular trial indices.
+# Replacement draws for discarded trials take indices at or above this base, and
+# a cell has at most this many trials, so they never collide with regular
+# trial indices.
 REPLACEMENT_BASE = 2**31
 _MAX_ATTEMPTS = 100
 
@@ -29,7 +30,7 @@ _MAX_ATTEMPTS = 100
 # n=20, whatever the cell size. Each pass has a fixed cost besides its
 # trials, about 2.2 ms at n=3 and 1.5 ms at n=20 on a 2-vCPU VM with
 # OpenBLAS, which larger passes spread over more trials. At its peak a pass
-# holds 10.1 to 13.7 such stacks per trial (traced at n=3 and n=20 from -20
+# holds 10.1 to 13.9 such stacks per trial (traced at n=3 and n=20 from -20
 # to 30 dB), so the pass size also sets its working set: at most about 3.6 MB.
 PASS_BYTES = 256 * 1024
 
@@ -49,14 +50,18 @@ class ExperimentGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        for name in ("nt", "nr", "trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if self.nt < 1:
             raise InvalidInputError("nt must be >= 1")
         if self.nr < self.nt:
             raise InvalidInputError(
                 f"unsupported geometry: nr={self.nr} < nt={self.nt} "
                 "(need at least as many receive as transmit antennas)")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be >= 1")
+        if not 1 <= self.trials <= REPLACEMENT_BASE:
+            raise InvalidInputError(f"trials must be in [1, 2^31], got {self.trials}")
         if len(self.snr_db_list) == 0:
             raise InvalidInputError("snr_db_list must be nonempty")
         if any(b <= a for a, b in zip(self.snr_db_list, self.snr_db_list[1:])):
@@ -65,17 +70,6 @@ class ExperimentGrid:
             raise InvalidInputError(f"master seed must be in [0, 2^64), got {self.master_seed}")
         for snr_db in self.snr_db_list:
             snr_to_power(snr_db)
-
-
-@dataclass(frozen=True)
-class TrialRecords:
-    """Outcomes of a stack of Monte Carlo trials, one entry per trial in each field."""
-
-    unused_modes: np.ndarray
-    rate_primary: np.ndarray
-    rate_secondary_uniform: np.ndarray
-    rate_secondary_optimal: np.ndarray
-    discards: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,6 @@ class ResultRow:
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 # A row's values in CSV column order, read without copying them.
 _row_values = operator.attrgetter(*CSV_HEADER.split(","))
-# A pass's array has TrialRecords' fields as rows: those a cell's row averages,
-# in CSV column order, then the discard counts, exact in float64 below 2^53.
-_FIELDS = tuple(f.name for f in fields(TrialRecords))
 
 
 def snr_to_power(snr_db: float) -> float:
@@ -121,58 +112,6 @@ def snr_to_power(snr_db: float) -> float:
         raise InvalidInputError(f"SNR {snr_db:g} dB gives transmit budget {p_max:g}, "
                                 "not a normal positive finite power")
     return p_max
-
-
-def run_trials(grid: ExperimentGrid, grid_index, snr_db, trial_indices) -> TrialRecords:
-    """Seeded trials as one stacked pass: draw channels, design both links, record S and rates.
-
-    ``grid_index`` and ``snr_db`` are one value for the whole stack or one
-    per trial, so a pass may span several cells of a grid. Trials whose
-    channels fail a guard are discarded, counted, and replaced by a
-    redraw at ``trial_index + attempt * REPLACEMENT_BASE`` of the same cell,
-    so replacements are deterministic and never collide with regular
-    indices. Only the rejected trials are redrawn; every trial's record
-    depends on its own stream and SNR alone, not on the other trials of the
-    stack. Each trial is designed by ``design_primary``, whose design
-    carries the primary rate, and ``design_secondary``; a trial without a
-    free mode has nothing to transmit, and ``design_secondary`` gives it
-    secondary rates 0. Trial indices are those ``draw_trials`` takes,
-    integers in [0, 2^64); InvalidInputError is raised on any other, and
-    on a trial to redraw whose replacement index would pass 2^64.
-    """
-    trials = as_indices(trial_indices)
-    grid_index = np.broadcast_to(as_indices(grid_index), trials.shape)
-    levels, level_of = np.unique(np.broadcast_to(snr_db, trials.shape), return_inverse=True)
-    p_max = np.array([snr_to_power(level) for level in levels.tolist()])[level_of]
-    # uint64 like the trial indices, so a replacement index is an exact uint64 sum.
-    discards = np.zeros(trials.size, dtype=np.uint64)
-    chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trials)
-    while True:
-        h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
-        try:
-            primary = design_primary(h11, p_max)
-            uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
-        except RedrawError as exc:
-            redo = np.flatnonzero(exc.rejected)
-            discards[redo] += 1
-            if discards[redo].max() == _MAX_ATTEMPTS:
-                worst = redo[np.argmax(discards[redo])]
-                raise RedrawError(exc.reason, f"trial {trials[worst]} of cell {grid_index[worst]} "
-                                  f"rejected {_MAX_ATTEMPTS} times in a row",
-                                  exc.rejected) from None
-            replacement = trials[redo] + discards[redo] * REPLACEMENT_BASE
-            past = replacement < trials[redo]  # wrapped around 2^64
-            if past.any():
-                raise InvalidInputError(f"replacement index of trial {trials[redo][past][0]} "
-                                        "would pass 2^64")
-            chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index[redo],
-                                      replacement)
-            continue
-        return TrialRecords(unused_modes=primary.unused_count,
-                            rate_primary=primary.rate,
-                            rate_secondary_uniform=uniform.rate,
-                            rate_secondary_optimal=optimal.rate,
-                            discards=discards)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,19 +146,57 @@ def _passes(grids):
         first += len(grid.snr_db_list)
 
 
-def _run_pass(task) -> np.ndarray:
-    """A pass's records as one ``(len(_FIELDS), stop - start)`` float64 array."""
-    grid, first, start, stop = task
+def _run_pass(grid: ExperimentGrid, first: int, start: int, stop: int) -> np.ndarray:
+    """Records of positions ``start..stop`` of a grid's trials (see ``_passes``) as one array.
+
+    The float64 ``(5, stop - start)`` array has a row per field: the four a
+    cell's row averages, in CSV column order (unused modes, primary rate,
+    uniform and optimal secondary rates), then the discard counts, exact in
+    float64 below 2^53. Each trial is designed by ``design_primary``, whose
+    design carries the primary rate, and ``design_secondary``; a trial
+    without a free mode has nothing to transmit, and ``design_secondary``
+    gives it secondary rates 0. Trials whose channels fail a guard are
+    discarded, counted, and replaced by a redraw at
+    ``trial + attempt * REPLACEMENT_BASE`` of the same cell, so replacements
+    are deterministic and never collide with regular trials. Only the
+    rejected trials are redrawn; every trial's record depends on its own
+    stream and SNR alone, not on the other trials of the pass.
+    """
     cell, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), np.uint64(grid.trials))
-    records = run_trials(grid, np.uint64(first) + cell, np.asarray(grid.snr_db_list)[cell], trial)
-    return np.stack([getattr(records, name) for name in _FIELDS], dtype=float)
+    low = start // grid.trials
+    # Only the budgets of the cells the pass spans: an n=20 pass holds 40 trials.
+    budgets = [snr_to_power(snr_db) for snr_db in grid.snr_db_list[low:int(cell[-1]) + 1]]
+    p_max = np.array(budgets)[cell - low]
+    # In place, so that the pass holds one index array per trial fewer.
+    grid_index = np.add(cell, first, out=cell)
+    # uint64 like the trial indices, so a replacement index stays an integer.
+    discards = np.zeros(trial.size, dtype=np.uint64)
+    chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trial)
+    while True:
+        h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
+        try:
+            primary = design_primary(h11, p_max)
+            uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+        except RedrawError as exc:
+            redo = np.flatnonzero(exc.rejected)
+            discards[redo] += 1
+            if discards[redo].max() == _MAX_ATTEMPTS:
+                worst = redo[np.argmax(discards[redo])]
+                raise RedrawError(exc.reason, f"trial {trial[worst]} of cell {grid_index[worst]} "
+                                  f"rejected {_MAX_ATTEMPTS} times in a row",
+                                  exc.rejected) from None
+            chans[redo] = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index[redo],
+                                      trial[redo] + discards[redo] * REPLACEMENT_BASE)
+            continue
+        return np.stack((primary.unused_count, primary.rate, uniform.rate, optimal.rate,
+                         discards), dtype=float)
 
 
 def _in_order(pool: ProcessPoolExecutor, tasks, window: int):
     """Results of ``tasks`` run by ``pool``, in task order, with at most ``window`` in flight."""
     pending = collections.deque()
     for task in tasks:
-        pending.append(pool.submit(_run_pass, task))
+        pending.append(pool.submit(_run_pass, *task))
         if len(pending) >= window:
             yield pending.popleft().result()
     while pending:
@@ -232,7 +209,7 @@ def _cell_rows(grid: ExperimentGrid, first: int, values: np.ndarray) -> list[Res
     ``values`` holds whole cells, their trials in cell-major order.
     """
     cells = values.shape[1] // grid.trials
-    values = values.reshape(len(_FIELDS), cells, grid.trials)
+    values = values.reshape(len(values), cells, grid.trials)
     means, stderrs = _mean_stderr(values[:-1])
     # avg and stderr of each averaged field, alternating, in CSV column order
     stats = np.stack((means, stderrs), axis=-1).swapaxes(0, 1).reshape(cells, -1).tolist()
@@ -267,7 +244,7 @@ def run_grid(grids, workers: int = 1) -> list[ResultRow]:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = _in_order(pool, _passes(grids), window=4 * workers)
         else:
-            results = map(_run_pass, _passes(grids))
+            results = (_run_pass(*task) for task in _passes(grids))
         rows, held = [], []
         for (grid, _, start, stop), values in zip(_passes(grids), results):
             # A cell is complete at its last trial; held runs from a cell's first to stop.

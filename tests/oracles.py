@@ -83,7 +83,7 @@ def column_mean_stderr(values):
 def rows_numbered_from(grid, first):
     """``run_grid([grid])``'s rows, but with cell c at grid index ``first + c``."""
     total, size = grid.trials * len(grid.snr_db_list), experiments._pass_size(grid)
-    values = [experiments._run_pass((grid, first, start, min(start + size, total)))
+    values = [experiments._run_pass(grid, first, start, min(start + size, total))
               for start in range(0, total, size)]
     return experiments._cell_rows(grid, 0, np.concatenate(values, axis=1))
 

@@ -27,24 +27,23 @@ import oia
 import oia.cli as cli
 import oia.experiments as experiments
 import oia.secondary as secondary
+from oia.channel import draw_trials
 from oia.cli import cli_main
 from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import (
     CSV_HEADER,
     REPLACEMENT_BASE,
     ExperimentGrid,
-    TrialRecords,
     run_grid,
-    run_trials,
     snr_to_power,
     write_csv,
 )
 from oia.primary import design_primary
+from oia.secondary import design_secondary
 
-from oracles import column_mean_stderr, complex_gaussian, derive_stream, rows_numbered_from
+from oracles import column_mean_stderr, rows_numbered_from
 
 WALKTHROUGH_SNR_DB = 10.0 * math.log10(0.5)  # p_max = 0.5
-RECORD_FIELDS = [f.name for f in fields(TrialRecords)]
 # Bound on a pass's traced peak, in (trials, nr, nr) complex stacks per trial.
 PASS_STACKS = 14
 
@@ -55,7 +54,7 @@ def walkthrough_channels():
     return np.stack([np.diag([2.0, 1.0]).astype(complex), eye, eye, eye])[None]
 
 
-def dying_pass(task):
+def dying_pass(*task):
     """A pass that ends its worker process at once, as a crash in native code would."""
     os._exit(1)
 
@@ -83,83 +82,54 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError):
             ExperimentGrid(nt=2, nr=2, snr_db_list=(0.0,), trials=0)
 
+    @pytest.mark.parametrize("field,value", [("trials", 2.5), ("trials", True), ("nt", 2.0),
+                                             ("nr", np.float64(3.0)), ("master_seed", 1.5),
+                                             ("master_seed", "7")])
+    def test_rejects_non_integer_fields_by_name(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
+            small_grid(**{field: value})
+
+    def test_trials_capped_at_replacement_base(self):
+        """Past 2^31 trials, regular trial 2^31 + t would draw trial t's first replacement."""
+        assert small_grid(trials=REPLACEMENT_BASE).trials == REPLACEMENT_BASE
+        with pytest.raises(InvalidInputError, match=r"^trials must be in \[1, 2\^31\], got "):
+            small_grid(trials=REPLACEMENT_BASE + 1)
+
 
 class TestRunTrial:
     def test_injected_walkthrough(self, monkeypatch):
         monkeypatch.setattr(experiments, "draw_trials", lambda *_: walkthrough_channels())
-        grid = small_grid(snr_db_list=(WALKTHROUGH_SNR_DB,))
-        record = run_trials(grid, 0, WALKTHROUGH_SNR_DB, [0])
-        assert record.unused_modes[0] == 1
-        assert abs(record.rate_secondary_uniform[0] - math.log2(1.5)) < 1e-9
-        assert abs(record.rate_secondary_optimal[0] - math.log2(1.5)) < 1e-9
-        assert abs(record.rate_primary[0] - math.log2(3.0)) < 1e-9
-        assert record.discards[0] == 0
+        grid = small_grid(snr_db_list=(WALKTHROUGH_SNR_DB,), trials=1)
+        unused, primary, uniform, optimal, discards = experiments._run_pass(grid, 0, 0, 1)[:, 0]
+        assert unused == 1
+        assert abs(uniform - math.log2(1.5)) < 1e-9
+        assert abs(optimal - math.log2(1.5)) < 1e-9
+        assert abs(primary - math.log2(3.0)) < 1e-9
+        assert discards == 0
 
     def test_deterministic_record(self):
         grid = small_grid()
-        a = run_trials(grid, 1, 6.0, [17, 3])
-        b = run_trials(grid, 1, 6.0, [17, 3])
-        for name in RECORD_FIELDS:
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-
-    def test_float_trial_index_rejected(self):
-        """A float trial index is refused, not recorded as the trial of its integer part."""
-        with pytest.raises(InvalidInputError, match="integers"):
-            run_trials(small_grid(), 0, 0.0, [0.5])
-
-    def test_trial_index_past_int64(self):
-        """Indices in [2^63, 2^64), which draw_trials takes, are run, not wrapped negative."""
-        grid = small_grid(snr_db_list=(0.0,))
-        alone = run_trials(grid, 0, 0.0, [2**63])
-        stack = run_trials(grid, 0, 0.0, np.array([3, 2**63, 2**64 - 1], dtype=np.uint64))
-        for name in RECORD_FIELDS:
-            assert getattr(alone, name)[0] == getattr(stack, name)[1], name
-
-    def test_grid_index_up_to_64_bits(self):
-        """Grid indices take the 64 bits the seed contract allows, and no more."""
-        grid = small_grid(snr_db_list=(6.0,), trials=3)
-        record = run_trials(grid, 2**64 - 1, 6.0, range(3))
-        assert not record.discards.any()
-        for trial in range(3):
-            h11 = complex_gaussian(2, 2, derive_stream(grid.master_seed, 2**64 - 1, trial))
-            assert record.rate_primary[trial] == design_primary(h11, snr_to_power(6.0)).rate
-        for bad in (-1, 2**64):
-            with pytest.raises(InvalidInputError, match=r"must lie in \[0, 2\^64\)"):
-                run_trials(grid, bad, 6.0, range(3))
-
-    @staticmethod
-    def always_singular_cross(real_draw, requested):
-        """A draw whose every trial sends at 6 dB over an exactly singular cross channel."""
-        def rigged_draw(nr, nt, master_seed, grid_index, trial_indices):
-            requested.append([int(t) for t in trial_indices])
-            chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
-            chans[:, 0] = np.diag([1.0, 1e-3])
-            chans[:, 1] = 1.0
-            return chans
-        return rigged_draw
-
-    def test_redraw_past_int64_stays_integer(self, monkeypatch):
-        """A replacement index above 2^63 is the exact integer, not a float64 sum."""
-        requested = []
-        monkeypatch.setattr(experiments, "draw_trials",
-                            self.always_singular_cross(experiments.draw_trials, requested))
-        with pytest.raises(RedrawError, match="rejected 100 times"):
-            run_trials(small_grid(snr_db_list=(6.0,)), 0, 6.0, [2**63 + 5])
-        assert requested[:3] == [[2**63 + 5 + n * REPLACEMENT_BASE] for n in range(3)]
-
-    def test_replacement_index_past_2_64_rejected(self, monkeypatch):
-        """A trial to redraw whose replacement index would wrap past 2^64 is refused by name."""
-        monkeypatch.setattr(experiments, "draw_trials",
-                            self.always_singular_cross(experiments.draw_trials, []))
-        with pytest.raises(InvalidInputError, match=r"^replacement index of trial "
-                           rf"{2**64 - 1} would pass 2\^64$"):
-            run_trials(small_grid(snr_db_list=(6.0,)), 0, 6.0, [2, 2**64 - 1])
+        # trials 3..17 of cell 1
+        a = experiments._run_pass(grid, 0, 28, 43)
+        b = experiments._run_pass(grid, 0, 28, 43)
+        assert np.array_equal(a, b)
 
     def test_effectively_zero_power(self):
-        grid = small_grid(nt=3, nr=3, snr_db_list=(-60.0,))
-        record = run_trials(grid, 0, -60.0, range(5))
-        assert np.all(record.unused_modes == 2)
-        assert np.all(record.rate_secondary_optimal < 0.05)
+        grid = small_grid(nt=3, nr=3, snr_db_list=(-60.0,), trials=5)
+        unused, _, _, optimal, _ = experiments._run_pass(grid, 0, 0, 5)
+        assert np.all(unused == 2)
+        assert np.all(optimal < 0.05)
+
+    @staticmethod
+    def designed_alone(grid, grid_index, trial_index, snr_db):
+        """The averaged fields of one trial drawn at ``trial_index`` and designed on its own."""
+        h11, h12, h21, h22 = np.moveaxis(
+            draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, [trial_index]), 1, 0)
+        p_max = np.full(1, snr_to_power(snr_db))
+        primary = design_primary(h11, p_max)
+        uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+        return np.stack((primary.unused_count, primary.rate, uniform.rate, optimal.rate),
+                        dtype=float)[:, 0]
 
     def test_discarded_trial_redrawn_from_reserved_range(self, monkeypatch):
         grid = small_grid(snr_db_list=(0.0,), trials=6)
@@ -176,17 +146,14 @@ class TestRunTrial:
             return chans
 
         monkeypatch.setattr(experiments, "draw_trials", rigged_draw)
-        rigged = run_trials(grid, 0, 0.0, range(6))
+        rigged = experiments._run_pass(grid, 0, 0, 6)
         monkeypatch.undo()
         # only the rejected trial is redrawn, from the reserved range
         assert requested == [list(range(6)), [4 + REPLACEMENT_BASE]]
-        assert list(rigged.discards) == [0, 0, 0, 0, 1, 0]
-        clean = run_trials(grid, 0, 0.0, range(6))
-        replacement = run_trials(grid, 0, 0.0, [4 + REPLACEMENT_BASE])
-        for name in RECORD_FIELDS[:-1]:
-            expected = getattr(clean, name).copy()
-            expected[4] = getattr(replacement, name)[0]
-            assert np.array_equal(getattr(rigged, name), expected), name
+        assert list(rigged[-1]) == [0, 0, 0, 0, 1, 0]
+        expected = experiments._run_pass(grid, 0, 0, 6)[:-1]
+        expected[:, 4] = self.designed_alone(grid, 0, 4 + REPLACEMENT_BASE, 0.0)
+        assert np.array_equal(rigged[:-1], expected)
 
     def test_parallel_active_columns_redrawn(self, monkeypatch):
         """A trial whose two active precoder columns are parallel fails the gram floor.
@@ -210,26 +177,26 @@ class TestRunTrial:
             return chans
 
         monkeypatch.setattr(experiments, "draw_trials", rigged_draw)
-        rigged = run_trials(grid, 0, -20.0, range(5))
+        rigged = experiments._run_pass(grid, 0, 0, 5)
         monkeypatch.undo()
         assert requested == [list(range(5)), [2 + REPLACEMENT_BASE]]
-        assert list(rigged.discards) == [0, 0, 1, 0, 0]
-        clean = run_trials(grid, 0, -20.0, range(5))
-        replacement = run_trials(grid, 0, -20.0, [2 + REPLACEMENT_BASE])
-        for name in RECORD_FIELDS[:-1]:
-            expected = getattr(clean, name).copy()
-            expected[2] = getattr(replacement, name)[0]
-            assert np.array_equal(getattr(rigged, name), expected), name
+        assert list(rigged[-1]) == [0, 0, 1, 0, 0]
+        expected = experiments._run_pass(grid, 0, 0, 5)[:-1]
+        expected[:, 2] = self.designed_alone(grid, 0, 2 + REPLACEMENT_BASE, -20.0)
+        assert np.array_equal(rigged[:-1], expected)
 
     def test_trial_rejected_every_time_gives_up(self, monkeypatch):
         """The give-up names the trial and its cell, since a pass may span cells.
 
         Only sending trials meet the cross-channel guard, so cell 5's direct
-        channel is rigged to leave its weak mode free at 6 dB.
+        channel is rigged to leave its weak mode free at 6 dB. Each attempt
+        redraws the rejected trials at the next multiple of REPLACEMENT_BASE.
         """
         real_draw = experiments.draw_trials
+        requested = []
 
         def singular_cross_in_cell_5(nr, nt, master_seed, grid_index, trial_indices):
+            requested.append([int(t) for t in trial_indices])
             chans = real_draw(nr, nt, master_seed, grid_index, trial_indices)
             cell_5 = np.asarray(grid_index) == 5
             chans[cell_5, 0] = np.diag([1.0, 1e-3])
@@ -238,11 +205,15 @@ class TestRunTrial:
 
         monkeypatch.setattr(experiments, "draw_trials", singular_cross_in_cell_5)
         with pytest.raises(RedrawError, match="rejected 100 times in a row") as info:
-            run_trials(small_grid(), [4, 5, 5], [0.0, 6.0, 6.0], [2, 0, 1])
+            # trial 24 of cell 4 at 0 dB, trials 0 and 1 of cell 5 at 6 dB
+            experiments._run_pass(small_grid(), 4, 24, 27)
         assert info.value.reason == "cross"
         assert info.value.rejected.tolist() == [False, True, True]
         assert str(info.value) == ("cross channel rejected: "
                                    "trial 0 of cell 5 rejected 100 times in a row")
+        assert len(requested) == 100
+        assert requested[:3] == [[24, 0, 1]] + [[n * REPLACEMENT_BASE, 1 + n * REPLACEMENT_BASE]
+                                                for n in (1, 2)]
 
     def test_trials_without_free_mode_skip_secondary_stages(self, monkeypatch):
         """Only trials with a free mode reach the precoder and a whitening QR; others get rate 0.
@@ -259,19 +230,19 @@ class TestRunTrial:
                             lambda h12, u1, p1_bar: precoded.append(np.array(p1_bar))
                             or real_precoder(h12, u1, p1_bar))
         grid = small_grid(nt=3, nr=3, snr_db_list=(10.0,), trials=40)
-        record = run_trials(grid, 0, 10.0, range(40))
-        sends = record.unused_modes > 0
+        unused, _, uniform, optimal, _ = experiments._run_pass(grid, 0, 0, 40)
+        sends = unused > 0
         assert 0 < np.count_nonzero(sends) < 40
         assert sum(whitened) == np.count_nonzero(sends)
-        assert len(whitened) == len(np.unique(record.unused_modes[sends]))
+        assert len(whitened) == len(np.unique(unused[sends]))
         assert [len(p1_bar) for p1_bar in precoded] == [np.count_nonzero(sends)]
         assert np.all(np.any(precoded[0] > 0.0, axis=-1))
-        assert np.all(record.rate_secondary_uniform[~sends] == 0.0)
-        assert np.all(record.rate_secondary_optimal[~sends] == 0.0)
-        assert np.all(record.rate_secondary_optimal[sends] > 0.0)
+        assert np.all(uniform[~sends] == 0.0)
+        assert np.all(optimal[~sends] == 0.0)
+        assert np.all(optimal[sends] > 0.0)
         whitened.clear()
         precoded.clear()
-        run_trials(grid, 0, 60.0, range(40))
+        experiments._run_pass(replace(grid, snr_db_list=(60.0,)), 0, 0, 40)
         assert whitened == [] and precoded == []
 
     def test_silent_trial_with_singular_cross_channel_kept(self, monkeypatch):
@@ -289,11 +260,11 @@ class TestRunTrial:
 
         monkeypatch.setattr(experiments, "draw_trials", rigged_draw)
         grid = small_grid(snr_db_list=(10.0,), trials=5)
-        record = run_trials(grid, 0, 10.0, range(5))
-        assert record.discards.tolist() == [0] * 5
-        assert record.unused_modes[2] == 0
-        assert record.rate_secondary_uniform[2] == record.rate_secondary_optimal[2] == 0.0
-        assert abs(record.rate_primary[2] - 2.0 * math.log2(6.0)) < 1e-9
+        unused, primary, uniform, optimal, discards = experiments._run_pass(grid, 0, 0, 5)
+        assert discards.tolist() == [0] * 5
+        assert unused[2] == 0
+        assert uniform[2] == optimal[2] == 0.0
+        assert abs(primary[2] - 2.0 * math.log2(6.0)) < 1e-9
 
     def test_pass_working_set(self):
         """A full pass peaks under PASS_STACKS (trials, nr, nr) complex stacks.
@@ -303,21 +274,22 @@ class TestRunTrial:
         whitening QRs and both schemes run on the whole pass; at n=3 and
         -20 dB every trial sends too, mostly in two-column groups; at n=3 and
         0 dB some trials do not, and the sending trials' row copies must not
-        raise the peak past the same bound. They trace at about 10.9, 13.9
-        and 13.2 stacks per trial.
+        raise the peak past the same bound. They trace at about 10.86, 13.86
+        and 13.23 stacks per trial, the pass's returned records included.
         """
         for n, snr_db, all_send in [(20, -20.0, True), (3, -20.0, True), (3, 0.0, False)]:
             grid = small_grid(nt=n, nr=n, snr_db_list=(snr_db,), trials=1)
             size = experiments._pass_size(grid)
-            run_trials(grid, 0, snr_db, range(size))  # warm-up: first-call allocations
+            grid = replace(grid, trials=size)
+            experiments._run_pass(grid, 0, 0, size)  # warm-up: first-call allocations
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                record = run_trials(grid, 0, snr_db, range(size))
+                unused = experiments._run_pass(grid, 0, 0, size)[0]
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            sends = np.count_nonzero(record.unused_modes > 0)
+            sends = np.count_nonzero(unused > 0)
             assert sends == size if all_send else 0 < sends < size
             stacks = peak / (16 * grid.nr**2 * size)
             assert stacks < PASS_STACKS, (f"{size}-trial pass at n={n}, {snr_db:g} dB "
@@ -325,25 +297,26 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])
     def test_stacked_records_equal_one_at_a_time(self, nt, nr):
-        """Each trial's record is bitwise the same alone or in a stack: the CSV bytes rest on it."""
+        """Each trial's record is bitwise the same alone or in a stack: the CSV bytes rest on it.
+
+        The stack spans all three cells of the grid, so it mixes SNRs too.
+        """
         trials = 12 if nr < 20 else 4
         grid = small_grid(nt=nt, nr=nr, snr_db_list=(-10.0, 5.0, 20.0), trials=trials)
-        for cell, snr_db in enumerate(grid.snr_db_list):
-            stacked = run_trials(grid, cell, snr_db, range(trials))
-            for trial in range(trials):
-                alone = run_trials(grid, cell, snr_db, [trial])
-                for name in RECORD_FIELDS:
-                    assert getattr(stacked, name)[trial] == getattr(alone, name)[0], name
+        stacked = experiments._run_pass(grid, 0, 0, 3 * trials)
+        for position in range(3 * trials):
+            alone = experiments._run_pass(grid, 0, position, position + 1)
+            assert np.array_equal(stacked[:, position], alone[:, 0]), position
 
 
 class TestRunGrid:
     def test_single_trial_row(self):
         grid = small_grid(snr_db_list=(3.0,), trials=1)
         row = run_grid([grid])[0]
-        record = run_trials(grid, 0, 3.0, [0])
+        unused, primary = experiments._run_pass(grid, 0, 0, 1)[:2, 0]
         assert row.trials_used == 1
-        assert row.avg_rate_primary == record.rate_primary[0]
-        assert row.avg_unused_modes == float(record.unused_modes[0])
+        assert row.avg_rate_primary == primary
+        assert row.avg_unused_modes == unused
         assert row.stderr_rate_primary == 0.0
         assert row.stderr_unused_modes == 0.0
 

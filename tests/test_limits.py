@@ -7,8 +7,9 @@ water-filling does at least as well as the uniform split. At both extremes
 the secondary adds no interference on the primary's active modes, and the
 uniform rate, a sum over squared singular values, matches an independent
 log-det oracle across the whole SNR range. A channel scaled by 1e-150 to
-1e150, alone or with another scaled the opposite way, gives finite rates or
-a refusal that names the matrix at fault.
+1e150, alone or with another scaled the opposite way, and cross or secondary
+channels that are zero or of rank one at any normal budget up to 1e300, give
+finite rates or a refusal that names the matrix at fault.
 """
 
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from oia.channel import draw_trials
 from oia.errors import InvalidInputError, RedrawError
-from oia.experiments import ExperimentGrid, run_trials, snr_to_power
+from oia.experiments import ExperimentGrid, _run_pass, snr_to_power
 from oia.primary import design_primary
 from oia.secondary import design_secondary
 
@@ -34,28 +35,30 @@ LIMITS = settings(max_examples=30, deadline=None, derandomize=True, database=Non
 
 
 def records(n, seed, snr_db):
+    """Unused modes and both secondary rates of TRIALS trials of one cell."""
     grid = ExperimentGrid(nt=n, nr=n, snr_db_list=(snr_db,), trials=TRIALS, master_seed=seed)
-    return run_trials(grid, 0, snr_db, range(TRIALS))
+    unused, _, uniform, optimal, _ = _run_pass(grid, 0, 0, TRIALS)
+    return unused, uniform, optimal
 
 
 @LIMITS
 @given(ANTENNAS, SEED, st.floats(150.0, 300.0))
 def test_high_snr_leaves_no_mode_unused(n, seed, snr_db):
-    rec = records(n, seed, snr_db)
-    assert np.all(rec.unused_modes == 0)
-    assert np.all(rec.rate_secondary_uniform == 0.0)
-    assert np.all(rec.rate_secondary_optimal == 0.0)
+    unused, uniform, optimal = records(n, seed, snr_db)
+    assert np.all(unused == 0)
+    assert np.all(uniform == 0.0)
+    assert np.all(optimal == 0.0)
 
 
 @LIMITS
 @given(ANTENNAS, SEED, st.floats(-300.0, -150.0))
 def test_low_snr_leaves_all_but_one_mode_unused(n, seed, snr_db):
-    rec = records(n, seed, snr_db)
-    assert np.all(rec.unused_modes == n - 1)
+    unused, uniform, optimal = records(n, seed, snr_db)
+    assert np.all(unused == n - 1)
     # C04's tolerance, relative to rates of 1e-15 and below: with n = 2 both
     # schemes use the one free mode in full and differ only by rounding
-    assert np.all(rec.rate_secondary_optimal >= rec.rate_secondary_uniform * (1.0 - 1e-9))
-    assert np.all(rec.rate_secondary_uniform > 0.0)
+    assert np.all(optimal >= uniform * (1.0 - 1e-9))
+    assert np.all(uniform > 0.0)
 
 
 @LIMITS
@@ -146,3 +149,33 @@ def test_scaled_channels_give_finite_rates_or_a_named_refusal(n, seed, which, ot
         return  # the other channel alone may be refused where the pair is not
     for scaled, reference in zip(designs, references):
         assert abs(scaled.rate - reference.rate) <= 1e-12 * reference.rate
+
+
+@LIMITS
+@given(ANTENNAS, SEED, st.dictionaries(st.sampled_from([1, 2, 3]),
+                                       st.sampled_from(["zero", "rank one"]), min_size=1),
+       st.floats(np.finfo(float).tiny, 1e300))
+@example(2, 0, {1: "rank one", 2: "zero", 3: "rank one"}, np.finfo(float).tiny)
+@example(3, 0, {2: "rank one", 3: "zero"}, 1e300)
+def test_degenerate_channels_give_finite_rates_or_a_named_refusal(n, seed, degenerate, p_max):
+    """h12, h21 or h22 zero or of rank one, at a budget from the smallest normal to 1e300.
+
+    ``degenerate`` maps a channel's position in (h11, h12, h21, h22) to what
+    it becomes: zero, or the rank-one product of its first column and first
+    row. Both designs return finite, nonnegative rates and a finite p2, or
+    the call raises InvalidInputError or RedrawError.
+    """
+    chans = list(np.moveaxis(draw_trials(n, n, seed, 0, range(TRIALS)), 1, 0))
+    for which, kind in degenerate.items():
+        h = chans[which]
+        chans[which] = np.zeros_like(h) if kind == "zero" else h[..., :, :1] @ h[..., :1, :]
+    h11, h12, h21, h22 = chans
+    try:
+        primary = design_primary(h11, p_max)
+        designs = design_secondary(primary, h12, h21, h22, p_max)
+    except (InvalidInputError, RedrawError):
+        return
+    assert np.all(np.isfinite(primary.rate)) and np.all(primary.rate >= 0.0)
+    for design in designs:
+        assert np.all(np.isfinite(design.rate)) and np.all(design.rate >= 0.0)
+        assert np.all(np.isfinite(design.p2))
