@@ -7,14 +7,15 @@ the one ``numpy.random.default_rng`` builds from it. A trial's draws therefore
 depend only on the triple, never on execution order or worker count. Both
 algorithms are fixed by numpy's stream-compatibility policy for seeded bit
 generators. ``draw_trials`` hashes the SeedSequences of a whole stack of
-trials at once, in numpy's uint32 arithmetic, and numpy's own PCG64
-constructor then seeds each trial's generator from its words, in C.
+trials at once, in numpy's uint32 arithmetic: each of the three integers
+takes one 32-bit entropy word below 2^32 and two from there on, and words
+past the pool are mixed in under a mask of the trials that have them. numpy's
+own PCG64 constructor then seeds each trial's generator from its words, in C.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
@@ -30,17 +31,6 @@ _MIX_L, _MIX_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
 
 # Row indices of the pool words other than word k, for each k.
 _OTHERS = [np.delete(np.arange(_POOL), k) for k in range(_POOL)]
-
-
-def _entropy_words(value: int) -> list[int]:
-    """SeedSequence's entropy words of an int: its little-endian 32-bit words, ``[0]`` for 0."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"seed entropy must be nonnegative, got {value}")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
 
 
 @functools.lru_cache(maxsize=8)
@@ -68,67 +58,54 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed
 
 
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy[:, k]).generate_state(4, uint64)`` for every column k.
+def _stream_seeds(values: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's SeedSequence entropy of the uint64 ``values``, and its word count.
 
-    ``entropy`` is uint32 ``(words, trials)``; the result is uint64 ``(4, trials)``.
+    Each of ``values`` is one value or one per trial, and takes its low 32
+    bits, then its high 32 bits from 2^32 on, at the trial's own cursor. The
+    entropy is uint32 ``(rows, trials)``, zero past each trial's count.
     """
-    extra = max(0, entropy.shape[0] - _POOL)
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
-    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
-    pool[:entropy.shape[0]] = entropy[:_POOL]
-    pool = _hash(pool, consts[:_POOL + 1])
-    call = _POOL
+    at = np.zeros(np.broadcast(*values).shape, dtype=np.intp)
+    entropy = np.zeros((2 * len(values), at.size), dtype=np.uint32)
+    columns = np.arange(at.size)
+    for value in values:
+        entropy[at, columns] = value & _MASK32
+        entropy[at + 1, columns] = value >> 32
+        at += 1 + (value > _MASK32)
+    return entropy, at
+
+
+def _seed_words(entropy: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Row k: ``SeedSequence(entropy[:count[k], k]).generate_state(4, uint64)``, C-contiguous."""
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy))
+    # Entropy shorter than the pool is hashed as if padded with zero words.
+    pool = _hash(entropy[:_POOL], consts[:_POOL + 1])
     # Each pool word in turn is hashed once for every other pool word, in
-    # their order, and mixed into it; then so is each entropy word past the pool.
+    # their order, and mixed into it.
     for src, others in enumerate(_OTHERS):
+        call = _POOL + src * (_POOL - 1)
         pool[others] = _mix(pool[others], _hash(pool[src], consts[call:call + _POOL]))
-        call += _POOL - 1
-    for word in entropy[_POOL:]:
-        pool = _mix(pool, _hash(word, consts[call:call + _POOL + 1]))
-        call += _POOL
+    # Then so is each entropy word w past the pool, into the trials that have
+    # it; its hashes are calls 4w to 4w + 3 in every such trial.
+    for word in range(_POOL, count.max(initial=_POOL)):
+        mixed = _mix(pool, _hash(entropy[word], consts[_POOL * word:_POOL * (word + 1) + 1]))
+        pool = np.where(count > word, mixed, pool)
     state = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
     state = state.astype(np.uint64)
-    return state[0::2] | (state[1::2] << np.uint64(32))
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
 
 
-def _as_indices(values) -> np.ndarray:
-    """Integer indices in [0, 2^64) as uint64; Python ints past 2^63 stay exact on the way."""
+def _as_indices(values, name: str) -> np.ndarray:
+    """Integers in [0, 2^64), not bools, as uint64, exact past 2^63; else InvalidInputError."""
     if not isinstance(values, np.ndarray):
         values = np.array(values, dtype=object)
-        if not all(isinstance(value, (int, np.integer)) for value in values.flat):
-            raise InvalidInputError("indices must be integers")
+        if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in values.flat):
+            raise InvalidInputError(f"{name} takes integers only")
     elif values.dtype.kind not in "iu":
-        raise InvalidInputError(f"indices must be integers, got dtype {values.dtype}")
+        raise InvalidInputError(f"{name} takes integers only, got dtype {values.dtype}")
     if values.size and not (values.min() >= 0 and values.max() < 2**64):
-        raise InvalidInputError("grid and trial indices must lie in [0, 2^64)")
+        raise InvalidInputError(f"{name} must lie in [0, 2^64)")
     return values.astype(np.uint64)
-
-
-def _stream_seeds(master_seed: int, grids: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """Rows of ``SeedSequence((master_seed, g, t)).generate_state(4, uint64)``, per pair (g, t)."""
-    prefix = _entropy_words(master_seed)
-    words = len(prefix)
-    # Each trial's entropy: the master seed's words, then its grid index's and
-    # its trial index's, one word below 2^32 and two from there on. Rows past a
-    # trial's word count stay zero.
-    entropy = np.zeros((words + 4, trials.size), dtype=np.uint32)
-    entropy[:words] = np.array(prefix, dtype=np.uint32)[:, None]
-    grid_wide, trial_wide = grids > _MASK32, trials > _MASK32
-    columns = np.arange(trials.size)
-    entropy[words] = grids & np.uint64(_MASK32)
-    entropy[words + 1] = grids >> np.uint64(32)
-    at = words + 1 + grid_wide
-    entropy[at, columns] = trials & np.uint64(_MASK32)
-    entropy[at + 1, columns] = trials >> np.uint64(32)
-    # SeedSequence's hash depends on the entropy's word count only past the
-    # pool size: shorter entropy is hashed as if padded with zero words.
-    counts = np.maximum(words + 2 + grid_wide + trial_wide, _POOL)
-    seeds = np.empty((trials.size, 4), dtype=np.uint64)
-    for count in sorted(set(counts.tolist())):
-        group = counts == count
-        seeds[group] = _seed_words(entropy[:count, group]).T
-    return seeds
 
 
 @functools.cache
@@ -166,19 +143,24 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
     ``PCG64(SeedSequence((master_seed, grid_index[k], trial_indices[k])))``
     with one ``standard_normal((4, nr, nt, 2))`` call: matrix by matrix in
     that order, each in row-major entry order, real part then imaginary
-    part. ``grid_index`` is one index for the whole stack or one per trial;
-    grid and trial indices are integers in [0, 2^64), or InvalidInputError
-    is raised. A trial's channels therefore do not depend on the other
-    trials of the stack. A negative ``master_seed`` raises ``ValueError``,
-    as SeedSequence does.
+    part, so a trial's channels do not depend on the other trials of the
+    stack. ``master_seed`` is one integer and the grid and trial indices are
+    integers, all in [0, 2^64), and ``grid_index`` is one index for the
+    whole stack or one per trial; anything else raises InvalidInputError,
+    which is a ValueError, naming the argument.
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")
-    trials = _as_indices(trial_indices).ravel()
-    grids = np.broadcast_to(_as_indices(grid_index), trials.shape)
+    seed = _as_indices(master_seed, "master_seed")
+    trials = _as_indices(trial_indices, "trial_indices").ravel()
+    grids = _as_indices(grid_index, "grid_index")
+    if seed.ndim:
+        raise InvalidInputError(f"master_seed must be one integer, got shape {seed.shape}")
+    if grids.ndim > 1 or grids.size not in (1, trials.size):
+        raise InvalidInputError("grid_index must be one index or one per trial")
     normals = np.empty((trials.size, 4, nr, nt, 2))
     pcg64, generator, feed = _stream_types()
-    seeds = feed(_stream_seeds(master_seed, grids, trials))
+    seeds = feed(_seed_words(*_stream_seeds((seed, grids, trials))))
     for row in normals:
         generator(pcg64(seeds)).standard_normal(out=row)
     # numpy divides a complex value by sqrt(2) + 0j as a product with the rounded

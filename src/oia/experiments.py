@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import math
+import numbers
 import operator
 import os
 import stat
@@ -49,7 +50,11 @@ class ExperimentGrid:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        # A scalar is no sequence, so it is refused as empty below.
+        snrs = tuple(self.snr_db_list) if np.iterable(self.snr_db_list) else ()
+        if not all(isinstance(s, numbers.Real) and type(s) is not bool for s in snrs):
+            raise InvalidInputError(f"snr_db_list must be real numbers, got {self.snr_db_list!r}")
+        object.__setattr__(self, "snr_db_list", tuple(map(float, snrs)))
         for name in ("nt", "nr", "trials", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -63,7 +68,7 @@ class ExperimentGrid:
         if not 1 <= self.trials <= REPLACEMENT_BASE:
             raise InvalidInputError(f"trials must be in [1, 2^31], got {self.trials}")
         if len(self.snr_db_list) == 0:
-            raise InvalidInputError("snr_db_list must be nonempty")
+            raise InvalidInputError("snr_db_list must be a nonempty sequence")
         if any(b <= a for a, b in zip(self.snr_db_list, self.snr_db_list[1:])):
             raise InvalidInputError("snr_db_list must be strictly increasing")
         if not 0 <= self.master_seed < 2**64:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oia
@@ -46,6 +46,10 @@ class TestStreamDerivation:
         assert not np.array_equal(a, d)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    # One stack of 4-, 5- and 6-word entropies: words past the pool are mixed
+    # into the trials that have them only.
+    @example(master=2**32 + 5, draws=[(0, 0), (2**33, 0), (0, 2**40), (2**33, 2**40)],
+             per_trial=True, shape=(2, 2))
     @given(master=st.one_of(EDGES, st.integers(0, 2**64 - 1)),
            draws=st.lists(st.tuples(st.one_of(EDGES, st.integers(0, 2**40)),
                                     st.one_of(EDGES, REPLACEMENTS, st.integers(0, 2**33))),
@@ -87,6 +91,19 @@ class TestStreamDerivation:
             derive_stream(-5, 0, 0)
         with pytest.raises(ValueError):
             draw_trials(2, 2, -5, 0, [0])
+
+    @pytest.mark.parametrize("seed", [1.5, True, 2**64, -1, [1, 2]],
+                             ids=["float", "bool", "2^64", "negative", "list"])
+    def test_master_seed_refused_by_name(self, seed):
+        with pytest.raises(InvalidInputError, match="^master_seed "):
+            draw_trials(2, 2, seed, 0, [0, 1])
+
+    @pytest.mark.parametrize("grid", [[0, 1, 2], [[0]], np.zeros((2, 1), dtype=int)],
+                             ids=["too-long", "nested", "column"])
+    def test_grid_index_of_wrong_shape_refused_by_name(self, grid):
+        """The grid index is one index or one per trial, not anything numpy broadcasts."""
+        with pytest.raises(InvalidInputError, match="^grid_index must be one index or one per trial"):
+            draw_trials(2, 2, 1, grid, [0, 1])
 
     def test_negative_indices_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -89,6 +89,12 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
             small_grid(**{field: value})
 
+    @pytest.mark.parametrize("snrs", [("a",), 5.0, None, (1j,), [True], "5"],
+                             ids=["string-entry", "scalar", "none", "complex", "bool", "string"])
+    def test_rejects_non_real_snr_by_name(self, snrs):
+        with pytest.raises(InvalidInputError, match="^snr_db_list must be "):
+            small_grid(snr_db_list=snrs)
+
     def test_trials_capped_at_replacement_base(self):
         """Past 2^31 trials, regular trial 2^31 + t would draw trial t's first replacement."""
         assert small_grid(trials=REPLACEMENT_BASE).trials == REPLACEMENT_BASE
