@@ -69,9 +69,9 @@ def _stream_seeds(values: tuple) -> tuple[np.ndarray, np.ndarray]:
     entropy = np.zeros((2 * len(values), at.size), dtype=np.uint32)
     columns = np.arange(at.size)
     for value in values:
-        entropy[at, columns] = value & _MASK32
-        entropy[at + 1, columns] = value >> 32
-        at += 1 + (value > _MASK32)
+        entropy[at, columns] = value & np.uint64(_MASK32)
+        entropy[at + 1, columns] = value >> np.uint64(32)
+        at += 1 + (value > np.uint64(_MASK32))
     return entropy, at
 
 
@@ -95,17 +95,17 @@ def _seed_words(entropy: np.ndarray, count: np.ndarray) -> np.ndarray:
     return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
 
 
-def _as_indices(values, name: str) -> np.ndarray:
-    """Integers in [0, 2^64), not bools, as uint64, exact past 2^63; else InvalidInputError."""
-    if not isinstance(values, np.ndarray):
-        values = np.array(values, dtype=object)
-        if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in values.flat):
-            raise InvalidInputError(f"{name} takes integers only")
-    elif values.dtype.kind not in "iu":
-        raise InvalidInputError(f"{name} takes integers only, got dtype {values.dtype}")
-    if values.size and not (values.min() >= 0 and values.max() < 2**64):
+def _as_indices(values, name: str, one: bool = False) -> np.ndarray:
+    """Integers in [0, 2^64), not bools, as uint64, exact past 2^63, and just one if ``one``."""
+    array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    whole = array.dtype.kind in "iu" or array.dtype == object and all(
+        isinstance(v, (int, np.integer)) and type(v) is not bool for v in array.flat)
+    if not whole or one and array.ndim:
+        raise InvalidInputError(
+            f"{name} must be {'an integer' if one else 'integers'}, got {values!r}")
+    if array.size and not (array.min() >= 0 and array.max() < 2**64):
         raise InvalidInputError(f"{name} must lie in [0, 2^64)")
-    return values.astype(np.uint64)
+    return array.astype(np.uint64)
 
 
 @functools.cache
@@ -151,11 +151,9 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
     """
     if nr < 1 or nt < 1:
         raise InvalidInputError("antenna counts must be >= 1")
-    seed = _as_indices(master_seed, "master_seed")
+    seed = _as_indices(master_seed, "master_seed", one=True)
     trials = _as_indices(trial_indices, "trial_indices").ravel()
     grids = _as_indices(grid_index, "grid_index")
-    if seed.ndim:
-        raise InvalidInputError(f"master_seed must be one integer, got shape {seed.shape}")
     if grids.ndim > 1 or grids.size not in (1, trials.size):
         raise InvalidInputError("grid_index must be one index or one per trial")
     normals = np.empty((trials.size, 4, nr, nt, 2))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import draw_trials
+from .channel import _as_indices, draw_trials
 from .errors import InvalidInputError, RedrawError
 from .primary import design_primary
 from .secondary import design_secondary
@@ -55,10 +55,12 @@ class ExperimentGrid:
         if not all(isinstance(s, numbers.Real) and type(s) is not bool for s in snrs):
             raise InvalidInputError(f"snr_db_list must be real numbers, got {self.snr_db_list!r}")
         object.__setattr__(self, "snr_db_list", tuple(map(float, snrs)))
-        for name in ("nt", "nr", "trials", "master_seed"):
+        for name in ("nt", "nr", "trials"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        # The seed rule is draw_trials', so both refuse a seed alike.
+        _as_indices(self.master_seed, "master_seed", one=True)
         if self.nt < 1:
             raise InvalidInputError("nt must be >= 1")
         if self.nr < self.nt:
@@ -71,8 +73,6 @@ class ExperimentGrid:
             raise InvalidInputError("snr_db_list must be a nonempty sequence")
         if any(b <= a for a, b in zip(self.snr_db_list, self.snr_db_list[1:])):
             raise InvalidInputError("snr_db_list must be strictly increasing")
-        if not 0 <= self.master_seed < 2**64:
-            raise InvalidInputError(f"master seed must be in [0, 2^64), got {self.master_seed}")
         for snr_db in self.snr_db_list:
             snr_to_power(snr_db)
 

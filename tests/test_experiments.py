@@ -920,26 +920,33 @@ class TestCliContract:
 class TestGoldenCsv:
     """SHA-256 of small sweeps, pinned so refactors keep the CSV bytes."""
 
-    @pytest.mark.parametrize("sweep,workers,seeds",
-                             [("run --nt 3 --nr 3 --trials 100", 1, range(32)),
-                              ("run --nt 20 --nr 20 --trials 40", 1, [0]),
-                              ("run --nt 3 --nr 5 --trials 100", 1, range(32)),
-                              ("fig-unused --trials 60", 2, [0])],
-                             ids=["run-3x3", "run-20x20", "run-3x5", "fig-unused-w2"])
-    def test_benchmark_reference_digest(self, tmp_path, sweep, workers, seeds):
-        """``seeds`` of each benchmark sweep have the digests in ``perfbench/reference.json``.
+    REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    # Every sweep recorded in the reference, serially, and fig-unused also on
+    # two workers, so the process pool's bytes are checked too.
+    SWEEPS = {"run-3x3": ("run --nt 3 --nr 3 --trials 100", 1),
+              "run-20x20": ("run --nt 20 --nr 20 --trials 40", 1),
+              "run-3x5": ("run --nt 3 --nr 5 --trials 100", 1),
+              "fig-unused": ("fig-unused --trials 60", 1),
+              "fig-unused-w2": ("fig-unused --trials 60", 2)}
 
-        The small sweeps check all 32 recorded seeds, since rounding-level
-        changes to the rates move a CSV digit only rarely. The fig-unused
-        sweep runs on two workers, so the process pool's bytes are checked too.
+    def test_every_reference_sweep_checked(self):
+        sweeps = json.loads(self.REFERENCE.read_text())["sweeps"]
+        assert {sweep for sweep, _ in self.SWEEPS.values()} == set(sweeps)
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_benchmark_reference_digest(self, tmp_path, name):
+        """Every recorded seed of a benchmark sweep has its digest in ``perfbench/reference.json``.
+
+        All 32 seeds are checked, since rounding-level changes to the rates
+        move a CSV digit only rarely.
         """
-        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-        digests = json.loads(reference.read_text())["sweeps"][sweep]
+        sweep, workers = self.SWEEPS[name]
+        digests = json.loads(self.REFERENCE.read_text())["sweeps"][sweep]
         out = tmp_path / "sweep.csv"
-        for seed in map(str, seeds):
+        for seed, digest in digests.items():
             assert cli_main([*sweep.split(), "--seed", seed, "--workers", str(workers),
                              "--out", str(out)]) == 0
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[seed], seed
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, seed
 
     @pytest.mark.parametrize("argv,digest", [
         (["run", "--nt", "3", "--nr", "5", "--trials", "20", "--seed", "5",
