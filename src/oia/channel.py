@@ -144,12 +144,13 @@ def draw_trials(nr: int, nt: int, master_seed: int, grid_index,
     with one ``standard_normal((4, nr, nt, 2))`` call: matrix by matrix in
     that order, each in row-major entry order, real part then imaginary
     part, so a trial's channels do not depend on the other trials of the
-    stack. ``master_seed`` is one integer and the grid and trial indices are
-    integers, all in [0, 2^64), and ``grid_index`` is one index for the
-    whole stack or one per trial; anything else raises InvalidInputError,
-    which is a ValueError, naming the argument.
+    stack. ``nr`` and ``nt`` are integers of at least 1, ``master_seed`` is
+    one integer and the grid and trial indices are integers, all in
+    [0, 2^64), and ``grid_index`` is one index for the whole stack or one
+    per trial; anything else raises InvalidInputError, which is a
+    ValueError, naming the argument.
     """
-    if nr < 1 or nt < 1:
+    if _as_indices(nr, "nr", one=True) < 1 or _as_indices(nt, "nt", one=True) < 1:
         raise InvalidInputError("antenna counts must be >= 1")
     seed = _as_indices(master_seed, "master_seed", one=True)
     trials = _as_indices(trial_indices, "trial_indices").ravel()

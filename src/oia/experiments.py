@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel import _as_indices, draw_trials
 from .errors import InvalidInputError, RedrawError
-from .primary import design_primary
 from .secondary import design_secondary
 
 # Replacement draws for discarded trials take indices at or above this base, and
@@ -157,15 +156,15 @@ def _run_pass(grid: ExperimentGrid, first: int, start: int, stop: int) -> np.nda
     The float64 ``(5, stop - start)`` array has a row per field: the four a
     cell's row averages, in CSV column order (unused modes, primary rate,
     uniform and optimal secondary rates), then the discard counts, exact in
-    float64 below 2^53. Each trial is designed by ``design_primary``, whose
-    design carries the primary rate, and ``design_secondary``; a trial
-    without a free mode has nothing to transmit, and ``design_secondary``
-    gives it secondary rates 0. Trials whose channels fail a guard are
-    discarded, counted, and replaced by a redraw at
-    ``trial + attempt * REPLACEMENT_BASE`` of the same cell, so replacements
-    are deterministic and never collide with regular trials. Only the
-    rejected trials are redrawn; every trial's record depends on its own
-    stream and SNR alone, not on the other trials of the pass.
+    float64 below 2^53. One ``design_secondary`` call designs both links of
+    every trial from its four channels, as ``draw_trials`` stacks them; a
+    trial without a free mode has nothing to transmit, and gets secondary
+    rates 0. Trials whose channels fail a guard are discarded, counted, and
+    replaced by a redraw at ``trial + attempt * REPLACEMENT_BASE`` of the
+    same cell, so replacements are deterministic and never collide with
+    regular trials. Only the rejected trials are redrawn; every trial's
+    record depends on its own stream and SNR alone, not on the other trials
+    of the pass.
     """
     cell, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), np.uint64(grid.trials))
     low = start // grid.trials
@@ -178,10 +177,8 @@ def _run_pass(grid: ExperimentGrid, first: int, start: int, stop: int) -> np.nda
     discards = np.zeros(trial.size, dtype=np.uint64)
     chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, trial)
     while True:
-        h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
         try:
-            primary = design_primary(h11, p_max)
-            uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+            primary, uniform, optimal = design_secondary(chans, p_max)
         except RedrawError as exc:
             redo = np.flatnonzero(exc.rejected)
             discards[redo] += 1

@@ -3,12 +3,12 @@
 The opportunistic transmitter aims its signal at the spatial modes the
 primary left unused, its receiver whitens the primary's interference, and
 it splits its budget either evenly or by water-filling the whitened
-channel. ``design_secondary`` designs all of it in one call, for one
-trial's matrices or stacks of them with the same leading axes, and gives
-each trial of a stack the result it would get on its own, bit for bit; its
-docstring gives the contract. Past its whitening QR, each group of trials
-with the same active-column count takes one gram-root step, ``_gram_root``,
-and one eigen step, ``_gram_eig``. ``p1_bar``'s scale causes no refusal.
+channel. ``design_secondary`` designs both links in one call, from one
+trial's four channels or a stack of them, and gives each trial of a stack
+the result it would get on its own, bit for bit; its docstring gives the
+contract. Past its whitening QR, each group of trials with the same
+active-column count takes one gram-root step, ``_gram_root``, and one eigen
+step, ``_gram_eig``. ``p1_bar``'s scale causes no refusal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, RedrawError
-from .waterfill import positive_budget, sum_rate, waterfill
+from .primary import PrimaryDesign, design_primary
+from .waterfill import sum_rate, waterfill
 
 # Smallest/largest singular-value ratio of the cross channel below which it is
 # treated as rank deficient. Below this, inverting would amplify noise past
@@ -115,16 +116,6 @@ def _precoder(h12, u1, p1_bar) -> np.ndarray:
     return steer
 
 
-def _channel(name, h, shape) -> np.ndarray:
-    """``h`` as a complex array, refused by name unless it has ``shape`` and finite entries."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != shape:
-        raise InvalidInputError(f"{name} must have shape {shape}, got {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return h
-
-
 def _in_band(a) -> tuple[np.ndarray, np.ndarray]:
     """``(a * 2^-s, s)`` per block, s = 0 where a block is in band; ``a`` itself where all are.
 
@@ -210,25 +201,26 @@ def _scatter(x: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, SecondaryDesign]:
-    """The secondary link of a trial or a stack of trials: ``(uniform, optimal)``.
+def design_secondary(channels, p_max) -> tuple[PrimaryDesign, SecondaryDesign, SecondaryDesign]:
+    """Both links of a trial or a stack of trials: ``(primary, uniform, optimal)``.
 
-    ``primary`` is the trials' ``PrimaryDesign``; ``h12`` (cross, to the
-    primary receiver), ``h21`` (primary to secondary receiver) and ``h22``
-    (direct) are nr x nt with its stack axes; ``p_max`` is one budget or one
-    per trial. Each input is checked once, in this order: ``nr >= nt``; the
-    channels' shapes and finite entries; ``p1_bar``'s shape, its finite
-    nonnegative entries, and its positive entries forming a suffix of the
-    modes disjoint from ``p1.powers``, as ``design_primary``'s do; the budget.
+    ``channels`` is ``(..., 4, nr, nt)``, as ``draw_trials`` returns it:
+    h11, h12 (cross, to the primary receiver), h21 (primary to secondary
+    receiver) and h22 (direct) along axis -3. ``p_max`` is one budget or one
+    per trial. The stack's shape, ``nr >= nt`` and finite entries are
+    checked, in this order, each once; a non-finite entry is refused naming
+    its channel. ``design_primary`` then designs h11 and checks the budget,
+    and the secondary link steers by that design's ``u1`` and ``p1_bar``.
 
     Only trials with an active column (``p1_bar > 0``) send; the others get
-    ``v2 = 0`` and rate 0, whatever their cross channel. Two refusals discard
-    sending trials, as a ``RedrawError`` whose ``rejected`` marks them in
-    the whole stack: ``"cross"``, from ``_precoder``'s rank guard, and
-    ``"gram"``, where the active columns' normalized gram matrix has an
-    eigenvalue below ``GRAM_FLOOR``. Active squared column norms, their sum
-    or ``p_max`` over it that are zero or not finite are an
-    InvalidInputError naming h12 and ``p1_bar``.
+    ``v2 = 0`` and rate 0, whatever their cross channel. Three refusals
+    discard trials, as a ``RedrawError`` whose ``rejected`` marks them in the
+    whole stack: ``"direct"``, from ``design_primary``; ``"cross"``, from
+    ``_precoder``'s rank guard on a sending trial; and ``"gram"``, where a
+    sending trial's normalized active columns have a gram eigenvalue below
+    ``GRAM_FLOOR``. Active squared column norms, their sum or ``p_max`` over
+    it that are zero or not finite are an InvalidInputError naming h12 and
+    ``p1_bar``.
 
     The uniform scheme sends an identity covariance through the precoder
     scaled to ``trace(v2 @ v2^H) = p_max``; the optimal one sends the
@@ -236,31 +228,28 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
     the active columns to ``trace(v2 @ p2 @ v2^H) = p_max``. A trial without
     any gain gets rate 0 in both, its optimal budget split evenly.
     """
-    batch, nr, nt = primary.u.shape[:-2], primary.u.shape[-1], primary.v.shape[-1]
+    refusal = "channels must have shape (..., 4, nr, nt), h11, h12, h21 and h22 along axis -3"
+    try:
+        channels = np.asarray(channels, dtype=np.complex128)
+    except ValueError:  # four channels given one by one, of unequal shapes
+        raise InvalidInputError(refusal) from None
+    if channels.ndim < 3 or channels.shape[-3] != 4:
+        raise InvalidInputError(f"{refusal}, got shape {channels.shape}")
+    batch, (nr, nt) = channels.shape[:-3], channels.shape[-2:]
     if nr < nt:
         raise InvalidInputError(
             f"no precoder for nr={nr} < nt={nt}; need at least as many receive antennas")
-    h12, h21, h22 = (_channel(name, h, batch + (nr, nt))
-                     for name, h in (("h12", h12), ("h21", h21), ("h22", h22)))
-    p1_bar = np.asarray(primary.p1_bar, dtype=float)
-    if p1_bar.shape != batch + (nt,):
-        raise InvalidInputError(f"p1_bar must have {nt} entries per trial, "
-                                f"got shape {p1_bar.shape}")
-    if not np.all((p1_bar >= 0.0) & (p1_bar < np.inf)):
-        raise InvalidInputError("p1_bar must be finite and nonnegative")
-    active = p1_bar > 0.0
-    if np.any(active[..., :-1] > active[..., 1:]):
-        raise InvalidInputError("p1_bar must be positive on a suffix of the modes, "
-                                "as design_primary's complement is")
-    p1 = np.reshape(primary.p1.powers, active.shape)
-    if np.any(active & (p1 > 0.0)):
-        raise InvalidInputError("p1.powers and p1_bar must have disjoint supports, "
-                                "as design_primary's do")
-    p_max = np.broadcast_to(positive_budget(p_max, batch, "p_max"), batch).reshape(-1)
+    finite = np.isfinite(channels).all(axis=(-2, -1)).reshape(-1, 4).all(axis=0)
+    if not finite.all():
+        raise InvalidInputError(f"{('h11', 'h12', 'h21', 'h22')[np.argmin(finite)]} "
+                                "contains non-finite entries")
+    primary = design_primary(channels[..., 0, :, :], p_max)
+    p_max = np.broadcast_to(np.asarray(p_max, dtype=float), batch).reshape(-1)
     count = p_max.size
-    h12, h21, h22 = (h.reshape(count, nr, nt) for h in (h12, h21, h22))
-    u, v = np.reshape(primary.u, (count, nr, nr)), np.reshape(primary.v, (count, nt, nt))
-    p1_bar, p1, active = (x.reshape(count, nt) for x in (p1_bar, p1, active))
+    _, h12, h21, h22 = np.moveaxis(channels.reshape(count, 4, nr, nt), 1, 0)
+    u, v = primary.u.reshape(count, nr, nr), primary.v.reshape(count, nt, nt)
+    p1_bar, p1 = primary.p1_bar.reshape(count, nt), primary.p1.powers.reshape(count, nt)
+    active = p1_bar > 0.0
     sends = np.flatnonzero(active.any(axis=-1))
     v2s = np.zeros((0, nt, nt), dtype=np.complex128)
     if sends.size:
@@ -356,4 +345,4 @@ def design_secondary(primary, h12, h21, h22, p_max) -> tuple[SecondaryDesign, Se
                               rate=rate_uniform.reshape(batch)[()])
     optimal = SecondaryDesign(v2=v2_raw, p2=p2.reshape(v2_raw.shape),
                               rate=rate_optimal.reshape(batch)[()])
-    return uniform, optimal
+    return primary, uniform, optimal

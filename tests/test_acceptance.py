@@ -52,8 +52,7 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
         stream = derive_stream(master_seed, grid_index, idx)
         h11, h12, h21, h22 = (complex_gaussian(nt, nt, stream) for _ in range(4))
         try:
-            primary = design_primary(h11, p_max)
-            uni, opt = design_secondary(primary, h12, h21, h22, p_max)
+            primary, uni, opt = design_secondary(np.stack((h11, h12, h21, h22), axis=-3), p_max)
         except RedrawError:
             continue
         return dict(nt=nt, p_max=p_max, h12=h12, h22=h22, primary=primary,
@@ -75,10 +74,8 @@ def cell_designs(nt, grid_index, trials, p_max):
     redraws = np.zeros(trials, dtype=np.int64)
     chans = draw_trials(nt, nt, MASTER_SEED, grid_index, indices)
     while True:
-        h11, h12, h21, h22 = np.moveaxis(chans, 1, 0)
         try:
-            primary = design_primary(h11, p_max)
-            designs = design_secondary(primary, h12, h21, h22, p_max)
+            primary, *designs = design_secondary(chans, p_max)
             break
         except RedrawError as exc:
             redo = np.flatnonzero(exc.rejected)
@@ -87,7 +84,7 @@ def cell_designs(nt, grid_index, trials, p_max):
                 raise RuntimeError("trial rejected repeatedly") from None
             chans[redo] = draw_trials(nt, nt, MASTER_SEED, grid_index,
                                       indices[redo] + redraws[redo] * REPLACEMENT_BASE)
-    return [dict(p_max=p_max, h12=h12[k], u1=primary.u[k], lam=primary.sigma[k],
+    return [dict(p_max=p_max, h12=chans[k, 1], u1=primary.u[k], lam=primary.sigma[k],
                  p1=primary.p1.powers[k], unused_count=primary.unused_count[k],
                  **{name: SecondaryDesign(design.v2[k], design.p2[k], design.rate[k])
                     for name, design in zip(("uni", "opt"), designs)})
@@ -168,7 +165,7 @@ def test_c03_analytic_walkthrough():
         problems.append(f"complement {primary.p1_bar}")
     if primary.unused_count != 1:
         problems.append(f"unused count {primary.unused_count}")
-    uni, opt = design_secondary(primary, eye, eye, eye, 0.5)
+    _, uni, opt = design_secondary(np.stack((np.diag([2.0, 1.0]), eye, eye, eye), axis=-3), 0.5)
     expected = math.log2(1.5)
     if abs(uni.rate - expected) > 1e-9:
         problems.append(f"uniform rate {uni.rate}")

@@ -185,6 +185,14 @@ class TestDrawChannel:
         with pytest.raises(InvalidInputError):
             draw_trials(2, 0, 0, 0, [0])
 
+    @pytest.mark.parametrize("nr,nt,name", [
+        (2.5, 2, "nr"), (True, 2, "nr"), ("3", 2, "nr"), (2, np.float64(2.0), "nt"),
+        (2, None, "nt"), (2, False, "nt")])
+    def test_rejects_non_integer_antenna_counts_by_name(self, nr, nt, name):
+        """By ``ExperimentGrid``'s rule: an int or numpy integer, and not a bool."""
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+            draw_trials(nr, nt, 0, 0, [0])
+
 
 class TestDrawChannelSet:
     def test_shapes_and_distinctness(self):

@@ -38,7 +38,6 @@ from oia.experiments import (
     snr_to_power,
     write_csv,
 )
-from oia.primary import design_primary
 from oia.secondary import design_secondary
 
 from oracles import column_mean_stderr, rows_numbered_from
@@ -129,11 +128,8 @@ class TestRunTrial:
     @staticmethod
     def designed_alone(grid, grid_index, trial_index, snr_db):
         """The averaged fields of one trial drawn at ``trial_index`` and designed on its own."""
-        h11, h12, h21, h22 = np.moveaxis(
-            draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, [trial_index]), 1, 0)
-        p_max = np.full(1, snr_to_power(snr_db))
-        primary = design_primary(h11, p_max)
-        uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+        chans = draw_trials(grid.nr, grid.nt, grid.master_seed, grid_index, [trial_index])
+        primary, uniform, optimal = design_secondary(chans, np.full(1, snr_to_power(snr_db)))
         return np.stack((primary.unused_count, primary.rate, uniform.rate, optimal.rate),
                         dtype=float)[:, 0]
 

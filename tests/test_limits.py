@@ -6,8 +6,8 @@ budget on its strongest mode, leaving n - 1 modes to the secondary, where
 water-filling does at least as well as the uniform split. At both extremes
 the secondary adds no interference on the primary's active modes, and the
 uniform rate, a sum over squared singular values, matches an independent
-log-det oracle across the whole SNR range. A channel scaled by 1e-150 to
-1e150, alone or with another scaled the opposite way, and cross or secondary
+log-det oracle across the whole SNR range. Any subset of the four channels,
+each scaled by its own factor from 1e-150 to 1e150, and cross or secondary
 channels that are zero or of rank one at any normal budget up to 1e300, give
 finite rates or a refusal that names the matrix at fault.
 """
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from oia.channel import draw_trials
 from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import ExperimentGrid, _run_pass, snr_to_power
-from oia.primary import design_primary
 from oia.secondary import design_secondary
 
 from oracles import (complex_gaussian, herm, interference_covariance, log2_det_id_plus,
@@ -65,14 +64,14 @@ def test_low_snr_leaves_all_but_one_mode_unused(n, seed, snr_db):
 @given(ANTENNAS, SEED, st.sampled_from([-300.0, 300.0]))
 def test_extreme_snr_keeps_zero_interference(n, seed, snr_db):
     p_max = snr_to_power(snr_db)
-    h11, h12, h21, h22 = np.moveaxis(draw_trials(n, n, seed, 0, range(TRIALS)), 1, 0)
-    primary = design_primary(h11, p_max)
+    chans = draw_trials(n, n, seed, 0, range(TRIALS))
+    primary, *designs = design_secondary(chans, p_max)
     # Every trial has a free mode at -300 dB, none at +300 dB.
     assert np.count_nonzero(primary.unused_count) == (TRIALS if snr_db < 0 else 0)
     bound = 1e-9 * math.sqrt(p_max)  # the bound of acceptance criterion C01
-    for design in design_secondary(primary, h12, h21, h22, p_max):
+    for design in designs:
         for k in range(TRIALS):
-            assert residual_interference(primary.u[k], h12[k], design.v2[k], design.p2[k],
+            assert residual_interference(primary.u[k], chans[k, 1], design.v2[k], design.p2[k],
                                          primary.p1.powers[k] > 0.0) <= bound
 
 
@@ -88,9 +87,9 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
     """
     p_max = snr_to_power(snr_db)
     nr = nt + extra_rows
-    h11, h12, h21, h22 = np.moveaxis(draw_trials(nr, nt, seed, 0, range(TRIALS)), 1, 0)
-    primary = design_primary(h11, p_max)
-    design, _ = design_secondary(primary, h12, h21, h22, p_max)
+    chans = draw_trials(nr, nt, seed, 0, range(TRIALS))
+    primary, design, _ = design_secondary(chans, p_max)
+    h21, h22 = chans[:, 2], chans[:, 3]
     sends = primary.unused_count > 0
     assert np.all(design.rate[~sends] == 0.0)
     q = interference_covariance(h21[sends], primary.v[sends], primary.p1.powers[sends])
@@ -100,7 +99,8 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
 
 
 def scaled_design(n, seed, scales):
-    """Both schemes of one n x n trial at budget 0.01, channel j scaled by ``scales[j]``.
+    """Both schemes of one n x n trial at budget 0.01, each channel j in ``scales`` scaled
+    by ``scales[j]``.
 
     Seed None gives ``h11 = diag([10, 1, ...])`` and identity h12, h21 and
     h22; a seed draws all four as Gaussians. Unscaled, the primary nearly
@@ -113,27 +113,30 @@ def scaled_design(n, seed, scales):
         chans = [complex_gaussian(n, n, rng) for _ in range(4)]
     for which, scale in scales.items():
         chans[which] = scale * chans[which]
-    h11, h12, h21, h22 = chans
-    return design_secondary(design_primary(h11, 0.01), h12, h21, h22, 0.01)
+    return design_secondary(np.stack(chans, axis=-3), 0.01)[1:]
 
 
 @LIMITS
-@given(st.integers(2, 4), st.none() | st.integers(0, 2**32 - 1), st.integers(0, 3),
-       st.integers(0, 3), st.integers(-150, 150))
+@given(st.integers(2, 4), st.none() | st.integers(0, 2**32 - 1),
+       st.dictionaries(st.integers(0, 3), st.integers(-150, 150), min_size=1))
 # h12 small and h22 large squared the whitened block past float range; the
 # other way round, its square underflowed to a uniform rate of 0.
-@example(2, None, 1, 3, -150)
-@example(2, None, 1, 3, 130)
-def test_scaled_channels_give_finite_rates_or_a_named_refusal(n, seed, which, other, exponent):
-    """One channel scaled by 10^x, |x| <= 150, another by 10^-x: finite rates or a named refusal.
+@example(2, None, {3: 150, 1: -150})
+@example(2, None, {3: -130, 1: 130})
+@example(4, 7, {1: -150, 2: 150, 3: -150})
+@example(3, 0, {0: -100, 1: 40, 2: 120, 3: 60})
+def test_scaled_channels_give_finite_rates_or_a_named_refusal(n, seed, exponents):
+    """Any nonempty subset of the channels, channel j scaled by 10^x_j, |x_j| <= 150:
+    finite rates or a named refusal.
 
-    ``other`` equal to ``which`` scales that one channel alone. Any
+    ``exponents`` maps a channel's position in (h11, h12, h21, h22) to its
+    x_j; one, two, three or all four channels are scaled at once. Any
     RuntimeWarning fails the test too. Where h12 is one of the scaled
     channels and both calls return, both rates match, within 1e-12 relative,
-    the call that scales only the other channel, since neither scheme
-    depends on h12's scale.
+    the call that scales only the others, since neither scheme depends on
+    h12's scale.
     """
-    scales = {other: 10.0**-exponent, which: 10.0**exponent}
+    scales = {which: 10.0**exponent for which, exponent in exponents.items()}
     try:
         designs = scaled_design(n, seed, scales)
     except (InvalidInputError, RedrawError):
@@ -146,7 +149,7 @@ def test_scaled_channels_give_finite_rates_or_a_named_refusal(n, seed, which, ot
     try:
         references = scaled_design(n, seed, scales)
     except (InvalidInputError, RedrawError):
-        return  # the other channel alone may be refused where the pair is not
+        return  # the others alone may be refused where h12's scale with them is not
     for scaled, reference in zip(designs, references):
         assert abs(scaled.rate - reference.rate) <= 1e-12 * reference.rate
 
@@ -165,14 +168,12 @@ def test_degenerate_channels_give_finite_rates_or_a_named_refusal(n, seed, degen
     row. Both designs return finite, nonnegative rates and a finite p2, or
     the call raises InvalidInputError or RedrawError.
     """
-    chans = list(np.moveaxis(draw_trials(n, n, seed, 0, range(TRIALS)), 1, 0))
+    chans = draw_trials(n, n, seed, 0, range(TRIALS))
     for which, kind in degenerate.items():
-        h = chans[which]
-        chans[which] = np.zeros_like(h) if kind == "zero" else h[..., :, :1] @ h[..., :1, :]
-    h11, h12, h21, h22 = chans
+        h = chans[:, which]
+        chans[:, which] = 0.0 if kind == "zero" else h[..., :, :1] @ h[..., :1, :]
     try:
-        primary = design_primary(h11, p_max)
-        designs = design_secondary(primary, h12, h21, h22, p_max)
+        primary, *designs = design_secondary(chans, p_max)
     except (InvalidInputError, RedrawError):
         return
     assert np.all(np.isfinite(primary.rate)) and np.all(primary.rate >= 0.0)

@@ -4,7 +4,6 @@ Also tested here: the eigendecomposition root that the optimal-scheme
 reference ``oracles.gram_inv_sqrt`` uses.
 """
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -35,6 +34,12 @@ from oracles import (
 )
 
 EYE2 = np.eye(2, dtype=complex)
+NAMES = ("h11", "h12", "h21", "h22")
+
+
+def links(h11, h12, h21, h22):
+    """The ``(..., 4, nr, nt)`` stack ``design_secondary`` takes, the channels broadcast."""
+    return np.stack(np.broadcast_arrays(h11, h12, h21, h22), axis=-3)
 
 
 def random_trial(seed, n=3, p_max=1.0, nr=None):
@@ -46,8 +51,7 @@ def random_trial(seed, n=3, p_max=1.0, nr=None):
     """
     rng = np.random.default_rng(seed)
     h11, h12, h21, h22 = (complex_gaussian(nr or n, n, rng) for _ in range(4))
-    primary = design_primary(h11, p_max)
-    uni, opt = design_secondary(primary, h12, h21, h22, p_max)
+    primary, uni, opt = design_secondary(links(h11, h12, h21, h22), p_max)
     return dict(h11=h11, h12=h12, h21=h21, h22=h22, primary=primary,
                 v2_raw=opt.v2, active=primary.p1_bar > 0.0,
                 q=interference_covariance(h21, primary.v, primary.p1.powers),
@@ -141,10 +145,9 @@ class TestBuildPrecoder:
 
     def test_more_transmit_than_receive_rejected(self):
         rng = np.random.default_rng(1)
-        primary = design_primary(complex_gaussian(2, 3, rng), 1.0)
-        h = complex_gaussian(2, 3, rng)
+        chans = np.stack([complex_gaussian(2, 3, rng) for _ in NAMES], axis=-3)
         with pytest.raises(InvalidInputError, match="nr=2 < nt=3"):
-            design_secondary(primary, h, h, h, 1.0)
+            design_secondary(chans, 1.0)
 
     def test_singular_cross_channel_rejected(self):
         with pytest.raises(RedrawError) as info:
@@ -159,32 +162,43 @@ class TestBuildPrecoder:
         assert info.value.reason == "cross"
         assert list(info.value.rejected) == [False, True, False]
 
-    def test_wrong_complement_length_rejected(self):
-        primary = dataclasses.replace(walkthrough(), p1_bar=np.array([0.1]))
-        with pytest.raises(InvalidInputError, match=r"^p1_bar must have 2 entries per trial, "
-                                                    r"got shape \(1,\)$"):
-            design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
-
 
 class TestNonFiniteChannels:
     """A NaN in any channel is refused at entry and named, whatever the trial sends."""
 
-    @pytest.mark.parametrize("name", ["h12", "h21", "h22"])
+    @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("h11,p_max,active", [
         (np.diag([1.0, 1e-3]), 1.0, 1), (np.diag([10.0, 1.0, 1.0]), 0.01, 2), (EYE2, 1.0, 0),
     ], ids=["one-column", "two-column", "silent"])
     def test_nan_channel_rejected(self, name, h11, p_max, active):
-        primary = design_primary(h11, p_max)
-        assert np.count_nonzero(primary.p1_bar > 0.0) == active
+        assert np.count_nonzero(design_primary(h11, p_max).p1_bar > 0.0) == active
         rng = np.random.default_rng(3)
-        chans = {key: complex_gaussian(*h11.shape, rng) for key in ("h12", "h21", "h22")}
-        chans[name][0, -1] = np.nan
+        chans = links(h11, *(complex_gaussian(*h11.shape, rng) for _ in NAMES[1:]))
+        chans[NAMES.index(name), 0, -1] = np.nan
         with pytest.raises(InvalidInputError, match=f"^{name} contains non-finite entries$"):
-            design_secondary(primary, p_max=p_max, **chans)
+            design_secondary(chans, p_max)
+
+    def test_first_bad_channel_named(self):
+        """With h12 and h22 non-finite, the error names h12: the channels are read in order."""
+        chans = links(np.diag([1.0, 1e-3]), EYE2, EYE2, EYE2)
+        chans[[1, 3], 0, 0] = np.inf
+        with pytest.raises(InvalidInputError, match="^h12 contains non-finite entries$"):
+            design_secondary(chans, 1.0)
+
+
+SHAPE_ERROR = (r"^channels must have shape \(\.\.\., 4, nr, nt\), "
+               "h11, h12, h21 and h22 along axis -3")
 
 
 class TestChannelShapes:
-    """A channel that is not nr x nt with the primary's stack axes is refused by name."""
+    """Channels that are not one ``(..., 4, nr, nt)`` stack are refused as such."""
+
+    def test_misshaped_stack_rejected(self):
+        """Axis -3 must hold four matrices; too few axes or another count is refused."""
+        design_secondary(np.broadcast_to(np.diag([10.0, 1.0, 1.0]), (2, 4, 3, 3)), 0.01)
+        for shape in [(3, 3), (3, 3, 3), (5, 3, 3), (2, 3, 3, 3), (4,), (4, 3)]:
+            with pytest.raises(InvalidInputError, match=SHAPE_ERROR + r", got shape "):
+                design_secondary(np.ones(shape), 0.01)
 
     @pytest.mark.parametrize("name,shape", [
         pytest.param(name, shape, id=f"{name}-{'x'.join(map(str, shape))}")
@@ -192,32 +206,23 @@ class TestChannelShapes:
         for shape in [(4, 3), (2, 3), (3,), (3, 4), (3, 2), (2, 3, 3)]
     ])
     def test_misshaped_channel_rejected(self, name, shape):
-        """A stacked or narrower h12 is named too, not blamed on ``p1_bar``'s shape."""
-        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
-        chans = {key: np.eye(3) for key in ("h12", "h21", "h22")}
-        chans[name] = np.ones(shape)
-        with pytest.raises(InvalidInputError,
-                           match=rf"^{name} must have shape \(3, 3\), got "):
-            design_secondary(primary, p_max=0.01, **chans)
+        """Four channels given one by one, one of them misshaped, do not make a stack."""
+        chans = [np.diag([10.0, 1.0, 1.0])] + [np.eye(3)] * 3
+        chans[NAMES.index(name)] = np.ones(shape)
+        with pytest.raises(InvalidInputError, match=SHAPE_ERROR + "$"):
+            design_secondary(chans, 0.01)
 
     def test_stack_axes_are_the_primary_s(self):
-        primary = design_primary(np.broadcast_to(np.diag([10.0, 1.0, 1.0]), (2, 3, 3)), 0.01)
+        """A channel without the stack axes of the others does not make a stack either."""
         eye = np.broadcast_to(np.eye(3), (2, 3, 3))
-        design_secondary(primary, eye, eye, eye, 0.01)
-        with pytest.raises(InvalidInputError, match=r"^h22 must have shape \(2, 3, 3\)"):
-            design_secondary(primary, eye, eye, np.eye(3), 0.01)
+        h11 = np.broadcast_to(np.diag([10.0, 1.0, 1.0]), (2, 3, 3))
+        design_secondary(links(h11, eye, eye, eye), 0.01)
+        with pytest.raises(InvalidInputError, match=SHAPE_ERROR + "$"):
+            design_secondary([h11, eye, eye, np.eye(3)], 0.01)
 
 
 class TestBadPrecoderInputs:
-    """A non-finite or negative p1_bar is refused at entry and named."""
-
-    def test_bad_complement_rejected_by_design_secondary(self):
-        """A hand-built design with ``p1_bar = [bad, 5]`` is refused, not given NaN rates."""
-        for bad in (np.nan, np.inf, -0.25):
-            primary = dataclasses.replace(walkthrough(), p1_bar=np.array([bad, 5.0]))
-            with pytest.raises(InvalidInputError,
-                               match="^p1_bar must be finite and nonnegative$"):
-                design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
+    """Channels far out of scale give finite rates, or a refusal naming h12 and p1_bar."""
 
     @pytest.mark.parametrize("n,scale", [(2, 1e-150), (3, 1e-100), (4, 1e-150)],
                              ids=["2x2-identity", "3x3-identity", "4x4-gaussian"])
@@ -235,11 +240,11 @@ class TestBadPrecoderInputs:
             rng = np.random.default_rng(0)
             chans = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                      for _ in range(4)]
-        h11, h12, h21, h22 = (scale * h for h in chans)
-        primary = design_primary(h11, 1e-20)
-        scaled = design_secondary(primary, h12, h21, h22, 1e-20)
-        reference = design_secondary(primary, h12 / scale**2, h21, h22, 1e-20)
-        for design, expected in zip(scaled, reference):
+        stack = scale * np.stack(chans, axis=-3)
+        scaled = design_secondary(stack, 1e-20)
+        stack[1] /= scale**2
+        reference = design_secondary(stack, 1e-20)
+        for design, expected in zip(scaled[1:], reference[1:]):
             assert np.all(np.isfinite(design.v2)) and np.all(np.isfinite(design.p2))
             subnormal = abs(expected.rate) < np.finfo(float).tiny
             tolerance = 8 * math.ulp(0.0) if subnormal else 1e-12 * expected.rate
@@ -250,8 +255,7 @@ class TestBadPrecoderInputs:
     def cross_scaled(scale, p_max=0.01):
         """Both schemes of ``diag([10, 1, 1])`` at ``p_max``: identity channels, h12 scaled."""
         eye = np.eye(3)
-        return design_secondary(design_primary(np.diag([10.0, 1.0, 1.0]), p_max),
-                                scale * eye, eye, eye, p_max)
+        return design_secondary(links(np.diag([10.0, 1.0, 1.0]), scale * eye, eye, eye), p_max)[1:]
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160, 1e200, 1e308])
     def test_cross_channel_out_of_scale_refused(self, scale):
@@ -279,83 +283,52 @@ class TestSendersOnly:
 
     def test_silent_trial_with_singular_cross_channel_gets_zero_design(self):
         """Trial 1's equal direct modes take the whole budget; its h12 is exactly singular."""
-        primary = design_primary(np.stack([np.diag([1.0, 1e-3]), EYE2]), 1.0)
-        assert primary.unused_count.tolist() == [1, 0]
         h12 = np.stack([EYE2, np.ones((2, 2))])
         with pytest.raises(RedrawError):  # where it would send, the guard rejects it
             secondary._precoder(h12[1], EYE2, np.array([0.0, 0.1]))
-        eye = np.broadcast_to(EYE2, h12.shape)
-        for design in design_secondary(primary, h12, eye, eye, 1.0):
+        primary, *designs = design_secondary(
+            links(np.stack([np.diag([1.0, 1e-3]), EYE2]), h12, EYE2, EYE2), 1.0)
+        assert primary.unused_count.tolist() == [1, 0]
+        for design in designs:
             assert np.all(design.v2[1] == 0.0) and design.rate[1] == 0.0
             assert design.rate[0] > 0.0
         assert np.all(design.p2[1] == 0.0)
-        silent = design_primary(EYE2, 1.0)
-        for design in design_secondary(silent, np.ones((2, 2)), EYE2, EYE2, 1.0):
+        for design in design_secondary(links(EYE2, np.ones((2, 2)), EYE2, EYE2), 1.0)[1:]:
             assert np.all(design.v2 == 0.0) and design.rate == 0.0
 
     def test_rejected_mask_covers_the_whole_stack(self):
         """A sending trial's rejection is reported at its place among silent trials."""
         h11 = np.stack([EYE2, np.diag([1.0, 1e-3]), EYE2, np.diag([1.0, 1e-3])])
-        primary = design_primary(h11, 1.0)
         h12 = np.stack([np.ones((2, 2)), EYE2, np.ones((2, 2)), np.ones((2, 2))])
-        eye = np.broadcast_to(EYE2, h12.shape)
         with pytest.raises(RedrawError) as info:
-            design_secondary(primary, h12, eye, eye, 1.0)
+            design_secondary(links(h11, h12, EYE2, EYE2), 1.0)
         assert info.value.reason == "cross"
         assert info.value.rejected.tolist() == [False, False, False, True]
 
     def test_singular_cross_channel_among_sending_square_trials(self):
         """An exactly singular h12 fails the LU of its cross channel: it alone is redrawn."""
         h11 = np.broadcast_to(np.diag([1.0, 1.0, 1e-3]), (4, 3, 3))
-        primary = design_primary(h11, 1.0)
-        assert np.all(primary.unused_count == 1)
+        assert np.all(design_primary(h11, 1.0).unused_count == 1)
         rng = np.random.default_rng(2)
         h12 = np.stack([complex_gaussian(3, 3, rng) for _ in range(4)])
         h12[2, :, 1] = 0.0
         with pytest.raises(RedrawError) as info:
-            design_secondary(primary, h12, h12, h12, 1.0)
+            design_secondary(links(h11, h12, h12, h12), 1.0)
         assert info.value.reason == "cross"
         assert info.value.rejected.tolist() == [False, False, True, False]
 
     def test_input_checks_cover_silent_stacks(self):
         """With no trial sending, the geometry, the shapes and the budget are still checked."""
-        silent = design_primary(np.broadcast_to(EYE2, (3, 2, 2)), 1.0)
-        wide = design_primary(np.broadcast_to(np.eye(2, 3), (3, 2, 3)), 1.0)
-        assert not np.any(silent.p1_bar > 0.0) and not np.any(wide.p1_bar > 0.0)
-        eye = np.broadcast_to(EYE2, (3, 2, 2))
+        silent = np.broadcast_to(EYE2, (3, 4, 2, 2))
+        wide = np.broadcast_to(np.eye(2, 3), (3, 4, 2, 3))
+        assert not np.any(design_primary(silent[:, 0], 1.0).p1_bar > 0.0)
+        assert not np.any(design_primary(wide[:, 0], 1.0).p1_bar > 0.0)
         with pytest.raises(InvalidInputError, match="nr=2 < nt=3"):
-            design_secondary(wide, np.ones((3, 2, 3)), eye, eye, 1.0)
-        with pytest.raises(InvalidInputError, match=r"^h12 must have shape \(3, 2, 2\)"):
-            design_secondary(silent, eye[:2], eye, eye, 1.0)
+            design_secondary(wide, 1.0)
+        with pytest.raises(InvalidInputError, match=SHAPE_ERROR):
+            design_secondary([silent[:, 0], silent[:2, 1], silent[:, 2], silent[:, 3]], 1.0)
         with pytest.raises(InvalidInputError):
-            design_secondary(silent, eye, eye, eye, 0.0)
-
-    def test_active_columns_off_a_suffix_rejected(self):
-        """A hand-built design whose free modes are not the weakest ones is refused."""
-        primary = design_primary(np.stack([np.diag([1.0, 1e-3, 1e-3]), np.eye(3)]), 1.0)
-        rng = np.random.default_rng(4)
-        h = np.stack([complex_gaussian(3, 3, rng) for _ in range(2)])
-        design_secondary(primary, h, h, h, 1.0)
-        p1_bar = primary.p1_bar.copy()
-        p1_bar[0] = p1_bar[0, ::-1]
-        assert (p1_bar[0] > 0.0).tolist() == [True, True, False]
-        with pytest.raises(InvalidInputError, match="suffix"):
-            design_secondary(dataclasses.replace(primary, p1_bar=p1_bar), h, h, h, 1.0)
-
-    def test_overlapping_supports_rejected(self):
-        """A hand-built design whose primary powers a free mode is refused.
-
-        The whitening drops the primary's columns past the used modes, which is
-        exact only where ``p1.powers`` and ``p1_bar`` have disjoint supports.
-        """
-        primary = design_primary(np.diag([10.0, 1.0, 1.0]), 0.01)
-        powers = primary.p1.powers.copy()
-        powers[-1] = 1e-3
-        overlapping = dataclasses.replace(primary, p1=dataclasses.replace(primary.p1, powers=powers))
-        eye = np.eye(3)
-        design_secondary(primary, eye, eye, eye, 0.01)
-        with pytest.raises(InvalidInputError, match="disjoint supports"):
-            design_secondary(overlapping, eye, eye, eye, 0.01)
+            design_secondary(silent, 0.0)
 
 
 def free_mode_links(free, nr, nt, snr_db, rng):
@@ -370,14 +343,14 @@ def free_mode_links(free, nr, nt, snr_db, rng):
     h11 = np.stack([(left[:, :nt] * sigma) @ right
                     for left, right in zip(unitary[:p_max.size], unitary[p_max.size:])])
     h12, h21, h22 = (np.stack([complex_gaussian(nr, nt, rng) for _ in p_max]) for _ in range(3))
-    primary = design_primary(h11, p_max)
-    assert np.all(primary.unused_count == free)
-    return primary, h12, h21, h22, p_max
+    assert np.all(design_primary(h11, p_max).unused_count == free)
+    return links(h11, h12, h21, h22), p_max
 
 
-def check_oracle_path(primary, h12, h21, h22, p_max):
+def check_oracle_path(chans, p_max):
     """Rates, p2 and budgets of both schemes match the Cholesky-whitened, eigh-rooted path."""
-    uniform, optimal = design_secondary(primary, h12, h21, h22, p_max)
+    primary, uniform, optimal = design_secondary(chans, p_max)
+    _, h12, h21, h22 = np.moveaxis(chans, -3, 0)
     for k, budget in enumerate(p_max):
         q = interference_covariance(h21[k], primary.v[k], primary.p1.powers[k])
         w = whiten(q, h22[k] @ uniform.v2[k])
@@ -406,7 +379,8 @@ class TestOneActiveColumn:
         assert np.array_equal(uniform.rate, optimal.rate)
 
     def test_one_and_two_column_groups_call_only_their_qr(self, monkeypatch):
-        """Past the precoder, a one- or two-column group makes one np.linalg call: its whitening QR.
+        """Past the primary and the precoder, a one- or two-column group makes one np.linalg
+        call: its whitening QR.
 
         A 4 x 4 trial with three active columns still calls ``svd``, which
         shows the seam counts.
@@ -439,6 +413,7 @@ class TestOneActiveColumn:
             if callable(real) and not isinstance(real, type):
                 monkeypatch.setattr(np.linalg, name, counted(name, real))
         monkeypatch.setattr(secondary, "_precoder", uncounted(secondary._precoder))
+        monkeypatch.setattr(secondary, "design_primary", uncounted(secondary.design_primary))
         for links in (one, two):
             design_secondary(*links)
             assert calls == ["qr"]
@@ -468,7 +443,8 @@ class TestTwoActiveColumns:
         # u1^H h12 = I steers each free mode onto its own column.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            uniform, optimal = design_secondary(primary, primary.u, np.eye(3), np.eye(3), 0.01)
+            _, uniform, optimal = design_secondary(
+                links(np.diag([10.0, 1.0, 1.0]), primary.u, np.eye(3), np.eye(3)), 0.01)
         expected = np.diag(np.divide(0.005, p1_bar**2, out=np.zeros(3), where=p1_bar > 0.0))
         assert np.allclose(optimal.p2, expected, rtol=1e-12, atol=0.0)
         assert abs(optimal.rate - 2.0 * math.log2(1.005)) <= 1e-12
@@ -522,7 +498,8 @@ class TestZeroGain:
         channel = np.zeros((4, 4), dtype=complex)
         if h22 == "kills-active":
             channel[:, ~free] = complex_gaussian(4, 4 - active, rng)
-        uniform, optimal = design_secondary(primary, primary.u, h21, channel, 0.01)
+        _, uniform, optimal = design_secondary(
+            links(np.diag([10.0] * (4 - active) + [1.0] * active), primary.u, h21, channel), 0.01)
         assert np.all(channel @ optimal.v2[:, free] == 0.0)
         for design in (uniform, optimal):
             assert design.rate == 0.0
@@ -595,13 +572,14 @@ class TestGuards:
         low = np.linalg.svd(vn, compute_uv=False)[-1] ** 2
         assert (low < GRAM_FLOOR) == rejected
         assert abs(low / (multiple * GRAM_FLOOR) - 1.0) < 1e-3
+        chans = links(np.diag([10.0, 1.0, 1.0]), h12, np.eye(3), np.eye(3))
         if rejected:
             with pytest.raises(RedrawError) as info:
-                design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
+                design_secondary(chans, 0.01)
             assert info.value.reason == "gram"
             assert info.value.rejected.shape == () and info.value.rejected
         else:
-            _, optimal = design_secondary(primary, h12, np.eye(3), np.eye(3), 1.0)
+            _, _, optimal = design_secondary(chans, 0.01)
             assert np.all(np.isfinite(optimal.p2)) and 0.0 < optimal.rate < math.inf
 
 
@@ -623,17 +601,18 @@ class TestInterferenceCovariance:
 
 
 def walkthrough():
-    """The analytic walkthrough's primary: mode 0 carries 0.5, mode 1 is free with p1_bar 0.25.
+    """The analytic walkthrough's ``(primary, uniform, optimal)``.
 
-    With identity cross, interference and direct channels the precoder is
+    Primary mode 0 carries 0.5, and mode 1 is free with p1_bar 0.25. With
+    identity cross, interference and direct channels the precoder is
     ``diag(0, 0.25)`` and the secondary receiver sees ``q = diag(1.5, 1)``.
     """
-    return design_primary(np.diag([2.0, 1.0]), 0.5)
+    return design_secondary(links(np.diag([2.0, 1.0]), EYE2, EYE2, EYE2), 0.5)
 
 
 class TestUniformScheme:
     def test_walkthrough(self):
-        design, _ = design_secondary(walkthrough(), EYE2, EYE2, EYE2, p_max=0.5)
+        _, design, _ = walkthrough()
         v2_raw = np.diag([0.0, 0.25])
         assert np.allclose(design.v2, math.sqrt(8.0) * v2_raw, rtol=1e-12, atol=0.0)
         assert abs(design.v2[1, 1] - math.sqrt(0.5)) < 1e-12
@@ -641,9 +620,9 @@ class TestUniformScheme:
 
     def test_no_active_columns(self):
         """With every primary mode in use the trial sends nothing: v2 = 0 and rate 0."""
-        primary = design_primary(EYE2, 1.0)
+        primary, *designs = design_secondary(links(EYE2, EYE2, EYE2, EYE2), 1.0)
         assert not np.any(primary.p1_bar > 0.0)
-        for design in design_secondary(primary, EYE2, EYE2, EYE2, 1.0):
+        for design in designs:
             assert np.all(design.v2 == 0.0)
             assert design.rate == 0.0
 
@@ -667,7 +646,7 @@ class TestUniformScheme:
 
 class TestOptimalScheme:
     def test_single_active_column_walkthrough(self):
-        uniform, design = design_secondary(walkthrough(), EYE2, EYE2, EYE2, p_max=0.5)
+        _, uniform, design = walkthrough()
         assert abs(design.rate - math.log2(1.5)) < 1e-12
         assert abs(design.rate - uniform.rate) < 1e-12
         spent = np.trace(design.v2 @ design.p2 @ herm(design.v2)).real
@@ -675,9 +654,8 @@ class TestOptimalScheme:
 
     def test_no_active_columns(self):
         """A trial of a stack without an active column gets v2 = 0 and rate 0; the other sends."""
-        primary = design_primary(np.stack([np.diag([2.0, 1.0]), EYE2]), 0.5)
-        eye = np.broadcast_to(EYE2, (2, 2, 2))
-        for design in design_secondary(primary, eye, eye, eye, 0.5):
+        h11 = np.stack([np.diag([2.0, 1.0]), EYE2])
+        for design in design_secondary(links(h11, EYE2, EYE2, EYE2), 0.5)[1:]:
             assert np.all(design.v2[1] == 0.0)
             assert design.rate[1] == 0.0
             assert abs(design.rate[0] - math.log2(1.5)) < 1e-12
@@ -692,26 +670,26 @@ class TestOptimalScheme:
         """
         gaps = [1.0, 0.5, 1e-7, 0.5]
         p_max = np.array([1e4, 0.01, 0.01, 0.01])
-        primary = design_primary(np.broadcast_to(np.diag([10.0, 1.0, 1.0]), (4, 3, 3)), p_max)
+        h11 = np.broadcast_to(np.diag([10.0, 1.0, 1.0]), (4, 3, 3))
+        primary = design_primary(h11, p_max)
         assert primary.p1_bar[0].max() == 0.0 and np.all(primary.p1_bar[1:, 1:] > 0.0)
         h12 = np.stack([parallel_columns_primary(gap)[1] for gap in gaps])
-        eye = np.broadcast_to(np.eye(3), (4, 3, 3))
         with pytest.raises(RedrawError) as info:
-            design_secondary(primary, h12, eye, eye, p_max)
+            design_secondary(links(h11, h12, np.eye(3), np.eye(3)), p_max)
         assert info.value.reason == "gram"
         assert info.value.rejected.tolist() == [False, False, True, False]
         assert str(info.value).startswith("precoder gram matrix rejected: eigenvalue ")
         # Budgets that leave 0, 3, 1 and 2 of the four modes free, so one trial
         # of each group; only the three-column trial has near-parallel columns.
         p_max = np.array([10.0, 0.01, 1.0, 0.2])
-        primary = design_primary(np.broadcast_to(np.diag([10.0, 3.0, 2.0, 1.0]), (4, 4, 4)),
-                                 p_max)
+        h11 = np.broadcast_to(np.diag([10.0, 3.0, 2.0, 1.0]), (4, 4, 4))
+        primary = design_primary(h11, p_max)
         assert np.count_nonzero(primary.p1_bar, axis=-1).tolist() == [0, 3, 1, 2]
         steer = np.stack([np.eye(4)] * 4)
         steer[1, 1:3, 2] = 1.0, 1e-7  # column 2 is e_1 + 1e-7 e_2, beside column 1's e_1
-        eye = np.broadcast_to(np.eye(4), (4, 4, 4))
+        h12 = primary.u @ np.linalg.inv(steer)
         with pytest.raises(RedrawError) as info:
-            design_secondary(primary, primary.u @ np.linalg.inv(steer), eye, eye, p_max)
+            design_secondary(links(h11, h12, np.eye(4), np.eye(4)), p_max)
         assert info.value.reason == "gram"
         assert info.value.rejected.tolist() == [False, True, False, False]
 
@@ -779,8 +757,7 @@ class TestResidualInterference:
                                      [True, False]) == 0.0
 
     def test_walkthrough_is_interference_free(self):
-        primary = walkthrough()
-        design, _ = design_secondary(primary, EYE2, EYE2, EYE2, 0.5)
+        primary, design, _ = walkthrough()
         metric = residual_interference(primary.u, EYE2, design.v2, design.p2,
                                        primary.p1.powers > 0.0)
         assert metric == 0.0
@@ -826,21 +803,14 @@ class TestResidualInterference:
 
 
 def budget_stack(n=3, per_budget=2):
-    """``per_budget`` random n x n trials per budget: the budgets and ``(h11, h12, h21, h22)``.
+    """``per_budget`` random n x n trials per budget: the budgets and their channel stack.
 
     The larger budgets leave some trials without a free mode.
     """
     rng = np.random.default_rng(8)
     budgets = np.repeat([1e-3, 0.3, 2.0, 40.0, 1e3], per_budget)
-    chans = tuple(np.stack([complex_gaussian(n, n, rng) for _ in budgets]) for _ in range(4))
-    return budgets, chans
-
-
-def design_links(chans, p_max):
-    """The primary design of ``chans`` and the secondary's ``(uniform, optimal)`` pair."""
-    h11, h12, h21, h22 = chans
-    primary = design_primary(h11, p_max)
-    return primary, design_secondary(primary, h12, h21, h22, p_max)
+    chans = [np.stack([complex_gaussian(n, n, rng) for _ in budgets]) for _ in NAMES]
+    return budgets, links(*chans)
 
 
 def same_bytes(a, b):
@@ -851,7 +821,8 @@ class TestPerTrialBudget:
     """A budget per trial gives each trial the result of its budget as a scalar, bit for bit."""
 
     def test_waterfill_and_primary(self):
-        budgets, (h11, *_) = budget_stack()
+        budgets, chans = budget_stack()
+        h11 = chans[:, 0]
         inverse_gains = 1.0 / np.linalg.svd(h11, compute_uv=False) ** 2
         per_trial = waterfill(inverse_gains, budgets)
         design = design_primary(h11, budgets)
@@ -869,10 +840,10 @@ class TestPerTrialBudget:
     def test_power_schemes(self, scheme):
         """``scheme`` indexes the (uniform, optimal) pair that design_secondary returns."""
         budgets, chans = budget_stack()
-        per_trial = design_links(chans, budgets)[1][scheme]
+        per_trial = design_secondary(chans, budgets)[1 + scheme]
         for budget in np.unique(budgets):
             rows = budgets == budget
-            scalar = design_links(chans, budget)[1][scheme]
+            scalar = design_secondary(chans, budget)[1 + scheme]
             for name in ("v2", "p2", "rate"):
                 assert same_bytes(getattr(per_trial, name)[rows], getattr(scalar, name)[rows])
 
@@ -882,13 +853,13 @@ class TestPerTrialBudget:
         A trial without an active column sends nothing: v2 = 0 and rate 0 in both schemes.
         """
         budgets, chans = budget_stack(n=4, per_budget=6)
-        primary, stacked = design_links(chans, budgets)
+        primary, *stacked = design_secondary(chans, budgets)
         active = primary.p1_bar > 0.0
         sends = active.any(axis=-1)
         assert len(np.unique(active[sends], axis=0)) >= 3 and len(np.unique(budgets[sends])) >= 3
         assert 0 < np.count_nonzero(~sends)
         for k, budget in enumerate(budgets):
-            _, alone = design_links([h[k] for h in chans], budget)
+            alone = design_secondary(chans[k], budget)[1:]
             for scheme, (mixed, single) in enumerate(zip(stacked, alone)):
                 for name in ("v2", "p2", "rate"):
                     assert same_bytes(getattr(mixed, name)[k], getattr(single, name)), \
@@ -901,10 +872,10 @@ class TestPerTrialBudget:
     def test_misshaped_budget_rejected(self, entry):
         """A budget neither one value nor one per trial of the 3-stack is refused by name."""
         eye = np.broadcast_to(EYE2, (3, 2, 2))
-        primary = design_primary(np.broadcast_to(np.diag([2.0, 1.0]), (3, 2, 2)), 0.5)
+        chans = links(np.diag([2.0, 1.0]), eye, eye, eye)
         call = {"waterfill": lambda p: waterfill(np.ones((3, 2)), p),
                 "design_primary": lambda p: design_primary(eye, p),
-                "design_secondary": lambda p: design_secondary(primary, eye, eye, eye, p)}[entry]
+                "design_secondary": lambda p: design_secondary(chans, p)}[entry]
         name = "budget" if entry == "waterfill" else "p_max"
         for bad in ([0.01, 0.02], np.full((3, 1), 0.01)):
             with pytest.raises(InvalidInputError, match=rf"^{name} must be one value or have "
@@ -915,13 +886,12 @@ class TestPerTrialBudget:
     def test_bad_entry_rejected(self, bad):
         budgets = np.array([1.0, bad, 2.0])
         eye = np.broadcast_to(EYE2, (3, 2, 2))
-        primary = design_primary(np.broadcast_to(np.diag([2.0, 1.0]), (3, 2, 2)), 0.5)
         with pytest.raises(InvalidInputError):
             waterfill(np.ones((3, 2)), budgets)
         with pytest.raises(InvalidInputError):
             design_primary(eye, budgets)
         with pytest.raises(InvalidInputError):
-            design_secondary(primary, eye, eye, eye, budgets)
+            design_secondary(links(np.diag([2.0, 1.0]), eye, eye, eye), budgets)
 
 
 class TestGuardedSolve:
@@ -994,10 +964,9 @@ class TestPinvTall:
         assert np.allclose(p, [[0.5, 0.5]], atol=1e-14)
 
     def test_rejects_wide(self):
-        """A wide primary has no precoder; it is refused before any channel is read."""
-        primary = design_primary(np.ones((1, 2)), 1.0)
+        """A wide stack has no precoder; it is refused before its entries are read."""
         with pytest.raises(InvalidInputError, match="nr=1 < nt=2"):
-            design_secondary(primary, np.ones(3), np.ones(3), np.ones(3), 1.0)
+            design_secondary(np.full((4, 1, 2), np.nan), 1.0)
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(RedrawError):
