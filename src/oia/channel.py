@@ -13,8 +13,6 @@ past the pool are mixed in under a mask of the trials that have them. numpy's
 own PCG64 constructor then seeds each trial's generator from its words, in C.
 """
 
-from __future__ import annotations
-
 import functools
 
 import numpy as np
@@ -69,9 +67,9 @@ def _stream_seeds(values: tuple) -> tuple[np.ndarray, np.ndarray]:
     entropy = np.zeros((2 * len(values), at.size), dtype=np.uint32)
     columns = np.arange(at.size)
     for value in values:
-        entropy[at, columns] = value & np.uint64(_MASK32)
-        entropy[at + 1, columns] = value >> np.uint64(32)
-        at += 1 + (value > np.uint64(_MASK32))
+        entropy[at, columns] = value & _MASK32
+        entropy[at + 1, columns] = value >> 32
+        at += 1 + (value > _MASK32)
     return entropy, at
 
 
@@ -92,7 +90,7 @@ def _seed_words(entropy: np.ndarray, count: np.ndarray) -> np.ndarray:
         pool = np.where(count > word, mixed, pool)
     state = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
     state = state.astype(np.uint64)
-    return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
+    return (state[0::2] | (state[1::2] << 32)).T.copy()
 
 
 def _as_indices(values, name: str, one: bool = False) -> np.ndarray:

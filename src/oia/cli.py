@@ -1,7 +1,5 @@
 """Command-line interface producing figure-ready CSV sweeps."""
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -1,7 +1,5 @@
 """Monte Carlo sweeps over antenna counts and SNR, aggregated to CSV rows."""
 
-from __future__ import annotations
-
 import collections
 import contextlib
 import math
@@ -17,6 +15,7 @@ import numpy as np
 from .channel import _as_indices, draw_trials
 from .errors import InvalidInputError, RedrawError
 from .secondary import design_secondary
+from .waterfill import positive_budget
 
 # Replacement draws for discarded trials take indices at or above this base, and
 # a cell has at most this many trials, so they never collide with regular
@@ -54,12 +53,9 @@ class ExperimentGrid:
         if not all(isinstance(s, numbers.Real) and type(s) is not bool for s in snrs):
             raise InvalidInputError(f"snr_db_list must be real numbers, got {self.snr_db_list!r}")
         object.__setattr__(self, "snr_db_list", tuple(map(float, snrs)))
-        for name in ("nt", "nr", "trials"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        # The seed rule is draw_trials', so both refuse a seed alike.
-        _as_indices(self.master_seed, "master_seed", one=True)
+        # draw_trials' integer rule, so both refuse a field alike.
+        for name in ("nt", "nr", "trials", "master_seed"):
+            _as_indices(getattr(self, name), name, one=True)
         if self.nt < 1:
             raise InvalidInputError("nt must be >= 1")
         if self.nr < self.nt:
@@ -104,18 +100,15 @@ _row_values = operator.attrgetter(*CSV_HEADER.split(","))
 def snr_to_power(snr_db: float) -> float:
     """Transmit budget ``10^(snr_db / 10)`` of an SNR point, in units of the noise variance.
 
-    Raises InvalidInputError when the budget is not a finite float at or
-    above the smallest normal one (about -3076.5 dB); subnormal budgets lose
-    the relative precision every tolerance downstream is scaled by.
+    Raises InvalidInputError, naming the SNR, where ``positive_budget``
+    refuses the budget: above about 3082 dB or below about -3076.5 dB.
     """
     try:
         p_max = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         p_max = math.inf
-    if not (math.isfinite(p_max) and p_max >= np.finfo(float).tiny):
-        raise InvalidInputError(f"SNR {snr_db:g} dB gives transmit budget {p_max:g}, "
-                                "not a normal positive finite power")
-    return p_max
+    return float(positive_budget(p_max, (), f"SNR {snr_db:g} dB gives transmit budget {p_max:g}, "
+                                            "which"))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +227,7 @@ def run_grid(grids, workers: int = 1) -> list[ResultRow]:
     aggregates its trials in index order, so the output is identical for any
     worker count.
     """
-    if workers < 1:
+    if _as_indices(workers, "workers", one=True) < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     grids = list(grids)
     # A pool starts all its processes at once; more than one per pass would

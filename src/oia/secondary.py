@@ -11,8 +11,6 @@ active-column count takes one gram-root step, ``_gram_root``, and one eigen
 step, ``_gram_eig``. ``p1_bar``'s scale causes no refusal.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,7 +246,7 @@ def design_secondary(channels, p_max) -> tuple[PrimaryDesign, SecondaryDesign, S
     count = p_max.size
     _, h12, h21, h22 = np.moveaxis(channels.reshape(count, 4, nr, nt), 1, 0)
     u, v = primary.u.reshape(count, nr, nr), primary.v.reshape(count, nt, nt)
-    p1_bar, p1 = primary.p1_bar.reshape(count, nt), primary.p1.powers.reshape(count, nt)
+    p1_bar, p1 = primary.p1_bar.reshape(count, nt), primary.p1.reshape(count, nt)
     active = p1_bar > 0.0
     sends = np.flatnonzero(active.any(axis=-1))
     v2s = np.zeros((0, nt, nt), dtype=np.complex128)
@@ -330,15 +328,15 @@ def design_secondary(channels, p_max) -> tuple[PrimaryDesign, SecondaryDesign, S
         # 0 whatever it sends, as a lone column with a = 0 does: it splits its budget evenly.
         inverse = np.divide(1.0, eta2, out=np.full_like(eta2, np.inf), where=eta2 > 0.0)
         inverse[~np.any(eta2 > 0.0, axis=-1)] = 1.0
-        alloc = waterfill(inverse, p_max[trials])
+        powers = waterfill(inverse, p_max[trials])[0]
         z = m_inv @ basis
         del m_inv, basis
-        reduced = (z * alloc.powers[..., None, :]) @ herm(z)
+        reduced = (z * powers[..., None, :]) @ herm(z)
         del z
         reduced /= norms[..., :, None]
         reduced /= norms[..., None, :]
         p2[trials, lead:, lead:] = 0.5 * (reduced + herm(reduced))
-        rate_optimal[trials] = sum_rate(eta2, alloc.powers)
+        rate_optimal[trials] = sum_rate(eta2, powers)
     v2_raw = _scatter(v2s, sends, count).reshape(batch + (nt, nt))
     uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,
                               p2=np.broadcast_to(np.eye(nt), v2_raw.shape),

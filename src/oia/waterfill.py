@@ -1,45 +1,30 @@
 """Exact water-filling power allocation over parallel channel gains."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Nonnegative per-mode powers plus the Lagrangian water level.
-
-    ``powers`` is in the same mode order as the inverse gains it was computed
-    from; excluded modes hold exact zeros, so counting unused modes needs no
-    epsilon. For a stack of gain vectors ``(..., n)``, ``water_level`` has
-    the stack's shape ``(...)``.
-    """
-
-    powers: np.ndarray
-    water_level: float | np.ndarray
 
 
 def positive_budget(budget, shape: tuple, name: str = "budget") -> np.ndarray:
     """A power budget, one value or one per trial of a stack of ``shape``, as a float array.
 
     Raises InvalidInputError, naming the parameter ``name``, unless the
-    budget has one of those shapes and every entry is positive and finite.
+    budget has one of those shapes and every entry is finite and at or above
+    the smallest normal float; a subnormal budget loses the relative
+    precision every budget tolerance is scaled by.
     """
     budget = np.asarray(budget, dtype=float)
     if budget.shape not in ((), shape):
         raise InvalidInputError(f"{name} must be one value or have the stack's shape {shape}, "
                                 f"got shape {budget.shape}")
-    if not (np.isfinite(budget).all() and (budget > 0).all()):
-        raise InvalidInputError(f"{name} must be positive and finite")
+    # A NaN is its array's min, and fails the comparison.
+    if budget.size and not (budget.min() >= np.finfo(float).tiny and budget.max() < np.inf):
+        raise InvalidInputError(f"{name} must be a normal positive finite power")
     return budget
 
 
-def waterfill(inverse_gains, budget) -> PowerAllocation:
-    """Maximize sum_n log2(1 + powers[n] / inverse_gains[n]) under a power budget.
+def waterfill(inverse_gains, budget) -> tuple[np.ndarray, np.ndarray]:
+    """``(powers, water_level)`` maximizing sum_n log2(1 + powers[n] / inverse_gains[n]).
 
     Closed-form active-set solution of the KKT conditions: sort inverse gains
     ascending and let ``level_k = (budget + sum of the k smallest) / k``.
@@ -51,27 +36,32 @@ def waterfill(inverse_gains, budget) -> PowerAllocation:
     level to its rounding; everything else gets an exact zero. The sum of
     powers equals the budget to rounding. The running sums are sequential,
     so every level is the one a mode-by-mode loop computes, bit for bit.
+    ``powers`` has the gains' shape and mode order, with exact zeros on the
+    excluded modes, so counting unused modes needs no epsilon;
+    ``water_level`` has the stack's shape ``(...)``.
 
     Parameters
     ----------
     inverse_gains : array_like
         Positive per-mode costs (e.g. noise variance over squared channel
-        gain), shape ``(n,)`` or a stack ``(..., n)`` solved row by row.
-        ``+inf`` marks a mode that can never be used.
+        gain), shape ``(n,)`` with n >= 1 or a stack ``(..., n)`` solved row
+        by row, which may be empty. ``+inf`` marks a mode that can never be
+        used.
     budget : float or array_like
-        Total power to distribute in each row, > 0: one value for every row,
-        or one per row with the stack's shape ``(...)``. Each row's result
-        is the same, bit for bit, either way.
+        Total power to distribute in each row, normal and finite (see
+        ``positive_budget``): one value for every row, or one per row with
+        the stack's shape ``(...)``. Each row's result is the same, bit for
+        bit, either way.
 
     Raises
     ------
     InvalidInputError
-        Empty gain list, a budget of another shape or with an entry that is
-        not positive and finite,
-        nonpositive or NaN gains, or a row without any finite gain.
+        Empty gain vectors, a budget of another shape or with an entry that
+        ``positive_budget`` refuses, nonpositive or NaN gains, or a row
+        without any finite gain.
     """
     ig = np.asarray(inverse_gains, dtype=float)
-    if ig.ndim == 0 or ig.size == 0:
+    if ig.ndim == 0 or ig.shape[-1] == 0:
         raise InvalidInputError("inverse_gains must be a nonempty sequence or stack of them")
     if np.isnan(ig).any() or (ig <= 0).any():
         raise InvalidInputError("inverse gains must be positive (or +inf)")
@@ -99,8 +89,7 @@ def waterfill(inverse_gains, budget) -> PowerAllocation:
     powers_sorted = np.where(count <= k, (budget - (k * sorted_ig - total)) / k, 0.0)
     powers = np.empty_like(powers_sorted)
     powers[rows, order] = powers_sorted
-    return PowerAllocation(powers=powers.reshape(stack + ig.shape[-1:]),
-                           water_level=water_level.reshape(stack)[()])
+    return powers.reshape(stack + ig.shape[-1:]), water_level.reshape(stack)[()]
 
 
 def sum_rate(gains, powers):

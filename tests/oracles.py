@@ -341,7 +341,7 @@ def residual_interference(u1, h12, v2, p2, primary_active) -> float:
     After the primary's receive filter, mode n observes row n of
     ``u1^H @ h12 @ v2 @ p2^{1/2}``. Returns the maximum Euclidean row norm
     over the modes marked by the boolean mask ``primary_active`` (the
-    primary's ``p1.powers > 0``); the alignment construction keeps this at
+    primary's ``p1 > 0``); the alignment construction keeps this at
     rounding level.
     """
     active = np.asarray(primary_active, dtype=bool)

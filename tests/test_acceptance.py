@@ -57,7 +57,7 @@ def full_design(nt, grid_index, trial_index, p_max, master_seed=MASTER_SEED):
             continue
         return dict(nt=nt, p_max=p_max, h12=h12, h22=h22, primary=primary,
                     v2_raw=opt.v2, active=primary.p1_bar > 0.0,
-                    q=interference_covariance(h21, primary.v, primary.p1.powers),
+                    q=interference_covariance(h21, primary.v, primary.p1),
                     uni=uni, opt=opt)
     raise RuntimeError("trial rejected repeatedly")
 
@@ -85,7 +85,7 @@ def cell_designs(nt, grid_index, trials, p_max):
             chans[redo] = draw_trials(nt, nt, MASTER_SEED, grid_index,
                                       indices[redo] + redraws[redo] * REPLACEMENT_BASE)
     return [dict(p_max=p_max, h12=chans[k, 1], u1=primary.u[k], lam=primary.sigma[k],
-                 p1=primary.p1.powers[k], unused_count=primary.unused_count[k],
+                 p1=primary.p1[k], unused_count=primary.unused_count[k],
                  **{name: SecondaryDesign(design.v2[k], design.p2[k], design.rate[k])
                     for name, design in zip(("uni", "opt"), designs)})
             for k in range(trials)]
@@ -137,16 +137,15 @@ def test_c02_waterfill_kkt_suite():
         n = int(rng.integers(1, 5))
         inverse_gains = np.exp(rng.normal(0.0, 1.2, n))
         budget = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-        alloc = waterfill(inverse_gains, budget)
-        if abs(alloc.powers.sum() - budget) > 1e-9 * budget:
+        powers, level = waterfill(inverse_gains, budget)
+        if abs(powers.sum() - budget) > 1e-9 * budget:
             problems.append(f"set {k}: budget violated")
-        level = alloc.water_level
-        for power, gain in zip(alloc.powers, inverse_gains):
+        for power, gain in zip(powers, inverse_gains):
             if power > 0 and abs(power - (level - gain)) > 1e-9 * level:
                 problems.append(f"set {k}: active-mode slackness violated")
             if power == 0 and gain < level - 1e-9 * level:
                 problems.append(f"set {k}: inactive mode below the water level")
-        fast = allocation_rate(alloc.powers, inverse_gains)
+        fast = allocation_rate(powers, inverse_gains)
         reference = grid_search_rate(inverse_gains, budget)
         if abs(fast - reference) > 1e-4:
             problems.append(f"set {k}: rate {fast:.6f} vs oracle {reference:.6f}")
@@ -157,10 +156,10 @@ def test_c03_analytic_walkthrough():
     problems = []
     eye = np.eye(2, dtype=complex)
     primary = design_primary(np.diag([2.0, 1.0]), p_max=0.5)
-    if not np.array_equal(primary.p1.powers, [0.5, 0.0]):
-        problems.append(f"primary powers {primary.p1.powers}")
-    if primary.p1.water_level != 0.75:
-        problems.append(f"water level {primary.p1.water_level}")
+    if not np.array_equal(primary.p1, [0.5, 0.0]):
+        problems.append(f"primary powers {primary.p1}")
+    if primary.water_level != 0.75:
+        problems.append(f"water level {primary.water_level}")
     if not np.array_equal(primary.p1_bar, [0.0, 0.25]):
         problems.append(f"complement {primary.p1_bar}")
     if primary.unused_count != 1:

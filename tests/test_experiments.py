@@ -88,6 +88,13 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
             small_grid(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("nt", -1), ("nr", 2**64), ("trials", -1),
+                                             ("master_seed", -1)])
+    def test_rejects_out_of_range_integers_by_name(self, field, value):
+        """The integer rule is draw_trials': an integer in [0, 2^64)."""
+        with pytest.raises(InvalidInputError, match=rf"^{field} must lie in \[0, 2\^64\)$"):
+            small_grid(**{field: value})
+
     @pytest.mark.parametrize("snrs", [("a",), 5.0, None, (1j,), [True], "5"],
                              ids=["string-entry", "scalar", "none", "complex", "bool", "string"])
     def test_rejects_non_real_snr_by_name(self, snrs):
@@ -312,6 +319,11 @@ class TestRunTrial:
 
 
 class TestRunGrid:
+    @pytest.mark.parametrize("workers", ["2", None, 2.5, True])
+    def test_rejects_non_integer_workers_by_name(self, workers):
+        with pytest.raises(InvalidInputError, match="^workers must be an integer, got "):
+            run_grid([small_grid(trials=1)], workers=workers)
+
     def test_single_trial_row(self):
         grid = small_grid(snr_db_list=(3.0,), trials=1)
         row = run_grid([grid])[0]

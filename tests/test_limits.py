@@ -72,7 +72,7 @@ def test_extreme_snr_keeps_zero_interference(n, seed, snr_db):
     for design in designs:
         for k in range(TRIALS):
             assert residual_interference(primary.u[k], chans[k, 1], design.v2[k], design.p2[k],
-                                         primary.p1.powers[k] > 0.0) <= bound
+                                         primary.p1[k] > 0.0) <= bound
 
 
 @pytest.mark.parametrize("snr_db", [-300.0, -150.0, -60.0, -20.0, 0.0, 10.0, 20.0, 30.0, 300.0])
@@ -92,7 +92,7 @@ def test_uniform_rate_matches_log_det_oracle(snr_db, nt, extra_rows, seed):
     h21, h22 = chans[:, 2], chans[:, 3]
     sends = primary.unused_count > 0
     assert np.all(design.rate[~sends] == 0.0)
-    q = interference_covariance(h21[sends], primary.v[sends], primary.p1.powers[sends])
+    q = interference_covariance(h21[sends], primary.v[sends], primary.p1[sends])
     whitened = whiten(q, h22[sends] @ design.v2[sends])
     reference = log2_det_id_plus(herm(whitened) @ whitened)
     assert np.all(np.abs(design.rate[sends] - reference) <= 1e-9 * reference)

@@ -23,14 +23,14 @@ def random_design(seed, n=3, p_max=1.0):
 class TestDesignPrimary:
     def test_diagonal_low_budget(self):
         d = design_primary(np.diag([2.0, 1.0]), p_max=0.5)
-        assert np.allclose(d.p1.powers, [0.5, 0.0], atol=1e-15)
-        assert abs(d.p1.water_level - 0.75) < 1e-15
+        assert np.allclose(d.p1, [0.5, 0.0], atol=1e-15)
+        assert abs(d.water_level - 0.75) < 1e-15
         assert np.allclose(d.p1_bar, [0.0, 0.25], atol=1e-15)
         assert d.unused_count == 1
 
     def test_diagonal_full_budget(self):
         d = design_primary(np.diag([2.0, 1.0]), p_max=1.0)
-        assert np.allclose(d.p1.powers, [0.875, 0.125], atol=1e-15)
+        assert np.allclose(d.p1, [0.875, 0.125], atol=1e-15)
         assert d.unused_count == 0
         # water level is kept so the complementary allocation is defined (all zero here)
         assert np.all(d.p1_bar == 0.0)
@@ -38,22 +38,22 @@ class TestDesignPrimary:
     @pytest.mark.parametrize("seed", range(5))
     def test_vanishing_budget_keeps_best_mode_only(self, seed):
         h11, d = random_design(seed, n=4, p_max=1e-9)
-        assert np.count_nonzero(d.p1.powers > 0) == 1
-        assert d.p1.powers[0] > 0.0
+        assert np.count_nonzero(d.p1 > 0) == 1
+        assert d.p1[0] > 0.0
         assert d.unused_count == 3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_complement_supports_are_disjoint(self, seed):
         _, d = random_design(seed, n=4, p_max=float(np.exp(seed - 4)))
-        assert np.all(d.p1.powers * d.p1_bar == 0.0)
-        assert d.unused_count == int(np.count_nonzero(d.p1.powers == 0.0))
+        assert np.all(d.p1 * d.p1_bar == 0.0)
+        assert d.unused_count == int(np.count_nonzero(d.p1 == 0.0))
         # for generic channels the complement is strictly positive on every unused mode
         assert int(np.count_nonzero(d.p1_bar > 0.0)) == d.unused_count
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rate_matches_log_det_form(self, seed):
         h11, d = random_design(seed, n=3, p_max=2.0)
-        covariance = (d.v * d.p1.powers) @ herm(d.v)
+        covariance = (d.v * d.p1) @ herm(d.v)
         m = h11 @ covariance @ herm(h11)
         assert abs(d.rate - log2_det_id_plus(m)) <= 1e-9
 
@@ -91,7 +91,7 @@ class TestDesignPrimary:
         rng = np.random.default_rng(3)
         h11 = complex_gaussian(2, 3, rng)
         d = design_primary(h11, 1.0)
-        assert d.p1.powers.shape == (2,)
+        assert d.p1.shape == (2,)
         assert d.p1_bar.shape == (2,)
         assert 0 <= d.unused_count <= 2
 

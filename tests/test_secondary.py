@@ -4,6 +4,7 @@ Also tested here: the eigendecomposition root that the optimal-scheme
 reference ``oracles.gram_inv_sqrt`` uses.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oia import secondary
+from oia.channel import draw_trials
 from oia.errors import InvalidInputError, RedrawError
 from oia.primary import design_primary
 from oia.secondary import GRAM_FLOOR, RANK_GUARD, design_secondary
@@ -54,7 +56,7 @@ def random_trial(seed, n=3, p_max=1.0, nr=None):
     primary, uni, opt = design_secondary(links(h11, h12, h21, h22), p_max)
     return dict(h11=h11, h12=h12, h21=h21, h22=h22, primary=primary,
                 v2_raw=opt.v2, active=primary.p1_bar > 0.0,
-                q=interference_covariance(h21, primary.v, primary.p1.powers),
+                q=interference_covariance(h21, primary.v, primary.p1),
                 uni=uni, opt=opt, p_max=p_max)
 
 
@@ -87,7 +89,7 @@ class TestBuildPrecoder:
         scale = max(np.linalg.norm(primary.p1_bar), 1e-30)
         assert np.linalg.norm(aligned - target) <= 1e-9 * scale
         # rows of modes the primary actually uses are clean
-        for n_active in np.flatnonzero(primary.p1.powers > 0.0):
+        for n_active in np.flatnonzero(primary.p1 > 0.0):
             assert np.linalg.norm(aligned[n_active]) <= 1e-9 * scale
 
     @pytest.mark.parametrize("seed", range(5))
@@ -219,6 +221,15 @@ class TestChannelShapes:
         design_secondary(links(h11, eye, eye, eye), 0.01)
         with pytest.raises(InvalidInputError, match=SHAPE_ERROR + "$"):
             design_secondary([h11, eye, eye, np.eye(3)], 0.01)
+
+    @pytest.mark.parametrize("nr", [3, 5], ids=["square", "tall"])
+    def test_empty_stack_gives_empty_designs(self, nr):
+        """No trials, as ``draw_trials`` returns them, design to arrays with leading axis 0."""
+        chans = draw_trials(nr, 3, 0, 0, [])
+        assert chans.shape == (0, 4, nr, 3)
+        for design in design_secondary(chans, 1.0):
+            for field in dataclasses.fields(design):
+                assert np.shape(getattr(design, field.name))[:1] == (0,), field.name
 
 
 class TestBadPrecoderInputs:
@@ -352,7 +363,7 @@ def check_oracle_path(chans, p_max):
     primary, uniform, optimal = design_secondary(chans, p_max)
     _, h12, h21, h22 = np.moveaxis(chans, -3, 0)
     for k, budget in enumerate(p_max):
-        q = interference_covariance(h21[k], primary.v[k], primary.p1.powers[k])
+        q = interference_covariance(h21[k], primary.v[k], primary.p1[k])
         w = whiten(q, h22[k] @ uniform.v2[k])
         rate = log2_det_id_plus(herm(w) @ w)
         assert abs(uniform.rate[k] - rate) <= 1e-12 * rate
@@ -759,7 +770,7 @@ class TestResidualInterference:
     def test_walkthrough_is_interference_free(self):
         primary, design, _ = walkthrough()
         metric = residual_interference(primary.u, EYE2, design.v2, design.p2,
-                                       primary.p1.powers > 0.0)
+                                       primary.p1 > 0.0)
         assert metric == 0.0
 
     @pytest.mark.parametrize("seed", range(20))
@@ -770,7 +781,7 @@ class TestResidualInterference:
         for design in (trial["uni"], trial["opt"]):
             metric = residual_interference(primary.u, trial["h12"],
                                            design.v2, design.p2,
-                                           primary.p1.powers > 0.0)
+                                           primary.p1 > 0.0)
             assert metric <= 1e-9 * math.sqrt(p_max)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -785,7 +796,7 @@ class TestResidualInterference:
             for design in (trial["uni"], trial["opt"]):
                 metric = residual_interference(primary.u, trial["h12"],
                                                design.v2, design.p2,
-                                               primary.p1.powers > 0.0)
+                                               primary.p1 > 0.0)
                 assert metric <= 1e-9 * math.sqrt(p_max)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -796,9 +807,9 @@ class TestResidualInterference:
         filtered = herm(primary.u) @ trial["h12"] @ design.v2
         extra = filtered @ design.p2 @ herm(filtered)
         lam = primary.sigma
-        for mode in np.flatnonzero(primary.p1.powers > 0.0):
-            clean = lam[mode] ** 2 * primary.p1.powers[mode]
-            bled = lam[mode] ** 2 * primary.p1.powers[mode] / (1.0 + extra[mode, mode].real)
+        for mode in np.flatnonzero(primary.p1 > 0.0):
+            clean = lam[mode] ** 2 * primary.p1[mode]
+            bled = lam[mode] ** 2 * primary.p1[mode] / (1.0 + extra[mode, mode].real)
             assert abs(clean - bled) <= 1e-9 * clean
 
 
@@ -829,12 +840,11 @@ class TestPerTrialBudget:
         for budget in np.unique(budgets):
             rows = budgets == budget
             alone = waterfill(inverse_gains, budget)
-            assert same_bytes(per_trial.powers[rows], alone.powers[rows])
-            assert same_bytes(per_trial.water_level[rows], alone.water_level[rows])
+            for got, want in zip(per_trial, alone, strict=True):
+                assert same_bytes(got[rows], want[rows])
             scalar = design_primary(h11, budget)
-            for name in ("p1_bar", "unused_count"):
+            for name in ("p1", "water_level", "p1_bar", "unused_count"):
                 assert same_bytes(getattr(design, name)[rows], getattr(scalar, name)[rows])
-            assert same_bytes(design.p1.powers[rows], scalar.p1.powers[rows])
 
     @pytest.mark.parametrize("scheme", [0, 1], ids=["uniform_secondary", "optimal_secondary"])
     def test_power_schemes(self, scheme):
@@ -882,16 +892,37 @@ class TestPerTrialBudget:
                                                         r"the stack's shape \(3,\), got shape "):
                 call(bad)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan, 5e-324, 1e-310])
     def test_bad_entry_rejected(self, bad):
+        """One entry not finite or below the smallest normal float is refused by name."""
         budgets = np.array([1.0, bad, 2.0])
         eye = np.broadcast_to(EYE2, (3, 2, 2))
-        with pytest.raises(InvalidInputError):
+        refusal = " must be a normal positive finite power$"
+        with pytest.raises(InvalidInputError, match="^budget" + refusal):
             waterfill(np.ones((3, 2)), budgets)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^p_max" + refusal):
             design_primary(eye, budgets)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^p_max" + refusal):
             design_secondary(links(np.diag([2.0, 1.0]), eye, eye, eye), budgets)
+
+    @pytest.mark.parametrize("budget", [5e-324, 1e-310])
+    def test_subnormal_budget_refused_by_name(self, budget):
+        """A subnormal budget would lose the precision the budget tolerances scale by."""
+        with pytest.raises(InvalidInputError, match="^p_max must be a normal positive finite"):
+            design_secondary(draw_trials(3, 3, 0, 0, [0, 1]), budget)
+
+    @pytest.mark.parametrize("nr", [3, 5], ids=["square", "tall"])
+    def test_smallest_normal_budget_met(self, nr):
+        """At the floor every link still designs, and meets its budget to 1e-9."""
+        p_max = np.finfo(float).tiny
+        primary, uniform, optimal = design_secondary(draw_trials(nr, 3, 0, 0, range(200)), p_max)
+        sends = np.any(primary.p1_bar > 0.0, axis=-1)
+        assert sends.any()
+        assert np.all(np.abs(primary.p1.sum(axis=-1) - p_max) <= 1e-9 * p_max)
+        for design in (uniform, optimal):
+            v2 = design.v2[sends]
+            spent = np.trace(v2 @ design.p2[sends] @ herm(v2), axis1=-2, axis2=-1).real
+            assert np.all(np.abs(spent - p_max) <= 1e-9 * p_max)
 
 
 class TestGuardedSolve:

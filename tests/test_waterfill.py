@@ -29,11 +29,11 @@ def gain_stacks(draw):
     return np.array(draw(st.lists(row, min_size=1, max_size=6)))
 
 
-def assert_matches_loop(alloc, gains, budget):
-    powers, level, active = loop_waterfill(gains, budget)
-    assert alloc.powers.tobytes() == powers.tobytes()
-    assert np.float64(alloc.water_level).tobytes() == np.float64(level).tobytes()
-    assert np.count_nonzero(alloc.powers > 0) == active
+def assert_matches_loop(pair, gains, budget):
+    *loop_pair, active = loop_waterfill(gains, budget)
+    for got, want in zip(pair, loop_pair, strict=True):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert np.count_nonzero(pair[0] > 0) == active
 
 
 def random_problem(rng):
@@ -45,39 +45,40 @@ def random_problem(rng):
 
 class TestAnalyticCases:
     def test_two_modes_both_active(self):
-        alloc = waterfill([0.25, 1.0], 1.0)
-        assert np.allclose(alloc.powers, [0.875, 0.125], atol=1e-15)
-        assert abs(alloc.water_level - 1.125) < 1e-15
-        assert np.count_nonzero(alloc.powers > 0) == 2
+        powers, level = waterfill([0.25, 1.0], 1.0)
+        assert np.allclose(powers, [0.875, 0.125], atol=1e-15)
+        assert abs(level - 1.125) < 1e-15
+        assert np.count_nonzero(powers > 0) == 2
 
     def test_two_modes_one_drops(self):
-        alloc = waterfill([0.25, 1.0], 0.5)
-        assert np.allclose(alloc.powers, [0.5, 0.0], atol=1e-15)
-        assert alloc.powers[1] == 0.0
-        assert abs(alloc.water_level - 0.75) < 1e-15
-        assert np.count_nonzero(alloc.powers > 0) == 1
+        powers, level = waterfill([0.25, 1.0], 0.5)
+        assert np.allclose(powers, [0.5, 0.0], atol=1e-15)
+        assert powers[1] == 0.0
+        assert abs(level - 0.75) < 1e-15
+        assert np.count_nonzero(powers > 0) == 1
 
     def test_symmetric_modes_split_evenly(self):
-        alloc = waterfill([1.0, 1.0, 1.0], 3.0)
-        assert np.allclose(alloc.powers, [1.0, 1.0, 1.0])
-        assert abs(alloc.water_level - 2.0) < 1e-15
+        powers, level = waterfill([1.0, 1.0, 1.0], 3.0)
+        assert np.allclose(powers, [1.0, 1.0, 1.0])
+        assert abs(level - 2.0) < 1e-15
 
     def test_infinite_gain_excluded(self):
-        alloc = waterfill([0.5, np.inf], 1.0)
-        assert alloc.powers[1] == 0.0
-        assert abs(alloc.powers[0] - 1.0) < 1e-15
-        assert np.count_nonzero(alloc.powers > 0) == 1
+        powers, _ = waterfill([0.5, np.inf], 1.0)
+        assert powers[1] == 0.0
+        assert abs(powers[0] - 1.0) < 1e-15
+        assert np.count_nonzero(powers > 0) == 1
 
     def test_unsorted_input_keeps_mode_order(self):
-        alloc = waterfill([1.0, 0.25], 1.0)
-        assert np.allclose(alloc.powers, [0.125, 0.875], atol=1e-15)
+        powers, _ = waterfill([1.0, 0.25], 1.0)
+        assert np.allclose(powers, [0.125, 0.875], atol=1e-15)
 
-    @pytest.mark.parametrize("budget", [1e-300, 1e-200, 1e-100, 1e-16, 1e-15, 1e-12])
+    @pytest.mark.parametrize("budget", [np.finfo(float).tiny, 1e-300, 1e-200, 1e-100, 1e-16,
+                                        1e-15, 1e-12])
     def test_budget_far_below_level_met_exactly(self, budget):
         """The level 1 + budget rounds to 1, yet the strongest mode gets the whole budget."""
-        alloc = waterfill([1.0, 2.0], budget)
-        assert alloc.powers.sum() == budget
-        assert np.count_nonzero(alloc.powers > 0) == 1
+        powers, _ = waterfill([1.0, 2.0], budget)
+        assert powers.sum() == budget
+        assert np.count_nonzero(powers > 0) == 1
 
 
 class TestSumRate:
@@ -120,11 +121,11 @@ class TestClosedFormMatchesLoop:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(gain_stacks(), BUDGET)
     def test_stack(self, stack, budget):
-        alloc = waterfill(stack, budget)
-        assert alloc.powers.shape == stack.shape
+        powers, level = waterfill(stack, budget)
+        assert powers.shape == stack.shape
+        assert level.shape == stack.shape[:-1]
         for row, gains in enumerate(stack):
-            one = type(alloc)(alloc.powers[row], alloc.water_level[row])
-            assert_matches_loop(one, gains, budget)
+            assert_matches_loop((powers[row], level[row]), gains, budget)
 
 
 class TestValidation:
@@ -132,10 +133,19 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             waterfill([], 1.0)
 
-    @pytest.mark.parametrize("budget", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("budget", [0.0, -1.0, np.inf, np.nan, 5e-324, 1e-310])
     def test_bad_budget(self, budget):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match="^budget must be a normal positive finite power$"):
             waterfill([1.0], budget)
+
+    def test_empty_stack_gives_empty_pair(self):
+        """A stack of no rows is solved to empty arrays; only an empty gain vector is refused."""
+        powers, level = waterfill(np.ones((0, 3)), 1.0)
+        assert powers.shape == (0, 3)
+        assert level.shape == (0,)
+        with pytest.raises(InvalidInputError, match="^inverse_gains must be a nonempty"):
+            waterfill(np.ones((2, 0)), 1.0)
 
     def test_all_infinite_gains(self):
         with pytest.raises(InvalidInputError):
@@ -154,10 +164,9 @@ class TestKktProperties:
         rng = np.random.default_rng(2024)
         for _ in range(300):
             ig, budget = random_problem(rng)
-            alloc = waterfill(ig, budget)
-            assert abs(alloc.powers.sum() - budget) <= 1e-9 * budget
-            level = alloc.water_level
-            for power, gain in zip(alloc.powers, ig):
+            powers, level = waterfill(ig, budget)
+            assert abs(powers.sum() - budget) <= 1e-9 * budget
+            for power, gain in zip(powers, ig):
                 if power > 0:
                     assert abs(power - (level - gain)) <= 1e-9 * level
                 else:
@@ -168,7 +177,7 @@ class TestKktProperties:
         rng = np.random.default_rng(7)
         for _ in range(50):
             ig = np.exp(rng.normal(0.0, 1.0, 4))
-            counts = [np.count_nonzero(waterfill(ig, b).powers > 0)
+            counts = [np.count_nonzero(waterfill(ig, b)[0] > 0)
                       for b in np.logspace(-3, 3, 25)]
             assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -176,7 +185,7 @@ class TestKktProperties:
         rng = np.random.default_rng(99)
         for _ in range(30):
             ig, budget = random_problem(rng)
-            alloc = waterfill(ig, budget)
-            fast = allocation_rate(alloc.powers, ig)
+            powers, _ = waterfill(ig, budget)
+            fast = allocation_rate(powers, ig)
             reference = grid_search_rate(ig, budget)
             assert abs(fast - reference) <= 1e-4
