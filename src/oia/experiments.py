@@ -8,7 +8,7 @@ import operator
 import os
 import stat
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,8 +29,8 @@ _MAX_ATTEMPTS = 100
 # n=20, whatever the cell size. Each pass has a fixed cost besides its
 # trials, about 2.2 ms at n=3 and 1.5 ms at n=20 on a 2-vCPU VM with
 # OpenBLAS, which larger passes spread over more trials. At its peak a pass
-# holds 10.1 to 13.9 such stacks per trial (traced at n=3 and n=20 from -20
-# to 30 dB), so the pass size also sets its working set: at most about 3.6 MB.
+# holds 10.1 to 13.8 such stacks per trial (traced at n=3 and n=20 from -20
+# to 30 dB), so the pass size also sets its working set: at most about 3.5 MB.
 PASS_BYTES = 256 * 1024
 
 
@@ -38,7 +38,9 @@ PASS_BYTES = 256 * 1024
 class ExperimentGrid:
     """One antenna geometry swept over an SNR grid.
 
-    SNR is the transmit budget over the unit noise variance, in dB.
+    SNR is the transmit budget over the unit noise variance, in dB. Checking
+    the SNRs derives ``budgets``, the budget of each: no ``__init__``
+    argument, out of ``repr`` and ``==``, and ``dataclasses.replace`` redoes it.
     """
 
     nt: int
@@ -46,6 +48,7 @@ class ExperimentGrid:
     snr_db_list: tuple
     trials: int
     master_seed: int = 0
+    budgets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # A scalar is no sequence, so it is refused as empty below.
@@ -68,8 +71,7 @@ class ExperimentGrid:
             raise InvalidInputError("snr_db_list must be a nonempty sequence")
         if any(b <= a for a, b in zip(self.snr_db_list, self.snr_db_list[1:])):
             raise InvalidInputError("snr_db_list must be strictly increasing")
-        for snr_db in self.snr_db_list:
-            snr_to_power(snr_db)
+        object.__setattr__(self, "budgets", np.array(list(map(snr_to_power, self.snr_db_list))))
 
 
 @dataclass(frozen=True)
@@ -156,14 +158,11 @@ def _run_pass(grid: ExperimentGrid, first: int, start: int, stop: int) -> np.nda
     replaced by a redraw at ``trial + attempt * REPLACEMENT_BASE`` of the
     same cell, so replacements are deterministic and never collide with
     regular trials. Only the rejected trials are redrawn; every trial's
-    record depends on its own stream and SNR alone, not on the other trials
-    of the pass.
+    record depends on its own stream and its cell's ``grid.budgets`` entry
+    alone, not on the other trials of the pass.
     """
     cell, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), np.uint64(grid.trials))
-    low = start // grid.trials
-    # Only the budgets of the cells the pass spans: an n=20 pass holds 40 trials.
-    budgets = [snr_to_power(snr_db) for snr_db in grid.snr_db_list[low:int(cell[-1]) + 1]]
-    p_max = np.array(budgets)[cell - low]
+    p_max = grid.budgets[cell]
     # In place, so that the pass holds one index array per trial fewer.
     grid_index = np.add(cell, first, out=cell)
     # uint64 like the trial indices, so a replacement index stays an integer.

@@ -248,44 +248,44 @@ def design_secondary(channels, p_max) -> tuple[PrimaryDesign, SecondaryDesign, S
     u, v = primary.u.reshape(count, nr, nr), primary.v.reshape(count, nt, nt)
     p1_bar, p1 = primary.p1_bar.reshape(count, nt), primary.p1.reshape(count, nt)
     active = p1_bar > 0.0
-    sends = np.flatnonzero(active.any(axis=-1))
-    v2s = np.zeros((0, nt, nt), dtype=np.complex128)
-    if sends.size:
+    sending = active.any(axis=-1)
+    sends = np.flatnonzero(sending)
+    if not sends.size:
+        v2_raw = np.zeros((count, nt, nt), dtype=np.complex128)
+    else:
         # Row copies go in as bare arguments, so that each one goes when the
         # precoder is done with it.
         try:
-            v2s = _precoder(_rows(h12, sends), _rows(u, sends), _rows(p1_bar, sends))
+            v2_raw = _scatter(_precoder(_rows(h12, sends), _rows(u, sends), _rows(p1_bar, sends)),
+                              sends, count)
         except RedrawError as exc:
             rejected = _scatter(exc.rejected, sends, count).reshape(batch)
             raise RedrawError(exc.reason, exc.args[1], rejected) from None
     p2 = np.zeros((count, nt, nt), dtype=np.complex128)
     # Squared column norms; inactive columns are exactly zero, so total is ||vt||_F^2.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        columns = np.sum((v2s.conj() * v2s).real, axis=-2)
+        columns = np.sum((v2_raw.conj() * v2_raw).real, axis=-2)
         total = columns.sum(axis=-1)
-        power = p_max[sends] / total
+        power = np.divide(p_max, total, out=np.zeros_like(total), where=total > 0.0)
     if not np.all((total < np.inf) & (power > 0.0) & (power < np.inf)
-                  & np.all(columns > 0.0, axis=-1, where=active[sends])):
+                  & np.all(columns > 0.0, axis=-1, where=active), where=sending):
         raise InvalidInputError("h12 and p1_bar give a precoder too small or too large to scale")
-    scale = _scatter(np.sqrt(power), sends, count)
     rate_uniform, rate_optimal = np.zeros(count), np.zeros(count)
-    # The active columns are a suffix, so a trial's active count names its
+    # The active columns are a suffix, so an active count k >= 1 names a group's
     # columns. bincount lists the counts present, ascending, without the hash
     # table an integer np.unique builds, which raised the peak RSS of a sweep.
-    width = np.count_nonzero(active[sends], axis=-1)
-    sizes = np.flatnonzero(np.bincount(width))
+    width = np.count_nonzero(active, axis=-1)
     # Large intermediates go once used, so no group's working set outgrows its whitening QR.
-    for k in sizes:
+    for k in np.flatnonzero(np.bincount(width)[1:]) + 1:
         lead = nt - k
-        members = np.flatnonzero(width == k)
-        trials = sends[members]
-        # Indexing by members copies, so rescaling vt in place leaves v2s alone.
-        vt = v2s[members, :, lead:]
+        trials = np.flatnonzero(width == k)
+        # Indexing by trials copies, so rescaling vt in place leaves v2_raw alone.
+        vt = v2_raw[trials, :, lead:]
         # The receiver whitens q = I + b b^H, b = h21 @ v1 @ diag(p1)^{1/2} on the lead
         # modes, where alone the primary sends. Both schemes see the whitened active block
         # a only through a^H a = c^H q^{-1} c, c = h22 @ vt: the Schur complement of x^H x's
         # leading block, x = [[I, 0], [b, c]], so a is x's trailing k x k R block.
-        x = np.zeros((members.size, lead + nr, nt), dtype=np.complex128)
+        x = np.zeros((trials.size, lead + nr, nt), dtype=np.complex128)
         x[:, :lead, :lead] = np.eye(lead)
         v1 = v[trials, :, :lead]
         v1 *= np.sqrt(p1[trials, None, :lead])
@@ -296,18 +296,18 @@ def design_secondary(channels, p_max) -> tuple[PrimaryDesign, SecondaryDesign, S
         # skips mode "r"'s full-size triu copy.
         a = np.triu(np.linalg.qr(x, mode="raw")[0][:, lead:, lead:nt].swapaxes(-1, -2))
         del x
-        norms = np.sqrt(columns[members, lead:])
+        norms = np.sqrt(columns[trials, lead:])
         # The uniform rate takes a^H a's eigenvalues at power p_max / ||vt||^2: a squared
         # in band, and the power scaled back, kept normal by ||vt||^2's exponent.
         band, shift = _in_band(a)
-        frac, exponent = np.frexp(total[members, None])
+        frac, exponent = np.frexp(total[trials, None])
         band_power = np.ldexp(p_max[trials, None] / frac, 2 * shift[..., 0] - exponent)
         if k == 1:
             # Water-filling gives a lone mode the whole budget, so both schemes put
             # p_max / ||vt||^2 on it and share one rate, found from norms alone.
             rate_uniform[trials] = rate_optimal[trials] = sum_rate(np.abs(band[:, 0]) ** 2,
                                                                    band_power)
-            p2[trials, -1, -1] = power[members]
+            p2[trials, -1, -1] = power[trials]
             continue
         # Column equilibration: p1_bar's entries can differ by orders of magnitude, and
         # the gram root's small singular values carry only absolute accuracy. The optimum
@@ -337,8 +337,8 @@ def design_secondary(channels, p_max) -> tuple[PrimaryDesign, SecondaryDesign, S
         reduced /= norms[..., None, :]
         p2[trials, lead:, lead:] = 0.5 * (reduced + herm(reduced))
         rate_optimal[trials] = sum_rate(eta2, powers)
-    v2_raw = _scatter(v2s, sends, count).reshape(batch + (nt, nt))
-    uniform = SecondaryDesign(v2=scale.reshape(batch)[..., None, None] * v2_raw,
+    v2_raw = v2_raw.reshape(batch + (nt, nt))
+    uniform = SecondaryDesign(v2=np.sqrt(power).reshape(batch)[..., None, None] * v2_raw,
                               p2=np.broadcast_to(np.eye(nt), v2_raw.shape),
                               rate=rate_uniform.reshape(batch)[()])
     optimal = SecondaryDesign(v2=v2_raw, p2=p2.reshape(v2_raw.shape),

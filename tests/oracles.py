@@ -17,7 +17,9 @@ those two, the way the package once did,
 ``SeedSequence`` and generator per trial, ``complex_gaussian`` draws one
 channel matrix from it the way each trial's stacked draw must, and
 ``column_mean_stderr`` aggregates one CSV column at a time, the way the
-vectorized cell aggregation must reproduce bit for bit. ``rows_numbered_from``
+vectorized cell aggregation must reproduce bit for bit.
+``marchenko_pastur_primary`` is the large-system limit of the primary's
+unused-mode fraction and rate per antenna. ``rows_numbered_from``
 is not an oracle: it runs a grid's passes with its cells numbered from a
 chosen grid index, as ``run_grid`` numbers a later grid of a sequence.
 """
@@ -86,6 +88,46 @@ def rows_numbered_from(grid, first):
     values = [experiments._run_pass(grid, first, start, min(start + size, total))
               for start in range(0, total, size)]
     return experiments._cell_rows(grid, 0, np.concatenate(values, axis=1))
+
+
+def marchenko_pastur_primary(snr_db):
+    """``(unused fraction, rate per antenna)`` of the primary link as n grows, at one SNR.
+
+    For an n x n i.i.d. CN(0, 1) h11 the eigenvalues x of ``h11^H h11 / n``
+    follow, as n grows, the Marchenko-Pastur law of ratio 1, density ``f(x)
+    = sqrt((4 - x) x) / (2 pi x)`` on [0, 4] (Tulino and Verdu, *Random
+    Matrix Theory and Wireless Communications*, 2004). With budget ``P =
+    10^(snr_db / 10)``, the water level mu per antenna solves ``int (mu -
+    1/x)^+ f(x) dx = P``; the unused fraction is the CDF at 1/mu, and the
+    rate per antenna is ``int log2(mu x)^+ f(x) dx``. Neither depends on n.
+    Under ``x = 4 sin^2(phi)`` the law is ``(4 / pi) cos^2(phi) dphi``, so
+    the CDF and the water-filling integral have closed forms, and 1/mu is
+    found by bisection on them; the rate, a smooth integral in phi, is a
+    64-point Gauss-Legendre quadrature.
+    """
+    budget = 10.0 ** (snr_db / 10.0)
+
+    def angle(t):
+        return math.asin(math.sqrt(t) / 2.0)
+
+    def cdf(t):
+        phi = angle(t)
+        return (2.0 / math.pi) * (phi + math.sin(phi) * math.cos(phi))
+
+    def filled(t):  # int over x > t of (1/t - 1/x) f(x) dx, falling from +inf at 0 to 0 at 4
+        phi = angle(t)
+        return (1.0 - cdf(t)) / t - (1.0 / math.tan(phi) + phi - math.pi / 2.0) / math.pi
+
+    low, high = 0.0, 4.0
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if filled(mid) > budget else (low, mid)
+    t = 0.5 * (low + high)
+    edge = angle(t)
+    x, w = np.polynomial.legendre.leggauss(64)
+    phi = edge + (math.pi / 2.0 - edge) * (x + 1.0) / 2.0
+    integrand = np.log2(4.0 * np.sin(phi) ** 2 / t) * (4.0 / math.pi) * np.cos(phi) ** 2
+    return cdf(t), float((math.pi / 2.0 - edge) / 2.0 * np.sum(w * integrand))
 
 
 def log2_det_id_plus(m):

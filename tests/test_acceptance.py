@@ -26,12 +26,21 @@ from oracles import (
     grid_search_rate,
     herm,
     interference_covariance,
+    marchenko_pastur_primary,
     residual_interference,
     rows_numbered_from,
     secondary_split_oracle,
 )
 
 MASTER_SEED = 20260811
+
+# C11's SNRs, and the unused fractions and primary rates per antenna that an
+# earlier, independent sweep of 300 trials per cell at n = 20 (master seed 7)
+# read there. Their largest deviations from the Marchenko-Pastur prediction,
+# absolute for the fraction and relative for the rate, are C11's finite-n slack.
+C11_SNR_DB = (-10.0, 0.0, 10.0, 20.0)
+C11_REFERENCE_FRACTION = (0.6747, 0.3887, 0.1662, 0.0602)
+C11_REFERENCE_RATE = (0.2498, 1.0597, 2.8828, 5.5574)
 
 
 def report(criterion: str, problems: list):
@@ -305,3 +314,29 @@ def test_c10_primary_rate_invariance(design_pool):
                 if abs(silent - loaded) > 1e-9 * silent:
                     problems.append(f"trial {k} {scheme} mode {mode}")
     report("criterion 10 (per-mode primary SINR unchanged by the secondary)", problems)
+
+
+def test_c11_large_system_primary():
+    """The primary's unused fraction and rate per antenna at n = 20 match the large-n law.
+
+    Each cell may miss ``marchenko_pastur_primary`` by 4 of its standard
+    errors plus the finite-n slack that the reference sweep shows.
+    """
+    n = 20
+    predicted = [marchenko_pastur_primary(snr_db) for snr_db in C11_SNR_DB]
+    fraction_slack = max(abs(ref - fraction) for ref, (fraction, _)
+                         in zip(C11_REFERENCE_FRACTION, predicted))
+    rate_slack = max(abs(ref / rate - 1.0) for ref, (_, rate) in zip(C11_REFERENCE_RATE, predicted))
+    grid = ExperimentGrid(nt=n, nr=n, snr_db_list=C11_SNR_DB, trials=1000,
+                          master_seed=MASTER_SEED)
+    problems = []
+    for row, (fraction, rate) in zip(run_grid([grid]), predicted):
+        for name, measured, stderr, prediction, slack in (
+                ("unused fraction", row.avg_unused_modes, row.stderr_unused_modes, fraction,
+                 fraction_slack),
+                ("rate per antenna", row.avg_rate_primary, row.stderr_rate_primary, rate,
+                 rate_slack * rate)):
+            if abs(measured / n - prediction) > 4.0 * stderr / n + slack:
+                problems.append(f"{row.snr_db:g} dB: {name} {measured / n:.4f} vs "
+                                f"{prediction:.4f} (stderr {stderr / n:.4f}, slack {slack:.4f})")
+    report("criterion 11 (primary at n = 20 matches the Marchenko-Pastur law)", problems)

@@ -101,6 +101,20 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError, match="^snr_db_list must be "):
             small_grid(snr_db_list=snrs)
 
+    def test_budgets_derived_from_snrs(self):
+        """``budgets`` is snr_to_power of each SNR, out of repr and ==, and replace derives it anew."""
+        grid = small_grid(snr_db_list=(-7.5, 0.0, 6.0))
+        assert grid.budgets.tobytes() == np.array([snr_to_power(-7.5), 1.0,
+                                                   snr_to_power(6.0)]).tobytes()
+        assert "budgets" not in repr(grid)
+        twin = small_grid(snr_db_list=(-7.5, 0.0, 6.0))
+        object.__setattr__(twin, "budgets", np.zeros(3))
+        assert twin == grid and hash(twin) == hash(grid)
+        moved = replace(grid, snr_db_list=(3.0, 40.0))
+        assert moved.budgets.tolist() == [snr_to_power(3.0), snr_to_power(40.0)]
+        with pytest.raises(TypeError):
+            ExperimentGrid(nt=2, nr=2, snr_db_list=(0.0,), trials=1, budgets=(1.0,))
+
     def test_trials_capped_at_replacement_base(self):
         """Past 2^31 trials, regular trial 2^31 + t would draw trial t's first replacement."""
         assert small_grid(trials=REPLACEMENT_BASE).trials == REPLACEMENT_BASE
@@ -118,6 +132,17 @@ class TestRunTrial:
         assert abs(optimal - math.log2(1.5)) < 1e-9
         assert abs(primary - math.log2(3.0)) < 1e-9
         assert discards == 0
+
+    def test_pass_derives_no_budget(self, monkeypatch):
+        """A pass reads its cells' budgets from ``grid.budgets`` and converts no SNR itself."""
+        grid = small_grid(snr_db_list=(-10.0, 0.0, 6.0, 20.0), trials=4)
+        before = experiments._run_pass(grid, 0, 2, 15)  # cells 0 to 3
+
+        def refuse(snr_db):
+            raise AssertionError(f"snr_to_power({snr_db}) called during a pass")
+
+        monkeypatch.setattr(experiments, "snr_to_power", refuse)
+        assert experiments._run_pass(grid, 0, 2, 15).tobytes() == before.tobytes()
 
     def test_deterministic_record(self):
         grid = small_grid()
@@ -283,11 +308,16 @@ class TestRunTrial:
         whitening QRs and both schemes run on the whole pass; at n=3 and
         -20 dB every trial sends too, mostly in two-column groups; at n=3 and
         0 dB some trials do not, and the sending trials' row copies must not
-        raise the peak past the same bound. They trace at about 10.86, 13.86
-        and 13.23 stacks per trial, the pass's returned records included.
+        raise the peak past the same bound. The tall 3x5 pass, the only one
+        through the tall precoder, is checked at -20 dB, where every trial
+        sends, and at 0 dB, where about two in three do. They trace at about
+        11.29, 13.75, 13.12, 7.51 and 7.39 stacks per trial, the pass's
+        returned records included.
         """
-        for n, snr_db, all_send in [(20, -20.0, True), (3, -20.0, True), (3, 0.0, False)]:
-            grid = small_grid(nt=n, nr=n, snr_db_list=(snr_db,), trials=1)
+        for nt, nr, snr_db, all_send in [(20, 20, -20.0, True), (3, 3, -20.0, True),
+                                         (3, 3, 0.0, False), (3, 5, -20.0, True),
+                                         (3, 5, 0.0, False)]:
+            grid = small_grid(nt=nt, nr=nr, snr_db_list=(snr_db,), trials=1)
             size = experiments._pass_size(grid)
             grid = replace(grid, trials=size)
             experiments._run_pass(grid, 0, 0, size)  # warm-up: first-call allocations
@@ -301,7 +331,7 @@ class TestRunTrial:
             sends = np.count_nonzero(unused > 0)
             assert sends == size if all_send else 0 < sends < size
             stacks = peak / (16 * grid.nr**2 * size)
-            assert stacks < PASS_STACKS, (f"{size}-trial pass at n={n}, {snr_db:g} dB "
+            assert stacks < PASS_STACKS, (f"{size}-trial pass at {nt}x{nr}, {snr_db:g} dB "
                                           f"peaks at {stacks:.2f} stacks per trial")
 
     @pytest.mark.parametrize("nt,nr", [(3, 3), (9, 9), (20, 20), (3, 5)])

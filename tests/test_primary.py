@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from oia.errors import InvalidInputError, RedrawError
 from oia.experiments import snr_to_power
 from oia.primary import design_primary
+from oia.waterfill import sum_rate, waterfill
 
-from oracles import complex_gaussian, herm, log2_det_id_plus
+from oracles import complex_gaussian, herm, log2_det_id_plus, marchenko_pastur_primary
 
 
 def random_design(seed, n=3, p_max=1.0):
@@ -216,3 +217,24 @@ class TestStacks:
             assert f.u[k].tobytes() == one.u.tobytes()
             assert f.sigma[k].tobytes() == one.sigma.tobytes()
             assert f.v[k].tobytes() == one.v.tobytes()
+
+
+class TestMarchenkoPasturOracle:
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0])
+    def test_matches_waterfilled_quantiles(self, snr_db):
+        """The oracle against the law's m quantiles water-filled as an m x m channel's eigenvalues.
+
+        The quantiles come from the density in ``x = s^2``, ``sqrt(4 - s^2) /
+        pi``, by a cumulative trapezoid, not from the oracle's closed forms.
+        The unused quantiles then count the CDF at the water level to 1/m,
+        and the rate is a midpoint sum of the oracle's integral.
+        """
+        m = 20000
+        s = np.linspace(0.0, 2.0, 400001)
+        density = np.sqrt(4.0 - s**2) / math.pi
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(s))))
+        x = np.interp((np.arange(m) + 0.5) / m, cdf, s) ** 2
+        powers = waterfill(1.0 / (m * x), snr_to_power(snr_db))[0]
+        fraction, rate = marchenko_pastur_primary(snr_db)
+        assert abs(np.count_nonzero(powers == 0.0) / m - fraction) < 1.0 / m
+        assert abs(sum_rate(m * x, powers) / m - rate) < 1e-6
